@@ -1,20 +1,21 @@
-//! The million-edge scaling family: streaming dualization and the
-//! zero-allocation multi-start engine on [`fhp_gen::scaling_instance`]
-//! workloads at 10^5 / 10^6 / 10^7 signals, written to
-//! `BENCH_scaling.json` at the workspace root.
+//! The million-edge scaling family: pair-capped ("streaming")
+//! dualization and the zero-allocation multi-start engine on
+//! [`fhp_gen::scaling_instance`] workloads at 10^5 / 10^6 / 10^7
+//! signals, written to `BENCH_scaling.json` at the workspace root. The
+//! `inmem_*` keys describe the uncapped single-pass build, the
+//! `streaming_*` keys the capped multi-pass build of the same kernel.
 //!
 //! Hard assertions run on every tier, even in smoke mode (`--test`, or
 //! `FHP_BENCH_SMOKE=1`):
 //!
-//! - the streaming dualizer, capped at `pairs_generated / 16`, builds a
-//!   graph (adjacency, weights, multiplicities) bit-identical to the
-//!   in-memory kernel at every thread count — the cap is real memory
-//!   pressure, not slack: the in-memory kernel's peak pair buffer
-//!   exceeds it by at least 10×;
-//! - the streaming peak pair buffer never exceeds the configured cap;
-//! - Algorithm 1 running entirely over the streaming dualizer produces
+//! - the dualizer capped at `pairs_generated / 16` builds a graph
+//!   (adjacency, weights, multiplicities) bit-identical to the uncapped
+//!   build at every thread count — the cap is real memory pressure, not
+//!   slack: the uncapped peak pair buffer exceeds it by at least 10×;
+//! - the capped peak pair buffer never exceeds the configured cap;
+//! - Algorithm 1 running entirely over the capped dualizer produces
 //!   equal [`OutcomeFingerprint`]s at 1, 2 and 8 threads, equal to the
-//!   in-memory run's fingerprint.
+//!   uncapped run's fingerprint.
 //!
 //! Smoke mode covers the 10^5 tier only so CI stays under its bench
 //! budget; the full run (`cargo bench -p fhp-bench --bench scaling`)
@@ -31,9 +32,9 @@ const THREADS: [usize; 3] = [1, 2, 8];
 const THRESHOLD: usize = 10;
 const STARTS: usize = 2;
 const SEED: u64 = 1;
-/// The in-memory kernel holds the whole pair stream; the streaming cap
-/// is set this many times smaller, so the bounded buffer is exercised
-/// for real (and the ≥ 10× pressure assertion has 6× headroom).
+/// The uncapped build holds the whole pair stream; the cap is set this
+/// many times smaller, so the bounded buffer is exercised for real (and
+/// the ≥ 10× pressure assertion has 6× headroom).
 const CAP_RATIO: u64 = 16;
 
 struct Tier {
@@ -71,8 +72,8 @@ fn measure_tier(signals: usize) -> Tier {
     let gen_wall_ns = started.elapsed().as_nanos();
     assert_eq!(h.num_edges(), signals);
 
-    // Reference build: the in-memory kernel materializes the entire pair
-    // stream, so its peak pair buffer is the pair count itself.
+    // Reference build: uncapped, the kernel materializes the entire pair
+    // stream in one pass, so its peak pair buffer is the pair count itself.
     let started = Instant::now();
     let inmem = Dualizer::new()
         .threshold(Some(THRESHOLD))
@@ -84,12 +85,12 @@ fn measure_tier(signals: usize) -> Tier {
     let pair_cap = (pairs / CAP_RATIO).max(1);
     assert!(
         inmem.stats().peak_pair_buffer >= 10 * pair_cap,
-        "acceptance: the cap must represent >= 10x memory pressure on the in-memory \
-         kernel (peak {}, cap {pair_cap})",
+        "acceptance: the cap must represent >= 10x memory pressure on the uncapped \
+         build (peak {}, cap {pair_cap})",
         inmem.stats().peak_pair_buffer
     );
 
-    // Streaming build at every thread count: identical graph, bounded
+    // Capped build at every thread count: identical graph, bounded
     // buffer.
     let mut streaming = None;
     let mut streaming_wall_ns = Vec::new();
@@ -99,32 +100,32 @@ fn measure_tier(signals: usize) -> Tier {
             .threshold(Some(THRESHOLD))
             .threads(t)
             .pair_cap(Some(pair_cap as usize))
-            .build_streaming(&h)
+            .build(&h)
             .expect("fits u32 ids");
         streaming_wall_ns.push(started.elapsed().as_nanos());
         assert!(
             ig.stats().peak_pair_buffer <= pair_cap,
-            "streaming peak pair buffer {} exceeds the cap {pair_cap} at threads = {t}",
+            "capped peak pair buffer {} exceeds the cap {pair_cap} at threads = {t}",
             ig.stats().peak_pair_buffer
         );
         assert_eq!(
             ig.graph(),
             inmem.graph(),
-            "streaming graph differs from the in-memory kernel at threads = {t}"
+            "capped graph differs from the uncapped build at threads = {t}"
         );
         for g in inmem.graph().vertices() {
             assert_eq!(
                 ig.multiplicities_of(g),
                 inmem.multiplicities_of(g),
-                "streaming multiplicities of {g} differ at threads = {t}"
+                "capped multiplicities of {g} differ at threads = {t}"
             );
         }
         streaming = Some(ig.stats().clone());
     }
     let streaming = streaming.expect("THREADS is non-empty");
 
-    // Algorithm 1 end to end over the streaming dualizer: the
-    // fingerprint is thread-invariant and equal to the in-memory run.
+    // Algorithm 1 end to end over the capped dualizer: the fingerprint is
+    // thread-invariant and equal to the uncapped run.
     let inmem_outcome = run_alg1(&h, 2, None);
     let mut alg1_wall_ns = Vec::new();
     let mut first = None;
@@ -135,7 +136,7 @@ fn measure_tier(signals: usize) -> Tier {
         assert_eq!(
             out.fingerprint(),
             inmem_outcome.fingerprint(),
-            "streaming alg1 at threads = {t} diverged from the in-memory run"
+            "capped alg1 at threads = {t} diverged from the uncapped run"
         );
         first.get_or_insert(out);
     }

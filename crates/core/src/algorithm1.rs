@@ -171,18 +171,18 @@ impl PartitionConfig {
         self
     }
 
-    /// Builds the intersection graph with the streaming dualizer
-    /// ([`Dualizer::build_streaming`]) instead of the in-memory kernel
-    /// (default `false`). The built graph is byte-identical either way;
-    /// streaming bounds the peak pair buffer — see
-    /// [`pair_cap`](Self::pair_cap) — at the cost of extra merge passes.
+    /// Lets [`pair_cap`](Self::pair_cap) bound the dualizer's pair buffer
+    /// (default `false`). Either way the one [`Dualizer::build`] kernel
+    /// runs and the built graph is byte-identical; a cap only trades a
+    /// smaller peak pair buffer for extra merge passes.
     pub fn streaming_dualize(mut self, streaming: bool) -> Self {
         self.streaming_dualize = streaming;
         self
     }
 
-    /// Caps the streaming dualizer's in-flight pair buffer at `cap`
-    /// entries (default `None` — a heuristic cap). Requires
+    /// Caps the dualizer's in-flight pair buffer at `cap` entries per pass
+    /// ([`Dualizer::pair_cap`]; default `None` — uncapped, a single pass
+    /// over the whole pair stream). Requires
     /// [`streaming_dualize`](Self::streaming_dualize); rejected by
     /// validation otherwise.
     pub fn pair_cap(mut self, cap: Option<usize>) -> Self {
@@ -195,12 +195,12 @@ impl PartitionConfig {
         self.multilevel
     }
 
-    /// Whether the streaming dualizer is enabled.
+    /// Whether a dualizer pair cap is admitted.
     pub fn streaming_dualize_value(&self) -> bool {
         self.streaming_dualize
     }
 
-    /// The configured streaming pair-buffer cap.
+    /// The configured dualizer pair-buffer cap.
     pub fn pair_cap_value(&self) -> Option<usize> {
         self.pair_cap
     }
@@ -528,19 +528,16 @@ impl Algorithm1 {
         }
 
         // The dualization kernel takes the raw `threads` knob (not clamped
-        // to `starts`): shard parallelism is independent of how many
-        // starts there are, and the built graph is thread-count-invariant.
-        let dualizer = Dualizer::new()
+        // to `starts`): unit parallelism is independent of how many starts
+        // there are, and the built graph is thread-count-invariant.
+        // Validation admits a pair cap only with `streaming_dualize`.
+        let ig = Dualizer::new()
             .threshold(self.config.edge_size_threshold)
             .threads(self.config.threads)
             .pair_cap(self.config.pair_cap)
             .collector(self.collector.clone())
-            .progress(self.progress.clone());
-        let ig = if self.config.streaming_dualize {
-            dualizer.build_streaming(h)?
-        } else {
-            dualizer.build(h)?
-        };
+            .progress(self.progress.clone())
+            .build(h)?;
         let mut phases = PhaseStats {
             dualize: ig.stats().clone(),
             ..PhaseStats::default()

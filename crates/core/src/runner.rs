@@ -30,18 +30,15 @@
 //!
 //! The engine is generic over the per-start work so the containment and
 //! determinism machinery can be tested in isolation from the partitioner.
-//!
-//! The same claim-by-atomic-counter / record-by-index pattern (points 2
-//! and 3 minus containment) powers the sparse dualization kernel's shard
-//! pool in `fhp_hypergraph::intersection` — that crate sits below this
-//! one, so it carries its own copy rather than depending upward.
+//! Point 2 is the workspace's one worker pool,
+//! [`fhp_hypergraph::pool::run_indexed`], which the dualization kernel
+//! runs on too; this module adds containment, tracing and timing.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 // fhp-audit: allow(wallclock-in-fingerprint) — wall time is diagnostic only (StartRecord.wall), never part of fingerprints or canonical traces
 use std::time::{Duration, Instant};
 
+use fhp_hypergraph::pool;
 use fhp_obs::{names, order, Collector, Scope, ScopeEvents};
 use rand::RngCore;
 
@@ -101,7 +98,8 @@ pub struct StartRecord<T> {
 /// what makes the caller's reduction bit-identical for every `workers`
 /// value, including 1 (which runs inline on the caller's thread). A
 /// panicking call is contained and recorded, and the remaining starts
-/// still run.
+/// still run. This is [`run_starts_arena`] with a unit arena and no
+/// tracing, so the records carry empty [`ScopeEvents`].
 ///
 /// # Examples
 ///
@@ -118,100 +116,38 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_starts_traced(starts, workers, &Collector::disabled(), |index, _| {
-        work(index)
-    })
+    let (records, _) = run_starts_arena(
+        starts,
+        workers,
+        &Collector::disabled(),
+        || (),
+        |index, (), _| work(index),
+    );
+    records
 }
 
-/// [`run_starts`] with tracing: each start records into its own
-/// [`Scope`] keyed by `order::start(index)`, whose root span is
-/// `runner.start` and whose buffer comes back in the record's `events`.
-/// Scope timestamps share `collector`'s epoch, but nothing is adopted
-/// into it here — the caller owns that decision (typically after reading
-/// the buffer for its phase facade).
+/// The multi-start engine: runs `work` for every start in `0..starts` on
+/// the shared worker pool ([`pool::run_indexed`]) and returns the records
+/// in index order. Every worker owns one reusable arena `A`, created
+/// lazily by `make_arena` on the worker's first claimed start and handed
+/// by `&mut` to every start it runs afterwards, so index-pure per-start
+/// work can execute with **zero heap allocation after warm-up**.
 ///
-/// Per-start scopes (rather than per-*worker* scopes) are what keep the
-/// merged trace identical across worker counts: the event sequence is a
-/// pure function of `(starts, work)`, and only the volatile `thread`
-/// field betrays which worker ran what.
-pub fn run_starts_traced<T, F>(
-    starts: usize,
-    workers: usize,
-    collector: &Collector,
-    work: F,
-) -> Vec<StartRecord<T>>
-where
-    T: Send,
-    F: Fn(usize, &Scope) -> T + Sync,
-{
-    let run_one = |index: usize| -> StartRecord<T> {
-        let scope = collector.scope(order::start(index), Some(index as u32)); // fhp-audit: allow(as-cast-truncation) — start index bounded by the start count, well below u32::MAX
-                                                                              // fhp-audit: allow(wallclock-in-fingerprint) — times the volatile wall field only
-        let started = Instant::now();
-        let outcome = {
-            let _root = scope.span(names::RUNNER_START);
-            // A panic unwinds the work's open span guards before being
-            // caught, so the scope's stack is consistent either way.
-            catch_unwind(AssertUnwindSafe(|| work(index, &scope))).map_err(panic_message)
-        };
-        StartRecord {
-            index,
-            wall: started.elapsed(),
-            outcome,
-            events: scope.finish(),
-        }
-    };
-
-    let workers = workers.clamp(1, starts.max(1));
-    if workers == 1 {
-        return (0..starts).map(run_one).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<StartRecord<T>>>> = Mutex::new((0..starts).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed); // fhp-audit: allow(atomic-ordering) — claim-by-counter: fetch_add is the only use; claim order never reaches merged output
-                if index >= starts {
-                    break;
-                }
-                let record = run_one(index);
-                // work panics are contained by run_one, so a poisoned lock
-                // can only mean another worker died storing a record; the
-                // records already stored are still good — keep going
-                let mut slots = slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Some(slot) = slots.get_mut(index) {
-                    *slot = Some(record);
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        // fhp-audit: allow(panic-site) — the claim loop covers 0..starts exactly once; a hole is an engine bug worth a loud stop
-        .map(|slot| slot.expect("every index was claimed exactly once"))
-        .collect()
-}
-
-/// [`run_starts_traced`] for hot loops: every worker owns one reusable
-/// arena `A`, created lazily by `make_arena` on the worker's first
-/// claimed start and handed by `&mut` to every start it runs afterwards,
-/// so index-pure per-start work can execute with **zero heap allocation
-/// after warm-up**.
+/// Tracing is opt-in per run: a [`Scope`] keyed by `order::start(index)`
+/// is created (and the `runner.start` root span recorded) only when
+/// `collector` [is enabled](Collector::is_enabled) — recording into a
+/// scope buffer allocates, which would defeat the arena. With a disabled
+/// collector the work closure sees `None` and the records carry empty
+/// [`ScopeEvents`]. Scope timestamps share `collector`'s epoch, but
+/// nothing is adopted into it here — the caller owns that decision
+/// (typically after reading the buffer for its phase facade). Per-start
+/// scopes (rather than per-*worker* scopes) are what keep the merged
+/// trace identical across worker counts: the event sequence is a pure
+/// function of `(starts, work)`, and only the volatile `thread` field
+/// betrays which worker ran what.
 ///
-/// Tracing is opt-in per run: a [`Scope`] is created (and the
-/// `runner.start` root span recorded) only when `collector`
-/// [is enabled](Collector::is_enabled) — recording into a scope buffer
-/// allocates, which would defeat the arena. With a disabled collector the
-/// work closure sees `None` and the records carry empty [`ScopeEvents`].
-///
-/// Returns the records in index order plus every arena the run actually
-/// created (workers that claim no start create none). The difference
+/// Returns the records plus every arena the run actually created
+/// (workers that claim no start create none). The difference
 /// `starts − arenas.len()` is the number of times an arena was *reused*
 /// instead of rebuilt — [`RunStats::arena_reuse_hits`] upstream. That
 /// number depends on the worker count, which is why it is reported as a
@@ -220,9 +156,10 @@ where
 /// The determinism contract tightens accordingly: `work` must be a pure
 /// function of its index *given an arena in any prior state*, i.e. it
 /// must reset whatever arena state it reads at entry (every scratch type
-/// in this workspace does). Panics are contained exactly as in
-/// [`run_starts_traced`]; the poisoned worker's arena is handed to its
-/// next start as-is, which the reset-at-entry rule makes safe.
+/// in this workspace does). Each start runs under
+/// [`std::panic::catch_unwind`], so a panic becomes the record's error;
+/// the poisoned worker's arena is handed to its next start as-is, which
+/// the reset-at-entry rule makes safe.
 ///
 /// [`RunStats::arena_reuse_hits`]: crate::RunStats
 ///
@@ -260,12 +197,14 @@ where
     F: Fn(usize, &mut A, Option<&Scope>) -> T + Sync,
 {
     let traced = collector.is_enabled();
-    let run_one = |index: usize, arena: &mut A| -> StartRecord<T> {
+    pool::run_indexed(starts, workers, make_arena, |index, arena| {
         let scope = traced.then(|| collector.scope(order::start(index), Some(index as u32))); // fhp-audit: allow(as-cast-truncation) — start index bounded by the start count, well below u32::MAX
                                                                                               // fhp-audit: allow(wallclock-in-fingerprint) — times the volatile wall field only
         let started = Instant::now();
         let outcome = {
             let _root = scope.as_ref().map(|s| s.span(names::RUNNER_START));
+            // A panic unwinds the work's open span guards before being
+            // caught, so the scope's stack is consistent either way.
             catch_unwind(AssertUnwindSafe(|| work(index, arena, scope.as_ref())))
                 .map_err(panic_message)
         };
@@ -275,56 +214,7 @@ where
             outcome,
             events: scope.map(|s| s.finish()).unwrap_or_default(),
         }
-    };
-
-    let workers = workers.clamp(1, starts.max(1));
-    if workers == 1 {
-        let mut arena = make_arena();
-        let records = (0..starts).map(|i| run_one(i, &mut arena)).collect();
-        return (records, vec![arena]);
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<StartRecord<T>>>> = Mutex::new((0..starts).map(|_| None).collect());
-    let arenas: Mutex<Vec<A>> = Mutex::new(Vec::with_capacity(workers));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut arena: Option<A> = None;
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed); // fhp-audit: allow(atomic-ordering) — claim-by-counter: fetch_add is the only use; claim order never reaches merged output
-                    if index >= starts {
-                        break;
-                    }
-                    let record = run_one(index, arena.get_or_insert_with(&make_arena));
-                    // same poison rationale as run_starts_traced above
-                    let mut slots = slots
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if let Some(slot) = slots.get_mut(index) {
-                        *slot = Some(record);
-                    }
-                }
-                if let Some(arena) = arena {
-                    arenas
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(arena);
-                }
-            });
-        }
-    });
-    let records = slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        // fhp-audit: allow(panic-site) — the claim loop covers 0..starts exactly once; a hole is an engine bug worth a loud stop
-        .map(|slot| slot.expect("every index was claimed exactly once"))
-        .collect();
-    let arenas = arenas
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    (records, arenas)
+    })
 }
 
 /// Renders a contained panic payload as the record's error string.
@@ -449,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_results_match_traced_for_any_worker_count() {
+    fn arena_results_match_run_starts_for_any_worker_count() {
         let work = |i: usize| {
             let mut rng = SplitMix64::for_start(11, i);
             (0..40)

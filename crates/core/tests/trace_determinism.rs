@@ -3,7 +3,7 @@
 //! modulo the explicitly volatile fields (`start_ns`, `dur_ns`, `thread`) —
 //! for every worker-thread count.
 
-use fhp_core::runner::run_starts_traced;
+use fhp_core::runner::run_starts_arena;
 use fhp_core::{Algorithm1, PartitionConfig};
 use fhp_hypergraph::{HypergraphBuilder, VertexId};
 use fhp_obs::{canonical_line, names, order, Collector};
@@ -82,10 +82,17 @@ fn trace_contains_all_four_phases_per_start() {
 fn runner_merges_scopes_in_start_order_at_any_worker_count() {
     let merged = |workers: usize| -> Vec<String> {
         let collector = Collector::enabled();
-        let records = run_starts_traced(12, workers, &collector, |i, scope| {
-            scope.counter("work.index", i as u64);
-            i * i
-        });
+        let (records, _) = run_starts_arena(
+            12,
+            workers,
+            &collector,
+            || (),
+            |i, (), scope| {
+                let scope = scope.expect("an enabled collector hands out scopes");
+                scope.counter("work.index", i as u64);
+                i * i
+            },
+        );
         assert_eq!(records.len(), 12);
         // adoption is the caller's job: the runner hands each start's
         // buffered events back on its record (Algorithm 1 adopts them in

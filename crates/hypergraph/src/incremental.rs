@@ -18,8 +18,8 @@
 //!   with the nets incident to the one touched module;
 //! - module edits never change `G` at all (its vertices are signals).
 //!
-//! The initial adjacency is built by the streaming [`Dualizer`] — the
-//! same bounded-buffer retire machinery the batch engine uses — and
+//! The initial adjacency is built by the [`Dualizer`] — the same
+//! dualization kernel the batch engine uses — and
 //! [`materialize`](DynamicNetlist::materialize) compacts the live slots
 //! back into an ordinary [`Hypergraph`] (ascending stable-id order, so
 //! two states with the same live content materialize bit-identically).
@@ -130,8 +130,8 @@ impl DynamicNetlist {
 
     /// Wraps an existing hypergraph: module and net ids become the stable
     /// slot ids (identity mapping), and the initial dual adjacency is
-    /// built by the streaming [`Dualizer`] so the bounded-buffer retire
-    /// machinery — not a second ad-hoc pair kernel — seeds the rows.
+    /// built by the [`Dualizer`], so the one dualization kernel — not a
+    /// second ad-hoc pair kernel — seeds the rows.
     ///
     /// # Errors
     ///
@@ -162,7 +162,7 @@ impl DynamicNetlist {
             live_nets: h.num_edges(),
         };
         if h.num_edges() > 0 {
-            let ig = Dualizer::new().build_streaming(h)?;
+            let ig = Dualizer::new().build(h)?;
             for e in h.edges() {
                 // Threshold-free dualization keeps every signal, so the
                 // mapping is total and the g ↔ edge correspondence is the

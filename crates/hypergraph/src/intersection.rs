@@ -23,33 +23,42 @@
 //! module of degree `d` cost `C(d, 2)` insertions *per hub* even when the
 //! pairs were all duplicates of each other. The kernel here instead:
 //!
-//! 1. splits the module space into contiguous, **degree-bucketed shards**
-//!    (boundaries chosen so each shard owns roughly equal pair mass);
-//! 2. generates each shard's pairs locally, sorts them, and collapses
+//! 1. numbers every candidate pair in one global vertex-major order
+//!    (module `v`'s pairs start at the prefix sum of the pair counts
+//!    before it) and cuts that pair-index space into contiguous **work
+//!    units** — a boundary may fall inside a hub module's `C(d, 2)` pair
+//!    block, so one hub can be spread over several units;
+//! 2. generates each unit's pairs locally, sorts them, and collapses
 //!    duplicates by run-length counting — keeping the count, the
 //!    *shared-module multiplicity*, as the G-edge weight;
-//! 3. k-way-merges the sorted shard runs (summing multiplicities of equal
-//!    pairs) and writes the CSR adjacency directly, never materializing a
-//!    global pair list.
+//! 3. merges the sorted unit runs pairwise in a balanced tree (summing
+//!    multiplicities of equal pairs) and writes the CSR adjacency
+//!    directly, never materializing a global pair list.
 //!
-//! Shards are data-parallel; a scoped worker pool (the same
-//! claim-by-atomic-counter pattern as `fhp_core::runner`) executes them.
-//! The merged output is the sorted multiset union of the shard runs, which
-//! is a pure function of `(H, threshold)` — **not** of the shard
-//! boundaries, the worker count, or the completion order — so the built
-//! graph is bit-identical for every `threads` value. [`DualizeStats`]
-//! reports what the kernel did: pairs generated, duplicates merged, unique
-//! edges inserted, and wall time.
+//! [`Dualizer::pair_cap`] bounds the raw pair buffer. When the cap forces
+//! more than one pass, each unit is one pass of at most `cap` pairs and
+//! only its deduplicated run outlives it. Otherwise (uncapped, or a cap
+//! covering the whole stream) the single pass is split into
+//! `clamp(2·threads, 1, 32)` units — one at one thread — so dynamic
+//! claiming can smooth out skew.
+//!
+//! Units are data-parallel; the workspace's one worker pool
+//! ([`crate::pool`]) executes them. The merged output is the sorted
+//! multiset union of the unit runs, which is a pure function of
+//! `(H, threshold)` — **not** of the unit boundaries, the cap, the worker
+//! count, or the completion order — so the built graph is bit-identical
+//! for every `threads` and `pair_cap` value. [`DualizeStats`] reports
+//! what the kernel did: pairs generated, duplicates merged, unique edges
+//! inserted, passes, buffer peak, and wall time.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use fhp_obs::{
     counter_total, names, order, span_total_ns, Collector, Event, Gauge, Progress, Scope,
 };
 
-use crate::{BuildGraphError, EdgeId, Graph, GraphBuilder, Hypergraph, VertexId};
+use crate::{pool, BuildGraphError, EdgeId, Graph, GraphBuilder, Hypergraph, VertexId};
 
 const FILTERED: u32 = u32::MAX;
 
@@ -69,8 +78,8 @@ pub struct DualizeStats {
     /// the number of edge insertions the naive pair-spray builder
     /// performs.
     pub pairs_generated: u64,
-    /// Pairs collapsed into an already-seen adjacency (shard-local plus
-    /// cross-shard merging).
+    /// Pairs collapsed into an already-seen adjacency (unit-local plus
+    /// cross-unit merging).
     pub duplicates_merged: u64,
     /// Unique G-edges inserted into the CSR — the kernel's edge-insertion
     /// count.
@@ -79,24 +88,26 @@ pub struct DualizeStats {
     pub kept_edges: usize,
     /// Hyperedges dropped by the size threshold.
     pub filtered_edges: usize,
-    /// Shards the module space was split into.
+    /// Work units the pair-index space was cut into: the passes when the
+    /// cap forces several, otherwise 1 at one thread and
+    /// `clamp(2·threads, 1, 32)` above that. Informational — the graph
+    /// never depends on it.
     pub shards: usize,
     /// Worker threads the kernel ran with.
     pub threads: usize,
-    /// Generate→sort→dedup passes: 1 for the in-memory kernel and the
-    /// naive builder, `ceil(pairs_generated / cap)` for the streaming
-    /// kernel.
+    /// Generate→sort→dedup passes: `ceil(pairs_generated / cap)` under a
+    /// [`Dualizer::pair_cap`], 1 when uncapped (and for the naive
+    /// builder).
     pub passes: u64,
-    /// Largest raw (pre-dedup) pair buffer held at any moment. The
-    /// in-memory kernel materializes the whole pair stream across its
-    /// shard buffers, so this equals `pairs_generated`; the streaming
-    /// kernel never exceeds its configured pair cap. A pure function of
+    /// Largest raw (pre-dedup) pair buffer held at any moment: the
+    /// largest pass. A single pass holds the whole pair stream across its
+    /// units, so this equals `pairs_generated` when uncapped; under a cap
+    /// it never exceeds the cap. A pure function of
     /// `(instance, threshold, cap)` — never of the thread count.
     pub peak_pair_buffer: u64,
-    /// Bytes of deduplicated per-pass runs the streaming kernel retired
-    /// out of its bounded pair buffer (12 bytes per unique
-    /// `(pair, multiplicity)` entry, summed over passes); 0 for the
-    /// in-memory kernel.
+    /// Bytes of deduplicated per-pass runs retired out of the bounded pair
+    /// buffer (12 bytes per unique `(pair, multiplicity)` entry, summed
+    /// over passes); 0 for a single pass, which retires nothing.
     pub bytes_spilled: u64,
     /// Wall-clock time of the whole dualization.
     pub wall: Duration,
@@ -176,18 +187,20 @@ impl Dualizer {
         self
     }
 
-    /// Worker threads for shard execution (default 1; `0` means one per
-    /// available core). The built graph is bit-identical for every value —
-    /// this knob only trades wall-clock time.
+    /// Worker threads for the kernel's work units (default 1; `0` means
+    /// one per available core). The built graph is bit-identical for every
+    /// value — this knob only trades wall-clock time.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Caps the raw pair buffer of [`build_streaming`](Self::build_streaming)
-    /// (default `None` = one pass over the whole pair stream). A cap of 0
-    /// is treated as 1. [`Dualizer::build`] ignores the cap — the
-    /// in-memory kernel always materializes the full pair stream.
+    /// Caps the raw pair buffer of one pass at `cap` pairs (default
+    /// `None` = one pass over the whole pair stream). A cap of 0 is
+    /// treated as 1. The cap is a memory knob, never a semantics knob:
+    /// the built graph is identical for every value, and only
+    /// [`DualizeStats::passes`], [`DualizeStats::peak_pair_buffer`],
+    /// [`DualizeStats::bytes_spilled`] and the unit count change.
     pub fn pair_cap(mut self, cap: Option<usize>) -> Self {
         self.pair_cap = cap;
         self
@@ -212,122 +225,24 @@ impl Dualizer {
         self
     }
 
-    /// Runs the kernel on `h`.
+    /// Runs the kernel on `h` (see the [module docs](self)): the global
+    /// pair-index space is cut into work units, each unit generates, sorts
+    /// and run-length-deduplicates only its own pairs, and the unit runs
+    /// are merged with an order-insensitive sorted-multiset union. When a
+    /// [`pair_cap`](Self::pair_cap) forces several passes, each pass is
+    /// one unit of at most `cap` raw pairs — split mid-vertex when one
+    /// module's `C(d, 2)` pairs exceed the cap — and only its deduplicated
+    /// run outlives it.
+    ///
+    /// The graph, mapping and multiplicities are byte-identical for every
+    /// cap and thread count, and every counter except the unit count is a
+    /// pure function of `(h, threshold, cap)`.
     ///
     /// # Errors
     ///
     /// [`BuildGraphError::TooManyGVertices`] if the kept hyperedges
     /// overflow the `u32` G-vertex id space.
     pub fn build(&self, h: &Hypergraph) -> Result<IntersectionGraph, BuildGraphError> {
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        };
-        let scope = self.collector.scope(order::DUALIZE, None);
-        let root = scope.span(names::DUALIZE);
-
-        let plan = scope.span(names::DUALIZE_PLAN);
-        let (kept, g_of) = keep_map(h, self.threshold)?;
-
-        // Pair mass per module; the shard boundaries below bucket by it.
-        let mut total_pairs = 0u64;
-        let mut vertex_pairs = Vec::with_capacity(h.num_vertices());
-        for v in h.vertices() {
-            let kd = h
-                .edges_of(v)
-                .iter()
-                .filter(|e| g_of[e.index()] != FILTERED) // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-                .count() as u64;
-            let p = kd * (kd.saturating_sub(1)) / 2;
-            vertex_pairs.push(p);
-            total_pairs += p;
-        }
-
-        let shards = if threads <= 1 {
-            1
-        } else {
-            // Overshard a little so dynamic claiming can smooth out skew.
-            (threads * 2).clamp(1, 32)
-        };
-        let bounds = shard_boundaries(&vertex_pairs, total_pairs, shards);
-        drop(plan);
-
-        // One span covers the whole parallel section: per-shard spans
-        // would make the event count a function of the threads knob and
-        // break cross-thread-count trace identity.
-        if let Some(p) = self.progress.as_deref() {
-            p.add(Gauge::DualizePassesTotal, 1);
-        }
-        let shards_span = scope.span(names::DUALIZE_SHARDS);
-        let progress = self.progress.as_deref();
-        let shard_out = run_shards(shards, threads, |s| {
-            let out = dualize_shard(h, &g_of, bounds[s]..bounds[s + 1]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            if let Some(p) = progress {
-                p.add(Gauge::DualizePairsRetired, out.generated);
-            }
-            out
-        });
-        drop(shards_span);
-        if let Some(p) = progress {
-            p.add(Gauge::DualizePassesDone, 1);
-        }
-
-        let pairs_generated: u64 = shard_out.iter().map(|s| s.generated).sum();
-        debug_assert_eq!(pairs_generated, total_pairs);
-        let merge_span = scope.span(names::DUALIZE_MERGE);
-        let (pairs, counts) = merge_shards(shard_out);
-        drop(merge_span);
-        let unique_edges = pairs.len() as u64;
-        let csr_span = scope.span(names::DUALIZE_CSR);
-        let (graph, shared) = csr_with_weights(kept.len(), &pairs, &counts);
-        drop(csr_span);
-
-        scope.counter(names::DUALIZE_PAIRS, pairs_generated);
-        scope.counter(names::DUALIZE_DUPS, pairs_generated - unique_edges);
-        scope.counter(names::DUALIZE_UNIQUE, unique_edges);
-        scope.counter(names::DUALIZE_KEPT, kept.len() as u64);
-        scope.counter(names::DUALIZE_FILTERED, (h.num_edges() - kept.len()) as u64);
-        scope.counter(names::DUALIZE_PASSES, 1);
-        scope.counter(names::DUALIZE_PEAK_PAIR_BUFFER, pairs_generated);
-        scope.counter(names::DUALIZE_BYTES_SPILLED, 0);
-        drop(root);
-
-        let recorded = scope.finish();
-        let stats = DualizeStats::from_recorded(&recorded.events, shards, threads);
-        self.collector.adopt(recorded);
-
-        Ok(IntersectionGraph {
-            graph,
-            shared,
-            kept,
-            g_of,
-            threshold: self.threshold,
-            stats,
-        })
-    }
-
-    /// Runs the *streaming* kernel on `h`: the global pair index space is
-    /// cut into chunks of at most [`pair_cap`](Self::pair_cap) pairs
-    /// (splitting hub modules mid-vertex when one module's `C(d, 2)`
-    /// pairs exceed the cap), and each pass generates, sorts and
-    /// run-length-deduplicates only its own chunk before retiring the
-    /// deduped run out of the bounded buffer. The runs are merged with an
-    /// order-insensitive sorted-multiset union, so the built graph,
-    /// mapping and multiplicities are byte-identical to
-    /// [`Dualizer::build`] for every cap and thread count — only
-    /// [`DualizeStats::passes`], [`DualizeStats::peak_pair_buffer`] and
-    /// [`DualizeStats::bytes_spilled`] change.
-    ///
-    /// The chunk plan is a pure function of `(h, threshold, cap)`; chunks
-    /// are the data-parallel work units, claimed by the same
-    /// atomic-counter worker pool as the in-memory kernel's shards.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildGraphError::TooManyGVertices`] if the kept hyperedges
-    /// overflow the `u32` G-vertex id space.
-    pub fn build_streaming(&self, h: &Hypergraph) -> Result<IntersectionGraph, BuildGraphError> {
         let threads = if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -348,44 +263,72 @@ impl Dualizer {
             let kd = h
                 .edges_of(v)
                 .iter()
-                .filter(|e| g_of[e.index()] != FILTERED) // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+                .filter(|e| g_of[e.index()] != FILTERED) // fhp-audit: allow(panic-site) — keep_map sizes g_of to h.num_edges(), and edges_of yields edge ids of h
                 .count() as u64;
             total_pairs += kd * (kd.saturating_sub(1)) / 2;
             prefix.push(total_pairs);
         }
-        let cap = match self.pair_cap {
-            Some(c) => (c as u64).max(1),
-            None => total_pairs.max(1),
-        };
-        let passes = if total_pairs == 0 {
-            1
+        let cap = self.pair_cap.map_or(total_pairs, |c| c as u64).max(1);
+        let passes = total_pairs.div_ceil(cap).max(1);
+        // Several passes are the units themselves; a single pass is
+        // oversharded a little so dynamic claiming can smooth out skew.
+        let (units, unit_len) = if passes > 1 {
+            (passes, cap)
         } else {
-            total_pairs.div_ceil(cap)
+            let units = if threads <= 1 {
+                1
+            } else {
+                (threads * 2).clamp(1, 32) as u64
+            };
+            (units, total_pairs.div_ceil(units))
         };
         drop(plan);
 
+        // One span covers the whole parallel section: per-unit spans would
+        // make the event count a function of the threads knob and break
+        // cross-thread-count trace identity.
         if let Some(p) = self.progress.as_deref() {
             p.add(Gauge::DualizePassesTotal, passes);
         }
         let shards_span = scope.span(names::DUALIZE_SHARDS);
         let progress = self.progress.as_deref();
-        let runs = run_shards(passes as usize, threads, |c| {
-            let lo = c as u64 * cap;
-            let hi = ((c as u64 + 1) * cap).min(total_pairs);
-            let out = dualize_chunk(h, &g_of, &prefix, lo, hi);
+        let (runs, _) = pool::run_indexed(
+            units as usize,
+            threads,
+            || (),
+            |u, ()| {
+                let lo = (u as u64 * unit_len).min(total_pairs);
+                let hi = (lo + unit_len).min(total_pairs);
+                let run = dualize_chunk(h, &g_of, &prefix, lo, hi);
+                if let Some(p) = progress {
+                    p.add(Gauge::DualizePairsRetired, run.generated);
+                    if passes > 1 {
+                        p.add(Gauge::DualizePassesDone, 1);
+                    }
+                }
+                run
+            },
+        );
+        drop(shards_span);
+        if passes == 1 {
             if let Some(p) = progress {
-                p.add(Gauge::DualizePairsRetired, out.generated);
                 p.add(Gauge::DualizePassesDone, 1);
             }
-            out
-        });
-        drop(shards_span);
+        }
 
-        let pairs_generated: u64 = runs.iter().map(|s| s.generated).sum();
+        let pairs_generated: u64 = runs.iter().map(|r| r.generated).sum();
         debug_assert_eq!(pairs_generated, total_pairs);
-        let peak_pair_buffer = runs.iter().map(|s| s.generated).max().unwrap_or(0);
+        // A single pass holds the whole stream at once and retires nothing;
+        // each of several passes retires its deduplicated run.
+        let (peak_pair_buffer, bytes_spilled) = if passes > 1 {
+            (
+                runs.iter().map(|r| r.generated).max().unwrap_or(0),
+                runs.iter().map(|r| 12 * r.pairs.len() as u64).sum(),
+            )
+        } else {
+            (pairs_generated, 0)
+        };
         debug_assert!(peak_pair_buffer <= cap);
-        let bytes_spilled: u64 = runs.iter().map(|s| 12 * s.pairs.len() as u64).sum();
         let merge_span = scope.span(names::DUALIZE_MERGE);
         let (pairs, counts) = merge_run_tree(runs);
         drop(merge_span);
@@ -405,7 +348,7 @@ impl Dualizer {
         drop(root);
 
         let recorded = scope.finish();
-        let stats = DualizeStats::from_recorded(&recorded.events, passes as usize, threads);
+        let stats = DualizeStats::from_recorded(&recorded.events, units as usize, threads);
         self.collector.adopt(recorded);
 
         Ok(IntersectionGraph {
@@ -480,7 +423,7 @@ impl IntersectionGraph {
     /// (if `Some`); hyperedges at or above the threshold get no G-vertex.
     ///
     /// Cost is `O(Σ_v C(deg(v), 2))` pair generation, deduplicated
-    /// shard-locally before any edge insertion; for bounded-degree
+    /// unit-locally before any edge insertion; for bounded-degree
     /// netlists this is linear in pins. See the [module docs](self).
     ///
     /// # Panics
@@ -517,14 +460,14 @@ impl IntersectionGraph {
         for v in h.vertices() {
             let inc = h.edges_of(v);
             for (i, &a) in inc.iter().enumerate() {
-                let ga = g_of[a.index()]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+                let ga = g_of[a.index()]; // fhp-audit: allow(panic-site) — g_of is sized to h.num_edges() by keep_map, and every id looked up is an edge id of h
                 if ga == FILTERED {
                     continue;
                 }
-                // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+                // fhp-audit: allow(panic-site) — i < inc.len(), so i + 1 <= inc.len()
                 for &b in &inc[i + 1..] {
-                    // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-                    let gb2 = g_of[b.index()]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+                    // fhp-audit: allow(panic-site) — g_of is sized to h.num_edges() by keep_map, and every id looked up is an edge id of h
+                    let gb2 = g_of[b.index()]; // fhp-audit: allow(panic-site) — g_of is sized to h.num_edges() by keep_map, and every id looked up is an edge id of h
                     if gb2 != FILTERED {
                         gb.add_edge(ga, gb2);
                         all_pairs.push((ga, gb2));
@@ -542,9 +485,9 @@ impl IntersectionGraph {
         let mut i = 0;
         let mut unique_edges = 0u64;
         while i < all_pairs.len() {
-            let (u, v) = all_pairs[i]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+            let (u, v) = all_pairs[i]; // fhp-audit: allow(panic-site) — the loop guard keeps i < all_pairs.len()
             let mut run = 1u32;
-            // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+            // fhp-audit: allow(panic-site) — the short-circuit checks the index against all_pairs.len() first
             while i + (run as usize) < all_pairs.len() && all_pairs[i + run as usize] == (u, v) {
                 run += 1;
             }
@@ -600,13 +543,13 @@ impl IntersectionGraph {
     ///
     /// Panics if `g` is out of range.
     pub fn edge_of(&self, g: u32) -> EdgeId {
-        self.kept[g as usize] // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+        self.kept[g as usize] // fhp-audit: allow(panic-site) — documented `# Panics`: g must be a G-vertex id
     }
 
     /// The G-vertex of hyperedge `e`, or `None` if it was filtered out by
     /// the size threshold.
     pub fn g_vertex_of(&self, e: EdgeId) -> Option<u32> {
-        let g = self.g_of[e.index()]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+        let g = self.g_of[e.index()]; // fhp-audit: allow(panic-site) — g_of is sized to h.num_edges() by keep_map, and every id looked up is an edge id of h
         (g != FILTERED).then_some(g)
     }
 
@@ -618,7 +561,7 @@ impl IntersectionGraph {
     ///
     /// Panics if `ga` is out of range.
     pub fn shared_modules(&self, ga: u32, gb: u32) -> Option<u32> {
-        self.graph.edge_slot(ga, gb).map(|slot| self.shared[slot]) // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+        self.graph.edge_slot(ga, gb).map(|slot| self.shared[slot]) // fhp-audit: allow(panic-site) — edge_slot returns a slot of self.graph, and shared is aligned with its neighbor array
     }
 
     /// Shared-module multiplicities of `g`'s adjacencies, aligned with
@@ -628,7 +571,7 @@ impl IntersectionGraph {
     ///
     /// Panics if `g` is out of range.
     pub fn multiplicities_of(&self, g: u32) -> &[u32] {
-        &self.shared[self.graph.slot_range(g)] // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+        &self.shared[self.graph.slot_range(g)] // fhp-audit: allow(panic-site) — documented `# Panics`; shared is aligned with the graph's neighbor array
     }
 
     /// The threshold this graph was built with.
@@ -638,7 +581,7 @@ impl IntersectionGraph {
 
     /// Hyperedges that were filtered out (size ≥ threshold).
     pub fn filtered_edges<'a>(&'a self, h: &'a Hypergraph) -> impl Iterator<Item = EdgeId> + 'a {
-        h.edges().filter(|e| self.g_of[e.index()] == FILTERED) // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+        h.edges().filter(|e| self.g_of[e.index()] == FILTERED) // fhp-audit: allow(panic-site) — g_of is sized to h.num_edges() by keep_map, and every id looked up is an edge id of h
     }
 
     /// Vertices of `H` covered by at least one kept hyperedge.
@@ -646,7 +589,7 @@ impl IntersectionGraph {
         let mut covered = vec![false; h.num_vertices()];
         for &e in &self.kept {
             for &p in h.pins(e) {
-                covered[p.index()] = true; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+                covered[p.index()] = true; // fhp-audit: allow(panic-site) — covered is sized to h.num_vertices(), and pins are vertex ids of h
             }
         }
         covered
@@ -674,93 +617,41 @@ fn keep_map(
                 .ok_or(BuildGraphError::TooManyGVertices {
                     found: kept.len() + 1,
                 })?;
-            g_of[e.index()] = id; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+            g_of[e.index()] = id; // fhp-audit: allow(panic-site) — g_of is sized to h.num_edges() above, and h.edges() yields edge ids of h
             kept.push(e);
         }
     }
     Ok((kept, g_of))
 }
 
-/// One shard's output: its sorted unique pairs with run-length counts,
-/// plus how many raw pairs it generated.
-struct ShardOut {
+/// One work unit's output: its sorted unique pairs with run-length
+/// counts, plus how many raw pairs it generated.
+struct Run {
     pairs: Vec<(u32, u32)>,
     counts: Vec<u32>,
     generated: u64,
 }
 
-/// Splits the module index space into `shards` contiguous ranges of
-/// roughly equal pair mass (degree bucketing): a hub module with `C(d, 2)`
-/// pairs weighs as much as thousands of leaf modules, so boundaries follow
-/// cumulative mass, not vertex count. Returns `shards + 1` boundaries.
-fn shard_boundaries(vertex_pairs: &[u64], total: u64, shards: usize) -> Vec<usize> {
-    let mut bounds = Vec::with_capacity(shards + 1);
-    bounds.push(0);
-    let target = (total / shards as u64).max(1);
-    let mut acc = 0u64;
-    for (i, &p) in vertex_pairs.iter().enumerate() {
-        acc += p;
-        if acc >= target && bounds.len() < shards {
-            bounds.push(i + 1);
-            acc = 0;
-        }
-    }
-    while bounds.len() <= shards {
-        bounds.push(vertex_pairs.len());
-    }
-    bounds
-}
-
-/// Generates, sorts, and run-length-deduplicates the pairs owned by one
-/// contiguous module range. Pure function of `(h, g_of, range)`.
-fn dualize_shard(h: &Hypergraph, g_of: &[u32], range: std::ops::Range<usize>) -> ShardOut {
-    let mut buf: Vec<(u32, u32)> = Vec::new();
-    let mut incident: Vec<u32> = Vec::new();
-    for v in range {
-        incident.clear();
-        incident.extend(h.edges_of(VertexId::new(v)).iter().filter_map(|e| {
-            let g = g_of[e.index()]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            (g != FILTERED).then_some(g)
-        }));
-        // `edges_of` is ascending and `g_of` is a monotone compaction, so
-        // `incident` is ascending and every (i, j) pair below has a < b.
-        for (i, &a) in incident.iter().enumerate() {
-            // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            for &b in &incident[i + 1..] {
-                buf.push((a, b));
-            }
-        }
-    }
-    let generated = buf.len() as u64;
-    buf.sort_unstable();
-    let (pairs, counts) = rle_dedup(buf);
-    ShardOut {
-        pairs,
-        counts,
-        generated,
-    }
-}
-
-/// Generates, sorts, and run-length-deduplicates one streaming chunk: the
+/// Generates, sorts, and run-length-deduplicates one work unit: the
 /// global pair-index range `lo..hi` of the vertex-major, row-major pair
 /// enumeration. `prefix[v]` is the cumulative kept-pair mass before module
-/// `v`, so a chunk boundary can fall *inside* a hub module's pair block —
+/// `v`, so a unit boundary can fall *inside* a hub module's pair block —
 /// that is exactly what keeps the raw buffer below the cap when one
 /// module alone exceeds it. Pure function of `(h, g_of, prefix, lo, hi)`.
-fn dualize_chunk(h: &Hypergraph, g_of: &[u32], prefix: &[u64], lo: u64, hi: u64) -> ShardOut {
+fn dualize_chunk(h: &Hypergraph, g_of: &[u32], prefix: &[u64], lo: u64, hi: u64) -> Run {
     let mut buf: Vec<(u32, u32)> = Vec::new();
     let mut incident: Vec<u32> = Vec::new();
     // Last v with prefix[v] <= lo (prefix is non-decreasing, prefix[0]=0).
     let mut v = prefix.partition_point(|&p| p <= lo) - 1;
-    // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+    // fhp-audit: allow(panic-site) — prefix has num_vertices + 1 entries, so v and v + 1 index it while v < num_vertices
     while v < h.num_vertices() && prefix[v] < hi {
-        // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-        let a = lo.max(prefix[v]) - prefix[v]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-        let b = hi.min(prefix[v + 1]) - prefix[v]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+        // fhp-audit: allow(panic-site) — prefix has num_vertices + 1 entries, so v and v + 1 index it while v < num_vertices
+        let a = lo.max(prefix[v]) - prefix[v]; // fhp-audit: allow(panic-site) — prefix has num_vertices + 1 entries, so v and v + 1 index it while v < num_vertices
+        let b = hi.min(prefix[v + 1]) - prefix[v]; // fhp-audit: allow(panic-site) — prefix has num_vertices + 1 entries, so v and v + 1 index it while v < num_vertices
         if a < b {
             incident.clear();
             incident.extend(h.edges_of(VertexId::new(v)).iter().filter_map(|e| {
-                let g = g_of[e.index()]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+                let g = g_of[e.index()]; // fhp-audit: allow(panic-site) — keep_map sizes g_of to h.num_edges(), and edges_of yields edge ids of h
                 (g != FILTERED).then_some(g)
             }));
             emit_pair_range(&incident, a, b, &mut buf);
@@ -770,7 +661,7 @@ fn dualize_chunk(h: &Hypergraph, g_of: &[u32], prefix: &[u64], lo: u64, hi: u64)
     let generated = buf.len() as u64;
     buf.sort_unstable();
     let (pairs, counts) = rle_dedup(buf);
-    ShardOut {
+    Run {
         pairs,
         counts,
         generated,
@@ -785,14 +676,14 @@ fn dualize_chunk(h: &Hypergraph, g_of: &[u32], prefix: &[u64], lo: u64, hi: u64)
 fn emit_pair_range(incident: &[u32], a: u64, b: u64, buf: &mut Vec<(u32, u32)>) {
     let k = incident.len();
     let mut row_start = 0u64;
-    for i in 0..k {
+    for (i, &head) in incident.iter().enumerate() {
         let row_end = row_start + (k - 1 - i) as u64;
         if row_end > a && row_start < b {
             let jlo = a.saturating_sub(row_start) as usize;
             let jhi = (b.min(row_end) - row_start) as usize;
-            for t in jlo..jhi {
-                buf.push((incident[i], incident[i + 1 + t])); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            }
+            // fhp-audit: allow(panic-site) — jlo <= jhi <= k − 1 − i, so the row slice ends at or before incident.len()
+            let row = &incident[i + 1 + jlo..i + 1 + jhi];
+            buf.extend(row.iter().map(|&tail| (head, tail)));
         }
         if row_end >= b {
             break;
@@ -821,48 +712,48 @@ fn rle_dedup(buf: Vec<(u32, u32)>) -> (Vec<(u32, u32)>, Vec<u32>) {
 
 /// Two-pointer merge of two sorted unique runs, summing multiplicities of
 /// shared pairs. The result is the sorted multiset union of the inputs.
-fn merge_two(a: ShardOut, b: ShardOut) -> ShardOut {
+fn merge_two(a: Run, b: Run) -> Run {
     let mut pairs = Vec::with_capacity(a.pairs.len() + b.pairs.len());
     let mut counts = Vec::with_capacity(a.counts.len() + b.counts.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.pairs.len() && j < b.pairs.len() {
-        // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+        // fhp-audit: allow(panic-site) — the loop guard keeps i and j below their runs' lengths
         match a.pairs[i].cmp(&b.pairs[j]) {
             std::cmp::Ordering::Less => {
-                pairs.push(a.pairs[i]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-                counts.push(a.counts[i]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+                pairs.push(a.pairs[i]); // fhp-audit: allow(panic-site) — loop guard: i < a.pairs.len() = a.counts.len()
+                counts.push(a.counts[i]); // fhp-audit: allow(panic-site) — loop guard: i < a.pairs.len() = a.counts.len()
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                pairs.push(b.pairs[j]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-                counts.push(b.counts[j]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+                pairs.push(b.pairs[j]); // fhp-audit: allow(panic-site) — loop guard: j < b.pairs.len() = b.counts.len()
+                counts.push(b.counts[j]); // fhp-audit: allow(panic-site) — loop guard: j < b.pairs.len() = b.counts.len()
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
-                pairs.push(a.pairs[i]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-                counts.push(a.counts[i] + b.counts[j]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+                pairs.push(a.pairs[i]); // fhp-audit: allow(panic-site) — loop guard: i < a.pairs.len() = a.counts.len()
+                counts.push(a.counts[i] + b.counts[j]); // fhp-audit: allow(panic-site) — loop guard: i, j below their runs' lengths
                 i += 1;
                 j += 1;
             }
         }
     }
-    pairs.extend_from_slice(&a.pairs[i..]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-    counts.extend_from_slice(&a.counts[i..]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-    pairs.extend_from_slice(&b.pairs[j..]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-    counts.extend_from_slice(&b.counts[j..]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-    ShardOut {
+    pairs.extend_from_slice(&a.pairs[i..]); // fhp-audit: allow(panic-site) — i <= a.pairs.len() = a.counts.len() after the loop
+    counts.extend_from_slice(&a.counts[i..]); // fhp-audit: allow(panic-site) — i <= a.pairs.len() = a.counts.len() after the loop
+    pairs.extend_from_slice(&b.pairs[j..]); // fhp-audit: allow(panic-site) — j <= b.pairs.len() = b.counts.len() after the loop
+    counts.extend_from_slice(&b.counts[j..]); // fhp-audit: allow(panic-site) — j <= b.pairs.len() = b.counts.len() after the loop
+    Run {
         pairs,
         counts,
         generated: a.generated + b.generated,
     }
 }
 
-/// Folds the per-pass runs pairwise into one sorted unique pair list (a
-/// balanced merge tree: O(total · log passes) instead of the linear k-way
-/// scan's O(total · passes), which matters at cap=1). Multiset union is
+/// Folds the unit runs pairwise into one sorted unique pair list (a
+/// balanced merge tree: O(total · log units) rather than a linear k-way
+/// scan's O(total · units), which matters at cap=1). Multiset union is
 /// associative and commutative, so the result is independent of both the
-/// chunking and the fold shape — identical to [`merge_shards`].
-fn merge_run_tree(mut runs: Vec<ShardOut>) -> (Vec<(u32, u32)>, Vec<u32>) {
+/// unit boundaries and the fold shape.
+fn merge_run_tree(mut runs: Vec<Run>) -> (Vec<(u32, u32)>, Vec<u32>) {
     if runs.is_empty() {
         return (Vec::new(), Vec::new());
     }
@@ -882,88 +773,6 @@ fn merge_run_tree(mut runs: Vec<ShardOut>) -> (Vec<(u32, u32)>, Vec<u32>) {
     (s.pairs, s.counts)
 }
 
-/// Runs `work(s)` for every shard across `threads` scoped workers that
-/// claim shard indices from an atomic counter, returning outputs in shard
-/// order regardless of completion order — the `fhp_core::runner` pattern.
-fn run_shards<T, F>(shards: usize, threads: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = threads.clamp(1, shards.max(1));
-    if workers == 1 {
-        return (0..shards).map(work).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..shards).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed); // fhp-audit: allow(atomic-ordering) — claim-by-counter: fetch_add is the only use; claim order never reaches the merged output
-                if index >= shards {
-                    break;
-                }
-                let out = work(index);
-                // a poisoned lock means another worker died mid-store;
-                // outputs already stored are still good — keep going
-                let mut slots = slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Some(slot) = slots.get_mut(index) {
-                    *slot = Some(out);
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        // fhp-audit: allow(panic-site) — the claim loop covers 0..shards exactly once; a hole is an engine bug worth a loud stop
-        .map(|slot| slot.expect("every shard was claimed exactly once"))
-        .collect()
-}
-
-/// K-way-merges the sorted shard runs into one sorted unique pair list,
-/// summing the multiplicities of pairs that appear in several shards. The
-/// result is the sorted multiset union of the runs — independent of how
-/// the pairs were sharded.
-fn merge_shards(mut shard_out: Vec<ShardOut>) -> (Vec<(u32, u32)>, Vec<u32>) {
-    if shard_out.len() == 1 {
-        if let Some(s) = shard_out.pop() {
-            return (s.pairs, s.counts);
-        }
-    }
-    let upper: usize = shard_out.iter().map(|s| s.pairs.len()).sum();
-    let mut pairs = Vec::with_capacity(upper);
-    let mut counts = Vec::with_capacity(upper);
-    let mut cursor = vec![0usize; shard_out.len()];
-    loop {
-        let mut min: Option<(u32, u32)> = None;
-        for (s, out) in shard_out.iter().enumerate() {
-            // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            if let Some(&p) = out.pairs.get(cursor[s]) {
-                if min.is_none_or(|m| p < m) {
-                    min = Some(p);
-                }
-            }
-        }
-        let Some(m) = min else { break };
-        let mut total = 0u32;
-        for (s, out) in shard_out.iter().enumerate() {
-            // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            if out.pairs.get(cursor[s]) == Some(&m) {
-                // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-                total += out.counts[cursor[s]]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-                cursor[s] += 1; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            }
-        }
-        pairs.push(m);
-        counts.push(total);
-    }
-    (pairs, counts)
-}
-
 /// Writes the CSR adjacency (and the aligned multiplicity array) straight
 /// from the lexicographically sorted unique pair list.
 ///
@@ -975,8 +784,8 @@ fn merge_shards(mut shard_out: Vec<ShardOut>) -> (Vec<(u32, u32)>, Vec<u32>) {
 fn csr_with_weights(n: usize, pairs: &[(u32, u32)], counts: &[u32]) -> (Graph, Vec<u32>) {
     let mut degree = vec![0usize; n];
     for &(u, v) in pairs {
-        degree[u as usize] += 1; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-        degree[v as usize] += 1; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+        degree[u as usize] += 1; // fhp-audit: allow(panic-site) — pair endpoints are G-vertex ids < n, and each vertex's cursor stays inside its own offsets[v]..offsets[v + 1] degree range
+        degree[v as usize] += 1; // fhp-audit: allow(panic-site) — pair endpoints are G-vertex ids < n, and each vertex's cursor stays inside its own offsets[v]..offsets[v + 1] degree range
     }
     let mut offsets = Vec::with_capacity(n + 1);
     let mut acc = 0usize;
@@ -989,16 +798,16 @@ fn csr_with_weights(n: usize, pairs: &[(u32, u32)], counts: &[u32]) -> (Graph, V
     let mut neighbors = vec![0u32; acc];
     let mut shared = vec![0u32; acc];
     for (i, &(u, v)) in pairs.iter().enumerate() {
-        let slot = cursor[v as usize]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-        neighbors[slot] = u; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-        shared[slot] = counts[i]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-        cursor[v as usize] += 1; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+        let slot = cursor[v as usize]; // fhp-audit: allow(panic-site) — pair endpoints are G-vertex ids < n, and each vertex's cursor stays inside its own offsets[v]..offsets[v + 1] degree range
+        neighbors[slot] = u; // fhp-audit: allow(panic-site) — pair endpoints are G-vertex ids < n, and each vertex's cursor stays inside its own offsets[v]..offsets[v + 1] degree range
+        shared[slot] = counts[i]; // fhp-audit: allow(panic-site) — i enumerates pairs, and counts is aligned with pairs; pair endpoints are G-vertex ids < n, and each vertex's cursor stays inside its own offsets[v]..offsets[v + 1] degree range
+        cursor[v as usize] += 1; // fhp-audit: allow(panic-site) — pair endpoints are G-vertex ids < n, and each vertex's cursor stays inside its own offsets[v]..offsets[v + 1] degree range
     }
     for (i, &(u, v)) in pairs.iter().enumerate() {
-        let slot = cursor[u as usize]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-        neighbors[slot] = v; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-        shared[slot] = counts[i]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-        cursor[u as usize] += 1; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
+        let slot = cursor[u as usize]; // fhp-audit: allow(panic-site) — pair endpoints are G-vertex ids < n, and each vertex's cursor stays inside its own offsets[v]..offsets[v + 1] degree range
+        neighbors[slot] = v; // fhp-audit: allow(panic-site) — pair endpoints are G-vertex ids < n, and each vertex's cursor stays inside its own offsets[v]..offsets[v + 1] degree range
+        shared[slot] = counts[i]; // fhp-audit: allow(panic-site) — i enumerates pairs, and counts is aligned with pairs; pair endpoints are G-vertex ids < n, and each vertex's cursor stays inside its own offsets[v]..offsets[v + 1] degree range
+        cursor[u as usize] += 1; // fhp-audit: allow(panic-site) — pair endpoints are G-vertex ids < n, and each vertex's cursor stays inside its own offsets[v]..offsets[v + 1] degree range
     }
     (Graph::from_parts(offsets, neighbors), shared)
 }
@@ -1166,26 +975,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shard_boundaries_cover_and_bucket() {
-        // one hub vertex with huge mass: it lands alone-ish in a shard
-        let pairs = [0, 0, 1000, 1, 1, 1, 1, 1];
-        let total: u64 = pairs.iter().sum();
-        let bounds = shard_boundaries(&pairs, total, 4);
-        assert_eq!(bounds.len(), 5);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(*bounds.last().unwrap(), pairs.len());
-        assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-        // the hub's bucket closes right after it
-        assert!(bounds.contains(&3));
+    /// One module shared by `signals` 2-pin signals: all `C(signals, 2)`
+    /// pairs sit inside a single vertex's pair block.
+    fn hub(signals: usize) -> Hypergraph {
+        let mut b = HypergraphBuilder::with_vertices(1 + signals);
+        for s in 0..signals {
+            b.add_edge([VertexId::new(0), VertexId::new(1 + s)])
+                .unwrap();
+        }
+        b.build()
     }
 
     #[test]
-    fn empty_mass_still_yields_valid_boundaries() {
-        let bounds = shard_boundaries(&[0, 0, 0], 0, 4);
-        assert_eq!(bounds.len(), 5);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(*bounds.last().unwrap(), 3);
+    fn uncapped_units_split_a_hub_module() {
+        // C(64, 2) = 2016 pairs in one vertex's block: an uncapped pass
+        // split into several units must cut the block mid-vertex and still
+        // reproduce the naive builder exactly
+        let h = hub(64);
+        let naive = IntersectionGraph::build_naive_with_threshold(&h, None);
+        for threads in [2usize, 8] {
+            let ig = Dualizer::new().threads(threads).build(&h).unwrap();
+            assert_eq!(ig.graph(), naive.graph(), "threads {threads}");
+            assert_eq!(ig.shared, naive.shared, "threads {threads}");
+            assert_eq!(ig.g_of, naive.g_of);
+            let s = ig.stats();
+            assert_eq!(s.pairs_generated, 2016);
+            assert_eq!(s.passes, 1);
+            assert_eq!(s.peak_pair_buffer, s.pairs_generated);
+            assert_eq!(s.bytes_spilled, 0);
+            assert_eq!(s.shards, (2 * threads).clamp(1, 32));
+        }
     }
 
     #[test]
@@ -1239,10 +1058,20 @@ mod tests {
     fn empty_and_edgeless() {
         let h = HypergraphBuilder::with_vertices(3).build();
         for threads in [1, 4] {
-            let ig = Dualizer::new().threads(threads).build(&h).unwrap();
-            assert_eq!(ig.num_g_vertices(), 0);
-            assert_eq!(ig.covered_vertices(&h), vec![false; 3]);
-            assert_eq!(ig.stats().pairs_generated, 0);
+            for cap in [None, Some(1)] {
+                let ig = Dualizer::new()
+                    .threads(threads)
+                    .pair_cap(cap)
+                    .build(&h)
+                    .unwrap();
+                assert_eq!(ig.num_g_vertices(), 0);
+                assert_eq!(ig.covered_vertices(&h), vec![false; 3]);
+                let s = ig.stats();
+                assert_eq!(s.pairs_generated, 0);
+                assert_eq!(s.passes, 1);
+                assert_eq!(s.peak_pair_buffer, 0);
+                assert_eq!(s.bytes_spilled, 0);
+            }
         }
     }
 
@@ -1256,24 +1085,24 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_kernel_on_paper_example() {
+    fn pair_cap_never_changes_the_graph_on_paper_example() {
         let h = paper_example();
         for threshold in [None, Some(3), Some(4), Some(10)] {
-            let oracle = Dualizer::new().threshold(threshold).build(&h).unwrap();
-            let total = oracle.stats().pairs_generated;
+            let naive = IntersectionGraph::build_naive_with_threshold(&h, threshold);
+            let total = naive.stats().pairs_generated;
             for cap in [None, Some(1), Some(2), Some(7), Some(10_000)] {
                 for threads in [1, 2, 8] {
-                    let st = Dualizer::new()
+                    let ig = Dualizer::new()
                         .threshold(threshold)
                         .threads(threads)
                         .pair_cap(cap)
-                        .build_streaming(&h)
+                        .build(&h)
                         .unwrap();
-                    assert_eq!(st.graph(), oracle.graph(), "cap {cap:?} threads {threads}");
-                    assert_eq!(st.shared, oracle.shared, "cap {cap:?} threads {threads}");
-                    assert_eq!(st.g_of, oracle.g_of);
-                    assert_eq!(st.kept, oracle.kept);
-                    let s = st.stats();
+                    assert_eq!(ig.graph(), naive.graph(), "cap {cap:?} threads {threads}");
+                    assert_eq!(ig.shared, naive.shared, "cap {cap:?} threads {threads}");
+                    assert_eq!(ig.g_of, naive.g_of);
+                    assert_eq!(ig.kept, naive.kept);
+                    let s = ig.stats();
                     assert_eq!(s.pairs_generated, total);
                     assert_eq!(s.pairs_generated, s.unique_edges + s.duplicates_merged);
                     let expect_passes = match cap {
@@ -1281,70 +1110,56 @@ mod tests {
                         _ => 1,
                     };
                     assert_eq!(s.passes, expect_passes, "cap {cap:?}");
-                    assert_eq!(s.shards as u64, expect_passes);
+                    let expect_units = if expect_passes > 1 {
+                        expect_passes as usize
+                    } else if threads == 1 {
+                        1
+                    } else {
+                        (2 * threads).clamp(1, 32)
+                    };
+                    assert_eq!(s.shards, expect_units, "cap {cap:?} threads {threads}");
                     let effective = cap.map_or(total.max(1), |c| c as u64);
                     assert!(s.peak_pair_buffer <= effective, "cap {cap:?}");
                     assert_eq!(s.bytes_spilled % 12, 0);
+                    if expect_passes == 1 {
+                        assert_eq!(s.peak_pair_buffer, total);
+                        assert_eq!(s.bytes_spilled, 0);
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn streaming_cap_splits_inside_a_hub_module() {
-        // one module shared by 64 signals: C(64, 2) = 2016 pairs in a
-        // single vertex's block, far above the cap — the chunk planner
-        // must split mid-vertex and still reproduce the kernel exactly.
-        let mut b = HypergraphBuilder::with_vertices(1 + 64);
-        for s in 0..64 {
-            b.add_edge([VertexId::new(0), VertexId::new(1 + s)])
-                .unwrap();
-        }
-        let h = b.build();
+    fn cap_splits_inside_a_hub_module() {
+        // C(64, 2) = 2016 pairs in a single vertex's block, far above most
+        // caps: the unit plan must split mid-vertex and still reproduce the
+        // uncapped build exactly
+        let h = hub(64);
         let oracle = Dualizer::new().build(&h).unwrap();
         assert_eq!(oracle.stats().pairs_generated, 2016);
         for cap in [1usize, 5, 100, 2015, 2016, 4096] {
-            let st = Dualizer::new()
+            let ig = Dualizer::new()
                 .pair_cap(Some(cap))
                 .threads(2)
-                .build_streaming(&h)
+                .build(&h)
                 .unwrap();
-            assert_eq!(st.graph(), oracle.graph(), "cap {cap}");
-            assert_eq!(st.shared, oracle.shared, "cap {cap}");
-            let s = st.stats();
+            assert_eq!(ig.graph(), oracle.graph(), "cap {cap}");
+            assert_eq!(ig.shared, oracle.shared, "cap {cap}");
+            let s = ig.stats();
             assert!(s.peak_pair_buffer <= cap as u64, "cap {cap}");
             assert_eq!(s.passes, 2016u64.div_ceil(cap as u64));
         }
     }
 
     #[test]
-    fn streaming_stats_on_in_memory_builds() {
-        // the in-memory kernel and the naive builder report the trivial
-        // streaming counters: one pass, peak = whole stream, no spill
-        let h = paper_example();
-        for ig in [
-            Dualizer::new().build(&h).unwrap(),
-            IntersectionGraph::build_naive_with_threshold(&h, None),
-        ] {
-            let s = ig.stats();
-            assert_eq!(s.passes, 1);
-            assert_eq!(s.peak_pair_buffer, s.pairs_generated);
-            assert_eq!(s.bytes_spilled, 0);
-        }
-    }
-
-    #[test]
-    fn streaming_on_empty_instance() {
-        let h = HypergraphBuilder::with_vertices(3).build();
-        for cap in [None, Some(1)] {
-            let st = Dualizer::new().pair_cap(cap).build_streaming(&h).unwrap();
-            assert_eq!(st.num_g_vertices(), 0);
-            let s = st.stats();
-            assert_eq!(s.pairs_generated, 0);
-            assert_eq!(s.passes, 1);
-            assert_eq!(s.peak_pair_buffer, 0);
-            assert_eq!(s.bytes_spilled, 0);
-        }
+    fn naive_builder_reports_a_single_pass() {
+        let s = IntersectionGraph::build_naive_with_threshold(&paper_example(), None)
+            .stats()
+            .clone();
+        assert_eq!(s.passes, 1);
+        assert_eq!(s.peak_pair_buffer, s.pairs_generated);
+        assert_eq!(s.bytes_spilled, 0);
     }
 
     #[test]

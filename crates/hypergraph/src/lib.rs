@@ -11,6 +11,7 @@
 //! - [`IntersectionGraph`]: the dual construction `G` of a hypergraph `H`
 //!   (one G-vertex per signal, adjacency = shared module), with optional
 //!   large-edge filtering per the paper's §3.
+//! - [`pool`]: the index-ordered worker pool every parallel stage runs on.
 //! - [`bfs`]: breadth-first level structures, the double-sweep
 //!   pseudo-diameter, components and exact diameters for verification.
 //! - [`Netlist`]: a small line-oriented text format for netlists, matching
@@ -47,6 +48,7 @@ pub mod hgr;
 pub mod incremental;
 pub mod intersection;
 pub mod netlist;
+pub mod pool;
 pub mod stats;
 pub mod subhypergraph;
 

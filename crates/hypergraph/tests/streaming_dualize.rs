@@ -1,12 +1,12 @@
-//! Property battery for the streaming dualizer: the pair-buffer cap is a
-//! *memory* knob, never a *semantics* knob. For every instance and every
-//! cap — including the degenerate cap=1, the off-by-one cap=pairs−1, and
-//! caps at or above the whole pair stream — `Dualizer::build_streaming`
-//! must reproduce the in-memory kernel's graph, mapping and
-//! multiplicities byte for byte; only `DualizeStats::passes`,
-//! `peak_pair_buffer` and `bytes_spilled` may differ. An adversarial
+//! Property battery for the dualizer's pair cap: the cap is a *memory*
+//! knob, never a *semantics* knob. For every instance and every cap —
+//! including the degenerate cap=1, the off-by-one cap=pairs−1, and caps
+//! at or above the whole pair stream — a capped `Dualizer::build` must
+//! reproduce the uncapped build's graph, mapping and multiplicities byte
+//! for byte; only `DualizeStats::passes`, `peak_pair_buffer`,
+//! `bytes_spilled` and the unit count may differ. An adversarial
 //! degree-1024 hub (half a million pairs inside one module's block)
-//! pins the cap guarantee where chunks must split mid-vertex.
+//! pins the cap guarantee where units must split mid-vertex.
 
 use fhp_hypergraph::intersection::{Dualizer, IntersectionGraph};
 use fhp_hypergraph::{Hypergraph, HypergraphBuilder, VertexId};
@@ -25,8 +25,8 @@ fn build_hypergraph(nv: usize, raw_edges: &[Vec<usize>]) -> Hypergraph {
     b.build()
 }
 
-/// Asserts streaming ≡ in-memory kernel on `h` at `cap`, and returns the
-/// streaming stats for cap-specific follow-up assertions.
+/// Asserts capped ≡ uncapped build on `h` at `cap`, and returns the
+/// capped build's stats for cap-specific follow-up assertions.
 fn assert_streaming_matches(
     h: &Hypergraph,
     oracle: &IntersectionGraph,
@@ -37,8 +37,8 @@ fn assert_streaming_matches(
         .threshold(oracle.threshold())
         .threads(threads)
         .pair_cap(cap)
-        .build_streaming(h)
-        .expect("streaming build succeeds where the kernel did");
+        .build(h)
+        .expect("capped build succeeds where the uncapped one did");
     assert_eq!(st.graph(), oracle.graph(), "cap {cap:?} threads {threads}");
     assert_eq!(st.num_g_vertices(), oracle.num_g_vertices());
     for g in st.graph().vertices() {
@@ -100,24 +100,24 @@ proptest! {
         }
     }
 
-    /// Caps are also invariant under the thread count: the chunk plan is
-    /// a pure function of (instance, threshold, cap), so stats agree too.
+    /// The counters are invariant under the thread count, capped or not:
+    /// they are a pure function of (instance, threshold, cap).
     #[test]
-    fn streaming_stats_are_thread_invariant(
+    fn stats_are_thread_invariant(
         nv in 2usize..12,
         raw_edges in proptest::collection::vec(
             proptest::collection::vec(0usize..12, 2..5),
             1..10,
         ),
-        cap in 1usize..32,
+        cap in proptest::option::of(1usize..32),
     ) {
         let h = build_hypergraph(nv, &raw_edges);
-        let one = Dualizer::new().pair_cap(Some(cap)).threads(1).build_streaming(&h).unwrap();
+        let one = Dualizer::new().pair_cap(cap).threads(1).build(&h).unwrap();
         for threads in [2usize, 8] {
             let many = Dualizer::new()
-                .pair_cap(Some(cap))
+                .pair_cap(cap)
                 .threads(threads)
-                .build_streaming(&h)
+                .build(&h)
                 .unwrap();
             prop_assert_eq!(many.graph(), one.graph());
             let (a, b) = (many.stats(), one.stats());
@@ -151,7 +151,7 @@ fn degree_1024_hub_respects_the_cap() {
         let st = Dualizer::new()
             .pair_cap(Some(cap))
             .threads(8)
-            .build_streaming(&h)
+            .build(&h)
             .expect("hub builds");
         assert_eq!(st.graph(), oracle.graph(), "cap {cap}");
         let s = st.stats();

@@ -636,10 +636,10 @@ fn oracle_dualize_kernel(ctx: &Ctx<'_>) -> Result<u64, Violation> {
 /// a mid-sized cap, and uncapped (single pass).
 pub const STREAMING_CAPS: [Option<usize>; 3] = [Some(1), Some(16), None];
 
-/// The streaming dualizer against both the in-memory kernel and the
-/// naive pair-spray builder: for every threshold, cap and thread count
-/// the three builds must agree on the CSR, the mapping and the
-/// multiplicities, the stats must balance
+/// The kernel under each pair cap (uncapped included) against both the
+/// uncapped single-threaded kernel and the naive pair-spray builder: for every threshold, cap and
+/// thread count the three builds must agree on the CSR, the mapping and
+/// the multiplicities, the stats must balance
 /// (`pairs_generated = unique_edges + duplicates_merged`), the raw pair
 /// buffer must respect the cap, and the pass count must follow
 /// `ceil(pairs / cap)` exactly.
@@ -651,7 +651,7 @@ fn oracle_streaming_dualize(ctx: &Ctx<'_>) -> Result<u64, Violation> {
         let kernel = fhp_hypergraph::Dualizer::new()
             .threshold(threshold)
             .build(h)
-            .map_err(|e| ctx.fail(format!("in-memory dualizer failed: {e}")))?;
+            .map_err(|e| ctx.fail(format!("uncapped dualizer failed: {e}")))?;
         let total = kernel.stats().pairs_generated;
         for cap in STREAMING_CAPS {
             for threads in INVARIANCE_THREADS {
@@ -659,17 +659,14 @@ fn oracle_streaming_dualize(ctx: &Ctx<'_>) -> Result<u64, Violation> {
                     .threshold(threshold)
                     .threads(threads)
                     .pair_cap(cap)
-                    .build_streaming(h)
-                    .map_err(|e| ctx.fail(format!("streaming dualizer failed: {e}")))?;
+                    .build(h)
+                    .map_err(|e| ctx.fail(format!("capped dualizer failed: {e}")))?;
                 let tag = || format!("(threshold {threshold:?}, cap {cap:?}, {threads} threads)");
                 checks += ctx.ensure(st.graph() == kernel.graph(), || {
-                    format!(
-                        "streaming graph {} differs from the in-memory kernel",
-                        tag()
-                    )
+                    format!("capped graph {} differs from the uncapped kernel", tag())
                 })?;
                 checks += ctx.ensure(st.graph() == naive.graph(), || {
-                    format!("streaming graph {} differs from the naive builder", tag())
+                    format!("capped graph {} differs from the naive builder", tag())
                 })?;
                 for gv in st.graph().vertices() {
                     checks += ctx.ensure(
@@ -689,7 +686,7 @@ fn oracle_streaming_dualize(ctx: &Ctx<'_>) -> Result<u64, Violation> {
                 )?;
                 checks += ctx.ensure(s.pairs_generated == total, || {
                     format!(
-                        "streaming generated {} pairs, the kernel {} {}",
+                        "capped build generated {} pairs, the uncapped {} {}",
                         s.pairs_generated,
                         total,
                         tag()
