@@ -12,13 +12,27 @@
 //! - **Incremental** — the damaged region (pins of the touched net, the
 //!   touched module) is small relative to the instance: the cut is
 //!   maintained by delta and a single localized FM pass over the damaged
-//!   modules repairs it — cost proportional to the damaged region's
-//!   incidence, never to the instance, and no Algorithm I re-run.
+//!   modules repairs it, with no Algorithm I re-run.
 //! - **Full** — the damage fraction exceeds
 //!   [`EngineConfig::damage_permille`]: the live netlist is
 //!   re-partitioned from scratch with [`Algorithm1`]. Fallbacks are
 //!   counted ([`EngineStats::full_recomputes`], the
 //!   `engine.full_recomputes` gauge), never silent.
+//!
+//! Beside the netlist the engine maintains what an edit would otherwise
+//! rescan the instance for: the wrapping sum of per-item hashes behind
+//! the [`fingerprint`](PartitionEngine::fingerprint), the live weight of
+//! each side, and a count multiset of live module weights (the heaviest
+//! sets the balance slack). Each accepted edit and each side flip swaps
+//! the old hash of every item it changed for the new one. An incremental
+//! edit therefore costs the netlist edit (the dual rows of the nets that
+//! share a module with the touched net), O(1) bookkeeping per changed
+//! module and O(pins) per changed net, and the localized pass's
+//! candidate loop — O(k²·deg) for k damaged modules of degree deg —
+//! never a pass over the instance. Load and the trivial and full tiers,
+//! which are O(instance) anyway, rebuild that state in one pass;
+//! [`verify_state`](PartitionEngine::verify_state) recomputes it from
+//! scratch for the oracles.
 //!
 //! Determinism-under-edits contract: the same initial instance plus the
 //! same edit sequence yields the same
@@ -26,6 +40,8 @@
 //! every thread count — both repair tiers are built from components that
 //! already honor the workspace determinism contract.
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fhp_hypergraph::{DynamicNetlist, Hypergraph, IncrementalError, VertexId};
@@ -191,6 +207,8 @@ pub enum EngineError {
     /// The structural edit was rejected; engine state is unchanged.
     Structure(IncrementalError),
     /// The (re)partition itself failed (e.g. instance over the size cap).
+    /// From [`apply`](PartitionEngine::apply) the structural edit stays
+    /// applied, unrepaired.
     Partition(PartitionError),
 }
 
@@ -228,6 +246,109 @@ struct StructuralOutcome {
     touched: Vec<u32>,
 }
 
+/// The state the edit path keeps current instead of rescanning the
+/// instance: the fingerprint's hash sum and the live balance. Every
+/// update goes through the add/remove pairs below, so a change is always
+/// "take the item's old term out, put its new term in".
+#[derive(Debug, Default)]
+struct LiveState {
+    /// Wrapping sum of [`module_hash`] over live modules and [`net_hash`]
+    /// over live nets.
+    hash_sum: u64,
+    /// Live module weight on the left side.
+    left: u64,
+    /// Live module weight on the right side.
+    right: u64,
+    /// Live module weight → number of live modules of that weight; the
+    /// largest key is the heaviest live module.
+    weights: BTreeMap<u64, usize>,
+}
+
+impl LiveState {
+    /// The state of a netlist and side assignment, in one pass.
+    fn scratch(nl: &DynamicNetlist, sides: &[Side]) -> Self {
+        let mut state = Self::default();
+        for m in nl.live_modules() {
+            let side = sides.get(m as usize).copied().unwrap_or(Side::Left);
+            state.add_module(m, nl.module_weight(m).unwrap_or(0), side);
+        }
+        for e in nl.live_nets() {
+            state.add_net(
+                e,
+                nl.net_weight(e).unwrap_or(0),
+                nl.net_pins(e).unwrap_or(&[]),
+            );
+        }
+        state
+    }
+
+    fn side_weight_mut(&mut self, side: Side) -> &mut u64 {
+        match side {
+            Side::Left => &mut self.left,
+            Side::Right => &mut self.right,
+        }
+    }
+
+    /// Live module weight on `side`.
+    fn side_weight(&self, side: Side) -> u64 {
+        match side {
+            Side::Left => self.left,
+            Side::Right => self.right,
+        }
+    }
+
+    /// The side with the smaller live weight (ties go Left).
+    fn lighter_side(&self) -> Side {
+        if self.right < self.left {
+            Side::Right
+        } else {
+            Side::Left
+        }
+    }
+
+    /// The heaviest live module's weight, 0 with no live modules.
+    fn heaviest(&self) -> u64 {
+        self.weights.last_key_value().map_or(0, |(&w, _)| w)
+    }
+
+    fn add_module(&mut self, m: u32, weight: u64, side: Side) {
+        self.hash_sum = self.hash_sum.wrapping_add(module_hash(m, weight, side));
+        *self.side_weight_mut(side) += weight;
+        *self.weights.entry(weight).or_insert(0) += 1;
+    }
+
+    fn remove_module(&mut self, m: u32, weight: u64, side: Side) {
+        self.hash_sum = self.hash_sum.wrapping_sub(module_hash(m, weight, side));
+        *self.side_weight_mut(side) -= weight;
+        if let Entry::Occupied(mut count) = self.weights.entry(weight) {
+            *count.get_mut() -= 1;
+            if *count.get() == 0 {
+                count.remove();
+            }
+        }
+    }
+
+    /// Moves a live module from `from` to the other side; the weight
+    /// multiset is unchanged.
+    fn flip(&mut self, m: u32, weight: u64, from: Side) {
+        let to = from.opposite();
+        self.hash_sum = self
+            .hash_sum
+            .wrapping_sub(module_hash(m, weight, from))
+            .wrapping_add(module_hash(m, weight, to));
+        *self.side_weight_mut(from) -= weight;
+        *self.side_weight_mut(to) += weight;
+    }
+
+    fn add_net(&mut self, e: u32, weight: u64, pins: &[u32]) {
+        self.hash_sum = self.hash_sum.wrapping_add(net_hash(e, weight, pins));
+    }
+
+    fn remove_net(&mut self, e: u32, weight: u64, pins: &[u32]) {
+        self.hash_sum = self.hash_sum.wrapping_sub(net_hash(e, weight, pins));
+    }
+}
+
 /// A long-lived partitioner: loads an instance once, absorbs edits, and
 /// answers cut/fingerprint queries without re-running the batch pipeline
 /// unless the damage threshold says so. See the module docs for the
@@ -242,6 +363,9 @@ pub struct PartitionEngine {
     sides: Vec<Side>,
     /// Current weighted cut of the live netlist.
     cut: u64,
+    /// Fingerprint sum and balance of the live state, kept current by
+    /// every edit and flip.
+    state: LiveState,
     stats: EngineStats,
     progress: Option<Arc<Progress>>,
 }
@@ -254,6 +378,7 @@ impl PartitionEngine {
             nl: None,
             sides: Vec::new(),
             cut: 0,
+            state: LiveState::default(),
             stats: EngineStats::default(),
             progress: None,
         }
@@ -299,6 +424,7 @@ impl PartitionEngine {
                 Err(e) => return Err(EngineError::Partition(e)),
             }
         }
+        self.state = LiveState::scratch(&nl, &sides);
         self.nl = Some(nl);
         self.sides = sides;
         self.cut = cut;
@@ -316,13 +442,17 @@ impl PartitionEngine {
     }
 
     /// Applies one edit and repairs the cut at the cheapest adequate
-    /// tier. On error the engine state is unchanged.
+    /// tier. The maintained fingerprint sum and balance change only after
+    /// the netlist accepts the edit, so an incremental edit never rescans
+    /// the instance (see the module docs for its cost).
     ///
     /// # Errors
     ///
-    /// [`EngineError::NotLoaded`] before [`load`](Self::load);
-    /// [`EngineError::Structure`] when the netlist rejects the edit;
-    /// [`EngineError::Partition`] if a full recompute fails.
+    /// [`EngineError::NotLoaded`] before [`load`](Self::load) and
+    /// [`EngineError::Structure`] when the netlist rejects the edit; both
+    /// leave the engine unchanged. [`EngineError::Partition`] if a full
+    /// recompute fails: the edit stays applied, with the cut exact for
+    /// the unrepaired assignment, and the edit counters do not advance.
     pub fn apply(&mut self, edit: &Edit) -> Result<Delta, EngineError> {
         if self.nl.is_none() {
             return Err(EngineError::NotLoaded);
@@ -342,6 +472,7 @@ impl PartitionEngine {
             for side in &mut self.sides {
                 *side = Side::Left;
             }
+            self.state = LiveState::scratch(nl, &self.sides);
             self.cut = 0;
             RepairKind::Trivial
         } else if outcome.damaged.saturating_mul(1000)
@@ -399,6 +530,9 @@ impl PartitionEngine {
                 let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
                 let id = nl.add_net(pins, *weight)?;
                 let cut_add = if self.spans(pins) { *weight } else { 0 };
+                let nl = self.nl.as_ref().ok_or(EngineError::NotLoaded)?;
+                self.state
+                    .add_net(id, *weight, nl.net_pins(id).unwrap_or(&[]));
                 Ok(StructuralOutcome {
                     damaged: pins.len(),
                     new_id: Some(id),
@@ -416,6 +550,7 @@ impl PartitionEngine {
                     .as_mut()
                     .ok_or(EngineError::NotLoaded)?
                     .remove_net(*net)?;
+                self.state.remove_net(*net, weight, &touched);
                 Ok(StructuralOutcome {
                     damaged: touched.len(),
                     new_id: None,
@@ -425,10 +560,11 @@ impl PartitionEngine {
                 })
             }
             Edit::AddModule { weight } => {
-                let lighter = self.lighter_side();
+                let lighter = self.state.lighter_side();
                 let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
                 let id = nl.add_module(*weight)?;
                 self.sides.push(lighter);
+                self.state.add_module(id, *weight, lighter);
                 Ok(StructuralOutcome {
                     damaged: 1,
                     new_id: Some(id),
@@ -440,8 +576,11 @@ impl PartitionEngine {
             Edit::RemoveModule { module } => {
                 // Only isolated modules are removable, so no net's
                 // spanning status can change.
+                let side = self.side_at(*module);
                 let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
+                let weight = nl.module_weight(*module).unwrap_or(0);
                 nl.remove_module(*module)?;
+                self.state.remove_module(*module, weight, side);
                 Ok(StructuralOutcome {
                     damaged: 0,
                     new_id: None,
@@ -452,8 +591,12 @@ impl PartitionEngine {
             }
             Edit::ReweightModule { module, weight } => {
                 // A weight change never moves a net across the cut.
+                let side = self.side_at(*module);
                 let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
+                let old = nl.module_weight(*module).unwrap_or(0);
                 nl.reweight_module(*module, *weight)?;
+                self.state.remove_module(*module, old, side);
+                self.state.add_module(*module, *weight, side);
                 Ok(StructuralOutcome {
                     damaged: 1,
                     new_id: None,
@@ -467,21 +610,23 @@ impl PartitionEngine {
                 let before = nl.net_pins(*net).map(<[u32]>::to_vec).unwrap_or_default();
                 let weight = nl.net_weight(*net).unwrap_or(0);
                 let spanned_before = self.spans(&before);
-                let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
-                nl.pin_change(*net, *module, *add)?;
-                let mut touched = nl.net_pins(*net).map(<[u32]>::to_vec).unwrap_or_default();
-                let damaged = touched.len() + 1;
+                self.nl
+                    .as_mut()
+                    .ok_or(EngineError::NotLoaded)?
+                    .pin_change(*net, *module, *add)?;
+                let nl = self.nl.as_ref().ok_or(EngineError::NotLoaded)?;
+                let after = nl.net_pins(*net).unwrap_or(&[]);
+                self.state.remove_net(*net, weight, &before);
+                self.state.add_net(*net, weight, after);
+                // The pins after the edit plus the module, counted once:
+                // an add and a remove of one pin damage the same region.
+                let mut touched = after.to_vec();
                 if !touched.contains(module) {
                     touched.push(*module);
                 }
-                let spans_after = self.spans(
-                    self.nl
-                        .as_ref()
-                        .and_then(|nl| nl.net_pins(*net))
-                        .unwrap_or(&[]),
-                );
+                let spans_after = self.spans(after);
                 Ok(StructuralOutcome {
-                    damaged,
+                    damaged: touched.len(),
                     new_id: None,
                     cut_add: if spans_after && !spanned_before {
                         weight
@@ -499,34 +644,15 @@ impl PartitionEngine {
         }
     }
 
-    /// The side with the smaller live weight (ties go Left) — the
-    /// deterministic placement of freshly added modules.
-    fn lighter_side(&self) -> Side {
-        let Some(nl) = self.nl.as_ref() else {
-            return Side::Left;
-        };
-        let mut weights = [0u64; 2];
-        for m in nl.live_modules() {
-            let w = nl.module_weight(m).unwrap_or(0);
-            let side = self.sides.get(m as usize).copied().unwrap_or(Side::Left);
-            weights[side.index()] += w; // fhp-audit: allow(panic-site) — Side::index() is 0 or 1, within the fixed [u64; 2]
-        }
-        // fhp-audit: allow(panic-site) — Side::index() is 0 or 1, within the fixed [u64; 2]
-        if weights[Side::Right.index()] < weights[Side::Left.index()] {
-            Side::Right
-        } else {
-            Side::Left
-        }
-    }
-
     /// Localized repair: one FM pass over the damaged modules only. The
     /// cut arrives already exact (maintained by delta in
     /// [`apply`](Self::apply)); this pass then greedily flips damaged
     /// modules whose move strictly lowers the cut, under the same
     /// adaptive balance slack [`FmRefiner`](crate::refine::FmRefiner)
     /// uses (twice the heaviest live module), each module at most once.
-    /// Cost is proportional to the damaged region's incidence, never to
-    /// the instance.
+    /// The side weights and the heaviest module come from the maintained
+    /// state; each round re-scores the k unmoved candidates, so the pass
+    /// is O(k²·deg) and never touches the rest of the instance.
     fn repair_incremental(&mut self, touched: &[u32]) {
         let Some(nl) = self.nl.as_ref() else { return };
         let mut candidates: Vec<u32> = touched
@@ -539,17 +665,9 @@ impl PartitionEngine {
         if candidates.is_empty() {
             return;
         }
-        // Side weights and the heaviest module, one scan — the balance
-        // slack mirrors FmRefiner's adaptive floor.
-        let mut side_weight = [0u64; 2];
-        let mut heaviest = 0u64;
-        for m in nl.live_modules() {
-            let w = nl.module_weight(m).unwrap_or(0);
-            side_weight[self.side_at(m).index()] += w; // fhp-audit: allow(panic-site) — Side::index() is 0 or 1, within the fixed [u64; 2]
-            heaviest = heaviest.max(w);
-        }
-        let imbalance = side_weight[0].abs_diff(side_weight[1]); // fhp-audit: allow(panic-site) — literal indices into the fixed [u64; 2]
-        let tolerance = imbalance.max(heaviest.saturating_mul(2));
+        // The balance slack mirrors FmRefiner's adaptive floor.
+        let imbalance = self.state.left.abs_diff(self.state.right);
+        let tolerance = imbalance.max(self.state.heaviest().saturating_mul(2));
         let mut moved = vec![false; candidates.len()];
         loop {
             let mut best: Option<(u64, usize)> = None;
@@ -559,9 +677,9 @@ impl PartitionEngine {
                     continue;
                 }
                 let w = nl.module_weight(m).unwrap_or(0);
-                let from = self.side_at(m).index();
-                // fhp-audit: allow(panic-site) — from is Side::index() (0 or 1), both indices within the fixed [u64; 2]
-                let new_imbalance = (side_weight[from] - w).abs_diff(side_weight[1 - from] + w);
+                let from = self.side_at(m);
+                let new_imbalance = (self.state.side_weight(from) - w)
+                    .abs_diff(self.state.side_weight(from.opposite()) + w);
                 if new_imbalance > tolerance {
                     continue;
                 }
@@ -577,11 +695,10 @@ impl PartitionEngine {
             let Some((gain, i)) = best else { break };
             let m = candidates[i]; // fhp-audit: allow(panic-site) — i was produced by enumerate() over candidates
             let w = nl.module_weight(m).unwrap_or(0);
-            let from = self.side_at(m).index();
-            side_weight[from] -= w; // fhp-audit: allow(panic-site) — from is Side::index() (0 or 1)
-            side_weight[1 - from] += w; // fhp-audit: allow(panic-site) — from is Side::index() (0 or 1)
+            let from = self.side_at(m);
+            self.state.flip(m, w, from);
             if let Some(slot) = self.sides.get_mut(m as usize) {
-                *slot = if from == 0 { Side::Right } else { Side::Left };
+                *slot = from.opposite();
             }
             self.cut = self.cut.saturating_sub(gain);
             moved[i] = true; // fhp-audit: allow(panic-site) — i was produced by enumerate() over the same-length moved
@@ -629,17 +746,17 @@ impl PartitionEngine {
                         *slot = outcome.bipartition.side(VertexId::new(compact));
                     }
                 }
-                Ok(())
             }
             Err(PartitionError::TooFewVertices { .. }) => {
                 for side in &mut self.sides {
                     *side = Side::Left;
                 }
                 self.cut = 0;
-                Ok(())
             }
-            Err(e) => Err(EngineError::Partition(e)),
+            Err(e) => return Err(EngineError::Partition(e)),
         }
+        self.state = LiveState::scratch(nl, &self.sides);
+        Ok(())
     }
 
     fn sync_gauges(&self) {
@@ -680,35 +797,75 @@ impl PartitionEngine {
         self.nl.as_ref().map(DynamicNetlist::materialize)
     }
 
-    /// The state fingerprint: an order-independent mix over every live
-    /// module (id, weight, side), every live net (id, weight, pins), the
-    /// dual adjacency, and the current cut. Equal fingerprints after the
-    /// same edit sequence at different thread counts is the
-    /// determinism-under-edits contract.
+    /// The state fingerprint, in O(1): `mix64(S ^ mix64(cut))`, where `S`
+    /// is the maintained wrapping sum of one SplitMix64 hash per live
+    /// module (id, weight, side) and one per live net (id, weight, sorted
+    /// pins). A sum does not depend on the order its terms arrived in, so
+    /// two engines with the same live content, sides and cut agree
+    /// whatever edit histories led there. The dual graph needs no term
+    /// of its own: it is a function of the net pin sets. Equal
+    /// fingerprints after the same edit sequence at different thread
+    /// counts is the determinism-under-edits contract. `0` before load.
     pub fn fingerprint(&self) -> u64 {
-        let Some(nl) = self.nl.as_ref() else {
+        if self.nl.is_none() {
             return 0;
-        };
-        let mut acc = 0x243f_6a88_85a3_08d3u64; // pi, as tradition demands
-        for m in nl.live_modules() {
-            let side = self.sides.get(m as usize).copied().unwrap_or(Side::Left);
-            acc = mix64(
-                acc ^ mix64(u64::from(m))
-                    ^ nl.module_weight(m).unwrap_or(0)
-                    ^ (side.index() as u64) << 63,
-            );
         }
-        for e in nl.live_nets() {
-            acc = mix64(acc ^ mix64(u64::from(e) | 1 << 32) ^ nl.net_weight(e).unwrap_or(0));
-            if let Some(pins) = nl.net_pins(e) {
-                for &p in pins {
-                    acc = mix64(acc ^ u64::from(p));
-                }
-            }
-        }
-        acc = mix64(acc ^ nl.dual_fingerprint());
-        mix64(acc ^ self.cut)
+        mix64(self.state.hash_sum ^ mix64(self.cut))
     }
+
+    /// Recomputes the maintained fingerprint sum, side weights and weight
+    /// multiset from scratch, with the same per-item hashes, and reports
+    /// the first divergence from the maintained state. O(instance): the
+    /// verification path of the `incremental` oracle and the engine
+    /// tests, in the style of [`DynamicNetlist::verify_dual`]. `Ok` before
+    /// load.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first maintained value that differs from its
+    /// recomputation.
+    pub fn verify_state(&self) -> Result<(), String> {
+        let Some(nl) = self.nl.as_ref() else {
+            return Ok(());
+        };
+        let kept = &self.state;
+        let fresh = LiveState::scratch(nl, &self.sides);
+        if kept.hash_sum != fresh.hash_sum {
+            return Err(format!(
+                "fingerprint sum diverged: maintained {:#018x}, recomputed {:#018x}",
+                kept.hash_sum, fresh.hash_sum
+            ));
+        }
+        if (kept.left, kept.right) != (fresh.left, fresh.right) {
+            return Err(format!(
+                "side weights diverged: maintained {}/{}, recomputed {}/{}",
+                kept.left, kept.right, fresh.left, fresh.right
+            ));
+        }
+        if kept.heaviest() != fresh.heaviest() {
+            return Err(format!(
+                "heaviest module weight diverged: maintained {}, recomputed {}",
+                kept.heaviest(),
+                fresh.heaviest()
+            ));
+        }
+        if kept.weights != fresh.weights {
+            return Err("module weight multiset diverged below the heaviest weight".to_string());
+        }
+        Ok(())
+    }
+}
+
+/// The fingerprint term of one live module.
+fn module_hash(m: u32, weight: u64, side: Side) -> u64 {
+    mix64(mix64(mix64(u64::from(m)) ^ weight) ^ u64::from(side == Side::Right))
+}
+
+/// The fingerprint term of one live net; `pins` sorted ascending. Bit 32
+/// of the id separates net terms from module terms.
+fn net_hash(e: u32, weight: u64, pins: &[u32]) -> u64 {
+    let head = mix64(mix64(u64::from(e) | 1 << 32) ^ weight);
+    pins.iter().fold(head, |h, &p| mix64(h ^ u64::from(p)))
 }
 
 /// SplitMix64's finalizer (the same avalanche the workspace fingerprints
@@ -726,6 +883,8 @@ mod tests {
     use super::*;
     use crate::Bipartition;
     use fhp_hypergraph::intersection::paper_example;
+    use rand::rngs::SplitMix64;
+    use rand::{Rng, SeedableRng};
 
     fn loaded_engine() -> PartitionEngine {
         let mut engine = PartitionEngine::new(EngineConfig::new());
@@ -785,18 +944,291 @@ mod tests {
     #[test]
     fn rejected_edit_leaves_state_unchanged() {
         let mut engine = loaded_engine();
+        // A one-pin net, so removing its pin is the last-pin rejection.
+        let lone = engine
+            .apply(&Edit::AddNet {
+                pins: vec![4],
+                weight: 1,
+            })
+            .expect("valid edit")
+            .new_id
+            .expect("AddNet allocates an id");
+        let rejected = [
+            (
+                Edit::RemoveNet { net: 999 },
+                IncrementalError::UnknownNet(999),
+            ),
+            (
+                Edit::PinChange {
+                    net: 999,
+                    module: 0,
+                    add: true,
+                },
+                IncrementalError::UnknownNet(999),
+            ),
+            (
+                Edit::AddNet {
+                    pins: vec![0, 99],
+                    weight: 1,
+                },
+                IncrementalError::UnknownModule(99),
+            ),
+            (
+                Edit::ReweightModule {
+                    module: 99,
+                    weight: 1,
+                },
+                IncrementalError::UnknownModule(99),
+            ),
+            (
+                Edit::RemoveModule { module: 99 },
+                IncrementalError::UnknownModule(99),
+            ),
+            (
+                Edit::PinChange {
+                    net: 0,
+                    module: 0,
+                    add: true,
+                },
+                IncrementalError::DuplicatePin { net: 0, module: 0 },
+            ),
+            (
+                Edit::PinChange {
+                    net: 0,
+                    module: 5,
+                    add: false,
+                },
+                IncrementalError::MissingPin { net: 0, module: 5 },
+            ),
+            (
+                Edit::PinChange {
+                    net: lone,
+                    module: 4,
+                    add: false,
+                },
+                IncrementalError::LastPin { net: lone },
+            ),
+            (
+                Edit::RemoveModule { module: 0 },
+                IncrementalError::ModuleInUse { module: 0 },
+            ),
+            (Edit::AddModule { weight: 0 }, IncrementalError::ZeroWeight),
+            (
+                Edit::ReweightModule {
+                    module: 0,
+                    weight: 0,
+                },
+                IncrementalError::ZeroWeight,
+            ),
+            (
+                Edit::AddNet {
+                    pins: vec![0, 1],
+                    weight: 0,
+                },
+                IncrementalError::ZeroWeight,
+            ),
+        ];
         let fp = engine.fingerprint();
         let cut = engine.cut();
-        let err = engine
-            .apply(&Edit::RemoveNet { net: 999 })
-            .expect_err("unknown net");
-        assert_eq!(
-            err,
-            EngineError::Structure(IncrementalError::UnknownNet(999))
-        );
-        assert_eq!(engine.fingerprint(), fp);
-        assert_eq!(engine.cut(), cut);
-        assert_eq!(engine.stats().edits, 0);
+        for (edit, error) in rejected {
+            assert_eq!(
+                engine.apply(&edit),
+                Err(EngineError::Structure(error)),
+                "{edit:?}"
+            );
+            assert_eq!(engine.fingerprint(), fp, "{edit:?}");
+            assert_eq!(engine.cut(), cut, "{edit:?}");
+            assert_eq!(engine.verify_state(), Ok(()), "{edit:?}");
+        }
+        assert_eq!(engine.stats().edits, 1);
+    }
+
+    #[test]
+    fn pin_add_and_remove_damage_the_same_region() {
+        let mut engine = loaded_engine();
+        let pin = |add| Edit::PinChange {
+            net: 0,
+            module: 5,
+            add,
+        };
+        let added = engine.apply(&pin(true)).expect("module 5 is not on net 0");
+        let removed = engine.apply(&pin(false)).expect("module 5 is on net 0 now");
+        // Net 0's pins {0, 1, 10} plus module 5, counted once.
+        assert_eq!(added.damaged_modules, 4);
+        assert_eq!(removed.damaged_modules, 4);
+    }
+
+    #[test]
+    fn different_histories_to_the_same_state_fingerprint_equal() {
+        let engine = |script: &[Edit]| {
+            let mut engine = loaded_engine();
+            for edit in script {
+                engine.apply(edit).expect("scripted edit");
+            }
+            engine
+        };
+        // One history grows net 9 a pin at a time and detours through a
+        // module that is added and removed again and a reweight that is
+        // undone; the other adds the finished net in one edit.
+        let a = engine(&[
+            Edit::AddNet {
+                pins: vec![11, 0],
+                weight: 2,
+            },
+            Edit::AddModule { weight: 3 },
+            Edit::ReweightModule {
+                module: 2,
+                weight: 7,
+            },
+            Edit::PinChange {
+                net: 9,
+                module: 5,
+                add: true,
+            },
+            Edit::RemoveModule { module: 12 },
+            Edit::ReweightModule {
+                module: 2,
+                weight: 1,
+            },
+        ]);
+        let b = engine(&[Edit::AddNet {
+            pins: vec![0, 5, 11],
+            weight: 2,
+        }]);
+        let (ha, modules, nets) = a.materialize().expect("loaded");
+        assert_eq!(Some((ha, modules.clone(), nets)), b.materialize());
+        for &m in &modules {
+            assert_eq!(a.side_of(m), b.side_of(m), "side of module {m}");
+        }
+        assert_eq!(a.cut(), b.cut());
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        a.verify_state().expect("a's maintained state");
+        b.verify_state().expect("b's maintained state");
+    }
+
+    /// A random valid edit of `kind` (0..6, one per [`Edit`] variant)
+    /// against the live netlist; `None` when the kind has no valid target
+    /// right now. One added net in twenty is wide (8 pins).
+    fn random_edit(nl: &DynamicNetlist, kind: u32, rng: &mut SplitMix64) -> Option<Edit> {
+        let modules: Vec<u32> = nl.live_modules().collect();
+        let nets: Vec<u32> = nl.live_nets().collect();
+        let pick = |items: &[u32], rng: &mut SplitMix64| items[rng.gen_range(0..items.len())];
+        match kind {
+            0 => {
+                let want = if rng.gen_range(0..20) == 0 {
+                    8
+                } else {
+                    rng.gen_range(2..=4)
+                };
+                let mut pins: Vec<u32> = Vec::new();
+                while pins.len() < want.min(modules.len()) {
+                    let m = pick(&modules, rng);
+                    if !pins.contains(&m) {
+                        pins.push(m);
+                    }
+                }
+                Some(Edit::AddNet {
+                    pins,
+                    weight: rng.gen_range(1..=3),
+                })
+            }
+            1 if !nets.is_empty() => Some(Edit::RemoveNet {
+                net: pick(&nets, rng),
+            }),
+            2 => Some(Edit::AddModule {
+                weight: rng.gen_range(1..=4),
+            }),
+            3 => {
+                let isolated: Vec<u32> = modules
+                    .iter()
+                    .copied()
+                    .filter(|&m| nl.incident_nets(m).is_some_and(<[u32]>::is_empty))
+                    .collect();
+                (!isolated.is_empty()).then(|| Edit::RemoveModule {
+                    module: pick(&isolated, rng),
+                })
+            }
+            4 => Some(Edit::ReweightModule {
+                module: pick(&modules, rng),
+                weight: rng.gen_range(1..=5),
+            }),
+            5 if !nets.is_empty() => {
+                let net = pick(&nets, rng);
+                let pins = nl.net_pins(net).unwrap_or(&[]);
+                let module = pick(&modules, rng);
+                if !pins.contains(&module) {
+                    Some(Edit::PinChange {
+                        net,
+                        module,
+                        add: true,
+                    })
+                } else {
+                    (pins.len() >= 2).then_some(Edit::PinChange {
+                        net,
+                        module,
+                        add: false,
+                    })
+                }
+            }
+            _ => None,
+        }
+    }
+
+    /// Applies one walk edit and checks the maintained state against its
+    /// recomputation (and, every 25 edits, the cut against a recount).
+    fn walk_step(engine: &mut PartitionEngine, edit: &Edit) -> RepairKind {
+        let delta = engine.apply(edit).expect("walk edits are valid");
+        engine
+            .verify_state()
+            .unwrap_or_else(|e| panic!("edit {} ({edit:?}): {e}", delta.edit_index));
+        assert_eq!(delta.fingerprint, engine.fingerprint());
+        if delta.edit_index.is_multiple_of(25) {
+            assert_cut_consistent(engine);
+        }
+        delta.repair
+    }
+
+    #[test]
+    fn seeded_edit_walk_keeps_the_maintained_state_exact() {
+        let h = fhp_gen::scaling_instance(2_000, 5).expect("instance generates");
+        // At 5 permille of ~1200 live modules an edit damaging more than
+        // six modules (a wide net) takes the full tier.
+        let config = EngineConfig::new()
+            .partition(PartitionConfig::new().starts(2).seed(5))
+            .damage_permille(5);
+        let mut engine = PartitionEngine::new(config);
+        engine.load(&h).expect("instance loads");
+        engine.verify_state().expect("state after load");
+        let mut rng = SplitMix64::seed_from_u64(0x5eed);
+        let mut kinds = [0usize; 6];
+        let mut repairs = Vec::new();
+        let mut mixed = |engine: &mut PartitionEngine, count: usize, repairs: &mut Vec<_>| {
+            while kinds.iter().sum::<usize>() < count {
+                let kind = rng.gen_range(0..6);
+                let nl = engine.netlist().expect("loaded");
+                if let Some(edit) = random_edit(nl, kind, &mut rng) {
+                    kinds[kind as usize] += 1;
+                    repairs.push(walk_step(engine, &edit));
+                }
+            }
+        };
+        mixed(&mut engine, 500, &mut repairs);
+        // Drain every net: the last removal leaves no live net, which is
+        // the trivial tier; then keep editing from the empty netlist.
+        let nets: Vec<u32> = engine.netlist().expect("loaded").live_nets().collect();
+        for net in nets {
+            repairs.push(walk_step(&mut engine, &Edit::RemoveNet { net }));
+        }
+        mixed(&mut engine, 560, &mut repairs);
+        assert_cut_consistent(&engine);
+        assert!(kinds.iter().all(|&k| k > 0), "edit kinds {kinds:?}");
+        for tier in [
+            RepairKind::Trivial,
+            RepairKind::Incremental,
+            RepairKind::Full,
+        ] {
+            assert!(repairs.contains(&tier), "no {tier:?} repair in the walk");
+        }
     }
 
     #[test]

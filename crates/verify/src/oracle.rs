@@ -1077,7 +1077,9 @@ const INCREMENTAL_SHRINK_EVALS: usize = 64;
 /// **every** edit the engine's view is diffed against a from-scratch
 /// rebuild — the dual rows against a fresh [`IntersectionGraph`] of the
 /// materialized netlist, the maintained cut against a pin-by-pin recount,
-/// the fingerprints across thread counts, and rejected edits against
+/// the maintained fingerprint sum and balance against
+/// [`PartitionEngine::verify_state`] (after rejected edits too), the
+/// fingerprints across thread counts, and rejected edits against
 /// identical rejections. On divergence the script itself is greedily
 /// minimized (drop-one-edit passes under a replay budget) and embedded in
 /// the violation, so reproductions carry both the shrunk instance and the
@@ -1295,6 +1297,12 @@ fn replay_edit_script(h: &Hypergraph, seed: u64, script: &[Edit]) -> Result<u64,
         return Err("initial load fingerprints differ across thread counts".to_string());
     }
     checks += 1;
+    for engine in &engines {
+        engine
+            .verify_state()
+            .map_err(|e| format!("maintained state after load diverged: {e}"))?;
+        checks += 1;
+    }
     for (i, edit) in script.iter().enumerate() {
         let results: Vec<Result<fhp_core::Delta, EngineError>> =
             engines.iter_mut().map(|e| e.apply(edit)).collect();
@@ -1305,6 +1313,14 @@ fn replay_edit_script(h: &Hypergraph, seed: u64, script: &[Edit]) -> Result<u64,
             ));
         }
         checks += 1;
+        // Accepted or rejected, the maintained fingerprint sum and
+        // balance must equal their recomputation.
+        for engine in &engines {
+            engine
+                .verify_state()
+                .map_err(|e| format!("edit {i} ({edit:?}): maintained state diverged: {e}"))?;
+            checks += 1;
+        }
         // fhp-audit: allow(panic-site) — engines holds one entry per thread count, at least one
         let engine = &engines[0];
         // fhp-audit: allow(panic-site) — one result per engine, at least one
