@@ -1,7 +1,7 @@
 //! The long-lived partition engine: a netlist held warm under edits.
 //!
-//! [`PartitionEngine`] owns a [`DynamicNetlist`] (which keeps the dual
-//! intersection graph current incrementally — see
+//! [`PartitionEngine`] owns a [`DynamicNetlist`] (pin lists and a
+//! module → incident-net index, kept current under edits — see
 //! [`fhp_hypergraph::incremental`]) plus the current side assignment and
 //! weighted cut, and exposes [`apply`](PartitionEngine::apply) over a
 //! typed [`Edit`] set. Each edit is repaired at the cheapest tier that
@@ -25,8 +25,8 @@
 //! each side, and a count multiset of live module weights (the heaviest
 //! sets the balance slack). Each accepted edit and each side flip swaps
 //! the old hash of every item it changed for the new one. An incremental
-//! edit therefore costs the netlist edit (the dual rows of the nets that
-//! share a module with the touched net), O(1) bookkeeping per changed
+//! edit therefore costs the netlist edit (the touched net's pin list and
+//! the incidence lists of its pins), O(1) bookkeeping per changed
 //! module and O(pins) per changed net, and the localized pass's
 //! candidate loop — O(k²·deg) for k damaged modules of degree deg —
 //! never a pass over the instance. Load and the trivial and full tiers,
@@ -402,13 +402,11 @@ impl PartitionEngine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Structure`] if the netlist cannot be dualized,
     /// [`EngineError::Partition`] if the initial partition fails for a
     /// non-benign reason (too-few-vertices degenerates to the trivial
     /// partition instead).
     pub fn load(&mut self, h: &Hypergraph) -> Result<Delta, EngineError> {
-        let nl = DynamicNetlist::from_hypergraph(h)
-            .map_err(|error| EngineError::Partition(PartitionError::GraphBuild { error }))?;
+        let Ok(nl) = DynamicNetlist::from_hypergraph(h);
         let mut sides = vec![Side::Left; h.num_vertices()];
         let mut cut = 0;
         if h.num_vertices() >= 2 && h.num_edges() > 0 {
@@ -817,8 +815,7 @@ impl PartitionEngine {
     /// multiset from scratch, with the same per-item hashes, and reports
     /// the first divergence from the maintained state. O(instance): the
     /// verification path of the `incremental` oracle and the engine
-    /// tests, in the style of [`DynamicNetlist::verify_dual`]. `Ok` before
-    /// load.
+    /// tests. `Ok` before load.
     ///
     /// # Errors
     ///

@@ -30,7 +30,7 @@ use fhp_core::{
     Algorithm1, Bipartition, Bipartitioner, CompletionStrategy, Edit, EngineConfig, EngineError,
     MultilevelConfig, PartitionConfig, PartitionEngine, PartitionError, PartitionOutcome, Side,
 };
-use fhp_hypergraph::{bfs, hgr, DynamicNetlist, EdgeId, Graph, Hypergraph, IntersectionGraph};
+use fhp_hypergraph::{bfs, hgr, DynamicNetlist, Graph, Hypergraph, IntersectionGraph};
 use rand::rngs::SplitMix64;
 use rand::{Rng, SeedableRng};
 
@@ -1075,8 +1075,8 @@ const INCREMENTAL_SHRINK_EVALS: usize = 64;
 /// The incremental-vs-scratch differential: seeded edit scripts are
 /// replayed through [`PartitionEngine`]s at two thread counts, and after
 /// **every** edit the engine's view is diffed against a from-scratch
-/// rebuild — the dual rows against a fresh [`IntersectionGraph`] of the
-/// materialized netlist, the maintained cut against a pin-by-pin recount,
+/// rebuild — every live module's incident nets against the materialized
+/// netlist's pins, the maintained cut against a pin-by-pin recount,
 /// the maintained fingerprint sum and balance against
 /// [`PartitionEngine::verify_state`] (after rejected edits too), the
 /// fingerprints across thread counts, and rejected edits against
@@ -1091,8 +1091,7 @@ fn oracle_incremental(ctx: &Ctx<'_>) -> Result<u64, Violation> {
         let mut rng = SplitMix64::seed_from_u64(
             ctx.seed ^ 0x696e_6372u64 ^ (script_index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
         );
-        let script = generate_edit_script(h, INCREMENTAL_SCRIPT_LEN, &mut rng)
-            .map_err(|e| ctx.fail(format!("edit-script generation failed: {e}")))?;
+        let script = generate_edit_script(h, INCREMENTAL_SCRIPT_LEN, &mut rng);
         match replay_edit_script(h, ctx.seed, &script) {
             Ok(c) => checks += c,
             Err(detail) => {
@@ -1139,12 +1138,8 @@ fn apply_to_replica(nl: &mut DynamicNetlist, edit: &Edit) -> Result<(), String> 
 /// Generates a seeded, mostly-valid edit script against a replica of the
 /// instance. Roughly one edit in eight is an intentionally invalid
 /// request (a dead net id), pinning that both engines reject identically.
-fn generate_edit_script(
-    h: &Hypergraph,
-    len: usize,
-    rng: &mut SplitMix64,
-) -> Result<Vec<Edit>, String> {
-    let mut replica = DynamicNetlist::from_hypergraph(h).map_err(|e| e.to_string())?;
+fn generate_edit_script(h: &Hypergraph, len: usize, rng: &mut SplitMix64) -> Vec<Edit> {
+    let Ok(mut replica) = DynamicNetlist::from_hypergraph(h);
     let mut script = Vec::with_capacity(len);
     let mut guard = 0;
     while script.len() < len && guard < len * 24 {
@@ -1233,38 +1228,33 @@ fn generate_edit_script(
         }
         script.push(edit);
     }
-    Ok(script)
+    script
 }
 
-/// Diffs the engine's maintained state against a from-scratch rebuild of
-/// the dual: every live net's neighbor row must match a fresh
-/// [`IntersectionGraph`] built on the materialized hypergraph.
-fn dual_matches_scratch(
+/// Diffs the netlist's maintained module → net incidence against the
+/// materialized hypergraph, whose incidence the builder derives from the
+/// pin lists alone: every live module's `incident_nets` must equal its
+/// `edges_of`, mapped back to stable net ids.
+fn incidence_matches_pins(
     nl: &DynamicNetlist,
     mat: &Hypergraph,
+    module_ids: &[u32],
     net_ids: &[u32],
 ) -> Result<u64, String> {
-    let ig = IntersectionGraph::build(mat);
     let mut checks = 0;
-    for (ci, &stable) in net_ids.iter().enumerate() {
-        let Some(gv) = ig.g_vertex_of(EdgeId::new(ci)) else {
-            return Err(format!("scratch dual dropped live net {stable}"));
-        };
-        let mut expected: Vec<(u32, u32)> = ig
-            .graph()
-            .neighbors(gv)
+    for (v, &module) in mat.vertices().zip(module_ids) {
+        let expected: Vec<u32> = mat
+            .edges_of(v)
             .iter()
-            .zip(ig.multiplicities_of(gv))
-            // fhp-audit: allow(panic-site) — g-vertices map to in-range compact net ids by construction
-            .map(|(&ng, &m)| (net_ids[ig.edge_of(ng).index()], m))
+            // fhp-audit: allow(panic-site) — materialize returns one stable id per compact net
+            .map(|e| net_ids[e.index()])
             .collect();
-        expected.sort_unstable();
         let got = nl
-            .dual_neighbors(stable)
-            .ok_or_else(|| format!("engine has no dual row for live net {stable}"))?;
+            .incident_nets(module)
+            .ok_or_else(|| format!("netlist has no incidence for live module {module}"))?;
         if got != expected.as_slice() {
             return Err(format!(
-                "dual row of net {stable} diverges: engine {got:?}, scratch {expected:?}"
+                "incidence of module {module} diverges: netlist {got:?}, pins {expected:?}"
             ));
         }
         checks += 1;
@@ -1341,9 +1331,6 @@ fn replay_edit_script(h: &Hypergraph, seed: u64, script: &[Edit]) -> Result<u64,
                 let Some(nl) = engine.netlist() else {
                     return Err(format!("edit {i}: engine lost its netlist"));
                 };
-                nl.verify_dual()
-                    .map_err(|e| format!("edit {i} ({edit:?}): dual recount failed: {e}"))?;
-                checks += 1;
                 let Some((mat, module_ids, net_ids)) = engine.materialize() else {
                     return Err(format!("edit {i}: engine cannot materialize"));
                 };
@@ -1360,7 +1347,7 @@ fn replay_edit_script(h: &Hypergraph, seed: u64, script: &[Edit]) -> Result<u64,
                     ));
                 }
                 checks += 1;
-                checks += dual_matches_scratch(nl, &mat, &net_ids)
+                checks += incidence_matches_pins(nl, &mat, &module_ids, &net_ids)
                     .map_err(|e| format!("edit {i} ({edit:?}): {e}"))?;
             }
         }
@@ -1526,8 +1513,8 @@ mod tests {
         let h = paper_example();
         let mut rng_a = SplitMix64::seed_from_u64(77);
         let mut rng_b = SplitMix64::seed_from_u64(77);
-        let a = generate_edit_script(&h, INCREMENTAL_SCRIPT_LEN, &mut rng_a).unwrap();
-        let b = generate_edit_script(&h, INCREMENTAL_SCRIPT_LEN, &mut rng_b).unwrap();
+        let a = generate_edit_script(&h, INCREMENTAL_SCRIPT_LEN, &mut rng_a);
+        let b = generate_edit_script(&h, INCREMENTAL_SCRIPT_LEN, &mut rng_b);
         assert_eq!(a, b, "same seed must yield the same script");
         assert!(!a.is_empty());
         let checks = replay_edit_script(&h, 77, &a).expect("replay stays consistent");
