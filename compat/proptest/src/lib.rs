@@ -90,7 +90,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use rand::Rng;
 
-    /// Sizes accepted by [`vec`]: an exact length or a range of lengths.
+    /// Sizes accepted by [`vec()`]: an exact length or a range of lengths.
     pub trait IntoSizeRange {
         /// Chooses a concrete length.
         fn choose_len(&self, rng: &mut TestRng) -> usize;

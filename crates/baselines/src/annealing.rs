@@ -18,7 +18,7 @@ use fhp_obs::{names, order, Collector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::moves::{random_balanced_start, MoveState};
+use fhp_core::moves::{random_balanced_start, MoveState};
 
 /// Simulated-annealing bipartitioner.
 ///

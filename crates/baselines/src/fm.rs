@@ -15,7 +15,7 @@ use fhp_obs::{names, order, Collector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::moves::{random_balanced_start, MoveState};
+use fhp_core::moves::{random_balanced_start, MoveState};
 
 /// Fiduccia–Mattheyses bipartitioner with an r-style weight-balance
 /// criterion.

@@ -19,7 +19,7 @@ use fhp_obs::{names, order, Collector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::moves::{random_balanced_start, MoveState};
+use fhp_core::moves::{random_balanced_start, MoveState};
 
 /// Kernighan–Lin min-cut bipartitioner (the paper's "MinCut-KL" column).
 ///

@@ -20,8 +20,9 @@
 //!   standing in for the "graph space mapping" family the paper surveys.
 //!
 //! All baselines implement [`fhp_core::Bipartitioner`], are fully seeded,
-//! and share one incremental-move engine ([`moves::MoveState`]) whose
-//! consistency is property-tested against the ground-truth metrics.
+//! and share one incremental-move engine
+//! ([`fhp_core::moves::MoveState`]) whose consistency is property-tested
+//! against the ground-truth metrics.
 //!
 //! # Examples
 //!
@@ -57,14 +58,11 @@ mod kl;
 mod random;
 mod spectral;
 
-pub mod moves;
-
 pub use annealing::SimulatedAnnealing;
 pub use exhaustive::{exhaustive_min_losers, Exhaustive, EXHAUSTIVE_VERTEX_LIMIT};
 pub use fhp_core::multilevel::Multilevel;
 pub use fm::FiducciaMattheyses;
 pub use hybrid::Refined;
 pub use kl::KernighanLin;
-pub use moves::{MoveState, MoveStateMismatch};
 pub use random::RandomCut;
 pub use spectral::SpectralBisection;

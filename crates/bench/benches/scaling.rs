@@ -9,9 +9,9 @@
 //! `FHP_BENCH_SMOKE=1`):
 //!
 //! - the dualizer capped at `pairs_generated / 16` builds a graph
-//!   (adjacency, weights, multiplicities) bit-identical to the uncapped
-//!   build at every thread count — the cap is real memory pressure, not
-//!   slack: the uncapped peak pair buffer exceeds it by at least 10×;
+//!   bit-identical to the uncapped build at every thread count — the
+//!   cap is real memory pressure, not slack: the uncapped peak pair
+//!   buffer exceeds it by at least 10×;
 //! - the capped peak pair buffer never exceeds the configured cap;
 //! - Algorithm 1 running entirely over the capped dualizer produces
 //!   equal [`OutcomeFingerprint`]s at 1, 2 and 8 threads, equal to the
@@ -113,13 +113,6 @@ fn measure_tier(signals: usize) -> Tier {
             inmem.graph(),
             "capped graph differs from the uncapped build at threads = {t}"
         );
-        for g in inmem.graph().vertices() {
-            assert_eq!(
-                ig.multiplicities_of(g),
-                inmem.multiplicities_of(g),
-                "capped multiplicities of {g} differ at threads = {t}"
-            );
-        }
         streaming = Some(ig.stats().clone());
     }
     let streaming = streaming.expect("THREADS is non-empty");

@@ -1,8 +1,8 @@
-//! Shared instance construction for the Criterion benches.
+//! Shared instance construction for the benches.
 //!
-//! Each bench file regenerates a table/figure-adjacent measurement; the
-//! instances are built once per size here so all benches agree on the
-//! workload definition (std-cell circuit profile, signals n, modules 0.6n).
+//! Each bench writes one `BENCH_*.json` artifact; the instances are built
+//! here so all benches agree on the workload definition (std-cell circuit
+//! profile, signals n, modules 0.6n).
 
 #![forbid(unsafe_code)]
 
@@ -17,15 +17,15 @@ pub fn bench_instance(n: usize) -> Hypergraph {
         .expect("bench config is valid")
 }
 
-/// Sizes used by the scaling benches.
+/// Circuit sizes the `dualize` and `multilevel` benches sweep.
 pub const SIZES: [usize; 3] = [500, 1000, 2000];
 
 /// The hub-heavy adversary for the dualization kernel: `hubs` shared
 /// modules appear in every one of `signals` signals (so each hub module
 /// has degree `signals`), plus one private module per signal.
 ///
-/// Its dual `G` is the complete graph on `signals` vertices with
-/// shared-module multiplicity `hubs` on every edge — so the naive
+/// Its dual `G` is the complete graph on `signals` vertices, and every
+/// pair of signals shares all `hubs` hub modules — so the naive
 /// pair-spray builder performs `hubs × C(signals, 2)` edge insertions
 /// where the sparse kernel inserts `C(signals, 2)` unique edges: the
 /// insertion ratio is exactly `hubs`.

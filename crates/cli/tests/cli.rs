@@ -16,6 +16,17 @@ fn run(args: &[&str]) -> (String, String, bool) {
     )
 }
 
+/// The value of the `[stats] key value` line for `key` in `stdout`.
+fn stat(stdout: &str, key: &str) -> u64 {
+    stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(&format!("[stats] {key} ")))
+        .unwrap_or_else(|| panic!("missing {key} in:\n{stdout}"))
+        .trim()
+        .parse()
+        .expect("numeric stat")
+}
+
 #[test]
 fn demo_partitions_with_cut_two() {
     let (stdout, _, ok) = run(&["--demo"]);
@@ -84,15 +95,7 @@ fn stats_flag_prints_phase_lines() {
         );
     }
     // the counters balance: generated = unique + duplicates
-    let field = |key: &str| -> u64 {
-        stdout
-            .lines()
-            .find_map(|l| l.strip_prefix(&format!("[stats] {key} ")))
-            .unwrap_or_else(|| panic!("missing {key}"))
-            .trim()
-            .parse()
-            .expect("numeric stat")
-    };
+    let field = |key: &str| stat(&stdout, key);
     assert_eq!(
         field("dualize_pairs_generated"),
         field("dualize_unique_edges") + field("dualize_duplicates_merged")
@@ -677,6 +680,31 @@ fn multilevel_flag_values_are_validated() {
         stderr.contains("coarse size must be at least 2"),
         "{stderr}"
     );
+}
+
+#[test]
+fn pair_cap_changes_passes_not_the_cut() {
+    let (plain, stderr, ok) = run(&["--demo", "-q", "--stats"]);
+    assert!(ok, "{stderr}");
+    let (capped, stderr, ok) = run(&["--demo", "-q", "--stats", "--pair-cap", "3"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(capped.lines().next(), plain.lines().next(), "cut changed");
+    let pairs = stat(&capped, "dualize_pairs_generated");
+    assert_eq!(pairs, stat(&plain, "dualize_pairs_generated"));
+    assert_eq!(stat(&capped, "dualize_passes"), pairs.div_ceil(3));
+    assert_eq!(stat(&capped, "dualize_passes"), 7);
+    assert!(stat(&capped, "dualize_peak_pair_buffer") <= 3, "{capped}");
+    assert_eq!(
+        stat(&capped, "dualize_unique_edges"),
+        stat(&plain, "dualize_unique_edges")
+    );
+
+    let out = fhp()
+        .args(["--demo", "--pair-cap", "0"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("pair cap must be at least 1"));
 }
 
 #[test]

@@ -10,7 +10,6 @@
 use std::time::Duration;
 
 use fhp_hypergraph::{DualizeStats, EdgeId, Hypergraph};
-use fhp_obs::{names, span_total_ns, Event};
 
 use crate::Bipartition;
 
@@ -24,10 +23,9 @@ use crate::Bipartition;
 /// excluded from [`OutcomeFingerprint`](crate::OutcomeFingerprint), and no
 /// decision in the pipeline reads a clock.
 ///
-/// Since the `fhp-obs` integration this type is a thin facade: the
-/// pipeline records phase spans into per-start tracing scopes, and the
-/// reduction folds each scope's span totals back in via
-/// [`record_start_events`](PhaseStats::record_start_events).
+/// Each start measures its phase walls as plain scalars (span recording
+/// allocates), and the run's reduction folds them in via
+/// [`record_start_walls`](PhaseStats::record_start_walls).
 ///
 /// # Examples
 ///
@@ -63,15 +61,6 @@ impl PhaseStats {
     /// Sum of all phase durations (dualization plus the per-start phases).
     pub fn total_wall(&self) -> Duration {
         self.dualize.wall + self.longest_path_bfs + self.dual_front_bfs + self.complete_cut
-    }
-
-    /// Folds one start's recorded span events into the per-phase totals
-    /// (the `alg1.*` phase spans; other events are ignored).
-    pub fn record_start_events(&mut self, events: &[Event]) {
-        self.longest_path_bfs +=
-            Duration::from_nanos(span_total_ns(events, names::ALG1_LONGEST_PATH));
-        self.dual_front_bfs += Duration::from_nanos(span_total_ns(events, names::ALG1_DUAL_FRONT));
-        self.complete_cut += Duration::from_nanos(span_total_ns(events, names::ALG1_COMPLETE_CUT));
     }
 
     /// Folds one start's directly measured phase walls (in nanoseconds)

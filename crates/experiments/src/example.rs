@@ -39,20 +39,12 @@ pub fn run(_quick: bool) {
 
     let ig = IntersectionGraph::build(&h);
     let g = ig.graph();
-    println!("\nintersection graph G (adjacency, xN = N shared modules):");
+    println!("\nintersection graph G (adjacency):");
     for v in g.vertices() {
-        let mults = ig.multiplicities_of(v);
         let ns: Vec<String> = g
             .neighbors(v)
             .iter()
-            .zip(mults)
-            .map(|(&u, &m)| {
-                if m > 1 {
-                    format!("{}x{m}", signal(u))
-                } else {
-                    signal(u).to_string()
-                }
-            })
+            .map(|&u| signal(u).to_string())
             .collect();
         println!("  {} - {}", signal(v), ns.join(" "));
     }

@@ -127,32 +127,6 @@ impl Graph {
         })
     }
 
-    /// The range of indices in the flat adjacency array holding `v`'s
-    /// neighbor list. Parallel per-adjacency data (e.g. the intersection
-    /// graph's shared-module multiplicities) is aligned to these slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    pub fn slot_range(&self, v: u32) -> std::ops::Range<usize> {
-        self.offsets[v as usize]..self.offsets[v as usize + 1] // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-    }
-
-    /// The index in the flat adjacency array of the slot storing `v`
-    /// inside `u`'s neighbor list, or `None` if the edge does not exist.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn edge_slot(&self, u: u32, v: u32) -> Option<usize> {
-        let range = self.slot_range(u);
-        self.neighbors[range.clone()] // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-            .binary_search(&v)
-            .ok()
-            .map(|i| range.start + i)
-    }
-
     /// Rebuilds this graph in place from a raw pair list, reusing the
     /// existing CSR buffers (and the caller's `pairs` and `cursor`
     /// scratch). Semantics match [`Graph::from_edges`]: self-loops are
@@ -186,60 +160,50 @@ impl Graph {
         });
         pairs.sort_unstable();
         pairs.dedup();
-
-        // Degree count into `cursor`, then prefix-sum into `offsets`.
-        cursor.clear();
-        cursor.resize(n, 0);
-        for &(u, v) in pairs.iter() {
-            cursor[u as usize] += 1; // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-            cursor[v as usize] += 1; // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-        }
-        self.offsets.clear();
-        self.offsets.push(0);
-        let mut acc = 0usize;
-        for &d in cursor.iter() {
-            acc += d;
-            self.offsets.push(acc);
-        }
-        cursor.clear();
-        cursor.extend_from_slice(&self.offsets[..n]); // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-        self.neighbors.clear();
-        self.neighbors.resize(acc, 0);
-        // Same two-pass fill as `GraphBuilder::build_unchecked`: forward
-        // writes each u's higher neighbors, backward appends the lower
-        // ones; a final short per-vertex sort merges the two runs.
-        for &(u, v) in pairs.iter() {
-            self.neighbors[cursor[u as usize]] = v; // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-            cursor[u as usize] += 1; // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-        }
-        for &(u, v) in pairs.iter() {
-            self.neighbors[cursor[v as usize]] = u; // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-            cursor[v as usize] += 1; // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-        }
-        for v in 0..n {
-            // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-            self.neighbors[self.offsets[v]..self.offsets[v + 1]].sort_unstable();
-        }
+        self.fill(n, pairs, cursor);
     }
 
-    /// Builds a graph directly from finished CSR parts.
+    /// Writes the CSR form of the `n`-vertex graph whose edges are
+    /// `pairs` into this graph's buffers; `cursor` is scratch. `pairs`
+    /// must be strictly ascending with `u < v < n` for every `(u, v)`.
     ///
-    /// The caller promises: `offsets` is a monotone prefix-sum array with
-    /// `offsets[0] == 0` and final entry `neighbors.len()`, and each
-    /// vertex's slice of `neighbors` is strictly ascending (sorted,
-    /// duplicate-free, no self-loop) and symmetric. The sparse
-    /// dualization kernel produces exactly this shape without ever
-    /// materializing an edge list. Debug builds verify the invariants.
-    pub(crate) fn from_parts(offsets: Vec<usize>, neighbors: Vec<u32>) -> Self {
-        debug_assert_eq!(offsets.first(), Some(&0));
-        debug_assert_eq!(offsets.last(), Some(&neighbors.len()));
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1])); // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-        let g = Self { offsets, neighbors };
-        debug_assert!(g.vertices().all(|v| {
-            let ns = g.neighbors(v);
-            ns.windows(2).all(|w| w[0] < w[1]) && !ns.contains(&v) // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-        }));
-        g
+    /// `offsets` is sized to exactly `n + 1` entries, and neither buffer
+    /// reallocates when it already has the room.
+    pub(crate) fn fill(&mut self, n: usize, pairs: &[(u32, u32)], cursor: &mut Vec<usize>) {
+        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1])); // fhp-audit: allow(panic-site) — windows(2) yields two-element slices
+        debug_assert!(pairs.iter().all(|&(u, v)| u < v && (v as usize) < n));
+        // Degree count into `cursor`, then prefix-sum it into `offsets`,
+        // leaving each vertex's first slot in `cursor`.
+        cursor.clear();
+        cursor.resize(n, 0);
+        for &(u, v) in pairs {
+            cursor[u as usize] += 1; // fhp-audit: allow(panic-site) — fill's contract: every endpoint is < n
+            cursor[v as usize] += 1; // fhp-audit: allow(panic-site) — fill's contract: every endpoint is < n
+        }
+        self.offsets.clear();
+        self.offsets.reserve_exact(n + 1);
+        self.offsets.push(0);
+        let mut acc = 0usize;
+        for slot in cursor.iter_mut() {
+            let first = acc;
+            acc += *slot;
+            *slot = first;
+            self.offsets.push(acc);
+        }
+        self.neighbors.clear();
+        self.neighbors.resize(acc, 0);
+        // Lower neighbors first: the pairs are sorted, so each v receives
+        // its lower neighbors u ascending, and each u then its higher
+        // neighbors v ascending. Every lower neighbor precedes every
+        // higher one, so each list comes out sorted.
+        for &(u, v) in pairs {
+            self.neighbors[cursor[v as usize]] = u; // fhp-audit: allow(panic-site) — each vertex's cursor stays inside its own offsets range
+            cursor[v as usize] += 1; // fhp-audit: allow(panic-site) — fill's contract: every endpoint is < n
+        }
+        for &(u, v) in pairs {
+            self.neighbors[cursor[u as usize]] = v; // fhp-audit: allow(panic-site) — each vertex's cursor stays inside its own offsets range
+            cursor[u as usize] += 1; // fhp-audit: allow(panic-site) — fill's contract: every endpoint is < n
+        }
     }
 }
 
@@ -305,11 +269,13 @@ impl GraphBuilder {
     /// Returns [`BuildGraphError::TooManyVertices`] if the declared vertex
     /// count cannot be addressed by `u32` indices (the silent-truncation
     /// path `build` used to hit in `vertices()`).
-    pub fn try_build(self) -> Result<Graph, BuildGraphError> {
+    pub fn try_build(mut self) -> Result<Graph, BuildGraphError> {
         if self.n > u32::MAX as usize {
             return Err(BuildGraphError::TooManyVertices { found: self.n });
         }
-        Ok(self.build_unchecked())
+        let mut g = Graph::empty(0);
+        g.rebuild_from_pairs(self.n, &mut self.edges, &mut Vec::new());
+        Ok(g)
     }
 
     /// Finalizes the CSR structure, deduplicating parallel edges.
@@ -320,50 +286,6 @@ impl GraphBuilder {
     /// [`GraphBuilder::try_build`] to handle that case as an error.
     pub fn build(self) -> Graph {
         self.try_build().expect("graph vertex count overflows u32") // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-    }
-
-    fn build_unchecked(mut self) -> Graph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let mut degree = vec![0usize; self.n];
-        for &(u, v) in &self.edges {
-            degree[u as usize] += 1; // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-            degree[v as usize] += 1; // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-        }
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for &d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0u32; acc];
-        // Insert in sorted-edge order: (u, v) pairs sorted lexicographically
-        // give each u an ascending neighbor list, but v's lists need a final
-        // per-vertex sort since v entries arrive in u order... actually they
-        // also arrive ascending in u, so both directions come out sorted.
-        for &(u, v) in &self.edges {
-            neighbors[cursor[u as usize]] = v; // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-            cursor[u as usize] += 1; // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-        }
-        for &(u, v) in &self.edges {
-            neighbors[cursor[v as usize]] = u; // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-            cursor[v as usize] += 1; // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-        }
-        // The forward pass writes each u's higher neighbors ascending; the
-        // backward pass then appends lower neighbors ascending, so lists are
-        // two sorted runs — merge with a sort per vertex (cheap, lists are
-        // short for bounded-degree graphs).
-        let g = Graph { offsets, neighbors };
-        let mut fixed = g.neighbors.clone();
-        for v in 0..self.n {
-            fixed[g.offsets[v]..g.offsets[v + 1]].sort_unstable(); // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
-        }
-        Graph {
-            offsets: g.offsets,
-            neighbors: fixed,
-        }
     }
 }
 
@@ -426,30 +348,6 @@ mod tests {
     fn out_of_range_edge_panics() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 2);
-    }
-
-    #[test]
-    fn edge_slots_align_with_neighbor_lists() {
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
-        for v in g.vertices() {
-            let range = g.slot_range(v);
-            assert_eq!(range.len(), g.degree(v));
-            for (i, &u) in g.neighbors(v).iter().enumerate() {
-                assert_eq!(g.edge_slot(v, u), Some(range.start + i));
-            }
-        }
-        assert_eq!(g.edge_slot(0, 2), None);
-    }
-
-    #[test]
-    fn from_parts_round_trips_builder_output() {
-        let g = Graph::from_edges(5, [(4, 2), (2, 0), (2, 3), (1, 2)]);
-        let (mut offsets, mut neighbors) = (vec![0usize], Vec::new());
-        for v in g.vertices() {
-            neighbors.extend_from_slice(g.neighbors(v));
-            offsets.push(neighbors.len());
-        }
-        assert_eq!(Graph::from_parts(offsets, neighbors), g);
     }
 
     #[test]

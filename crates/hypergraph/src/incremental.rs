@@ -416,11 +416,10 @@ impl DynamicNetlist {
     }
 
     /// An order-independent fingerprint of the paper's intersection
-    /// graph `G` over the live nets: stable net ids, each unordered pair
-    /// counted once with its shared-module multiplicity. Nothing is kept
-    /// for it between calls: each call materializes the live netlist and
-    /// dualizes it with the [`Dualizer`], so it costs one threshold-free
-    /// build of `G`.
+    /// graph `G` over the live nets: each adjacent pair of stable net ids
+    /// counted once. Nothing is kept for it between calls: each call
+    /// materializes the live netlist and dualizes it with the
+    /// [`Dualizer`], so it costs one threshold-free build of `G`.
     pub fn dual_fingerprint(&self) -> u64 {
         let mut acc = 0x9e37_79b9_7f4a_7c15u64;
         let (h, _module_ids, net_ids) = self.materialize();
@@ -434,10 +433,8 @@ impl DynamicNetlist {
         };
         for (ga, gb) in ig.graph().edges() {
             let stable = |g: u32| net_ids.get(ig.edge_of(g).index()).copied();
-            if let (Some(a), Some(b), Some(mult)) =
-                (stable(ga), stable(gb), ig.shared_modules(ga, gb))
-            {
-                acc = mix64(acc ^ mix64(u64::from(a) << 32 | u64::from(b)) ^ u64::from(mult));
+            if let (Some(a), Some(b)) = (stable(ga), stable(gb)) {
+                acc = mix64(acc ^ mix64(u64::from(a) << 32 | u64::from(b)));
             }
         }
         mix64(acc)
@@ -631,8 +628,7 @@ mod tests {
     }
 
     /// The fingerprint hashes exactly the pairs of live nets that share
-    /// a module, each with its shared-module count, recounted here from
-    /// the pin lists alone.
+    /// a module, recomputed here from the pin lists alone.
     #[test]
     fn dual_fingerprint_hashes_every_shared_module_pair() {
         let brute = |nl: &DynamicNetlist| {
@@ -642,9 +638,8 @@ mod tests {
                 let pa = nl.net_pins(a).unwrap_or(&[]);
                 for &b in &nets[i + 1..] {
                     let pb = nl.net_pins(b).unwrap_or(&[]);
-                    let shared = pb.iter().filter(|m| pa.contains(m)).count() as u64;
-                    if shared > 0 {
-                        acc = mix64(acc ^ mix64(u64::from(a) << 32 | u64::from(b)) ^ shared);
+                    if pb.iter().any(|m| pa.contains(m)) {
+                        acc = mix64(acc ^ mix64(u64::from(a) << 32 | u64::from(b)));
                     }
                 }
             }

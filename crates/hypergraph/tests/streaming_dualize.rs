@@ -2,9 +2,9 @@
 //! knob, never a *semantics* knob. For every instance and every cap —
 //! including the degenerate cap=1, the off-by-one cap=pairs−1, and caps
 //! at or above the whole pair stream — a capped `Dualizer::build` must
-//! reproduce the uncapped build's graph, mapping and multiplicities byte
-//! for byte; only `DualizeStats::passes`, `peak_pair_buffer`,
-//! `bytes_spilled` and the unit count may differ. An adversarial
+//! reproduce the uncapped build's graph and mapping byte for byte; only
+//! `DualizeStats::passes`, `peak_pair_buffer`, `bytes_spilled` and the
+//! unit count may differ. An adversarial
 //! degree-1024 hub (half a million pairs inside one module's block)
 //! pins the cap guarantee where units must split mid-vertex.
 
@@ -41,13 +41,6 @@ fn assert_streaming_matches(
         .expect("capped build succeeds where the uncapped one did");
     assert_eq!(st.graph(), oracle.graph(), "cap {cap:?} threads {threads}");
     assert_eq!(st.num_g_vertices(), oracle.num_g_vertices());
-    for g in st.graph().vertices() {
-        assert_eq!(
-            st.multiplicities_of(g),
-            oracle.multiplicities_of(g),
-            "cap {cap:?} g-vertex {g}"
-        );
-    }
     for e in h.edges() {
         assert_eq!(st.g_vertex_of(e), oracle.g_vertex_of(e));
     }
@@ -93,10 +86,10 @@ proptest! {
             prop_assert_eq!(s.passes, expect_passes, "cap {:?}", cap);
             let effective = cap.map_or(total.max(1), |c| c.max(1) as u64);
             prop_assert!(s.peak_pair_buffer <= effective, "cap {:?}", cap);
-            // spill volume is 12 bytes per retired unique entry, and every
+            // spill volume is 8 bytes per retired unique pair, and every
             // unique pair is retired at least once
-            prop_assert_eq!(s.bytes_spilled % 12, 0);
-            prop_assert!(s.bytes_spilled / 12 >= if s.passes > 1 { s.unique_edges } else { 0 });
+            prop_assert_eq!(s.bytes_spilled % 8, 0);
+            prop_assert!(s.bytes_spilled / 8 >= if s.passes > 1 { s.unique_edges } else { 0 });
         }
     }
 

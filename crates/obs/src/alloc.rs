@@ -3,8 +3,10 @@
 //! This module holds only **safe** code — process-wide atomic tallies
 //! plus `note_*` hooks — so `fhp-obs` keeps its `#![forbid(unsafe_code)]`
 //! contract. The `unsafe impl GlobalAlloc` shim that feeds the hooks is
-//! packaged as the [`install_counting_allocator!`] macro and expands in
-//! the **installing binary** (the CLI), not in this crate.
+//! packaged as the
+//! [`install_counting_allocator!`](crate::install_counting_allocator)
+//! macro and expands in the **installing binary** (the CLI), not in this
+//! crate.
 //!
 //! When no binary installs the shim, [`stats`] reads zeros and every
 //! consumer (the `mem.*` gauges, `[stats]` lines, the metrics stream)

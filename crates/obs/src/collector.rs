@@ -67,7 +67,7 @@ impl std::fmt::Debug for CollectorInner {
     }
 }
 
-/// The shared, clonable trace sink. See the [module docs](self).
+/// The shared, clonable trace sink. See the [crate docs](crate).
 ///
 /// # Examples
 ///

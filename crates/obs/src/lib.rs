@@ -123,8 +123,8 @@ pub mod names {
     pub const DUALIZE_PEAK_PAIR_BUFFER: &str = "dualize.peak_pair_buffer";
     /// Counter: bytes of deduplicated per-pass runs the streaming kernel
     /// retired out of the bounded pair buffer (its "spill" volume; 0 for
-    /// the in-memory kernel). Deterministic: 12 bytes per unique
-    /// (pair, multiplicity) entry across all passes.
+    /// the in-memory kernel). Deterministic: 8 bytes per unique pair
+    /// across all passes.
     pub const DUALIZE_BYTES_SPILLED: &str = "dualize.bytes_spilled";
     /// Root span of one multi-start attempt (child spans nest under it).
     pub const RUNNER_START: &str = "runner.start";

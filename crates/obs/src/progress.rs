@@ -17,7 +17,7 @@
 //! across `--threads 1/2/8`. Gauges whose name carries the `mem.` prefix
 //! are volatile wholesale (allocation counts depend on scheduling) and
 //! are excluded from the canonical form; see
-//! [`writer::is_volatile_event`](crate::writer::is_volatile_event).
+//! [`writer::is_volatile_event`].
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -2,9 +2,9 @@
 //! hypergraph, threshold, and thread count, [`Dualizer::build`] produces
 //! exactly what the retained naive pair-spray builder
 //! ([`IntersectionGraph::build_naive_with_threshold`]) produces — the same
-//! adjacency, the same shared-module multiplicities, the same
-//! hyperedge ↔ G-vertex mapping — and the partitions computed on top are
-//! fingerprint-identical. The kernel is allowed to change *only* speed.
+//! adjacency and the same hyperedge ↔ G-vertex mapping — and the
+//! partitions computed on top are fingerprint-identical. The kernel is
+//! allowed to change *only* speed.
 
 use fhp::core::{Algorithm1, PartitionConfig};
 use fhp::gen::{CircuitNetlist, PlantedBisection, RandomHypergraph, Technology};
@@ -43,11 +43,6 @@ fn assert_kernel_equivalent(label: &str, h: &Hypergraph, threshold: Option<usize
         }
         for g in 0..fast.num_g_vertices() as u32 {
             assert_eq!(fast.edge_of(g), naive.edge_of(g), "{label}: kept[{g}]");
-            assert_eq!(
-                fast.multiplicities_of(g),
-                naive.multiplicities_of(g),
-                "{label}: multiplicities of {g} diverged at {threads} threads"
-            );
         }
         let (s, n) = (fast.stats(), naive.stats());
         assert_eq!(s.pairs_generated, n.pairs_generated, "{label}: pair count");
@@ -142,9 +137,6 @@ fn hub_adversary_matches_the_oracle_and_collapses_duplicates() {
     // every G-edge is duplicated once per hub module
     assert_eq!(s.pairs_generated, 6 * s.unique_edges);
     assert_eq!(s.duplicates_merged, 5 * s.unique_edges);
-    for g in ig.graph().vertices() {
-        assert!(ig.multiplicities_of(g).iter().all(|&m| m == 6));
-    }
 }
 
 #[test]
@@ -207,9 +199,6 @@ proptest! {
         prop_assert_eq!(fast.graph(), naive.graph());
         for e in h.edges() {
             prop_assert_eq!(fast.g_vertex_of(e), naive.g_vertex_of(e));
-        }
-        for g in 0..fast.num_g_vertices() as u32 {
-            prop_assert_eq!(fast.multiplicities_of(g), naive.multiplicities_of(g));
         }
         prop_assert_eq!(fast.stats().unique_edges, naive.stats().unique_edges);
         prop_assert_eq!(fast.stats().pairs_generated, naive.stats().pairs_generated);
