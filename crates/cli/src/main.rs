@@ -327,6 +327,9 @@ fn main() -> ExitCode {
         }
         ml
     });
+    // The one configuration every Algorithm I run starts from: two-way,
+    // k-way (`--blocks`) and placement (`--place`) runs derive theirs
+    // from it, so a flag like `--balance` reaches all three.
     let alg1_config = PartitionConfig::new()
         .starts(opts.starts)
         .seed(opts.seed)
@@ -390,10 +393,10 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     if let Some((rows, cols)) = opts.place {
-        return run_place(&opts, &netlist, rows, cols);
+        return run_place(&opts, &netlist, alg1_config, rows, cols);
     }
     if opts.blocks > 2 {
-        return run_multiway(&opts, &netlist);
+        return run_multiway(&opts, &netlist, alg1_config);
     }
     // The collector exists before the partitioner so the baselines can
     // record into it; `--stats` on a baseline needs the counters even
@@ -697,24 +700,23 @@ fn print_stats(stats: &fhp_core::RunStats) {
         line("ml_level_cuts", join(&ml.level_cuts));
         line("ml_vcycles", ml.vcycles.to_string());
         line("ml_cycle_cuts", join(&ml.cycle_cuts));
-        line(
-            "ml_flat_cut",
-            ml.flat_cut.map_or("none".to_string(), |c| c.to_string()),
-        );
+        line("ml_flat_cut", ml.flat_cut.to_string());
         line("ml_used_flat_guard", ml.used_flat_guard.to_string());
     }
 }
 
-fn run_place(opts: &Options, netlist: &Netlist, rows: usize, cols: usize) -> ExitCode {
+/// Min-cut placement; each region's partitioner is `config` with at most
+/// 10 starts, seeded per region.
+fn run_place(
+    opts: &Options,
+    netlist: &Netlist,
+    config: PartitionConfig,
+    rows: usize,
+    cols: usize,
+) -> ExitCode {
     use fhp_place::{wirelength, MinCutPlacer, SlotGrid};
     let h = netlist.hypergraph();
-    let base = PartitionConfig::new()
-        .starts(opts.starts.min(10))
-        .threads(opts.threads)
-        .edge_size_threshold(opts.threshold)
-        .streaming_dualize(opts.pair_cap.is_some())
-        .pair_cap(opts.pair_cap)
-        .objective(opts.objective);
+    let base = config.starts(opts.starts.min(10));
     let seed = opts.seed;
     let placer = MinCutPlacer::new(move |region| {
         Box::new(Algorithm1::new(base.seed(seed ^ region))) as Box<dyn Bipartitioner>
@@ -758,26 +760,15 @@ fn run_place(opts: &Options, netlist: &Netlist, rows: usize, cols: usize) -> Exi
     ExitCode::SUCCESS
 }
 
-fn run_multiway(opts: &Options, netlist: &Netlist) -> ExitCode {
+/// k-way partitioning by recursive bisection; each region's partitioner
+/// is `config` seeded per region.
+fn run_multiway(opts: &Options, netlist: &Netlist, config: PartitionConfig) -> ExitCode {
     use fhp_core::multiway::recursive_bisection;
     let h = netlist.hypergraph();
     // fhp-audit: allow(wallclock-in-fingerprint) — times the human-facing summary line only
     let started = std::time::Instant::now();
-    let completion = if opts.balance {
-        CompletionStrategy::EngineerWeighted
-    } else {
-        CompletionStrategy::MinDegree
-    };
-    let base = PartitionConfig::new()
-        .starts(opts.starts)
-        .threads(opts.threads)
-        .edge_size_threshold(opts.threshold)
-        .streaming_dualize(opts.pair_cap.is_some())
-        .pair_cap(opts.pair_cap)
-        .completion(completion)
-        .objective(opts.objective);
     let mp = match recursive_bisection(h, opts.blocks, |region| {
-        Box::new(Algorithm1::new(base.seed(opts.seed ^ region))) as Box<dyn Bipartitioner>
+        Box::new(Algorithm1::new(config.seed(opts.seed ^ region))) as Box<dyn Bipartitioner>
     }) {
         Ok(mp) => mp,
         Err(e) => {

@@ -447,6 +447,33 @@ fn place_mode() {
 }
 
 #[test]
+fn place_mode_honours_balance() {
+    // On this weighted netlist engineer's-method completion splits the
+    // regions differently from min-degree completion, so `--balance`
+    // must change the placement.
+    let path = std::env::temp_dir().join("fhp_cli_place_balance.net");
+    std::fs::write(
+        &path,
+        "s0: 6 3\ns1: 5 10 4 9\ns2: 10 3\ns3: 7 9 6\ns4: 8 9 5 1\ns5: 6 8\n\
+         s6: 7 10 3\ns7: 3 4 9 1\ns8: 6 3\ns9: 9 10\ns10: 9 10 3\n\
+         @weight 7 7\n@weight 8 9\n@weight 9 8\n",
+    )
+    .unwrap();
+    let layout = |extra: &[&str]| {
+        let mut args = vec![path.to_str().unwrap(), "--place", "4x3"];
+        args.extend_from_slice(extra);
+        let (stdout, stderr, ok) = run(&args);
+        assert!(ok, "{stderr}");
+        stdout
+            .lines()
+            .filter(|l| !l.starts_with("elapsed"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_ne!(layout(&[]), layout(&["--balance"]));
+}
+
+#[test]
 fn reads_netlist_and_hgr_files() {
     let dir = std::env::temp_dir();
     let nl = dir.join("fhp_cli_test.net");

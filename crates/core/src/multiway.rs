@@ -15,7 +15,8 @@
 use fhp_hypergraph::subhypergraph::Subhypergraph;
 use fhp_hypergraph::{EdgeId, Hypergraph, VertexId};
 
-use crate::{metrics, Bipartition, Bipartitioner, PartitionError, Side};
+use crate::moves::MoveState;
+use crate::{Bipartition, Bipartitioner, PartitionError, Side};
 
 /// An assignment of every vertex to one of `k` blocks.
 ///
@@ -191,7 +192,7 @@ fn split<F>(
     let cap_right = (cells.len() * k_right).div_ceil(k);
 
     let sub = Subhypergraph::induce(h, cells);
-    let mut bp = if sub.hypergraph().num_vertices() >= 2 {
+    let bp = if sub.hypergraph().num_vertices() >= 2 {
         match factory(region).bipartition(sub.hypergraph()) {
             Ok(bp) => bp,
             Err(_) => even_split(cells.len(), cap_left),
@@ -199,7 +200,7 @@ fn split<F>(
     } else {
         Bipartition::all_left(cells.len())
     };
-    repair(sub.hypergraph(), &mut bp, cap_left, cap_right);
+    let bp = repair_capacity(sub.hypergraph(), bp, cap_left, cap_right);
 
     let mut left = Vec::new();
     let mut right = Vec::new();
@@ -231,49 +232,43 @@ fn even_split(n: usize, cap_left: usize) -> Bipartition {
     })
 }
 
-/// Moves min-damage cells off an over-capacity side (FM gains against live
-/// pin counts) until both sides fit.
-fn repair(sub: &Hypergraph, bp: &mut Bipartition, cap_left: usize, cap_right: usize) {
-    let mut counts = metrics::pin_counts(sub, bp);
-    loop {
-        let (l, r) = bp.counts();
-        let from = if l > cap_left {
-            Side::Left
-        } else if r > cap_right {
-            Side::Right
-        } else {
-            return;
-        };
-        let mut best: Option<(i64, VertexId)> = None;
-        for v in sub.vertices() {
-            if bp.side(v) != from {
-                continue;
-            }
-            let mut gain = 0i64;
-            for &e in sub.edges_of(v) {
-                let w = sub.edge_weight(e) as i64;
-                let c = counts[e.index()]; // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
-                let (f, t) = (from.index(), from.opposite().index());
-                // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
-                if c[f] == 1 && c[t] > 0 {
-                    gain += w;
-                // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
-                } else if c[t] == 0 && c[f] > 1 {
-                    gain -= w;
-                }
-            }
-            if best.is_none_or(|(g, _)| gain > g) {
-                best = Some((gain, v));
-            }
-        }
-        let Some((_, v)) = best else { return };
-        let from_idx = from.index();
-        for &e in sub.edges_of(v) {
-            counts[e.index()][from_idx] -= 1; // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
-            counts[e.index()][1 - from_idx] += 1; // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
-        }
-        bp.flip(v);
+/// Moves cells off an over-capacity side until the left side holds at
+/// most `cap_left` vertices and the right at most `cap_right`. Each move
+/// takes the cell whose move costs the cut least (the highest FM gain,
+/// ties to the lowest id), recomputed against live pin counts, so exactly
+/// the overflow moves. Recursive bisection and the min-cut placer both
+/// repair their splits with it.
+///
+/// When `cap_left + cap_right` is below the vertex count no assignment
+/// fits; the over-full side then still sheds exactly its overflow.
+///
+/// # Panics
+///
+/// Panics if `bp` does not cover `h`'s vertices.
+pub fn repair_capacity(
+    h: &Hypergraph,
+    bp: Bipartition,
+    cap_left: usize,
+    cap_right: usize,
+) -> Bipartition {
+    let (l, r) = bp.counts();
+    let (from, overflow) = if l > cap_left {
+        (Side::Left, l - cap_left)
+    } else if r > cap_right {
+        (Side::Right, r - cap_right)
+    } else {
+        return bp;
+    };
+    let mut st = MoveState::new(h, bp);
+    for _ in 0..overflow {
+        let best = h
+            .vertices()
+            .filter(|&v| st.side(v) == from)
+            .min_by_key(|&v| std::cmp::Reverse(st.gain(v)));
+        let Some(v) = best else { break };
+        st.apply_flip(v);
     }
+    st.into_partition()
 }
 
 #[cfg(test)]
@@ -388,6 +383,36 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_labels_panic() {
         let _ = Multipartition::from_labels(vec![0, 3], 3);
+    }
+
+    #[test]
+    fn repair_moves_exactly_the_overflow_off_the_full_side() {
+        let h = clusters(2, 10);
+        let first_left = |n: usize| {
+            Bipartition::from_fn(20, |v| {
+                if v.index() < n {
+                    Side::Left
+                } else {
+                    Side::Right
+                }
+            })
+        };
+        for (left, cap_left, cap_right, full, overflow) in [
+            (15, 10, 10, Side::Left, 5),
+            (4, 12, 10, Side::Right, 6),
+            (10, 10, 10, Side::Left, 0), // already fits: untouched
+        ] {
+            let start = first_left(left);
+            let out = repair_capacity(&h, start.clone(), cap_left, cap_right);
+            let (l, r) = out.counts();
+            assert!(l <= cap_left && r <= cap_right, "{l}/{r}");
+            let moved: Vec<VertexId> = h
+                .vertices()
+                .filter(|&v| out.side(v) != start.side(v))
+                .collect();
+            assert_eq!(moved.len(), overflow);
+            assert!(moved.iter().all(|&v| start.side(v) == full));
+        }
     }
 
     #[test]

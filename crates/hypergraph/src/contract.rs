@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{EdgeId, Hypergraph, HypergraphBuilder, VertexId};
+use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// A contracted hypergraph plus the fine↔coarse correspondence.
 ///
@@ -33,8 +33,6 @@ use crate::{EdgeId, Hypergraph, HypergraphBuilder, VertexId};
 pub struct Contraction {
     coarse: Hypergraph,
     cluster_of: Vec<u32>,
-    /// For each coarse edge, the fine edges merged into it.
-    fine_edges: Vec<Vec<EdgeId>>,
 }
 
 impl Contraction {
@@ -98,9 +96,9 @@ impl Contraction {
             b.add_weighted_vertex(w);
         }
 
-        // Re-pin edges; merge identical coarse pin sets.
-        let mut merged: BTreeMap<Vec<VertexId>, usize> = BTreeMap::new();
-        let mut coarse_edges: Vec<(Vec<VertexId>, u64, Vec<EdgeId>)> = Vec::new();
+        // Re-pin edges; merge identical coarse pin sets. Each pin set is
+        // stored once, as a key mapping to (first position, summed weight).
+        let mut merged: BTreeMap<Vec<VertexId>, (usize, u64)> = BTreeMap::new();
         for e in h.edges() {
             let mut pins: Vec<VertexId> = h
                 .pins(e)
@@ -112,29 +110,20 @@ impl Contraction {
             if pins.len() < 2 {
                 continue; // swallowed by a cluster
             }
-            match merged.entry(pins.clone()) {
-                std::collections::btree_map::Entry::Occupied(slot) => {
-                    let idx = *slot.get();
-                    coarse_edges[idx].1 += h.edge_weight(e); // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
-                    coarse_edges[idx].2.push(e); // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
-                }
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(coarse_edges.len());
-                    coarse_edges.push((pins, h.edge_weight(e), vec![e]));
-                }
-            }
+            let first = merged.len();
+            merged.entry(pins).or_insert((first, 0)).1 += h.edge_weight(e);
         }
-        let mut fine_edges = Vec::with_capacity(coarse_edges.len());
-        for (pins, weight, fines) in coarse_edges {
+        // Coarse edges come out in the order their pin sets first appeared.
+        let mut coarse_edges: Vec<_> = merged.into_iter().collect();
+        coarse_edges.sort_unstable_by_key(|&(_, (first, _))| first);
+        for (pins, (_, weight)) in coarse_edges {
             b.add_weighted_edge(pins, weight)
                 .map_err(|error| ContractError::Build { error })?;
-            fine_edges.push(fines);
         }
 
         Ok(Self {
             coarse: b.build(),
             cluster_of: cluster_of.to_vec(),
-            fine_edges,
         })
     }
 
@@ -163,15 +152,6 @@ impl Contraction {
     /// golden tests pin the exact coarsening decisions.
     pub fn projection_map(&self) -> &[u32] {
         &self.cluster_of
-    }
-
-    /// The fine edges merged into coarse edge `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    pub fn fine_edges(&self, e: EdgeId) -> &[EdgeId] {
-        &self.fine_edges[e.index()] // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
     }
 
     /// Expands a per-coarse-vertex labelling to the fine vertices.
@@ -242,22 +222,6 @@ pub fn heavy_pair_clustering_within(
         (Some(a), Some(b)) => a == b,
         _ => false,
     })
-}
-
-/// One heavy-edge-rated matching level: cluster with
-/// [`heavy_pair_clustering`] and contract, returning the coarse
-/// hypergraph together with its explicit projection map
-/// ([`Contraction::projection_map`]).
-///
-/// # Errors
-///
-/// Propagates [`ContractError`] from the contraction (unreachable for the
-/// dense maps the clustering produces, but typed rather than asserted).
-pub fn rated_matching_coarsen(
-    h: &Hypergraph,
-    max_cluster_weight: u64,
-) -> Result<Contraction, ContractError> {
-    Contraction::try_contract(h, &heavy_pair_clustering(h, max_cluster_weight))
 }
 
 /// The shared greedy-matching loop behind both clustering fronts.
@@ -357,6 +321,7 @@ impl std::error::Error for ContractError {
 mod tests {
     use super::*;
     use crate::intersection::paper_example;
+    use crate::EdgeId;
 
     #[test]
     fn contraction_preserves_weight() {
@@ -374,9 +339,12 @@ mod tests {
         // everything in one cluster except module 12 (index 11)
         let clusters: Vec<u32> = (0..12).map(|i| u32::from(i == 11)).collect();
         let c = Contraction::contract(&h, &clusters);
-        // only signal c = {1,3,4,12} touches module 12
+        // only signal c = {1,3,4,12} touches module 12; it survives as
+        // the one coarse edge {c0, c1}, keeping its weight
         assert_eq!(c.coarse().num_edges(), 1);
-        assert_eq!(c.fine_edges(EdgeId::new(0)), &[EdgeId::new(2)]);
+        let e = EdgeId::new(0);
+        assert_eq!(c.coarse().pins(e), [VertexId::new(0), VertexId::new(1)]);
+        assert_eq!(c.coarse().edge_weight(e), h.edge_weight(EdgeId::new(2)));
     }
 
     #[test]
@@ -390,8 +358,36 @@ mod tests {
         // clusters {0,1} and {2,3}: both edges become {c0, c1}
         let c = Contraction::contract(&h, &[0, 0, 1, 1]);
         assert_eq!(c.coarse().num_edges(), 1);
-        assert_eq!(c.coarse().edge_weight(EdgeId::new(0)), 5);
-        assert_eq!(c.fine_edges(EdgeId::new(0)).len(), 2);
+        let e = EdgeId::new(0);
+        assert_eq!(c.coarse().pins(e), [VertexId::new(0), VertexId::new(1)]);
+        assert_eq!(c.coarse().edge_weight(e), 5);
+    }
+
+    #[test]
+    fn merged_coarse_edges_keep_first_appearance_order() {
+        let v = VertexId::new;
+        let mut b = HypergraphBuilder::with_vertices(6);
+        // clusters {0,1}, {2,3}, {4,5}: the fine edges map to coarse pin
+        // sets A = {c0,c1}, B = {c1,c2}, A again, then C = {c0,c2}
+        b.add_weighted_edge([v(0), v(2)], 2).unwrap();
+        b.add_weighted_edge([v(3), v(4)], 3).unwrap();
+        b.add_weighted_edge([v(1), v(3)], 5).unwrap();
+        b.add_weighted_edge([v(1), v(5)], 7).unwrap();
+        let h = b.build();
+        let c = Contraction::contract(&h, &[0, 0, 1, 1, 2, 2]);
+        let coarse = c.coarse();
+        let edges: Vec<(Vec<VertexId>, u64)> = coarse
+            .edges()
+            .map(|e| (coarse.pins(e).to_vec(), coarse.edge_weight(e)))
+            .collect();
+        assert_eq!(
+            edges,
+            [
+                (vec![v(0), v(1)], 2 + 5),
+                (vec![v(1), v(2)], 3),
+                (vec![v(0), v(2)], 7),
+            ]
+        );
     }
 
     #[test]
@@ -490,16 +486,6 @@ mod tests {
         for v in h.vertices() {
             assert_eq!(c.cluster_of(v), clusters[v.index()]);
         }
-    }
-
-    #[test]
-    fn rated_matching_coarsen_matches_manual_pipeline() {
-        let h = paper_example();
-        let c = rated_matching_coarsen(&h, 4).unwrap();
-        let manual = Contraction::contract(&h, &heavy_pair_clustering(&h, 4));
-        assert_eq!(c.projection_map(), manual.projection_map());
-        assert_eq!(c.coarse().num_vertices(), manual.coarse().num_vertices());
-        assert_eq!(c.coarse().num_edges(), manual.coarse().num_edges());
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! The cut recount here is local to this file on purpose — it shares no
 //! code with `fhp_core::metrics` or the engine under test.
 
-use fhp_hypergraph::contract::{
-    heavy_pair_clustering, heavy_pair_clustering_within, rated_matching_coarsen, Contraction,
-};
+use fhp_hypergraph::contract::{heavy_pair_clustering, heavy_pair_clustering_within, Contraction};
 use fhp_hypergraph::Hypergraph;
 use fhp_verify::gen::Family;
 use proptest::prelude::*;
@@ -73,11 +71,6 @@ fn check_contraction(h: &Hypergraph, cap: u64, seed: u64) {
             "cap {cap} round {round}"
         );
     }
-
-    // the one-call coarsener is exactly the manual pipeline
-    let one_call = rated_matching_coarsen(h, cap).expect("coarsen");
-    assert_eq!(one_call.projection_map(), c.projection_map());
-    assert_eq!(one_call.coarse().num_vertices(), coarse.num_vertices());
 }
 
 /// Partition-respecting clustering never merges across groups, so group

@@ -10,7 +10,8 @@
 //! toward their external pins, using the evolving region centers of
 //! not-yet-fixed modules.
 
-use fhp_core::{metrics, Bipartition, Bipartitioner, Side};
+use fhp_core::multiway::repair_capacity;
+use fhp_core::{Bipartition, Bipartitioner, Side};
 use fhp_hypergraph::subhypergraph::Subhypergraph;
 use fhp_hypergraph::{Hypergraph, VertexId};
 
@@ -197,7 +198,7 @@ where
         region_id: u64,
     ) -> Result<(Vec<VertexId>, Vec<VertexId>), PlaceError> {
         let sub = Subhypergraph::induce(h, cells);
-        let mut bp = if sub.hypergraph().num_vertices() >= 2 {
+        let bp = if sub.hypergraph().num_vertices() >= 2 {
             match (self.factory)(region_id).bipartition(sub.hypergraph()) {
                 Ok(bp) => bp,
                 // A region with no internal signals can legitimately make
@@ -214,7 +215,7 @@ where
             Bipartition::all_left(cells.len())
         };
 
-        repair_capacity(sub.hypergraph(), &mut bp, half_a.area(), half_b.area());
+        let mut bp = repair_capacity(sub.hypergraph(), bp, half_a.area(), half_b.area());
 
         if self.terminal_alignment {
             let keep = orientation_cost(h, &sub, &bp, approx, half_a, half_b);
@@ -239,52 +240,6 @@ where
             }
         }
         Ok((left, right))
-    }
-}
-
-/// Moves lowest-damage cells off an over-capacity side until both sides
-/// fit. Damage is the FM gain of the move (positive gain = the move even
-/// helps the cut), recomputed against live pin counts.
-fn repair_capacity(sub: &Hypergraph, bp: &mut Bipartition, cap_left: usize, cap_right: usize) {
-    let mut counts = metrics::pin_counts(sub, bp);
-    loop {
-        let (l, r) = bp.counts();
-        let (from, need) = if l > cap_left {
-            (Side::Left, l - cap_left)
-        } else if r > cap_right {
-            (Side::Right, r - cap_right)
-        } else {
-            return;
-        };
-        // Pick the single best move, apply, re-evaluate (need is usually
-        // tiny — a few cells per region).
-        let mut best: Option<(i64, VertexId)> = None;
-        for v in sub.vertices() {
-            if bp.side(v) != from {
-                continue;
-            }
-            let mut gain = 0i64;
-            for &e in sub.edges_of(v) {
-                let w = sub.edge_weight(e) as i64;
-                let c = counts[e.index()];
-                let (f, t) = (from.index(), from.opposite().index());
-                if c[f] == 1 && c[t] > 0 {
-                    gain += w;
-                } else if c[t] == 0 && c[f] > 1 {
-                    gain -= w;
-                }
-            }
-            if best.is_none_or(|(g, _)| gain > g) {
-                best = Some((gain, v));
-            }
-        }
-        let Some((_, v)) = best else { return };
-        for &e in sub.edges_of(v) {
-            counts[e.index()][from.index()] -= 1;
-            counts[e.index()][from.opposite().index()] += 1;
-        }
-        bp.flip(v);
-        let _ = need;
     }
 }
 

@@ -92,7 +92,7 @@ fn golden_vcycle_stop_size_six() {
     assert_eq!(s.cycle_cuts, vec![2]);
     // the V-cycle's own partition ties the flat cut of 2 but is less
     // balanced (4/8), so the flat guard's 6/6 partition wins the tie
-    assert_eq!(s.flat_cut, Some(2));
+    assert_eq!(s.flat_cut, 2);
     assert!(s.used_flat_guard);
     assert_eq!(out.bipartition.to_string(), "LLLLRRRRRRLL");
     assert_eq!(out.report.cut_size, 2);
@@ -119,7 +119,7 @@ fn golden_vcycle_stop_size_four() {
     assert_eq!(s.level_partitions[1].to_string(), "LRRRRRLR");
     assert_eq!(s.level_partitions[2].to_string(), "LLRRRRRRRRLR");
     assert_eq!(s.cycle_cuts, vec![2]);
-    assert_eq!(s.flat_cut, Some(2));
+    assert_eq!(s.flat_cut, 2);
     assert!(s.used_flat_guard);
     assert_eq!(out.bipartition.to_string(), "LLLLRRRRRRLL");
     assert_eq!(out.report.cut_size, 2);
