@@ -677,6 +677,7 @@ fn print_stats(stats: &fhp_core::RunStats) {
         p.complete_cut.as_micros().to_string(),
     );
     line("starts", stats.starts.to_string());
+    line("distinct_paths", stats.distinct_paths.to_string());
     line("engine_threads", stats.threads.to_string());
     line("arena_reuse_hits", stats.arena_reuse_hits.to_string());
     line(

@@ -81,6 +81,7 @@ fn stats_flag_prints_phase_lines() {
         "dual_front_bfs_wall_us",
         "complete_cut_wall_us",
         "starts",
+        "distinct_paths",
         "engine_threads",
         "chosen_start",
         "num_g_vertices",
@@ -101,6 +102,12 @@ fn stats_flag_prints_phase_lines() {
         field("dualize_unique_edges") + field("dualize_duplicates_merged")
     );
     assert_eq!(field("dualize_kept_edges"), 9);
+    // every start that swept drew a path no earlier start drew
+    let distinct = field("distinct_paths");
+    assert!(
+        (1..=field("starts")).contains(&distinct),
+        "distinct_paths {distinct} in:\n{stdout}"
+    );
 
     // quiet mode keeps the number first but still prints the stats
     let (quiet, _, ok) = run(&["--demo", "--stats", "-q"]);

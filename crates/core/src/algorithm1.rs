@@ -15,7 +15,10 @@
 //! 6. place any remaining modules on the lighter side.
 //!
 //! Total cost is `O(n²)` in the number of signals `n`, dominated by the
-//! intersection-graph construction and the BFS sweeps.
+//! intersection-graph construction and the BFS sweeps. A run costs two
+//! BFSs per start, to draw its longest path, plus the sweeps of steps 3–5
+//! once per distinct path: a start that draws an endpoint pair an earlier
+//! start already drew takes that start's cut instead of sweeping again.
 //!
 //! If the hypergraph is disconnected (the paper's "completely pathological"
 //! `c = 0` case), the BFS structure discovers it and the partitioner
@@ -23,7 +26,7 @@
 //! returned cut has size 0, while move-based heuristics typically get stuck
 //! at a locally-minimum cut of size `Θ(|E|)` (§4).
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use fhp_hypergraph::{Dualizer, Hypergraph, IntersectionGraph, VertexId};
@@ -306,6 +309,11 @@ pub struct RunStats {
     /// Index of the start that produced the returned cut (`None` when a
     /// shortcut or fallback path was taken instead).
     pub chosen_start: Option<usize>,
+    /// Distinct ordered longest-path endpoint pairs `(u, v)` the starts
+    /// drew: how many starts swept. Every other start that found
+    /// endpoints drew an earlier start's pair and took its result (0 for
+    /// the component shortcut, and when no start found endpoints).
+    pub distinct_paths: usize,
     /// Worker threads the multi-start engine ran with (0 when it never
     /// ran, i.e. the component shortcut fired).
     pub threads: usize,
@@ -437,10 +445,11 @@ impl Algorithm1 {
 
     /// Records the run into `collector`: a `dualize` scope, one
     /// `runner.start` scope per start (with the three downstream phase
-    /// spans nested inside), and a summary scope with run-level counters
-    /// and the cut-size histogram. The default collector is disabled,
-    /// which skips all retention — [`RunStats`] is still populated, from
-    /// the same local buffers.
+    /// spans nested inside, or an `alg1.repeat_of` counter in place of the
+    /// sweep spans when the start drew an earlier start's path), and a
+    /// summary scope with run-level counters and the cut-size histogram.
+    /// The default collector is disabled, which skips all retention —
+    /// [`RunStats`] is still populated, from the same local buffers.
     pub fn collector(mut self, collector: Collector) -> Self {
         self.collector = collector;
         self
@@ -518,6 +527,7 @@ impl Algorithm1 {
                     used_component_shortcut: true,
                     used_fallback_split: false,
                     chosen_start: None,
+                    distinct_paths: 0,
                     threads: 0,
                     arena_reuse_hits: 0,
                     per_start: Vec::new(),
@@ -548,13 +558,14 @@ impl Algorithm1 {
         if let Some(p) = progress {
             p.add(Gauge::StartsTotal, self.config.starts as u64);
         }
+        let draws = DrawTable::new(self.config.starts);
         let (records, arenas) = run_starts_arena(
             self.config.starts,
             workers,
             &self.collector,
             || StartArena::for_instance(h, &ig),
             |start, arena, scope| {
-                let outcome = evaluate_start(h, &ig, &config, start, arena, scope);
+                let outcome = evaluate_start(h, &ig, &config, &draws, start, arena, scope);
                 if let Some(p) = progress {
                     p.add(Gauge::StartsDone, 1);
                     if let Some(c) = outcome.candidate {
@@ -565,6 +576,7 @@ impl Algorithm1 {
             },
         );
         let arena_reuse_hits = (records.len() - arenas.len()) as u64;
+        let distinct_paths = draws.distinct_pairs();
 
         // Deterministic reduction: scan in start order with a strictly-
         // better rule, so the winner (and every tie-break) is the one the
@@ -572,7 +584,7 @@ impl Algorithm1 {
         // Phase walls were measured as plain scalars inside each start
         // (span recording allocates — see [`run_starts_arena`]) and are
         // folded into the PhaseStats facade here.
-        let mut per_start = Vec::with_capacity(records.len());
+        let mut per_start: Vec<StartStat> = Vec::with_capacity(records.len());
         let mut best: Option<(usize, StartCandidate)> = None;
         let mut num_failed = 0usize;
         let mut first_error = None;
@@ -580,22 +592,33 @@ impl Algorithm1 {
             let (cut_size, error) = match record.outcome {
                 Ok(outcome) => {
                     phases.record_start_walls(outcome.lp_ns, outcome.dual_ns, outcome.cc_ns);
-                    let cut_size = outcome.candidate.map(|c| c.cut_size);
-                    if let Some(c) = outcome.candidate {
-                        if best.as_ref().is_none_or(|(_, b)| c.beats(b)) {
-                            best = Some((record.index, c));
+                    match outcome.repeat_of {
+                        // The skipped sweeps were the earlier start's, so
+                        // its cut or error is this start's too. With the
+                        // same score and imbalance a repeat never strictly
+                        // beats the earlier start, so it cannot win.
+                        Some(earlier) => {
+                            let earlier = &per_start[earlier]; // fhp-audit: allow(panic-site) — a repeat names an earlier start, whose stat is already pushed
+                            (earlier.cut_size, earlier.error.clone())
+                        }
+                        None => {
+                            if let Some(c) = outcome.candidate {
+                                if best.as_ref().is_none_or(|(_, b)| c.beats(b)) {
+                                    best = Some((record.index, c));
+                                }
+                            }
+                            (outcome.candidate.map(|c| c.cut_size), None)
                         }
                     }
-                    (cut_size, None)
                 }
-                Err(e) => {
-                    num_failed += 1;
-                    if first_error.is_none() {
-                        first_error = Some(e.clone());
-                    }
-                    (None, Some(e))
-                }
+                Err(e) => (None, Some(e)),
             };
+            if let Some(e) = &error {
+                num_failed += 1;
+                if first_error.is_none() {
+                    first_error = Some(e.clone());
+                }
+            }
             per_start.push(StartStat {
                 start: record.index,
                 cut_size,
@@ -658,6 +681,7 @@ impl Algorithm1 {
                     used_component_shortcut: false,
                     used_fallback_split: false,
                     chosen_start: Some(chosen),
+                    distinct_paths,
                     threads: workers,
                     arena_reuse_hits,
                     per_start,
@@ -688,6 +712,7 @@ impl Algorithm1 {
                 used_component_shortcut: false,
                 used_fallback_split: true,
                 chosen_start: None,
+                distinct_paths,
                 threads: workers,
                 arena_reuse_hits,
                 per_start,
@@ -728,12 +753,124 @@ impl StartCandidate {
 }
 
 /// What one start reports back through the engine: its best candidate (if
-/// any) and the directly measured phase walls, all plain scalars.
+/// any), the earlier start whose path it drew again (if it did, in which
+/// case it swept nothing and has no candidate of its own) and the directly
+/// measured phase walls, all plain scalars.
 struct StartOutcome {
     candidate: Option<StartCandidate>,
+    repeat_of: Option<usize>,
     lp_ns: u64,
     dual_ns: u64,
     cc_ns: u64,
+}
+
+/// The run's longest-path draws, one slot per start — the multi-start
+/// engine's one lock. A start publishes its ordered endpoint pair `(u, v)`
+/// before it sweeps and then reads every earlier start's. The sweeps,
+/// Complete-Cut and scoring of a start are a pure function of its pair, so
+/// a start whose pair an earlier start already drew would only repeat that
+/// start's work: it skips it, and the reduction hands it the earlier
+/// start's result.
+///
+/// A start waits for the earlier starts' draws only, never for their
+/// sweeps. Workers claim starts in increasing order, so every earlier
+/// start is already running or done and its draw will come; a start that
+/// unwinds before it publishes publishes "no pair" ([`DrawClaim`]). With
+/// one worker every earlier draw is in before a start begins, and nothing
+/// waits. The lock orders only the knowledge of earlier draws: which
+/// start repeats which is a function of the start indices alone, so it
+/// changes no outcome and no trace, whatever the worker count.
+struct DrawTable {
+    draws: Mutex<Vec<Draw>>,
+    published: Condvar,
+}
+
+/// One start's entry in the [`DrawTable`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Draw {
+    /// The start has not published yet.
+    Pending,
+    /// The start found no usable endpoints, or unwound before publishing.
+    NoPair,
+    /// The start's ordered endpoint pair.
+    Pair(u32, u32),
+}
+
+impl DrawTable {
+    fn new(starts: usize) -> Self {
+        Self {
+            draws: Mutex::new(vec![Draw::Pending; starts]),
+            published: Condvar::new(),
+        }
+    }
+
+    /// Locks the table. Every update writes one whole slot, so the table
+    /// is valid at every step and a lock poisoned by an unwinding start
+    /// is safe to take over.
+    fn lock(&self) -> MutexGuard<'_, Vec<Draw>> {
+        self.draws.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Start `start`'s claim on its slot, taken before it draws.
+    fn claim(&self, start: usize) -> DrawClaim<'_> {
+        DrawClaim { table: self, start }
+    }
+
+    /// Stores `draw` in slot `start`, unless the slot is already filled,
+    /// and wakes the starts waiting for it.
+    fn store(&self, start: usize, draw: Draw) -> MutexGuard<'_, Vec<Draw>> {
+        let mut draws = self.lock();
+        if let Some(slot) = draws.get_mut(start).filter(|d| **d == Draw::Pending) {
+            *slot = draw;
+            self.published.notify_all();
+        }
+        draws
+    }
+
+    /// Distinct pairs in the finished table: how many starts swept.
+    fn distinct_pairs(&self) -> usize {
+        let draws = self.lock();
+        draws
+            .iter()
+            .enumerate()
+            .filter(|&(i, d)| matches!(d, Draw::Pair(..)) && !draws.iter().take(i).any(|e| e == d))
+            .count()
+    }
+}
+
+/// A start's claim on its [`DrawTable`] slot. [`publish`](Self::publish)
+/// fills the slot; a claim dropped without publishing, as by a start that
+/// unwinds before it draws, publishes "no pair", so no later start waits
+/// for it forever.
+struct DrawClaim<'a> {
+    table: &'a DrawTable,
+    start: usize,
+}
+
+impl DrawClaim<'_> {
+    /// Publishes the start's endpoint pair, waits until every earlier
+    /// start has published, and returns the first earlier start that drew
+    /// the same ordered pair.
+    fn publish(self, pair: Option<(u32, u32)>) -> Option<usize> {
+        let draw = pair.map_or(Draw::NoPair, |(u, v)| Draw::Pair(u, v));
+        let draws = self.table.store(self.start, draw);
+        pair?; // no pair, nothing to repeat
+        let draws = self
+            .table
+            .published
+            .wait_while(draws, |d| {
+                d.iter().take(self.start).any(|&e| e == Draw::Pending)
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        draws.iter().take(self.start).position(|&d| d == draw)
+    }
+}
+
+impl Drop for DrawClaim<'_> {
+    fn drop(&mut self) {
+        // a published slot is filled, so this store leaves it as it is
+        drop(self.table.store(self.start, Draw::NoPair));
+    }
 }
 
 /// One worker's reusable scratch for the whole per-start pipeline. Created
@@ -794,24 +931,27 @@ impl StartArena {
 }
 
 /// Runs one multi-start attempt: draw a random longest path from the
-/// start's own counter-derived RNG stream, sweep the configured front
-/// policies, and keep the start's best candidate. A pure function of
-/// `(h, ig, config, start)` — the foundation of the engine's
-/// thread-count invariance; the arena only lends buffers, never state.
-/// Phase walls are measured as plain scalars (recording spans allocates);
-/// when a `scope` is present — tracing runs only — the same spans and
-/// counters as the pre-arena engine are recorded, so canonical traces are
-/// unchanged. Timing is never consulted by any decision, so it cannot
-/// perturb determinism.
+/// start's own counter-derived RNG stream, publish it to `draws`, sweep the
+/// configured front policies, and keep the start's best candidate — or,
+/// when an earlier start drew the same ordered path, skip the sweeps and
+/// name that start instead. A pure function of `(h, ig, config, start)` —
+/// the foundation of the engine's thread-count invariance; the arena only
+/// lends buffers, never state, and the table only tells a start what the
+/// earlier starts drew. Phase walls are measured as plain scalars
+/// (recording spans allocates); when a `scope` is present — tracing runs
+/// only — the phase spans and counters are recorded too. Timing is never
+/// consulted by any decision, so it cannot perturb determinism.
 fn evaluate_start(
     h: &Hypergraph,
     ig: &IntersectionGraph,
     config: &PartitionConfig,
+    draws: &DrawTable,
     start: usize,
     arena: &mut StartArena,
     scope: Option<&Scope>,
 ) -> StartOutcome {
     let g = ig.graph();
+    let claim = draws.claim(start);
     let mut rng = SplitMix64::for_start(config.seed, start);
     // fhp-audit: allow(wallclock-in-fingerprint) — phase walls are diagnostics (PhaseStats), never part of fingerprints
     let lp_started = std::time::Instant::now();
@@ -819,16 +959,25 @@ fn evaluate_start(
     let endpoints = arena.endpoints.pick(g, &mut rng);
     drop(lp);
     let lp_ns = lp_started.elapsed().as_nanos() as u64;
+    let repeat_of = claim.publish(endpoints.map(|(u, v, _)| (u, v)));
+    let skipped = StartOutcome {
+        candidate: None,
+        repeat_of,
+        lp_ns,
+        dual_ns: 0,
+        cc_ns: 0,
+    };
     let Some((u, v, path_length)) = endpoints else {
-        return StartOutcome {
-            candidate: None,
-            lp_ns,
-            dual_ns: 0,
-            cc_ns: 0,
-        };
+        return skipped;
     };
     if let Some(s) = scope {
         s.counter(names::ALG1_PATH_LENGTH, u64::from(path_length));
+    }
+    if let Some(earlier) = repeat_of {
+        if let Some(s) = scope {
+            s.counter(names::ALG1_REPEAT_OF, earlier as u64);
+        }
+        return skipped;
     }
     let (mut dual_ns, mut cc_ns) = (0u64, 0u64);
     let mut best: Option<StartCandidate> = None;
@@ -855,10 +1004,13 @@ fn evaluate_start(
         );
         drop(cc);
         cc_ns += cc_started.elapsed().as_nanos() as u64;
+        let (cut_size, weighted_cut) = crate::metrics::cut_totals(h, &arena.work_bp);
         let candidate = StartCandidate {
-            score: config.objective.evaluate(h, &arena.work_bp),
+            score: config
+                .objective
+                .score(cut_size, weighted_cut, arena.work_bp.counts()),
             imbalance: crate::metrics::weight_imbalance(h, &arena.work_bp),
-            cut_size: crate::metrics::cut_size(h, &arena.work_bp),
+            cut_size,
             boundary_len: arena.dec.boundary_len(),
             num_placed: arena.dec.num_placed(),
             path_length,
@@ -890,6 +1042,7 @@ fn evaluate_start(
     }
     StartOutcome {
         candidate: best,
+        repeat_of: None,
         lp_ns,
         dual_ns,
         cc_ns,
@@ -1296,6 +1449,46 @@ mod tests {
         let out = Algorithm1::default().run(&b.build()).unwrap();
         assert!(out.stats.used_component_shortcut);
         assert_eq!(out.stats.phases, crate::PhaseStats::default());
+    }
+
+    #[test]
+    fn draw_table_waits_for_earlier_draws_and_survives_an_unwinding_start() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::time::Instant;
+        let table = DrawTable::new(4);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let (first, unwound, released, later) = std::thread::scope(|scope| {
+            // start 2 publishes first and must wait for starts 0 and 1
+            let later = scope.spawn(|| table.claim(2).publish(Some((1, 2))));
+            while table.lock()[2] == Draw::Pending && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let first = table.claim(0).publish(Some((1, 2)));
+            // start 1 unwinds before publishing: its claim publishes
+            // "no pair", so start 2's wait still ends
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                let _claim = table.claim(1);
+                panic!("draw failed");
+            }));
+            while !later.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let released = later.is_finished();
+            // if the claim did not publish, fill its slot here so that
+            // start 2 returns and the scope can join it
+            drop(table.store(1, Draw::NoPair));
+            (first, unwound.is_err(), released, later.join())
+        });
+        assert!(
+            released,
+            "start 1's dropped claim did not publish: start 2 still waited"
+        );
+        assert!(unwound);
+        assert_eq!(first, None);
+        assert_eq!(later.expect("start 2 returns"), Some(0));
+        // pairs are ordered: (2, 1) is a new path
+        assert_eq!(table.claim(3).publish(Some((2, 1))), None);
+        assert_eq!(table.distinct_pairs(), 2);
     }
 
     #[test]

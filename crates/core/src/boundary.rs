@@ -119,16 +119,14 @@ impl BoundaryDecomposition {
             "cut does not match intersection graph"
         );
 
-        // 1. Boundary set: any G-vertex with a cross neighbor.
+        // 1. Boundary set: any G-vertex with a cross neighbor, which the
+        //    sweep that made `cut` has already marked.
         self.gprime_of.clear();
         self.gprime_of.resize(g.num_vertices(), NOT_BOUNDARY);
         self.boundary.clear();
-        for v in g.vertices() {
-            let s = cut.side_of(v);
-            if g.neighbors(v).iter().any(|&u| cut.side_of(u) != s) {
-                self.gprime_of[v as usize] = u32::try_from(self.boundary.len()).expect("overflow"); // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
-                self.boundary.push(v);
-            }
+        for v in g.vertices().filter(|&v| cut.is_boundary(v)) {
+            self.gprime_of[v as usize] = u32::try_from(self.boundary.len()).expect("overflow"); // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
+            self.boundary.push(v);
         }
 
         // 2. Boundary graph: only edges that cross the G-cut (the paper

@@ -133,8 +133,8 @@ pub fn complete(
 #[derive(Clone, Debug, Default)]
 pub struct CompletionScratch {
     alive: Vec<bool>,
-    deg: Vec<usize>,
-    heap_buf: Vec<Reverse<(usize, u32)>>,
+    deg: Vec<u32>,
+    heap_buf: Vec<Reverse<(u32, u32)>>,
     completion: Completion,
 }
 
@@ -145,7 +145,8 @@ impl CompletionScratch {
     }
 
     /// A scratch pre-sized for boundary graphs of up to `n` vertices and
-    /// `m` edges (the lazy heap holds at most `n + 2m` entries).
+    /// `m` edges (the lazy heap holds at most `n + 2m` entries of 8 bytes:
+    /// a `u32` degree and a `u32` vertex id).
     pub fn with_capacity(n: usize, m: usize) -> Self {
         Self {
             alive: Vec::with_capacity(n),
@@ -220,7 +221,7 @@ pub fn complete_min_degree_into(gprime: &Graph, scratch: &mut CompletionScratch)
     winner.resize(n, false);
     let deg = &mut scratch.deg;
     deg.clear();
-    deg.extend((0..n as u32).map(|v| gprime.degree(v))); // fhp-audit: allow(as-cast-truncation) — n is a G-vertex count; ids are u32 by representation
+    deg.extend((0..n as u32).map(|v| degree_u32(gprime, v))); // fhp-audit: allow(as-cast-truncation) — n is a G-vertex count; ids are u32 by representation
     let mut buf = std::mem::take(&mut scratch.heap_buf);
     buf.clear();
     // fhp-audit: allow(as-cast-truncation) — n is a G-vertex count; ids are u32 by representation
@@ -254,6 +255,13 @@ pub fn complete_min_degree_into(gprime: &Graph, scratch: &mut CompletionScratch)
     scratch.heap_buf = heap.into_vec();
 }
 
+/// The degree of `v` as the completion heaps' `u32` key: a degree is below
+/// the vertex count, and G′ vertex ids are `u32` already.
+fn degree_u32(gprime: &Graph, v: u32) -> u32 {
+    // fhp-audit: allow(as-cast-truncation) — a degree is below the vertex count, which fits u32 by the id representation
+    gprime.degree(v) as u32
+}
+
 /// Exact minimum-loser completion: the losers are a minimum vertex cover of
 /// the bipartite `G′`, obtained by König's construction from a maximum
 /// matching.
@@ -282,11 +290,11 @@ pub fn complete_engineer(
     let n = gprime.num_vertices();
     let mut alive = vec![true; n];
     let mut winner = vec![false; n];
-    let mut deg: Vec<usize> = (0..n as u32).map(|v| gprime.degree(v)).collect(); // fhp-audit: allow(as-cast-truncation) — n is a G-vertex count; ids are u32 by representation
+    let mut deg: Vec<u32> = (0..n as u32).map(|v| degree_u32(gprime, v)).collect(); // fhp-audit: allow(as-cast-truncation) — n is a G-vertex count; ids are u32 by representation
     let mut placed: Vec<Option<Side>> = dec.partial().to_vec();
     let (mut wl, mut wr) = dec.placed_weights(h);
     let mut alive_count = [0usize; 2];
-    let mut heaps: [BinaryHeap<Reverse<(usize, u32)>>; 2] = [BinaryHeap::new(), BinaryHeap::new()];
+    let mut heaps: [BinaryHeap<Reverse<(u32, u32)>>; 2] = [BinaryHeap::new(), BinaryHeap::new()];
     // fhp-audit: allow(as-cast-truncation) — n is a G-vertex count; ids are u32 by representation
     for b in 0..n as u32 {
         let s = dec.side_of(b);

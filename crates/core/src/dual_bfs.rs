@@ -19,7 +19,8 @@ use rand::Rng;
 use crate::Side;
 
 /// A two-sided labelling of every vertex of a graph, produced by growing
-/// BFS fronts from two seed vertices.
+/// BFS fronts from two seed vertices, with the cut's boundary marked: the
+/// vertices that have a neighbour on the other side.
 ///
 /// # Examples
 ///
@@ -34,24 +35,42 @@ use crate::Side;
 /// assert_eq!(cut.side_of(4), Side::Right);
 /// assert_eq!(cut.side_of(1), Side::Left);
 /// assert_eq!(cut.side_of(3), Side::Right);
+/// assert!(cut.is_boundary(2) && cut.is_boundary(3));
+/// assert!(!cut.is_boundary(1));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GraphCut {
-    side_of: Vec<Side>,
+    /// One byte per vertex: its side in [`SIDE`], plus [`BOUNDARY`] if it
+    /// has a neighbour on the other side.
+    labels: Vec<u8>,
     left_seed: u32,
     right_seed: u32,
 }
+
+/// Label bit holding a vertex's side (clear = left, set = right).
+const SIDE: u8 = 0b01;
+/// Label bit marking a vertex with a neighbour on the other side.
+const BOUNDARY: u8 = 0b10;
+/// Label of a vertex no front has claimed yet (sweep-internal).
+const UNCLAIMED: u8 = u8::MAX;
 
 impl GraphCut {
     /// The side each graph vertex landed on.
     #[inline]
     pub fn side_of(&self, v: u32) -> Side {
-        self.side_of[v as usize] // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+        // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+        if self.labels[v as usize] & SIDE == 0 {
+            Side::Left
+        } else {
+            Side::Right
+        }
     }
 
-    /// The per-vertex side slice.
-    pub fn sides(&self) -> &[Side] {
-        &self.side_of
+    /// True if `v` has a neighbour on the other side — `v` is in the
+    /// cut's boundary set.
+    #[inline]
+    pub fn is_boundary(&self, v: u32) -> bool {
+        self.labels[v as usize] & BOUNDARY != 0 // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
     }
 
     /// The left front's seed vertex.
@@ -66,12 +85,12 @@ impl GraphCut {
 
     /// Number of vertices labelled.
     pub fn len(&self) -> usize {
-        self.side_of.len()
+        self.labels.len()
     }
 
     /// True for the zero-vertex graph.
     pub fn is_empty(&self) -> bool {
-        self.side_of.is_empty()
+        self.labels.is_empty()
     }
 }
 
@@ -146,7 +165,6 @@ pub fn two_front_bfs_with_policy(g: &Graph, u: u32, v: u32, policy: FrontPolicy)
 /// abandoned mid-sweep (e.g. by a contained panic) self-heals on reuse.
 #[derive(Clone, Debug, Default)]
 pub struct TwoFrontScratch {
-    owner: Vec<u8>,
     fronts: [Vec<u32>; 2],
     next: Vec<u32>,
     stack: Vec<u32>,
@@ -162,12 +180,11 @@ impl TwoFrontScratch {
     /// A scratch pre-sized for graphs of up to `n` vertices.
     pub fn with_capacity(n: usize) -> Self {
         Self {
-            owner: Vec::with_capacity(n),
             fronts: [Vec::with_capacity(n), Vec::with_capacity(n)],
             next: Vec::with_capacity(n),
             stack: Vec::with_capacity(n),
             cut: GraphCut {
-                side_of: Vec::with_capacity(n),
+                labels: Vec::with_capacity(n),
                 left_seed: 0,
                 right_seed: 0,
             },
@@ -183,6 +200,13 @@ impl TwoFrontScratch {
     /// result with [`cut`](Self::cut). Identical output to
     /// [`two_front_bfs_with_policy`] (which delegates here).
     ///
+    /// The sweep marks the boundary as it goes: a front that expands `w`
+    /// and meets a neighbour the other front owns marks `w`. Every claimed
+    /// vertex is expanded once, after which all its neighbours are claimed
+    /// for good, so every cut edge is met from both of its ends; the
+    /// components neither seed reaches go to one side whole and hold no
+    /// boundary vertex.
+    ///
     /// # Panics
     ///
     /// Panics if `u == v` or either is out of range.
@@ -191,8 +215,7 @@ impl TwoFrontScratch {
         let n = g.num_vertices();
         assert!((u as usize) < n && (v as usize) < n, "seed out of range");
 
-        const UNCLAIMED: u8 = u8::MAX;
-        let owner = &mut self.owner;
+        let owner = &mut self.cut.labels;
         owner.clear();
         owner.resize(n, UNCLAIMED);
         owner[u as usize] = 0; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
@@ -233,19 +256,24 @@ impl TwoFrontScratch {
                 if fronts[side].is_empty() {
                     continue;
                 }
+                // fhp-audit: allow(as-cast-truncation) — a side index is 0 or 1
+                let mine = side as u8;
                 next.clear();
                 // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
                 for &w in &fronts[side] {
+                    let mut meets_other = false;
                     for &x in g.neighbors(w) {
-                        // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                        if owner[x as usize] == UNCLAIMED {
-                            // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                            // fhp-audit: allow(as-cast-truncation) — vertex count fits u32 by the VertexId representation
-                            // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                            owner[x as usize] = side as u8;
+                        let o = owner[x as usize]; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+                        if o == UNCLAIMED {
+                            owner[x as usize] = mine; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
                             claimed[side] += 1; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
                             next.push(x);
+                        } else if o & SIDE != mine {
+                            meets_other = true;
                         }
+                    }
+                    if meets_other {
+                        owner[w as usize] |= BOUNDARY; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
                     }
                 }
                 std::mem::swap(&mut fronts[side], next); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
@@ -259,12 +287,6 @@ impl TwoFrontScratch {
 
         // Components reached by neither seed: assign whole components to the
         // currently smaller side.
-        let mut counts = [0usize; 2];
-        for &o in owner.iter() {
-            if o != UNCLAIMED {
-                counts[o as usize] += 1; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-            }
-        }
         let stack = &mut self.stack;
         stack.clear();
         // fhp-audit: allow(as-cast-truncation) — vertex count fits u32 by the VertexId representation
@@ -274,9 +296,9 @@ impl TwoFrontScratch {
             if owner[s as usize] != UNCLAIMED {
                 continue;
             }
-            let side = if counts[0] <= counts[1] { 0u8 } else { 1u8 }; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+            let side = if claimed[0] <= claimed[1] { 0u8 } else { 1u8 }; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
             owner[s as usize] = side; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-            counts[side as usize] += 1; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+            claimed[side as usize] += 1; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
             stack.push(s);
             while let Some(w) = stack.pop() {
                 for &x in g.neighbors(w) {
@@ -284,19 +306,12 @@ impl TwoFrontScratch {
                     if owner[x as usize] == UNCLAIMED {
                         // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
                         owner[x as usize] = side; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                        counts[side as usize] += 1; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+                        claimed[side as usize] += 1; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
                         stack.push(x);
                     }
                 }
             }
         }
-
-        self.cut.side_of.clear();
-        self.cut.side_of.extend(
-            owner
-                .iter()
-                .map(|&o| if o == 0 { Side::Left } else { Side::Right }),
-        );
         self.cut.left_seed = u;
         self.cut.right_seed = v;
     }
@@ -550,9 +565,45 @@ mod tests {
             for (g, u, v) in [(&g1, 0u32, 9u32), (&g2, 0, 1), (&g1, 0, 3)] {
                 scratch.run(g, u, v, policy);
                 let fresh = two_front_bfs_with_policy(g, u, v, policy);
-                assert_eq!(scratch.cut().sides(), fresh.sides(), "{policy:?}");
-                assert_eq!(scratch.cut().left_seed(), fresh.left_seed());
-                assert_eq!(scratch.cut().right_seed(), fresh.right_seed());
+                assert_eq!(scratch.cut(), &fresh, "{policy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_marks_are_exactly_the_vertices_with_a_cross_neighbour() {
+        // a 6-cycle with a chord, seeded at opposite ends, plus a triangle
+        // and an isolated vertex that neither seed reaches
+        let g = Graph::from_edges(
+            10,
+            [
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 0),
+                (1, 4),
+                (6, 7),
+                (7, 8),
+                (8, 6),
+            ],
+        );
+        for policy in [FrontPolicy::SmallerFirst, FrontPolicy::Alternate] {
+            for (u, v) in [(0, 3), (3, 0), (1, 2), (2, 5)] {
+                let cut = two_front_bfs_with_policy(&g, u, v, policy);
+                for w in g.vertices() {
+                    let crosses = g
+                        .neighbors(w)
+                        .iter()
+                        .any(|&x| cut.side_of(x) != cut.side_of(w));
+                    assert_eq!(
+                        cut.is_boundary(w),
+                        crosses,
+                        "{policy:?} ({u}, {v}) vertex {w}"
+                    );
+                }
+                assert!((6..10).all(|w| !cut.is_boundary(w)));
             }
         }
     }

@@ -16,12 +16,16 @@ use crate::Bipartition;
 /// Wall-clock time (and dualization counters) per pipeline phase of one
 /// [`Algorithm1::run`](crate::Algorithm1::run) call.
 ///
-/// Dualization happens once per run; the three downstream phases run once
-/// per start per sweep, and their durations here are **summed across every
-/// start** — so on a multi-thread run the BFS/Complete-Cut totals can
-/// exceed the run's wall-clock time. Timing is diagnostics only: it is
-/// excluded from [`OutcomeFingerprint`](crate::OutcomeFingerprint), and no
-/// decision in the pipeline reads a clock.
+/// Dualization happens once per run and the longest-path draw once per
+/// start. The dual-front and Complete-Cut phases run once per sweep of
+/// each *distinct* path: a start that draws an earlier start's endpoint
+/// pair skips them
+/// ([`RunStats::distinct_paths`](crate::RunStats::distinct_paths)). The
+/// durations here are **summed across every start** — so on a
+/// multi-thread run the BFS/Complete-Cut totals can exceed the run's
+/// wall-clock time. Timing is diagnostics only: it is excluded from
+/// [`OutcomeFingerprint`](crate::OutcomeFingerprint), and no decision in
+/// the pipeline reads a clock.
 ///
 /// Each start measures its phase walls as plain scalars (span recording
 /// allocates), and the run's reduction folds them in via
@@ -50,10 +54,10 @@ pub struct PhaseStats {
     /// Total time drawing random longest BFS paths, across all starts.
     pub longest_path_bfs: Duration,
     /// Total time growing the dual BFS fronts and reading off boundary
-    /// decompositions, across all starts and sweeps.
+    /// decompositions, across all sweeps of every distinct path.
     pub dual_front_bfs: Duration,
     /// Total time running Complete-Cut and assembling final partitions,
-    /// across all starts and sweeps.
+    /// across all sweeps of every distinct path.
     pub complete_cut: Duration,
 }
 
@@ -107,6 +111,16 @@ pub fn weighted_cut(h: &Hypergraph, bp: &Bipartition) -> u64 {
         .filter(|&e| edge_crosses(h, bp, e))
         .map(|e| h.edge_weight(e))
         .sum()
+}
+
+/// The cut size and the weighted cut together, from one pass over the
+/// pins: `(cut_size(h, bp), weighted_cut(h, bp))`.
+pub fn cut_totals(h: &Hypergraph, bp: &Bipartition) -> (usize, u64) {
+    h.edges()
+        .filter(|&e| edge_crosses(h, bp, e))
+        .fold((0, 0), |(cut, weighted), e| {
+            (cut + 1, weighted + h.edge_weight(e))
+        })
 }
 
 /// The crossing hyperedges themselves, ascending.
@@ -210,17 +224,28 @@ pub enum Objective {
 }
 
 impl Objective {
-    /// Evaluates the objective (lower is better). Invalid cuts (an empty
-    /// side) score `f64::INFINITY` under every objective.
+    /// Evaluates the objective (lower is better): one pass over the pins
+    /// ([`cut_totals`]), scored by [`score`](Self::score). Invalid cuts
+    /// (an empty side) score `f64::INFINITY` under every objective.
     pub fn evaluate(self, h: &Hypergraph, bp: &Bipartition) -> f64 {
-        if !bp.is_valid_cut() {
+        let (cut, weighted) = cut_totals(h, bp);
+        self.score(cut, weighted, bp.counts())
+    }
+
+    /// The objective's value for a bipartition with `counts` vertices per
+    /// side, `cut_size` crossing hyperedges and a crossing weight of
+    /// `weighted_cut` ([`cut_totals`]), without another pass over the pins.
+    /// `f64::INFINITY` when a side is empty.
+    pub fn score(self, cut_size: usize, weighted_cut: u64, counts: (usize, usize)) -> f64 {
+        let (l, r) = counts;
+        if l == 0 || r == 0 {
             return f64::INFINITY;
         }
         match self {
-            Objective::CutSize => cut_size(h, bp) as f64,
-            Objective::WeightedCut => weighted_cut(h, bp) as f64,
-            Objective::QuotientCut => quotient_cut(h, bp),
-            Objective::RatioCut => ratio_cut(h, bp),
+            Objective::CutSize => cut_size as f64,
+            Objective::WeightedCut => weighted_cut as f64,
+            Objective::QuotientCut => cut_size as f64 / l.min(r) as f64,
+            Objective::RatioCut => cut_size as f64 / (l as f64 * r as f64),
         }
     }
 }
@@ -325,6 +350,44 @@ mod tests {
             .evaluate(&h, &Bipartition::all_left(6))
             .is_infinite());
         assert_eq!(Objective::default(), Objective::CutSize);
+    }
+
+    #[test]
+    fn score_from_counts_matches_the_free_metrics_for_every_objective() {
+        let h = bridged();
+        let mut cuts = vec![half_split(), Bipartition::all_left(6)];
+        for mask in [0b000001u32, 0b010110, 0b101010, 0b111110, 0b111111] {
+            cuts.push(Bipartition::from_fn(6, |v| {
+                if mask >> v.index() & 1 == 1 {
+                    Side::Right
+                } else {
+                    Side::Left
+                }
+            }));
+        }
+        for bp in &cuts {
+            let (cut, weighted) = cut_totals(&h, bp);
+            assert_eq!((cut, weighted), (cut_size(&h, bp), weighted_cut(&h, bp)));
+            for (objective, expected) in [
+                (Objective::CutSize, cut_size(&h, bp) as f64),
+                (Objective::WeightedCut, weighted_cut(&h, bp) as f64),
+                (Objective::QuotientCut, quotient_cut(&h, bp)),
+                (Objective::RatioCut, ratio_cut(&h, bp)),
+            ] {
+                // an empty side scores INFINITY under every objective
+                let expected = if bp.is_valid_cut() {
+                    expected
+                } else {
+                    f64::INFINITY
+                };
+                let derived = objective.score(cut, weighted, bp.counts());
+                assert_eq!(
+                    derived.to_bits(),
+                    expected.to_bits(),
+                    "{objective:?} on {bp}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! modulo the explicitly volatile fields (`start_ns`, `dur_ns`, `thread`) —
 //! for every worker-thread count.
 
-use fhp_core::runner::run_starts_arena;
-use fhp_core::{Algorithm1, PartitionConfig};
-use fhp_hypergraph::{HypergraphBuilder, VertexId};
-use fhp_obs::{canonical_line, names, order, Collector};
+use fhp_core::dual_bfs::EndpointScratch;
+use fhp_core::runner::{run_starts_arena, SplitMix64};
+use fhp_core::{Algorithm1, PartitionConfig, PartitionOutcome};
+use fhp_hypergraph::{Hypergraph, HypergraphBuilder, IntersectionGraph, VertexId};
+use fhp_obs::{canonical_line, names, order, Collector, Event};
 
 /// A ~60-module, 90-signal pseudo-random netlist (tiny LCG, fixed seed) —
 /// big enough that the multi-start engine genuinely interleaves workers.
-fn instance() -> fhp_hypergraph::Hypergraph {
+fn instance() -> Hypergraph {
     let mut b = HypergraphBuilder::with_vertices(60);
     let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut next = move |bound: usize| {
@@ -33,49 +34,138 @@ fn instance() -> fhp_hypergraph::Hypergraph {
     b.build()
 }
 
-fn canonical_trace(threads: usize) -> Vec<String> {
+/// A chain of 40 modules joined by 2-pin signals: `G` is a path, so every
+/// longest-path draw lands on its two ends and at most two ordered pairs
+/// are distinct — nearly every start repeats an earlier one.
+fn chain() -> Hypergraph {
+    let mut b = HypergraphBuilder::with_vertices(40);
+    for i in 0..39 {
+        b.add_edge([VertexId::new(i), VertexId::new(i + 1)])
+            .expect("valid pins");
+    }
+    b.build()
+}
+
+const STARTS: usize = 16;
+const SEED: u64 = 3;
+
+fn traced_run(h: &Hypergraph, threads: usize) -> (PartitionOutcome, Vec<Event>) {
     let collector = Collector::enabled();
-    let out = Algorithm1::new(PartitionConfig::new().starts(16).seed(3).threads(threads))
-        .collector(collector.clone())
-        .run(&instance())
-        .expect("valid instance");
+    let out = Algorithm1::new(
+        PartitionConfig::new()
+            .starts(STARTS)
+            .seed(SEED)
+            .threads(threads),
+    )
+    .collector(collector.clone())
+    .run(h)
+    .expect("valid instance");
     // anchor: the run itself is thread-count invariant
     assert!(out.report.cut_size > 0);
-    collector.snapshot().iter().map(canonical_line).collect()
+    (out, collector.snapshot())
+}
+
+fn canonical_trace(h: &Hypergraph, threads: usize) -> Vec<String> {
+    traced_run(h, threads)
+        .1
+        .iter()
+        .map(canonical_line)
+        .collect()
+}
+
+/// Draws every start's endpoint pair from its own stream, the way the
+/// engine does, and returns for each start that found endpoints the first
+/// earlier start that drew the same ordered pair (`None` for a new pair).
+fn expected_repeats(h: &Hypergraph) -> Vec<Option<Option<usize>>> {
+    let ig = IntersectionGraph::build(h);
+    let mut scratch = EndpointScratch::new();
+    let pairs: Vec<Option<(u32, u32)>> = (0..STARTS)
+        .map(|i| {
+            let mut rng = SplitMix64::for_start(SEED, i);
+            scratch.pick(ig.graph(), &mut rng).map(|(u, v, _)| (u, v))
+        })
+        .collect();
+    pairs
+        .iter()
+        .enumerate()
+        .map(|(i, p)| p.map(|_| pairs[..i].iter().position(|q| q == p)))
+        .collect()
 }
 
 #[test]
 fn algorithm1_trace_is_identical_across_thread_counts() {
-    let one = canonical_trace(1);
-    assert!(!one.is_empty());
-    assert_eq!(one, canonical_trace(2), "threads=2 diverged from threads=1");
-    assert_eq!(one, canonical_trace(8), "threads=8 diverged from threads=1");
+    for h in [instance(), chain()] {
+        let one = canonical_trace(&h, 1);
+        assert!(!one.is_empty());
+        assert_eq!(
+            one,
+            canonical_trace(&h, 2),
+            "threads=2 diverged from threads=1"
+        );
+        assert_eq!(
+            one,
+            canonical_trace(&h, 8),
+            "threads=8 diverged from threads=1"
+        );
+    }
 }
 
 #[test]
-fn trace_contains_all_four_phases_per_start() {
-    let lines = canonical_trace(4);
-    let count = |needle: &str| {
-        lines
+fn trace_sweeps_each_distinct_path_once() {
+    for (h, name) in [(instance(), "netlist"), (chain(), "chain")] {
+        let (out, events) = traced_run(&h, 4);
+        let count = |needle: &str| events.iter().filter(|e| e.name == needle).count();
+        let expected = expected_repeats(&h);
+        let distinct = expected.iter().filter(|r| **r == Some(None)).count();
+        assert_eq!(out.stats.distinct_paths, distinct, "{name}");
+        assert_eq!(count(names::RUNNER_START), STARTS, "{name}");
+        assert_eq!(count(names::ALG1_LONGEST_PATH), STARTS, "{name}");
+        // the default front policy sweeps twice per distinct path
+        assert_eq!(count(names::ALG1_DUAL_FRONT), 2 * distinct, "{name}");
+        assert_eq!(count(names::ALG1_COMPLETE_CUT), 2 * distinct, "{name}");
+        // one `alg1.repeat_of` counter per start with endpoints that drew
+        // an earlier pair, naming the first start that drew it
+        let repeats: Vec<(u32, u64)> = events
             .iter()
-            .filter(|l| l.contains(&format!("\"name\":\"{needle}\"")))
-            .count()
-    };
-    assert_eq!(count(names::RUNNER_START), 16);
-    assert_eq!(count(names::ALG1_LONGEST_PATH), 16);
-    assert!(count(names::ALG1_DUAL_FRONT) >= 16);
-    assert!(count(names::ALG1_COMPLETE_CUT) >= 16);
-    assert_eq!(count(names::DUALIZE), 1);
-    assert_eq!(count(names::ALG1_CUT_HIST), 1);
-    // dualize events come before every start, summary after
-    let pos = |needle: &str| {
-        lines
+            .filter(|e| e.name == names::ALG1_REPEAT_OF)
+            .map(|e| {
+                (
+                    e.start_index.expect("a start scope"),
+                    e.counter_value().expect("a counter"),
+                )
+            })
+            .collect();
+        let want: Vec<(u32, u64)> = expected
             .iter()
-            .position(|l| l.contains(&format!("\"name\":\"{needle}\"")))
-            .unwrap_or_else(|| panic!("missing {needle}"))
-    };
-    assert!(pos(names::DUALIZE) < pos(names::RUNNER_START));
-    assert!(pos(names::ALG1_CUT_HIST) > lines.len() - 8);
+            .enumerate()
+            .filter_map(|(i, r)| r.flatten().map(|j| (i as u32, j as u64)))
+            .collect();
+        assert_eq!(repeats, want, "{name}");
+        // a repeat takes the earlier start's cut
+        for &(i, j) in &repeats {
+            assert_eq!(
+                out.stats.per_start[i as usize].cut_size, out.stats.per_start[j as usize].cut_size,
+                "{name}"
+            );
+        }
+        assert_eq!(count(names::DUALIZE), 1, "{name}");
+        assert_eq!(count(names::ALG1_CUT_HIST), 1, "{name}");
+        // dualize events come before every start, summary after
+        let pos = |needle: &str| {
+            events
+                .iter()
+                .position(|e| e.name == needle)
+                .unwrap_or_else(|| panic!("missing {needle}"))
+        };
+        assert!(pos(names::DUALIZE) < pos(names::RUNNER_START), "{name}");
+        assert!(pos(names::ALG1_CUT_HIST) > events.len() - 8, "{name}");
+    }
+    // the chain's draws do repeat: at most its two ordered end pairs sweep
+    let chain_distinct = expected_repeats(&chain())
+        .iter()
+        .filter(|r| **r == Some(None))
+        .count();
+    assert!((1..=2).contains(&chain_distinct), "{chain_distinct}");
 }
 
 #[test]

@@ -144,6 +144,9 @@ pub mod names {
     pub const ALG1_PATH_LENGTH: &str = "alg1.path_length";
     /// Counter: best cut size a start achieved.
     pub const ALG1_START_CUT: &str = "alg1.start_cut_size";
+    /// Counter: the earlier start whose endpoint pair a start drew again;
+    /// recorded in place of the start's sweep spans, which it skips.
+    pub const ALG1_REPEAT_OF: &str = "alg1.repeat_of";
     /// Counter: number of starts attempted.
     pub const ALG1_STARTS: &str = "alg1.starts";
     /// Counter: index of the winning start.

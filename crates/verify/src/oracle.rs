@@ -95,10 +95,11 @@ pub fn check_instance(
     counts: &mut OracleCounts,
 ) -> CheckOutcome {
     let mut outcome = CheckOutcome::default();
-    let oracles: [(&'static str, OracleFn); 10] = [
+    let oracles: [(&'static str, OracleFn); 11] = [
         ("differential", oracle_differential),
         ("pipeline_stages", oracle_pipeline_stages),
         ("thread_invariance", oracle_thread_invariance),
+        ("repeated_paths", oracle_repeated_paths),
         ("dualize_kernel", oracle_dualize_kernel),
         ("streaming_dualize", oracle_streaming_dualize),
         ("move_state", oracle_move_state),
@@ -596,6 +597,62 @@ fn oracle_thread_invariance(ctx: &Ctx<'_>) -> Result<u64, Violation> {
         for (t, fp) in it {
             checks += ctx.ensure(fp == first, || {
                 format!("fingerprint at {t} threads differs from {t0} threads")
+            })?;
+        }
+    }
+    Ok(checks)
+}
+
+/// Starts of the multi-start run the `repeated_paths` oracle checks.
+const REPEATED_PATHS_STARTS: usize = 6;
+
+/// Path reuse: a start that draws an earlier start's longest path takes
+/// that start's cut instead of sweeping. Start `i` of a run seeded with
+/// `seed` draws from `SplitMix64::for_start(seed, i)`, which is the stream
+/// of the only start of a 1-start run seeded with `seed ^ i` — a run with
+/// no earlier start to reuse. So at 1, 2 and 8 workers every start's cut
+/// must equal its own 1-start run's, and the winner's partition must equal
+/// the partition of the winner's 1-start run.
+fn oracle_repeated_paths(ctx: &Ctx<'_>) -> Result<u64, Violation> {
+    let h = ctx.h;
+    let mut alone = Vec::with_capacity(REPEATED_PATHS_STARTS);
+    for i in 0..REPEATED_PATHS_STARTS {
+        let config = PartitionConfig::new().starts(1).seed(ctx.seed ^ i as u64);
+        match Algorithm1::new(config).run(h) {
+            Ok(out) => alone.push(out),
+            Err(e) if is_benign(&e) => return Ok(0),
+            Err(e) => return Err(ctx.fail(format!("1-start run of start {i} failed: {e}"))),
+        }
+    }
+    let mut checks = 0;
+    for threads in INVARIANCE_THREADS {
+        let config = PartitionConfig::new()
+            .starts(REPEATED_PATHS_STARTS)
+            .seed(ctx.seed)
+            .threads(threads);
+        let out = match Algorithm1::new(config).run(h) {
+            Ok(out) => out,
+            Err(e) if is_benign(&e) => return Ok(0),
+            Err(e) => return Err(ctx.fail(format!("alg1 at {threads} threads failed: {e}"))),
+        };
+        for (i, single) in alone.iter().enumerate() {
+            let got = out.stats.per_start.get(i).and_then(|s| s.cut_size);
+            let want = single.stats.per_start.first().and_then(|s| s.cut_size);
+            checks += ctx.ensure(got == want, || {
+                format!(
+                    "start {i} at {threads} threads cut {got:?}, \
+                     its own 1-start run (seed {}) cut {want:?}",
+                    ctx.seed ^ i as u64
+                )
+            })?;
+        }
+        if let Some(chosen) = out.stats.chosen_start {
+            let own = alone.get(chosen).map(|single| &single.bipartition);
+            checks += ctx.ensure(own == Some(&out.bipartition), || {
+                format!(
+                    "winning start {chosen} at {threads} threads returned a partition \
+                     its own 1-start run does not"
+                )
             })?;
         }
     }
@@ -1450,6 +1507,7 @@ mod tests {
             "differential",
             "pipeline_stages",
             "thread_invariance",
+            "repeated_paths",
             "dualize_kernel",
             "streaming_dualize",
             "move_state",
