@@ -41,6 +41,12 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 /// rounding. Enforced at `partition` load and on `add_net` edits.
 const MAX_TOTAL_NET_WEIGHT: u64 = (1 << 53) - 1;
 
+/// Cap on the multi-start count, for `partition` requests and for
+/// `--starts`. A run sizes its per-start tables by the count, so an
+/// uncapped request could ask the allocator for terabytes and abort the
+/// process; the paper runs 50 starts and serve defaults to 8.
+const MAX_STARTS: usize = 4096;
+
 struct ServeOptions {
     tcp: Option<String>,
     threads: usize,
@@ -97,7 +103,9 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
             "-s" | "--starts" => {
                 opts.starts = value(args, &mut i, "--starts")?
                     .parse()
-                    .map_err(|_| "starts must be a positive integer".to_string())?
+                    .ok()
+                    .filter(|s| (1..=MAX_STARTS).contains(s))
+                    .ok_or_else(|| format!("starts must be an integer in 1..={MAX_STARTS}"))?
             }
             "--damage-permille" => {
                 opts.damage_permille = value(args, &mut i, "--damage-permille")?
@@ -307,9 +315,12 @@ fn handle_partition(
         })?;
     let seed = get_u64_or(v, "seed", state.seed)?;
     let starts =
-        usize::try_from(get_u64_or(v, "starts", state.starts as u64)?).unwrap_or(state.starts);
+        usize::try_from(get_u64_or(v, "starts", state.starts as u64)?).unwrap_or(usize::MAX);
     if starts == 0 {
         return Err("starts must be at least 1".to_string());
+    }
+    if starts > MAX_STARTS {
+        return Err(format!("starts exceeds the serving cap ({MAX_STARTS})"));
     }
     let mut b = HypergraphBuilder::new();
     for &w in &weights {
@@ -936,7 +947,8 @@ fn serve_usage() -> &'static str {
      \x20     --threads <N>     engine worker threads (0 = auto; replies are\n\
      \x20                       identical for every value)\n\
      \x20     --seed <S>        default RNG seed for `partition` requests\n\
-     \x20 -s, --starts <N>      default multi-start count (default 8)\n\
+     \x20 -s, --starts <N>      default multi-start count (default 8, at\n\
+     \x20                       most 4096)\n\
      \x20     --damage-permille <P>  full-recompute threshold in permille of\n\
      \x20                       live modules (default 250)\n\
      \x20     --metrics <FILE>  write the canonical gauge snapshot at shutdown\n\
@@ -1096,6 +1108,22 @@ mod tests {
             &mut st,
             "{\"id\":5,\"verb\":\"edit\",\"op\":\"add_net\",\"pins\":[0,2],\"weight\":2}",
         );
+    }
+
+    #[test]
+    fn starts_are_capped_for_requests_and_the_flag() {
+        let mut st = state();
+        let partition = |starts: usize| {
+            format!("{{\"id\":1,\"verb\":\"partition\",\"modules\":4,\"nets\":[[0,1],[1,2],[2,3]],\"starts\":{starts}}}")
+        };
+        let (reply, _) = dispatch(&mut st, &partition(MAX_STARTS + 1));
+        assert!(reply.contains("serving cap"), "reply: {reply}");
+        dispatch_ok(&mut st, &partition(MAX_STARTS));
+        let flag = |starts: usize| parse_serve_args(&["--starts".to_string(), starts.to_string()]);
+        assert_eq!(flag(MAX_STARTS).map(|o| o.starts), Ok(MAX_STARTS));
+        for bad in [0, MAX_STARTS + 1] {
+            assert!(flag(bad).is_err(), "--starts {bad} was accepted");
+        }
     }
 
     #[test]

@@ -121,6 +121,11 @@ fn lying_shapes_and_unknown_verbs_get_typed_errors() {
             r#"{"id":1,"verb":"partition","modules":2.5,"nets":[]}"#,
             "bad_request",
         ),
+        // A start count a run would size its tables by: over the cap.
+        (
+            r#"{"id":1,"verb":"partition","modules":4,"nets":[[0,1],[1,2],[2,3]],"starts":1000000000000}"#,
+            "bad_request",
+        ),
         (r#"{"id":1,"verb":"edit"}"#, "bad_request"),
         (r#"{"id":1,"verb":"edit","op":"explode"}"#, "bad_request"),
         (r#"{"id":1,"verb":"edit","op":"add_net"}"#, "bad_request"),

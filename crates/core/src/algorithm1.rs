@@ -14,6 +14,9 @@
 //!    modules to their side;
 //! 6. place any remaining modules on the lighter side.
 //!
+//! Steps 5–6 are one call, [`CompletionScratch::complete_into`], for every
+//! [`CompletionStrategy`].
+//!
 //! Total cost is `O(n²)` in the number of signals `n`, dominated by the
 //! intersection-graph construction and the BFS sweeps. A run costs two
 //! BFSs per start, to draw its longest path, plus the sweeps of steps 3–5
@@ -33,9 +36,7 @@ use fhp_hypergraph::{Dualizer, Hypergraph, IntersectionGraph, VertexId};
 use fhp_obs::{names, order, Collector, Gauge, Histogram, Progress, Scope};
 
 use crate::boundary::BoundaryDecomposition;
-use crate::complete_cut::{
-    complete_into, place_winner_pins, CompletionScratch, CompletionStrategy,
-};
+use crate::complete_cut::{CompletionScratch, CompletionStrategy};
 use crate::dual_bfs::{EndpointScratch, FrontPolicy, TwoFrontScratch};
 use crate::metrics::{CutReport, Objective, PhaseStats};
 use crate::multilevel::{MultilevelConfig, MultilevelStats};
@@ -196,21 +197,6 @@ impl PartitionConfig {
     /// The configured multilevel mode, if enabled.
     pub fn multilevel_value(&self) -> Option<MultilevelConfig> {
         self.multilevel
-    }
-
-    /// Whether a dualizer pair cap is admitted.
-    pub fn streaming_dualize_value(&self) -> bool {
-        self.streaming_dualize
-    }
-
-    /// The configured dualizer pair-buffer cap.
-    pub fn pair_cap_value(&self) -> Option<usize> {
-        self.pair_cap
-    }
-
-    /// The configured front policy.
-    pub fn front_policy_value(&self) -> FrontPolicy {
-        self.front_policy
     }
 
     /// The configured number of starts.
@@ -563,7 +549,7 @@ impl Algorithm1 {
             self.config.starts,
             workers,
             &self.collector,
-            || StartArena::for_instance(h, &ig),
+            || StartArena::for_instance(h, &ig, config.completion),
             |start, arena, scope| {
                 let outcome = evaluate_start(h, &ig, &config, &draws, start, arena, scope);
                 if let Some(p) = progress {
@@ -885,12 +871,8 @@ struct StartArena {
     fronts: TwoFrontScratch,
     /// Boundary set / boundary graph / partial-assignment workspace.
     dec: BoundaryDecomposition,
-    /// Complete-Cut workspace and its resulting winner set.
+    /// Complete-Cut workspace: the winner set and the assembly buffers.
     completion: CompletionScratch,
-    /// Per-module side assignment being assembled for the current sweep.
-    placed: Vec<Option<Side>>,
-    /// Modules left unplaced after winners commit, for the LPT sweep.
-    leftovers: Vec<VertexId>,
     /// The current sweep's assembled partition.
     work_bp: Bipartition,
     /// Best partition among the current start's sweeps.
@@ -904,19 +886,18 @@ struct StartArena {
 }
 
 impl StartArena {
-    /// An arena pre-sized for hypergraph `h` and its intersection graph:
-    /// every buffer gets the instance's worst-case capacity up front, so
-    /// no start — first or later — grows it mid-pipeline.
-    fn for_instance(h: &Hypergraph, ig: &IntersectionGraph) -> Self {
+    /// An arena pre-sized for hypergraph `h`, its intersection graph and
+    /// the configured completion `strategy`: every buffer gets the
+    /// instance's worst-case capacity up front, so no start — first or
+    /// later — grows it mid-pipeline.
+    fn for_instance(h: &Hypergraph, ig: &IntersectionGraph, strategy: CompletionStrategy) -> Self {
         let g = ig.graph();
         let (n, g_n, g_m) = (h.num_vertices(), g.num_vertices(), g.num_edges());
         Self {
             endpoints: EndpointScratch::with_capacity(g_n),
             fronts: TwoFrontScratch::with_capacity(g_n),
             dec: BoundaryDecomposition::with_capacity(n, g_n, g_m),
-            completion: CompletionScratch::with_capacity(g_n, g_m),
-            placed: Vec::with_capacity(n),
-            leftovers: Vec::with_capacity(n),
+            completion: CompletionScratch::with_capacity(strategy, n, g_n, g_m),
             work_bp: Bipartition::all_left(n),
             sweep_best_bp: Bipartition::all_left(n),
             best_bp: Bipartition::all_left(n),
@@ -992,16 +973,9 @@ fn evaluate_start(
         // fhp-audit: allow(wallclock-in-fingerprint) — phase walls are diagnostics (PhaseStats), never part of fingerprints
         let cc_started = std::time::Instant::now();
         let cc = scope.map(|s| s.span(names::ALG1_COMPLETE_CUT));
-        complete_into(config.completion, h, ig, &arena.dec, &mut arena.completion);
-        assemble_into(
-            h,
-            ig,
-            &arena.dec,
-            arena.completion.completion(),
-            &mut arena.placed,
-            &mut arena.leftovers,
-            &mut arena.work_bp,
-        );
+        arena
+            .completion
+            .complete_into(config.completion, h, ig, &arena.dec, &mut arena.work_bp);
         drop(cc);
         cc_ns += cc_started.elapsed().as_nanos() as u64;
         let (cut_size, weighted_cut) = crate::metrics::cut_totals(h, &arena.work_bp);
@@ -1059,64 +1033,6 @@ impl Bipartitioner for Algorithm1 {
     }
 }
 
-/// Assembles the final hypergraph bipartition from the partial assignment,
-/// the winners, and a lighter-side sweep for the leftovers, into `out`.
-/// All three buffers are overwritten on entry; once warm they are not
-/// grown (the hot loop's zero-allocation contract).
-fn assemble_into(
-    h: &Hypergraph,
-    ig: &IntersectionGraph,
-    dec: &BoundaryDecomposition,
-    completion: &crate::complete_cut::Completion,
-    placed: &mut Vec<Option<Side>>,
-    leftovers: &mut Vec<VertexId>,
-    out: &mut Bipartition,
-) {
-    placed.clear();
-    placed.extend_from_slice(dec.partial());
-    place_winner_pins(h, ig, dec, completion, placed);
-
-    // Leftovers: modules touched only by losers or filtered-out large
-    // signals (or isolated). Biggest first onto the lighter side keeps the
-    // weights near-equal (LPT rule).
-    let mut weights = [0u64; 2];
-    for (i, p) in placed.iter().enumerate() {
-        if let Some(s) = p {
-            weights[s.index()] += h.vertex_weight(VertexId::new(i)); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-        }
-    }
-    leftovers.clear();
-    leftovers.extend(
-        placed
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_none())
-            .map(|(i, _)| VertexId::new(i)),
-    );
-    // (Reverse(weight), index) reproduces the stable biggest-first order
-    // exactly — a stable sort would allocate its merge buffer per call.
-    leftovers.sort_unstable_by_key(|&v| (std::cmp::Reverse(h.vertex_weight(v)), v.index()));
-    for &v in leftovers.iter() {
-        // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-        let side = if weights[0] <= weights[1] {
-            Side::Left
-        } else {
-            Side::Right
-        };
-        placed[v.index()] = Some(side); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-        weights[side.index()] += h.vertex_weight(v); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-    }
-
-    out.reset(h.num_vertices());
-    for (i, p) in placed.iter().enumerate() {
-        // the leftovers pass above fills every remaining None, so the
-        // fallback side is unreachable; it exists so this path cannot
-        // panic even if that invariant is ever broken
-        out.set(VertexId::new(i), p.unwrap_or(Side::Left));
-    }
-    ensure_valid_cut(h, out);
-}
-
 /// Packs whole connected components onto the lighter side (LPT), yielding a
 /// zero cut for disconnected hypergraphs.
 fn pack_components(h: &Hypergraph, comp: &[u32], n_comps: usize) -> Bipartition {
@@ -1129,17 +1045,12 @@ fn pack_components(h: &Hypergraph, comp: &[u32], n_comps: usize) -> Bipartition 
     let mut side_of_comp = vec![Side::Left; n_comps];
     let mut weights = [0u64; 2];
     for c in order {
-        // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-        let side = if weights[0] <= weights[1] {
-            Side::Left
-        } else {
-            Side::Right
-        };
+        let side = Side::lighter(weights);
         side_of_comp[c] = side; // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
         weights[side.index()] += comp_weight[c]; // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
     }
     let mut bp = Bipartition::from_fn(h.num_vertices(), |v| side_of_comp[comp[v.index()] as usize]); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-    ensure_valid_cut(h, &mut bp);
+    bp.ensure_valid_cut(h);
     bp
 }
 
@@ -1150,28 +1061,11 @@ fn balanced_fallback(h: &Hypergraph) -> Bipartition {
     let mut weights = [0u64; 2];
     let mut bp = Bipartition::all_left(h.num_vertices());
     for v in order {
-        // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-        let side = if weights[0] <= weights[1] {
-            Side::Left
-        } else {
-            Side::Right
-        };
+        let side = Side::lighter(weights);
         bp.set(v, side);
         weights[side.index()] += h.vertex_weight(v); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
     }
     bp
-}
-
-/// Moves the lightest vertex across if one side ended up empty (only
-/// possible in degenerate single-signal cases).
-fn ensure_valid_cut(h: &Hypergraph, bp: &mut Bipartition) {
-    if bp.is_valid_cut() || bp.len() < 2 {
-        return;
-    }
-    let Some(lightest) = h.vertices().min_by_key(|&v| h.vertex_weight(v)) else {
-        return; // unreachable: bp.len() >= 2 was checked above
-    };
-    bp.flip(lightest);
 }
 
 #[cfg(test)]

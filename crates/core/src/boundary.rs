@@ -10,7 +10,7 @@
 //! *winners* (signals pulled entirely to one side) and *losers* (signals
 //! conceded to the cut) on `G′` — see [`crate::complete_cut`].
 
-use fhp_hypergraph::{Graph, Hypergraph, IntersectionGraph, VertexId};
+use fhp_hypergraph::{Graph, Hypergraph, IntersectionGraph};
 
 use crate::dual_bfs::GraphCut;
 use crate::Side;
@@ -230,17 +230,6 @@ impl BoundaryDecomposition {
     pub fn num_placed(&self) -> usize {
         self.partial.iter().filter(|p| p.is_some()).count()
     }
-
-    /// Weight already committed to each side `(left, right)`.
-    pub fn placed_weights(&self, h: &Hypergraph) -> (u64, u64) {
-        let mut w = [0u64; 2];
-        for (i, p) in self.partial.iter().enumerate() {
-            if let Some(s) = p {
-                w[s.index()] += h.vertex_weight(VertexId::new(i)); // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
-            }
-        }
-        (w[0], w[1]) // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +237,7 @@ mod tests {
     use super::*;
     use crate::dual_bfs::two_front_bfs;
     use fhp_hypergraph::intersection::paper_example;
-    use fhp_hypergraph::{HypergraphBuilder, IntersectionGraph};
+    use fhp_hypergraph::{HypergraphBuilder, IntersectionGraph, VertexId};
 
     fn chain(n_modules: usize) -> Hypergraph {
         // modules 0..n, signals {i, i+1}: G is a path of n-1 signals
@@ -323,16 +312,6 @@ mod tests {
             dec.num_placed(),
             dec.partial().iter().filter(|p| p.is_some()).count()
         );
-    }
-
-    #[test]
-    fn placed_weights_sum_to_placed_vertices_for_unit_weights() {
-        let h = paper_example();
-        let ig = IntersectionGraph::build(&h);
-        let cut = two_front_bfs(ig.graph(), 0, 8);
-        let dec = BoundaryDecomposition::new(&h, &ig, &cut);
-        let (l, r) = dec.placed_weights(&h);
-        assert_eq!((l + r) as usize, dec.num_placed());
     }
 
     #[test]

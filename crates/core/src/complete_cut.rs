@@ -26,15 +26,21 @@
 //!   Hopcroft–Karp maximum matching and König's minimum vertex cover
 //!   (`G′` is bipartite, so this is polynomial). Not in the paper; used as
 //!   the reference implementation and as an upgrade option.
+//!
+//! The two paper rules are one lazy-heap greedy that differs only in which
+//! heap the next winner comes from. [`CompletionScratch::complete_into`]
+//! finishes a sweep in one call (steps 5–6 of Algorithm I): it picks the
+//! winners, commits their modules on top of the partial bipartition, puts
+//! the leftover modules on the lighter side and writes the bipartition.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use fhp_hypergraph::{Graph, Hypergraph, IntersectionGraph};
+use fhp_hypergraph::{Graph, Hypergraph, IntersectionGraph, VertexId};
 
 use crate::boundary::BoundaryDecomposition;
 use crate::matching::{hopcroft_karp, konig_cover};
-use crate::Side;
+use crate::{Bipartition, Side};
 
 /// How the boundary graph is completed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -93,7 +99,9 @@ impl Completion {
     }
 }
 
-/// Runs the selected completion strategy on the boundary decomposition.
+/// Runs the selected completion strategy on the boundary decomposition and
+/// returns its winners — the reference entry point, running the same code
+/// as [`CompletionScratch::complete_into`] on a fresh scratch.
 ///
 /// # Examples
 ///
@@ -116,26 +124,35 @@ pub fn complete(
     ig: &IntersectionGraph,
     dec: &BoundaryDecomposition,
 ) -> Completion {
-    let c = match strategy {
-        CompletionStrategy::MinDegree => complete_min_degree(dec.gprime()),
-        CompletionStrategy::EngineerWeighted => complete_engineer(h, ig, dec),
-        CompletionStrategy::ExactKonig => complete_exact(dec.gprime(), dec.sides()),
-    };
-    c.assert_independent(dec.gprime());
-    c
+    let mut scratch = CompletionScratch::new();
+    scratch.pick_winners(strategy, h, ig, dec);
+    scratch.completion
 }
 
-/// Reusable buffers for the completion step. Warmed buffers make the
-/// default [`CompletionStrategy::MinDegree`] path allocation-free; the
-/// `EngineerWeighted` and `ExactKonig` strategies still allocate
-/// internally (they are off the paper's hot path) but reuse the result
-/// buffer.
+/// A lazy min-heap of `(degree, G′ id)` keys: a vertex gets a fresh entry
+/// whenever its degree falls, and its older entries go stale.
+type DegreeHeap = BinaryHeap<Reverse<(u32, u32)>>;
+
+/// The one place where a sweep's partial bipartition becomes a full one:
+/// the Complete-Cut greedy's buffers plus the assembly's. A warm scratch
+/// makes [`complete_into`](Self::complete_into) allocation-free for
+/// [`CompletionStrategy::MinDegree`] and
+/// [`CompletionStrategy::EngineerWeighted`]; `ExactKonig` still allocates
+/// its matching and cover.
 #[derive(Clone, Debug, Default)]
 pub struct CompletionScratch {
     alive: Vec<bool>,
     deg: Vec<u32>,
-    heap_buf: Vec<Reverse<(u32, u32)>>,
+    /// One lazy heap per side of the G-cut for the engineer's method;
+    /// `MinDegree` keeps every vertex in the left one.
+    heaps: [DegreeHeap; 2],
     completion: Completion,
+    /// Each module's side for the current sweep, `None` while unplaced.
+    placed: Vec<Option<Side>>,
+    /// Module weight placed on each side so far, `[left, right]`.
+    weights: [u64; 2],
+    /// Modules left unplaced after the winners commit, for the LPT pass.
+    leftovers: Vec<VertexId>,
 }
 
 impl CompletionScratch {
@@ -144,115 +161,257 @@ impl CompletionScratch {
         Self::default()
     }
 
-    /// A scratch pre-sized for boundary graphs of up to `n` vertices and
-    /// `m` edges (the lazy heap holds at most `n + 2m` entries of 8 bytes:
-    /// a `u32` degree and a `u32` vertex id).
-    pub fn with_capacity(n: usize, m: usize) -> Self {
+    /// A scratch pre-sized for `strategy` on an instance of `num_modules`
+    /// modules whose boundary graphs have at most `n` vertices and `m`
+    /// edges. A lazy heap holds at most `n + 2m` entries of 8 bytes (a
+    /// `u32` degree and a `u32` vertex id); only `EngineerWeighted`
+    /// reserves a second one, and `ExactKonig` none.
+    pub fn with_capacity(
+        strategy: CompletionStrategy,
+        num_modules: usize,
+        n: usize,
+        m: usize,
+    ) -> Self {
+        let heap = |used: bool| DegreeHeap::with_capacity(if used { n + 2 * m } else { 0 });
         Self {
             alive: Vec::with_capacity(n),
             deg: Vec::with_capacity(n),
-            heap_buf: Vec::with_capacity(n + 2 * m),
+            heaps: [
+                heap(strategy != CompletionStrategy::ExactKonig),
+                heap(strategy == CompletionStrategy::EngineerWeighted),
+            ],
             completion: Completion {
                 winner: Vec::with_capacity(n),
             },
+            placed: Vec::with_capacity(num_modules),
+            weights: [0; 2],
+            leftovers: Vec::with_capacity(num_modules),
         }
     }
 
-    /// The completion produced by the most recent [`complete_into`].
+    /// The winners picked by the most recent
+    /// [`complete_into`](Self::complete_into).
     pub fn completion(&self) -> &Completion {
         &self.completion
     }
 
-    fn store(&mut self, c: Completion) {
-        self.completion.winner.clear();
-        self.completion.winner.extend_from_slice(&c.winner);
-    }
-}
-
-/// [`complete`] writing into a reusable scratch; read the result with
-/// [`CompletionScratch::completion`]. Identical output to [`complete`].
-pub fn complete_into(
-    strategy: CompletionStrategy,
-    h: &Hypergraph,
-    ig: &IntersectionGraph,
-    dec: &BoundaryDecomposition,
-    scratch: &mut CompletionScratch,
-) {
-    match strategy {
-        CompletionStrategy::MinDegree => complete_min_degree_into(dec.gprime(), scratch),
-        CompletionStrategy::EngineerWeighted => {
-            let c = complete_engineer(h, ig, dec);
-            scratch.store(c);
-        }
-        CompletionStrategy::ExactKonig => {
-            let c = complete_exact(dec.gprime(), dec.sides());
-            scratch.store(c);
-        }
-    }
-    scratch.completion.assert_independent(dec.gprime());
-}
-
-/// The paper's Complete-Cut greedy on an arbitrary graph:
-///
-/// 1. select the minimum-degree remaining vertex and mark it a winner;
-/// 2. mark all its remaining neighbours losers;
-/// 3. delete the winner and the losers; repeat while vertices remain.
-///
-/// Implemented with a lazy binary heap keyed on current degree —
-/// `O((n + m) log n)`, matching the paper's `O(n log n)` for bounded-degree
-/// boundary graphs.
-pub fn complete_min_degree(gprime: &Graph) -> Completion {
-    let mut scratch = CompletionScratch::new();
-    complete_min_degree_into(gprime, &mut scratch);
-    scratch.completion
-}
-
-/// [`complete_min_degree`] writing into a reusable scratch (which the
-/// free function delegates to). The lazy heap is rebuilt from the
-/// scratch's retained buffer via `BinaryHeap::from`, so a warm scratch
-/// performs no allocation at all.
-pub fn complete_min_degree_into(gprime: &Graph, scratch: &mut CompletionScratch) {
-    let n = gprime.num_vertices();
-    let alive = &mut scratch.alive;
-    alive.clear();
-    alive.resize(n, true);
-    let winner = &mut scratch.completion.winner;
-    winner.clear();
-    winner.resize(n, false);
-    let deg = &mut scratch.deg;
-    deg.clear();
-    deg.extend((0..n as u32).map(|v| degree_u32(gprime, v))); // fhp-audit: allow(as-cast-truncation) — n is a G-vertex count; ids are u32 by representation
-    let mut buf = std::mem::take(&mut scratch.heap_buf);
-    buf.clear();
-    // fhp-audit: allow(as-cast-truncation) — n is a G-vertex count; ids are u32 by representation
-    // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-    buf.extend((0..n as u32).map(|v| Reverse((deg[v as usize], v))));
-    let mut heap = BinaryHeap::from(buf);
-    while let Some(Reverse((d, v))) = heap.pop() {
-        // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-        if !alive[v as usize] || d != deg[v as usize] {
-            continue; // stale entry
-        }
-        winner[v as usize] = true; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-        alive[v as usize] = false; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-        for &u in gprime.neighbors(v) {
-            // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-            if !alive[u as usize] {
-                continue;
+    /// Completes the sweep behind `dec` under `strategy` and writes the
+    /// bipartition to `out`: picks the winners (read them back with
+    /// [`completion`](Self::completion)), commits each winner's modules to
+    /// its side on top of the partial bipartition, places every module
+    /// still unplaced on the lighter side, heaviest first (the LPT rule),
+    /// and moves the lightest module across if a side would otherwise be
+    /// empty. Every buffer is overwritten on entry; once warm, none grows.
+    pub fn complete_into(
+        &mut self,
+        strategy: CompletionStrategy,
+        h: &Hypergraph,
+        ig: &IntersectionGraph,
+        dec: &BoundaryDecomposition,
+        out: &mut Bipartition,
+    ) {
+        self.pick_winners(strategy, h, ig, dec);
+        // The engineer's method placed its winners' modules as they won.
+        if strategy != CompletionStrategy::EngineerWeighted {
+            for (b, _) in (0u32..).zip(&self.completion.winner).filter(|&(_, &w)| w) {
+                let side = dec.side_of(b);
+                for &p in h.pins(ig.edge_of(dec.g_vertex(b))) {
+                    place(&mut self.placed, &mut self.weights, h, p, side);
+                }
             }
-            // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-            alive[u as usize] = false; // loser
-            for &w in gprime.neighbors(u) {
+        }
+
+        // Leftovers: modules touched only by losers or filtered-out large
+        // signals (or isolated). (Reverse(weight), index) is the stable
+        // biggest-first order without a stable sort's merge buffer.
+        self.leftovers.clear();
+        self.leftovers.extend(
+            self.placed
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.is_none())
+                .map(|(i, _)| VertexId::new(i)),
+        );
+        self.leftovers
+            .sort_unstable_by_key(|&v| (Reverse(h.vertex_weight(v)), v.index()));
+        for &v in &self.leftovers {
+            let side = Side::lighter(self.weights);
+            place(&mut self.placed, &mut self.weights, h, v, side);
+        }
+
+        out.reset(self.placed.len());
+        for (i, p) in self.placed.iter().enumerate() {
+            // the leftovers pass above fills every remaining None, so the
+            // fallback side is unreachable; it exists so this path cannot
+            // panic even if that invariant is ever broken
+            out.set(VertexId::new(i), p.unwrap_or(Side::Left));
+        }
+        out.ensure_valid_cut(h);
+    }
+
+    /// Starts the sweep's assembly from the partial bipartition and picks
+    /// the winners under `strategy`; the engineer's method also places its
+    /// winners' modules.
+    fn pick_winners(
+        &mut self,
+        strategy: CompletionStrategy,
+        h: &Hypergraph,
+        ig: &IntersectionGraph,
+        dec: &BoundaryDecomposition,
+    ) {
+        self.placed.clear();
+        self.placed.extend_from_slice(dec.partial());
+        self.weights = [0; 2];
+        for (i, p) in self.placed.iter().enumerate() {
+            if let Some(side) = p {
+                // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+                self.weights[side.index()] += h.vertex_weight(VertexId::new(i));
+            }
+        }
+        match strategy {
+            CompletionStrategy::MinDegree => self.greedy(dec.gprime(), None),
+            CompletionStrategy::EngineerWeighted => self.greedy(dec.gprime(), Some((h, ig, dec))),
+            CompletionStrategy::ExactKonig => {
+                self.completion = complete_exact(dec.gprime(), dec.sides());
+            }
+        }
+        self.completion.assert_independent(dec.gprime());
+    }
+
+    /// The paper's Complete-Cut greedy on `gprime`:
+    ///
+    /// 1. select the minimum-degree remaining vertex and mark it a winner;
+    /// 2. mark all its remaining neighbours losers;
+    /// 3. delete the winner and the losers; repeat while vertices remain.
+    ///
+    /// With the `engineer` sweep's hypergraph, intersection graph and
+    /// decomposition, the next winner comes from the heap of the side now
+    /// carrying less module weight (the other side's once it runs dry),
+    /// and each winner places its unplaced modules as it wins, because the
+    /// rule reads the side weights. Every heap is built with one `extend`,
+    /// a single heapify pass.
+    fn greedy(
+        &mut self,
+        gprime: &Graph,
+        engineer: Option<(&Hypergraph, &IntersectionGraph, &BoundaryDecomposition)>,
+    ) {
+        let Self {
+            alive,
+            deg,
+            heaps: [left, right],
+            completion,
+            placed,
+            weights,
+            ..
+        } = self;
+        let n = gprime.num_vertices();
+        alive.clear();
+        alive.resize(n, true);
+        let winner = &mut completion.winner;
+        winner.clear();
+        winner.resize(n, false);
+        deg.clear();
+        deg.extend(gprime.vertices().map(|v| degree_u32(gprime, v)));
+        let heap_side = |v: u32| engineer.map_or(Side::Left, |(_, _, dec)| dec.side_of(v));
+        for (heap, side) in [(&mut *left, Side::Left), (&mut *right, Side::Right)] {
+            heap.clear();
+            heap.extend(
+                gprime
+                    .vertices()
+                    .zip(deg.iter())
+                    .filter(|&(v, _)| heap_side(v) == side)
+                    .map(|(v, &d)| Reverse((d, v))),
+            );
+        }
+        loop {
+            let near = engineer.map_or(Side::Left, |_| Side::lighter(*weights));
+            let (first, second) = match near {
+                Side::Left => (&mut *left, &mut *right),
+                Side::Right => (&mut *right, &mut *left),
+            };
+            let Some(v) = pop_live(first, alive, deg).or_else(|| pop_live(second, alive, deg))
+            else {
+                break;
+            };
+            winner[v as usize] = true; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
+            alive[v as usize] = false; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
+            if let Some((h, ig, dec)) = engineer {
+                let side = dec.side_of(v);
+                for &p in h.pins(ig.edge_of(dec.g_vertex(v))) {
+                    place(placed, weights, h, p, side);
+                }
+            }
+            for &u in gprime.neighbors(v) {
                 // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                if alive[w as usize] {
+                if !alive[u as usize] {
+                    continue;
+                }
+                // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
+                alive[u as usize] = false; // loser
+                for &w in gprime.neighbors(u) {
                     // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                    deg[w as usize] -= 1; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                    heap.push(Reverse((deg[w as usize], w))); // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
+                    if alive[w as usize] {
+                        // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
+                        let d = &mut deg[w as usize];
+                        *d -= 1;
+                        let heap = match heap_side(w) {
+                            Side::Left => &mut *left,
+                            Side::Right => &mut *right,
+                        };
+                        heap.push(Reverse((*d, w)));
+                    }
                 }
             }
         }
     }
-    scratch.heap_buf = heap.into_vec();
+}
+
+/// Pops `heap` down to its first live entry — a live vertex at its
+/// current degree — and returns that vertex. An entry that goes stale
+/// stays stale, as degrees only fall and the dead stay dead.
+fn pop_live(heap: &mut DegreeHeap, alive: &[bool], deg: &[u32]) -> Option<u32> {
+    while let Some(Reverse((d, v))) = heap.pop() {
+        if alive.get(v as usize) == Some(&true) && deg.get(v as usize) == Some(&d) {
+            return Some(v);
+        }
+    }
+    None
+}
+
+/// Commits module `p` to `side` unless it is already placed. Commitments
+/// never conflict: two winners sharing a module are adjacent in `G`, so
+/// on opposite sides of the G-cut they would be adjacent in `G′`, which
+/// winners never are; the same argument covers a winner and a
+/// non-boundary signal.
+fn place(
+    placed: &mut [Option<Side>],
+    weights: &mut [u64; 2],
+    h: &Hypergraph,
+    p: VertexId,
+    side: Side,
+) {
+    if let Some(slot) = placed.get_mut(p.index()) {
+        debug_assert!(
+            slot.is_none_or(|s| s == side),
+            "module {p} is committed to both sides"
+        );
+        if slot.is_none() {
+            *slot = Some(side);
+            // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+            weights[side.index()] += h.vertex_weight(p);
+        }
+    }
+}
+
+/// The paper's Complete-Cut greedy on an arbitrary graph (see
+/// [`CompletionScratch::complete_into`], which runs the same code),
+/// implemented with a lazy binary heap keyed on current degree —
+/// `O((n + m) log n)`, matching the paper's `O(n log n)` for
+/// bounded-degree boundary graphs.
+pub fn complete_min_degree(gprime: &Graph) -> Completion {
+    let mut scratch = CompletionScratch::new();
+    scratch.greedy(gprime, None);
+    scratch.completion
 }
 
 /// The degree of `v` as the completion heaps' `u32` key: a degree is below
@@ -271,91 +430,6 @@ pub fn complete_exact(gprime: &Graph, sides: &[Side]) -> Completion {
     Completion {
         winner: cover.into_iter().map(|c| !c).collect(),
     }
-}
-
-/// The engineer's-method weighted completion (paper §3):
-///
-/// > If the left (right) side of the partition has less weight than the
-/// > right (left), pick the smallest-degree vertex remaining in `G′_L`
-/// > (`G′_R`) as the next winner.
-///
-/// Side weights start from the partial bipartition's committed modules and
-/// grow as each winner pulls its still-unplaced modules to its side.
-pub fn complete_engineer(
-    h: &Hypergraph,
-    ig: &IntersectionGraph,
-    dec: &BoundaryDecomposition,
-) -> Completion {
-    let gprime = dec.gprime();
-    let n = gprime.num_vertices();
-    let mut alive = vec![true; n];
-    let mut winner = vec![false; n];
-    let mut deg: Vec<u32> = (0..n as u32).map(|v| degree_u32(gprime, v)).collect(); // fhp-audit: allow(as-cast-truncation) — n is a G-vertex count; ids are u32 by representation
-    let mut placed: Vec<Option<Side>> = dec.partial().to_vec();
-    let (mut wl, mut wr) = dec.placed_weights(h);
-    let mut alive_count = [0usize; 2];
-    let mut heaps: [BinaryHeap<Reverse<(u32, u32)>>; 2] = [BinaryHeap::new(), BinaryHeap::new()];
-    // fhp-audit: allow(as-cast-truncation) — n is a G-vertex count; ids are u32 by representation
-    for b in 0..n as u32 {
-        let s = dec.side_of(b);
-        heaps[s.index()].push(Reverse((deg[b as usize], b))); // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-        alive_count[s.index()] += 1; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-    }
-
-    // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-    while alive_count[0] + alive_count[1] > 0 {
-        // Prefer the lighter side; fall back if it has no vertices left.
-        let prefer = if wl <= wr { Side::Left } else { Side::Right };
-        // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-        let side = if alive_count[prefer.index()] > 0 {
-            prefer
-        } else {
-            prefer.opposite()
-        };
-        let v = loop {
-            let Reverse((d, v)) = heaps[side.index()] // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                .pop()
-                .expect("alive_count tracked a vertex"); // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                                                         // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-            if alive[v as usize] && d == deg[v as usize] {
-                break v;
-            }
-        };
-        winner[v as usize] = true; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-        alive[v as usize] = false; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-        alive_count[side.index()] -= 1; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                                        // Pull the winner's unplaced modules to its side.
-        for &p in h.pins(ig.edge_of(dec.g_vertex(v))) {
-            // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-            if placed[p.index()].is_none() {
-                // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                placed[p.index()] = Some(side); // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                match side {
-                    Side::Left => wl += h.vertex_weight(p),
-                    Side::Right => wr += h.vertex_weight(p),
-                }
-            }
-        }
-        for &u in gprime.neighbors(v) {
-            // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-            if !alive[u as usize] {
-                continue;
-            }
-            // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-            alive[u as usize] = false; // loser
-            alive_count[dec.side_of(u).index()] -= 1; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-            for &w in gprime.neighbors(u) {
-                // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                if alive[w as usize] {
-                    // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                    deg[w as usize] -= 1; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                                          // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                    heaps[dec.side_of(w).index()].push(Reverse((deg[w as usize], w)));
-                }
-            }
-        }
-    }
-    Completion { winner }
 }
 
 /// Brute-force minimum number of losers (maximum independent set
@@ -385,31 +459,6 @@ pub fn brute_force_min_losers(gprime: &Graph) -> usize {
         }
     }
     n - best_winners
-}
-
-/// Unplaced-module cleanup shared by the assembly code: true if the vertex
-/// `p` has been committed by `placed`.
-pub(crate) fn place_winner_pins(
-    h: &Hypergraph,
-    ig: &IntersectionGraph,
-    dec: &BoundaryDecomposition,
-    completion: &Completion,
-    placed: &mut [Option<Side>],
-) {
-    // fhp-audit: allow(as-cast-truncation) — n is a G-vertex count; ids are u32 by representation
-    for b in 0..dec.boundary_len() as u32 {
-        if !completion.is_winner(b) {
-            continue;
-        }
-        let side = dec.side_of(b);
-        for &p in h.pins(ig.edge_of(dec.g_vertex(b))) {
-            debug_assert!(
-                placed[p.index()].is_none() || placed[p.index()] == Some(side), // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                "winner {b} conflicts at module {p}"
-            );
-            placed[p.index()] = Some(side); // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-        }
-    }
 }
 
 #[cfg(test)]

@@ -192,11 +192,6 @@ impl EngineConfig {
     pub fn partition_value(&self) -> &PartitionConfig {
         &self.partition
     }
-
-    /// The damage threshold in permille.
-    pub fn damage_permille_value(&self) -> u32 {
-        self.damage_permille
-    }
 }
 
 /// An engine operation that could not proceed.
@@ -294,15 +289,6 @@ impl LiveState {
         match side {
             Side::Left => self.left,
             Side::Right => self.right,
-        }
-    }
-
-    /// The side with the smaller live weight (ties go Left).
-    fn lighter_side(&self) -> Side {
-        if self.right < self.left {
-            Side::Right
-        } else {
-            Side::Left
         }
     }
 
@@ -558,7 +544,7 @@ impl PartitionEngine {
                 })
             }
             Edit::AddModule { weight } => {
-                let lighter = self.state.lighter_side();
+                let lighter = Side::lighter([self.state.left, self.state.right]);
                 let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
                 let id = nl.add_module(*weight)?;
                 self.sides.push(lighter);

@@ -37,11 +37,6 @@ impl Matching {
     pub fn size(&self) -> usize {
         self.size
     }
-
-    /// The raw mate array.
-    pub fn mates(&self) -> &[Option<u32>] {
-        &self.mate
-    }
 }
 
 const INF: u32 = u32::MAX;

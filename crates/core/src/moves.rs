@@ -97,11 +97,6 @@ impl<'a> MoveState<'a> {
         self.bp.side(v)
     }
 
-    /// Pin counts of edge `e` as `[left, right]`.
-    pub fn pin_count(&self, e: fhp_hypergraph::EdgeId) -> [u32; 2] {
-        self.counts[e.index()] // fhp-audit: allow(panic-site) — gain/locked buffers sized to the graph at entry; ids in-range by construction
-    }
-
     /// The FM *gain* of moving `v` to the other side: the decrease in
     /// weighted cut (positive gain = improvement). `O(deg(v))`.
     pub fn gain(&self, v: VertexId) -> i64 {
@@ -296,12 +291,7 @@ pub fn random_balanced_start<R: rand::Rng + ?Sized>(h: &Hypergraph, rng: &mut R)
     let mut weights = [0u64; 2];
     let mut bp = Bipartition::all_left(h.num_vertices());
     for v in order {
-        // fhp-audit: allow(panic-site) — gain/locked buffers sized to the graph at entry; ids in-range by construction
-        let side = if weights[0] <= weights[1] {
-            Side::Left
-        } else {
-            Side::Right
-        };
+        let side = Side::lighter(weights);
         bp.set(v, side);
         weights[side.index()] += h.vertex_weight(v); // fhp-audit: allow(panic-site) — gain/locked buffers sized to the graph at entry; ids in-range by construction
     }

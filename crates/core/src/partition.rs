@@ -45,6 +45,26 @@ impl Side {
         }
     }
 
+    /// The side carrying less of `weights` (`[left, right]`); ties go
+    /// left. Every lighter-side placement rule in the crate reads it.
+    ///
+    /// ```
+    /// use fhp_core::Side;
+    ///
+    /// assert_eq!(Side::lighter([3, 5]), Side::Left);
+    /// assert_eq!(Side::lighter([5, 3]), Side::Right);
+    /// assert_eq!(Side::lighter([4, 4]), Side::Left);
+    /// ```
+    #[inline]
+    pub fn lighter(weights: [u64; 2]) -> Side {
+        let [left, right] = weights;
+        if right < left {
+            Side::Right
+        } else {
+            Side::Left
+        }
+    }
+
     /// Inverse of [`index`](Self::index).
     ///
     /// # Panics
@@ -247,19 +267,15 @@ impl Bipartition {
         self.sides.resize(n, Side::Left);
     }
 
-    /// Overwrites this partition with the contents of a side slice,
-    /// reusing the buffer.
-    pub fn clone_from_slice(&mut self, sides: &[Side]) {
-        self.sides.clear();
-        self.sides.extend_from_slice(sides);
-    }
-
-    /// Overwrites this partition with another, reusing the buffer (the
-    /// derived `Clone::clone_from` would reallocate through `Vec<Side>`'s
-    /// default path only when capacities differ; this is explicit and
-    /// guaranteed allocation-free once `self` has enough capacity).
-    pub fn copy_from(&mut self, other: &Bipartition) {
-        self.clone_from_slice(&other.sides);
+    /// Moves the lightest vertex of `h` across if one side is empty, so
+    /// the assignment is a cut.
+    pub(crate) fn ensure_valid_cut(&mut self, h: &Hypergraph) {
+        if self.is_valid_cut() || self.len() < 2 {
+            return;
+        }
+        if let Some(lightest) = h.vertices().min_by_key(|&v| h.vertex_weight(v)) {
+            self.flip(lightest);
+        }
     }
 
     /// Swaps the labels of the two sides in place (the cut is unchanged).

@@ -20,15 +20,21 @@
 //! comparison pairs up samples with equal arena counts and requires exact
 //! equality there.
 //!
+//! Both of the paper's completion rules run the one Complete-Cut greedy
+//! on the arena's buffers, so the contract covers `MinDegree` and
+//! `EngineerWeighted` alike; only `ExactKonig`, off the paper's path,
+//! allocates its matching.
+//!
 //! This is deliberately a single `#[test]` in its own integration binary:
 //! the counter is process-global, and a sibling test thread would bleed
-//! its allocations into the measurement.
+//! its allocations into the measurement. It loops over the strategies
+//! for the same reason.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fhp_core::{Algorithm1, PartitionConfig, PartitionOutcome};
+use fhp_core::{Algorithm1, CompletionStrategy, PartitionConfig, PartitionOutcome};
 use fhp_hypergraph::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// Counts every heap acquisition (alloc, alloc_zeroed, realloc) routed
@@ -134,12 +140,14 @@ fn hub_instance() -> Hypergraph {
 /// run created, the outcome)`.
 fn measured_run(
     h: &Hypergraph,
+    strategy: CompletionStrategy,
     starts: usize,
     threads: usize,
     seed: u64,
 ) -> (u64, u64, PartitionOutcome) {
     let alg = Algorithm1::new(
         PartitionConfig::new()
+            .completion(strategy)
             .starts(starts)
             .threads(threads)
             .seed(seed),
@@ -172,61 +180,67 @@ fn extra_starts_allocate_nothing_once_arenas_are_warm() {
         ("hub", hub_instance(), 1),
     ];
 
-    for (name, h, seed) in &instances {
-        // ---- single worker: arena count is pinned to 1, so the whole
-        // run's allocation count must match exactly ----------------------
-        let _warmup = measured_run(h, 32, 1, *seed);
-        let (small_allocs, small_arenas, small_out) = measured_run(h, 16, 1, *seed);
-        let (big_allocs, big_arenas, big_out) = measured_run(h, 32, 1, *seed);
-        assert_eq!(small_arenas, 1, "{name}: single worker builds one arena");
-        assert_eq!(big_arenas, 1, "{name}: single worker builds one arena");
-        assert_same_winner(name, &small_out, &big_out);
-        assert_eq!(
-            big_allocs, small_allocs,
-            "{name} (threads=1): 16 extra starts allocated {} times — the hot loop must not touch the heap after warm-up",
-            big_allocs as i64 - small_allocs as i64
-        );
+    for strategy in [
+        CompletionStrategy::MinDegree,
+        CompletionStrategy::EngineerWeighted,
+    ] {
+        for (name, h, seed) in &instances {
+            let name = &format!("{name} {strategy:?}");
+            // ---- single worker: arena count is pinned to 1, so the whole
+            // run's allocation count must match exactly ----------------------
+            let _warmup = measured_run(h, strategy, 32, 1, *seed);
+            let (small_allocs, small_arenas, small_out) = measured_run(h, strategy, 16, 1, *seed);
+            let (big_allocs, big_arenas, big_out) = measured_run(h, strategy, 32, 1, *seed);
+            assert_eq!(small_arenas, 1, "{name}: single worker builds one arena");
+            assert_eq!(big_arenas, 1, "{name}: single worker builds one arena");
+            assert_same_winner(name, &small_out, &big_out);
+            assert_eq!(
+                big_allocs, small_allocs,
+                "{name} (threads=1): 16 extra starts allocated {} times — the hot loop must not touch the heap after warm-up",
+                big_allocs as i64 - small_allocs as i64
+            );
 
-        // ---- eight workers: the engine may build 1..=8 arenas depending
-        // on how the claim race lands, and each arena has a fixed
-        // allocation cost — so total allocations are a pure function of
-        // the arena count. Pair up a 16-start and a 32-start sample with
-        // equal arena counts and require exact equality; repeated samples
-        // with the same arena count must agree with themselves too. ------
-        let _warmup = measured_run(h, 32, 8, *seed);
-        let mut by_arenas_16: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut by_arenas_32: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut matched = false;
-        for _ in 0..60 {
-            let (allocs, arenas, out_16) = measured_run(h, 16, 8, *seed);
-            if let Some(&prev) = by_arenas_16.get(&arenas) {
-                assert_eq!(
-                    prev, allocs,
-                    "{name} (threads=8, starts=16): two runs with {arenas} arenas allocated differently"
-                );
+            // ---- eight workers: the engine may build 1..=8 arenas depending
+            // on how the claim race lands, and each arena has a fixed
+            // allocation cost — so total allocations are a pure function of
+            // the arena count. Pair up a 16-start and a 32-start sample with
+            // equal arena counts and require exact equality; repeated samples
+            // with the same arena count must agree with themselves too. ------
+            let _warmup = measured_run(h, strategy, 32, 8, *seed);
+            let mut by_arenas_16: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut by_arenas_32: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut matched = false;
+            for _ in 0..60 {
+                let (allocs, arenas, out_16) = measured_run(h, strategy, 16, 8, *seed);
+                if let Some(&prev) = by_arenas_16.get(&arenas) {
+                    assert_eq!(
+                        prev, allocs,
+                        "{name} (threads=8, starts=16): two runs with {arenas} arenas allocated differently"
+                    );
+                }
+                by_arenas_16.insert(arenas, allocs);
+                let (allocs, arenas, out_32) = measured_run(h, strategy, 32, 8, *seed);
+                if let Some(&prev) = by_arenas_32.get(&arenas) {
+                    assert_eq!(
+                        prev, allocs,
+                        "{name} (threads=8, starts=32): two runs with {arenas} arenas allocated differently"
+                    );
+                }
+                by_arenas_32.insert(arenas, allocs);
+                assert_same_winner(name, &out_16, &out_32);
+                if let Some(common) = by_arenas_16.keys().find(|a| by_arenas_32.contains_key(a)) {
+                    assert_eq!(
+                        by_arenas_32[common], by_arenas_16[common],
+                        "{name} (threads=8): with {common} arenas either way, 16 extra starts changed the allocation count"
+                    );
+                    matched = true;
+                    break;
+                }
             }
-            by_arenas_16.insert(arenas, allocs);
-            let (allocs, arenas, out_32) = measured_run(h, 32, 8, *seed);
-            if let Some(&prev) = by_arenas_32.get(&arenas) {
-                assert_eq!(
-                    prev, allocs,
-                    "{name} (threads=8, starts=32): two runs with {arenas} arenas allocated differently"
-                );
-            }
-            by_arenas_32.insert(arenas, allocs);
-            assert_same_winner(name, &out_16, &out_32);
-            if let Some(common) = by_arenas_16.keys().find(|a| by_arenas_32.contains_key(a)) {
-                assert_eq!(
-                    by_arenas_32[common], by_arenas_16[common],
-                    "{name} (threads=8): with {common} arenas either way, 16 extra starts changed the allocation count"
-                );
-                matched = true;
-                break;
-            }
+            assert!(
+                matched,
+                "{name}: no 16-start and 32-start samples ever agreed on an arena count; 16-run counts: {by_arenas_16:?}, 32-run counts: {by_arenas_32:?}"
+            );
         }
-        assert!(
-            matched,
-            "{name}: no 16-start and 32-start samples ever agreed on an arena count; 16-run counts: {by_arenas_16:?}, 32-run counts: {by_arenas_32:?}"
-        );
     }
 }

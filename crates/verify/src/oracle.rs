@@ -21,7 +21,7 @@ use fhp_baselines::{
     exhaustive_min_losers, Exhaustive, FiducciaMattheyses, KernighanLin, SimulatedAnnealing,
 };
 use fhp_core::boundary::BoundaryDecomposition;
-use fhp_core::complete_cut::{complete, complete_min_degree};
+use fhp_core::complete_cut::{complete, complete_min_degree, CompletionScratch};
 use fhp_core::dual_bfs::{random_longest_path_endpoints, two_front_bfs};
 use fhp_core::moves::{random_balanced_start, MoveState};
 use fhp_core::multilevel::{coarsen_cap, coarsen_sequence};
@@ -440,8 +440,12 @@ fn oracle_pipeline_stages(ctx: &Ctx<'_>) -> Result<u64, Violation> {
 
     // Complete-Cut: winners independent, loser accounting exact, the
     // assembled partition's crossing signals are exactly a subset of the
-    // losers (so cut ≤ losers), and the greedy is within 1 of the
-    // enumerated optimum in the regime where that bound is established.
+    // losers (so cut ≤ losers), the production completion agrees with the
+    // reference, and the greedy is within 1 of the enumerated optimum in
+    // the regime where that bound is established. One scratch serves every
+    // strategy, as one arena serves every start.
+    let mut scratch = CompletionScratch::new();
+    let mut assembled = Bipartition::all_left(0);
     for strategy in [
         CompletionStrategy::MinDegree,
         CompletionStrategy::EngineerWeighted,
@@ -509,6 +513,35 @@ fn oracle_pipeline_stages(ctx: &Ctx<'_>) -> Result<u64, Violation> {
                 recompute_cut(h, &bp),
                 done.num_losers()
             )
+        })?;
+
+        // What Algorithm I runs: the same winners, and every module the
+        // reference commits on the same side — except the lightest module,
+        // which the final step moves across when a side would otherwise
+        // be empty, leaving it alone on its side.
+        scratch.complete_into(strategy, h, &ig, &dec, &mut assembled);
+        checks += ctx.ensure(scratch.completion() == &done, || {
+            format!(
+                "{strategy:?}: CompletionScratch::complete_into picked other winners than complete"
+            )
+        })?;
+        let sides = assembled.as_slice();
+        let moved: Vec<usize> = placed
+            .iter()
+            .enumerate()
+            .filter(|&(i, p)| p.is_some_and(|s| sides.get(i) != Some(&s)))
+            .map(|(i, _)| i)
+            .collect();
+        let lightest = h.vertices().min_by_key(|&v| h.vertex_weight(v));
+        let agrees = match moved.as_slice() {
+            [] => true,
+            [m] => lightest.is_some_and(|l| {
+                l.index() == *m && sides.get(*m).is_some_and(|&s| assembled.count(s) == 1)
+            }),
+            _ => false,
+        };
+        checks += ctx.ensure(agrees, || {
+            format!("{strategy:?}: complete_into moved committed modules {moved:?} across")
         })?;
     }
 
