@@ -1,18 +1,19 @@
 //! Simulated annealing bipartitioning (Kirkpatrick–Gelatt–Vecchi [18]).
 //!
 //! Single-vertex flips under a geometric cooling schedule. Energy is the
-//! weighted cut; moves that would push the weight imbalance beyond the
-//! tolerance are rejected outright, keeping the walk inside the
-//! r-bipartition region. The starting temperature is calibrated from a
-//! short random walk so a configured fraction of uphill moves is initially
-//! accepted — the standard recipe.
+//! weighted cut; moves that would push the weight imbalance beyond
+//! [`fhp_core::refine::balance_slack`] (the slack FM uses) are rejected
+//! outright, keeping the walk inside the r-bipartition region. The
+//! starting temperature is calibrated from a short random walk so a
+//! configured fraction of uphill moves is initially accepted — the
+//! standard recipe.
 //!
 //! The paper uses annealing both as a quality baseline (Tables 1 and 2)
 //! and as a stand-in for "the best heuristic partition" when measuring
 //! which large signals end up cut; `thorough` reproduces that role, `fast`
-//! is for quick runs.
+//! is for quick runs. The two presets are the only schedules.
 
-use fhp_core::{Bipartition, Bipartitioner, PartitionError};
+use fhp_core::{refine, Bipartition, Bipartitioner, PartitionError};
 use fhp_hypergraph::{Hypergraph, VertexId};
 use fhp_obs::{names, order, Collector};
 use rand::rngs::StdRng;
@@ -47,8 +48,6 @@ pub struct SimulatedAnnealing {
     initial_acceptance: f64,
     /// Consecutive improvement-free temperatures before stopping.
     patience: usize,
-    /// Weight-imbalance tolerance (raised to twice the heaviest vertex).
-    imbalance_tolerance: u64,
     collector: Collector,
 }
 
@@ -62,7 +61,6 @@ impl SimulatedAnnealing {
             alpha: 0.85,
             initial_acceptance: 0.6,
             patience: 4,
-            imbalance_tolerance: 0,
             collector: Collector::disabled(),
         }
     }
@@ -76,27 +74,8 @@ impl SimulatedAnnealing {
             alpha: 0.95,
             initial_acceptance: 0.8,
             patience: 8,
-            imbalance_tolerance: 0,
             collector: Collector::disabled(),
         }
-    }
-
-    /// Sets the moves-per-temperature multiplier.
-    pub fn moves_factor(mut self, factor: usize) -> Self {
-        self.moves_factor = factor.max(1);
-        self
-    }
-
-    /// Sets the geometric cooling ratio (clamped to `(0, 1)`).
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha.clamp(0.01, 0.999);
-        self
-    }
-
-    /// Sets the weight-imbalance tolerance.
-    pub fn imbalance_tolerance(mut self, tolerance: u64) -> Self {
-        self.imbalance_tolerance = tolerance;
-        self
     }
 
     /// Records each run into `collector`: an `sa.walk` span over the
@@ -106,11 +85,6 @@ impl SimulatedAnnealing {
     pub fn collector(mut self, collector: Collector) -> Self {
         self.collector = collector;
         self
-    }
-
-    fn effective_tolerance(&self, h: &Hypergraph) -> u64 {
-        let heaviest = h.vertices().map(|v| h.vertex_weight(v)).max().unwrap_or(1);
-        self.imbalance_tolerance.max(2 * heaviest)
     }
 
     /// Calibrates T₀ so `initial_acceptance` of uphill moves pass:
@@ -140,7 +114,7 @@ impl Bipartitioner for SimulatedAnnealing {
         if n < 2 {
             return Err(PartitionError::TooFewVertices { found: n });
         }
-        let tolerance = self.effective_tolerance(h);
+        let tolerance = refine::balance_slack(h);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut st = MoveState::new(h, random_balanced_start(h, &mut rng));
         let initial_temp = self.initial_temperature(&st, &mut rng);
@@ -252,7 +226,7 @@ mod tests {
         let h = paper_example();
         let sa = SimulatedAnnealing::fast(0);
         let bp = sa.bipartition(&h).unwrap();
-        assert!(metrics::weight_imbalance(&h, &bp) <= sa.effective_tolerance(&h));
+        assert!(metrics::weight_imbalance(&h, &bp) <= refine::balance_slack(&h));
         assert!(bp.is_valid_cut());
     }
 
@@ -295,13 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn builders_clamp() {
-        let sa = SimulatedAnnealing::fast(0).alpha(5.0).moves_factor(0);
-        assert!(sa.alpha <= 0.999);
-        assert_eq!(sa.moves_factor, 1);
-    }
-
-    #[test]
     fn rejects_tiny() {
         let h = HypergraphBuilder::with_vertices(1).build();
         assert!(SimulatedAnnealing::fast(0).bipartition(&h).is_err());
@@ -317,8 +284,7 @@ mod tests {
             b.add_edge([w[0], w[1]]).unwrap();
         }
         let h = b.build();
-        let sa = SimulatedAnnealing::fast(4).imbalance_tolerance(6);
-        let bp = sa.bipartition(&h).unwrap();
+        let bp = SimulatedAnnealing::fast(4).bipartition(&h).unwrap();
         assert!(bp.is_valid_cut());
     }
 }

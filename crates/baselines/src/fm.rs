@@ -4,18 +4,19 @@
 //! single-vertex moves instead of swaps, a balance criterion instead of
 //! strict alternation, and gains maintained incrementally. The pass
 //! engine itself — lazy max-heap move selection, deferred-move balance
-//! handling, best-prefix rollback — lives in [`fhp_core::FmRefiner`]
-//! (the multilevel V-cycle refines with it at every level); this type
-//! wraps it with the seeded random-restart *bipartitioner* front the
-//! baseline comparisons use.
+//! handling, best-prefix rollback — is [`fhp_core::refine`] (the
+//! multilevel V-cycle refines with it at every level); this type wraps
+//! its [`run_passes_with`] in the seeded random-restart *bipartitioner*
+//! front the baseline comparisons use.
 
-use fhp_core::{Bipartition, Bipartitioner, FmRefiner, PartitionError};
+use fhp_core::refine::{self, run_passes_with, FmScratch};
+use fhp_core::{Bipartition, Bipartitioner, PartitionError};
 use fhp_hypergraph::Hypergraph;
 use fhp_obs::{names, order, Collector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fhp_core::moves::{random_balanced_start, MoveState};
+use fhp_core::moves::random_balanced_start;
 
 /// Fiduccia–Mattheyses bipartitioner with an r-style weight-balance
 /// criterion.
@@ -37,34 +38,19 @@ use fhp_core::moves::{random_balanced_start, MoveState};
 #[derive(Clone, Debug)]
 pub struct FiducciaMattheyses {
     seed: u64,
-    refiner: FmRefiner,
     restarts: usize,
     collector: Collector,
 }
 
 impl FiducciaMattheyses {
-    /// FM with default tuning: up to 24 passes, tolerance of the heaviest
-    /// vertex's weight, single start.
+    /// FM at the one shipped setting: up to 24 passes per restart under
+    /// [`refine::balance_slack`], single start.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            refiner: FmRefiner::new(),
             restarts: 1,
             collector: Collector::disabled(),
         }
-    }
-
-    /// Caps the improvement passes (default 24).
-    pub fn max_passes(mut self, passes: usize) -> Self {
-        self.refiner = self.refiner.max_passes(passes);
-        self
-    }
-
-    /// Sets the weight-imbalance tolerance (the r-bipartition slack). The
-    /// effective tolerance is never below twice the heaviest vertex weight.
-    pub fn imbalance_tolerance(mut self, tolerance: u64) -> Self {
-        self.refiner = self.refiner.imbalance_tolerance(tolerance);
-        self
     }
 
     /// Independent random restarts (default 1).
@@ -81,43 +67,6 @@ impl FiducciaMattheyses {
         self.collector = collector;
         self
     }
-
-    /// [`FmRefiner::run_passes`] with pass counting: the same
-    /// pass-until-fixpoint loop, returning how many passes actually ran.
-    fn run_passes_counted(
-        &self,
-        h: &Hypergraph,
-        start: Bipartition,
-        tolerance: u64,
-    ) -> (Bipartition, u64) {
-        let mut st = MoveState::new(h, start);
-        let mut passes = 0u64;
-        for _ in 0..self.refiner.max_passes_value() {
-            passes += 1;
-            if self.refiner.pass(&mut st, tolerance) == 0 {
-                break;
-            }
-        }
-        (st.into_partition(), passes)
-    }
-
-    fn effective_tolerance(&self, h: &Hypergraph) -> u64 {
-        self.refiner.effective_tolerance(h)
-    }
-
-    /// Improves an existing partition in place with FM passes until a pass
-    /// yields no gain. This is the refinement entry point used by
-    /// [`Refined`](crate::Refined) to post-process another partitioner's
-    /// cut; the weight-balance tolerance is widened to the start's own
-    /// imbalance if that is larger, so refinement never has to destroy a
-    /// deliberately unbalanced input to begin improving it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` does not cover `h`'s vertices.
-    pub fn refine(&self, h: &Hypergraph, start: Bipartition) -> Bipartition {
-        self.refiner.refine(h, start)
-    }
 }
 
 impl Bipartitioner for FiducciaMattheyses {
@@ -127,7 +76,8 @@ impl Bipartitioner for FiducciaMattheyses {
                 found: h.num_vertices(),
             });
         }
-        let tolerance = self.effective_tolerance(h);
+        let tolerance = refine::balance_slack(h);
+        let mut scratch = FmScratch::new();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut best: Option<(u64, Bipartition)> = None;
         let mut total_passes = 0u64;
@@ -138,7 +88,7 @@ impl Bipartitioner for FiducciaMattheyses {
                 .is_enabled()
                 .then(|| self.collector.scope(order::start(i), Some(i as u32)));
             let span = scope.as_ref().map(|s| s.span(names::FM_RESTART));
-            let (bp, passes) = self.run_passes_counted(h, start, tolerance);
+            let (bp, passes) = run_passes_with(h, start, tolerance, &mut scratch);
             drop(span);
             if let Some(s) = scope {
                 self.collector.adopt(s.finish());
@@ -205,10 +155,8 @@ mod tests {
     #[test]
     fn stays_within_tolerance() {
         let h = paper_example();
-        let fm = FiducciaMattheyses::new(0);
-        let tol = fm.effective_tolerance(&h);
-        let bp = fm.bipartition(&h).unwrap();
-        assert!(metrics::weight_imbalance(&h, &bp) <= tol);
+        let bp = FiducciaMattheyses::new(0).bipartition(&h).unwrap();
+        assert!(metrics::weight_imbalance(&h, &bp) <= refine::balance_slack(&h));
     }
 
     #[test]
@@ -225,19 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn passes_never_hurt() {
-        let h = paper_example();
-        let mut rng = StdRng::seed_from_u64(5);
-        let start = random_balanced_start(&h, &mut rng);
-        let before = metrics::weighted_cut(&h, &start);
-        let fm = FiducciaMattheyses::new(5);
-        let tol = fm.effective_tolerance(&h);
-        let mut st = MoveState::new(&h, start);
-        let imp = fm.refiner.pass(&mut st, tol);
-        assert_eq!(st.cut() + imp, before);
-    }
-
-    #[test]
     fn weighted_vertices_respected() {
         let mut b = HypergraphBuilder::new();
         let vs: Vec<_> = (0..8).map(|i| b.add_weighted_vertex(1 + i % 4)).collect();
@@ -245,10 +180,9 @@ mod tests {
             b.add_edge([w[0], w[1]]).unwrap();
         }
         let h = b.build();
-        let fm = FiducciaMattheyses::new(2).imbalance_tolerance(4);
-        let bp = fm.bipartition(&h).unwrap();
+        let bp = FiducciaMattheyses::new(2).bipartition(&h).unwrap();
         assert!(bp.is_valid_cut());
-        assert!(metrics::weight_imbalance(&h, &bp) <= fm.effective_tolerance(&h));
+        assert!(metrics::weight_imbalance(&h, &bp) <= refine::balance_slack(&h));
     }
 
     #[test]
@@ -257,19 +191,6 @@ mod tests {
         let a = FiducciaMattheyses::new(3).bipartition(&h).unwrap();
         let b = FiducciaMattheyses::new(3).bipartition(&h).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn counted_passes_match_run_passes() {
-        let h = paper_example();
-        let fm = FiducciaMattheyses::new(7);
-        let tol = fm.effective_tolerance(&h);
-        let mut rng = StdRng::seed_from_u64(7);
-        let start = random_balanced_start(&h, &mut rng);
-        let plain = fm.refiner.run_passes(&h, start.clone(), tol);
-        let (counted, passes) = fm.run_passes_counted(&h, start, tol);
-        assert_eq!(plain, counted);
-        assert!(passes >= 1);
     }
 
     #[test]

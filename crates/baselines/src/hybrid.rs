@@ -7,14 +7,15 @@
 //! (its BFS geometry sees the whole graph), so `Refined::alg1(...)` —
 //! Algorithm I followed by Fiduccia–Mattheyses refinement — is the
 //! natural "best of both" configuration and a preview of the paper's
-//! future-work direction.
+//! future-work direction. The refinement stage is
+//! [`fhp_core::refine::refine`], the FM pass the multilevel V-cycle runs,
+//! at its one setting; it never makes the constructor's cut worse.
 
-use fhp_core::{Algorithm1, Bipartition, Bipartitioner, PartitionConfig, PartitionError};
+use fhp_core::{refine, Algorithm1, Bipartition, Bipartitioner, PartitionConfig, PartitionError};
 use fhp_hypergraph::Hypergraph;
 
-use crate::FiducciaMattheyses;
-
-/// Wraps a constructive partitioner with FM refinement of its output.
+/// Wraps a constructive partitioner with FM refinement
+/// ([`refine::refine`]) of its output.
 ///
 /// # Examples
 ///
@@ -33,7 +34,6 @@ use crate::FiducciaMattheyses;
 /// ```
 pub struct Refined {
     inner: Box<dyn Bipartitioner>,
-    fm: FiducciaMattheyses,
     name: String,
 }
 
@@ -41,40 +41,28 @@ impl std::fmt::Debug for Refined {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Refined")
             .field("inner", &self.inner.name())
-            .field("fm", &self.fm)
             .finish()
     }
 }
 
 impl Refined {
-    /// Refines an arbitrary partitioner's output with FM passes (seeded
-    /// with `seed` — FM refinement itself is deterministic given the
-    /// start, the seed only matters for its internal tie behaviour).
-    pub fn new(inner: Box<dyn Bipartitioner>, seed: u64) -> Self {
+    /// Refines an arbitrary partitioner's output with FM passes; the
+    /// refinement is a pure function of that output, so it takes no seed.
+    pub fn new(inner: Box<dyn Bipartitioner>) -> Self {
         let name = format!("{} + FM", inner.name());
-        Self {
-            inner,
-            fm: FiducciaMattheyses::new(seed),
-            name,
-        }
+        Self { inner, name }
     }
 
     /// The flagship hybrid: Algorithm I construction, FM polish.
     pub fn alg1(config: PartitionConfig, seed: u64) -> Self {
-        Self::new(Box::new(Algorithm1::new(config.seed(seed))), seed)
-    }
-
-    /// Overrides the refinement stage's configuration.
-    pub fn fm(mut self, fm: FiducciaMattheyses) -> Self {
-        self.fm = fm;
-        self
+        Self::new(Box::new(Algorithm1::new(config.seed(seed))))
     }
 }
 
 impl Bipartitioner for Refined {
     fn bipartition(&self, h: &Hypergraph) -> Result<Bipartition, PartitionError> {
         let constructed = self.inner.bipartition(h)?;
-        Ok(self.fm.refine(h, constructed))
+        Ok(refine::refine(h, constructed))
     }
 
     fn name(&self) -> &str {
@@ -116,7 +104,7 @@ mod tests {
             .generate()
             .unwrap();
         let random = RandomCut::balanced(1).bipartition(&h).unwrap();
-        let refined = Refined::new(Box::new(RandomCut::balanced(1)), 1)
+        let refined = Refined::new(Box::new(RandomCut::balanced(1)))
             .bipartition(&h)
             .unwrap();
         assert!(metrics::cut_size(&h, &refined) < metrics::cut_size(&h, &random) / 2);
@@ -141,8 +129,7 @@ mod tests {
     fn name_reflects_composition() {
         let p = Refined::alg1(PartitionConfig::new(), 0);
         assert_eq!(p.name(), "Alg I + FM");
-        let q = Refined::new(Box::new(RandomCut::balanced(0)), 0)
-            .fm(FiducciaMattheyses::new(0).max_passes(2));
+        let q = Refined::new(Box::new(RandomCut::balanced(0)));
         assert_eq!(q.name(), "Random (balanced) + FM");
     }
 

@@ -21,6 +21,14 @@ use rand::SeedableRng;
 
 use fhp_core::moves::{random_balanced_start, MoveState};
 
+/// Improvement passes per restart: a restart stops at its first gainless
+/// pass or after this many.
+const MAX_PASSES: usize = 16;
+
+/// Top-`D` vertices per side whose pairings each swap step evaluates
+/// exactly (the 1970 paper's sorted-scan shortcut).
+const CANDIDATES_PER_SIDE: usize = 8;
+
 /// Kernighan–Lin min-cut bipartitioner (the paper's "MinCut-KL" column).
 ///
 /// # Examples
@@ -40,37 +48,19 @@ use fhp_core::moves::{random_balanced_start, MoveState};
 #[derive(Clone, Debug)]
 pub struct KernighanLin {
     seed: u64,
-    max_passes: usize,
-    candidates_per_side: usize,
     restarts: usize,
     collector: Collector,
 }
 
 impl KernighanLin {
-    /// KL with default tuning (16 passes max, 8 candidates per side,
-    /// single start).
+    /// KL with a single start, at most 16 passes per restart and 8
+    /// candidates per side.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            max_passes: 16,
-            candidates_per_side: 8,
             restarts: 1,
             collector: Collector::disabled(),
         }
-    }
-
-    /// Limits the number of improvement passes (default 16).
-    pub fn max_passes(mut self, passes: usize) -> Self {
-        self.max_passes = passes;
-        self
-    }
-
-    /// Number of top-`D` vertices per side whose pairings are evaluated
-    /// exactly at each step (default 8; the 1970 paper's sorted-scan
-    /// shortcut).
-    pub fn candidates_per_side(mut self, k: usize) -> Self {
-        self.candidates_per_side = k.max(1);
-        self
     }
 
     /// Independent random restarts, keeping the best result (default 1).
@@ -120,8 +110,8 @@ impl KernighanLin {
             }
             left.sort_by_key(|v| std::cmp::Reverse(gains[v.index()]));
             right.sort_by_key(|v| std::cmp::Reverse(gains[v.index()]));
-            left.truncate(self.candidates_per_side);
-            right.truncate(self.candidates_per_side);
+            left.truncate(CANDIDATES_PER_SIDE);
+            right.truncate(CANDIDATES_PER_SIDE);
 
             let mut best: Option<(i64, VertexId, VertexId)> = None;
             for &a in &left {
@@ -173,7 +163,7 @@ impl KernighanLin {
         let mut st = MoveState::new(h, start);
         let mut passes = 0u64;
         let mut swaps = 0u64;
-        for _ in 0..self.max_passes {
+        for _ in 0..MAX_PASSES {
             let (improvement, committed) = self.pass(&mut st);
             passes += 1;
             swaps += committed;
@@ -331,10 +321,7 @@ mod tests {
     #[test]
     fn restarts_and_builders() {
         let h = barbell(4);
-        let kl = KernighanLin::new(2)
-            .max_passes(4)
-            .candidates_per_side(3)
-            .restarts(2);
+        let kl = KernighanLin::new(2).restarts(2);
         let bp = kl.bipartition(&h).unwrap();
         assert!(bp.is_valid_cut());
         assert_eq!(kl.name(), "MinCut-KL");

@@ -22,7 +22,17 @@
 //! All baselines implement [`fhp_core::Bipartitioner`], are fully seeded,
 //! and share one incremental-move engine
 //! ([`fhp_core::moves::MoveState`]) whose consistency is property-tested
-//! against the ground-truth metrics.
+//! against the ground-truth metrics. Each runs at one shipped setting:
+//! FM and [`Refined`] drive the workspace's one FM pass
+//! ([`fhp_core::refine`]), and KL, SA (its `fast` and `thorough`
+//! presets) and spectral bisection keep their tuning as constants.
+//!
+//! The move-based baselines are bisections: KL swaps pairs, so it keeps
+//! the start's cardinality balance, and FM and SA move within
+//! [`fhp_core::refine::balance_slack`]. Algorithm I, by contrast,
+//! minimises the cut with no balance bound unless its configuration
+//! states one (the engineer's method or the quotient-cut objective), so
+//! comparing its cut with theirs is not a comparison at matched balance.
 //!
 //! # Examples
 //!

@@ -2,7 +2,7 @@
 
 use fhp_baselines::{FiducciaMattheyses, KernighanLin, Multilevel, Refined, SimulatedAnnealing};
 use fhp_core::moves::{random_balanced_start, MoveState};
-use fhp_core::{metrics, Bipartitioner, PartitionConfig};
+use fhp_core::{metrics, refine, Bipartitioner, PartitionConfig};
 use fhp_gen::RandomHypergraph;
 use fhp_hypergraph::{Hypergraph, VertexId};
 use proptest::prelude::*;
@@ -80,7 +80,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let start = random_balanced_start(&h, &mut rng);
         let before = metrics::weighted_cut(&h, &start);
-        let refined = FiducciaMattheyses::new(seed).refine(&h, start);
+        let refined = refine::refine(&h, start);
         prop_assert!(metrics::weighted_cut(&h, &refined) <= before);
         prop_assert!(refined.is_valid_cut());
     }
@@ -88,8 +88,8 @@ proptest! {
     #[test]
     fn all_baselines_agree_on_contract(h in arb_hypergraph(), seed in 0u64..20) {
         let partitioners: Vec<Box<dyn Bipartitioner>> = vec![
-            Box::new(KernighanLin::new(seed).max_passes(4)),
-            Box::new(FiducciaMattheyses::new(seed).max_passes(4)),
+            Box::new(KernighanLin::new(seed)),
+            Box::new(FiducciaMattheyses::new(seed)),
             Box::new(SimulatedAnnealing::fast(seed)),
             Box::new(Multilevel::new(seed)),
             Box::new(Refined::alg1(PartitionConfig::new().starts(2), seed)),

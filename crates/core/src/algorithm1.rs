@@ -63,7 +63,8 @@ pub trait Bipartitioner {
 /// # Examples
 ///
 /// ```
-/// use fhp_core::{CompletionStrategy, Objective, PartitionConfig};
+/// use fhp_core::{Algorithm1, CompletionStrategy, Objective, PartitionConfig};
+/// use fhp_hypergraph::intersection::paper_example;
 ///
 /// let config = PartitionConfig::new()
 ///     .seed(7)
@@ -71,7 +72,8 @@ pub trait Bipartitioner {
 ///     .edge_size_threshold(Some(10))
 ///     .completion(CompletionStrategy::EngineerWeighted)
 ///     .objective(Objective::QuotientCut);
-/// assert_eq!(config.starts_count(), 50);
+/// let outcome = Algorithm1::new(config).run(&paper_example()).expect("a valid configuration");
+/// assert!(outcome.bipartition.is_valid_cut());
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PartitionConfig {
@@ -80,7 +82,7 @@ pub struct PartitionConfig {
     threads: usize,
     edge_size_threshold: Option<usize>,
     completion: CompletionStrategy,
-    objective: Objective,
+    pub(crate) objective: Objective,
     front_policy: FrontPolicy,
     multilevel: Option<MultilevelConfig>,
     streaming_dualize: bool,
@@ -192,41 +194,6 @@ impl PartitionConfig {
     pub fn pair_cap(mut self, cap: Option<usize>) -> Self {
         self.pair_cap = cap;
         self
-    }
-
-    /// The configured multilevel mode, if enabled.
-    pub fn multilevel_value(&self) -> Option<MultilevelConfig> {
-        self.multilevel
-    }
-
-    /// The configured number of starts.
-    pub fn starts_count(&self) -> usize {
-        self.starts
-    }
-
-    /// The configured thread count (`0` means auto).
-    pub fn threads_value(&self) -> usize {
-        self.threads
-    }
-
-    /// The configured seed.
-    pub fn seed_value(&self) -> u64 {
-        self.seed
-    }
-
-    /// The configured edge-size threshold.
-    pub fn threshold_value(&self) -> Option<usize> {
-        self.edge_size_threshold
-    }
-
-    /// The configured completion strategy.
-    pub fn completion_strategy(&self) -> CompletionStrategy {
-        self.completion
-    }
-
-    /// The configured objective.
-    pub fn objective_value(&self) -> Objective {
-        self.objective
     }
 
     fn validate(&self) -> Result<(), PartitionError> {
@@ -1259,17 +1226,6 @@ mod tests {
         let bp = p.bipartition(&h).unwrap();
         assert!(bp.is_valid_cut());
         assert_eq!(p.name(), "Alg I");
-    }
-
-    #[test]
-    fn config_accessors() {
-        let c = PartitionConfig::paper().seed(3).threads(4);
-        assert_eq!(c.starts_count(), 50);
-        assert_eq!(c.seed_value(), 3);
-        assert_eq!(c.threads_value(), 4);
-        assert_eq!(c.threshold_value(), Some(10));
-        assert_eq!(c.completion_strategy(), CompletionStrategy::MinDegree);
-        assert_eq!(c.objective_value(), Objective::CutSize);
     }
 
     #[test]

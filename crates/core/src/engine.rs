@@ -632,8 +632,9 @@ impl PartitionEngine {
     /// cut arrives already exact (maintained by delta in
     /// [`apply`](Self::apply)); this pass then greedily flips damaged
     /// modules whose move strictly lowers the cut, under the same
-    /// adaptive balance slack [`FmRefiner`](crate::refine::FmRefiner)
-    /// uses (twice the heaviest live module), each module at most once.
+    /// adaptive balance slack as [`refine::refine`](crate::refine::refine)
+    /// (twice the heaviest live module, widened to the current
+    /// imbalance), each module at most once.
     /// The side weights and the heaviest module come from the maintained
     /// state; each round re-scores the k unmoved candidates, so the pass
     /// is O(k²·deg) and never touches the rest of the instance.
@@ -649,7 +650,7 @@ impl PartitionEngine {
         if candidates.is_empty() {
             return;
         }
-        // The balance slack mirrors FmRefiner's adaptive floor.
+        // The balance slack mirrors refine::refine's adaptive floor.
         let imbalance = self.state.left.abs_diff(self.state.right);
         let tolerance = imbalance.max(self.state.heaviest().saturating_mul(2));
         let mut moved = vec![false; candidates.len()];

@@ -79,4 +79,3 @@ pub use error::PartitionError;
 pub use metrics::{CutReport, Objective, PhaseStats};
 pub use multilevel::{Multilevel, MultilevelConfig, MultilevelStats};
 pub use partition::{Bipartition, Side};
-pub use refine::FmRefiner;

@@ -196,14 +196,17 @@ pub struct CutReport {
 }
 
 impl CutReport {
-    /// Computes the full report for `bp` on `h`.
+    /// Computes the full report for `bp` on `h`, counting the cut in one
+    /// pass over the pins ([`cut_totals`]).
     pub fn new(h: &Hypergraph, bp: &Bipartition) -> Self {
+        let (cut_size, weighted_cut) = cut_totals(h, bp);
+        let counts = bp.counts();
         Self {
-            cut_size: cut_size(h, bp),
-            weighted_cut: weighted_cut(h, bp),
-            counts: bp.counts(),
+            cut_size,
+            weighted_cut,
+            counts,
             weights: bp.weights(h),
-            quotient: quotient_cut(h, bp),
+            quotient: Objective::QuotientCut.score(cut_size, weighted_cut, counts),
         }
     }
 }

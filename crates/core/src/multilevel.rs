@@ -18,7 +18,7 @@
 //!    config), polished with FM.
 //! 3. **Uncoarsen** — project the partition through each level's
 //!    explicit projection map (projection preserves the weighted cut
-//!    exactly) and refine with [`FmRefiner`] on every level.
+//!    exactly) and refine with [`refine::refine_with`] on every level.
 //!
 //! Extra V-cycles re-coarsen *partition-respecting* (only same-side pairs
 //! merge, so the incumbent survives projection verbatim) and keep the
@@ -41,7 +41,7 @@ use fhp_hypergraph::Hypergraph;
 use fhp_obs::{names, order, Collector, Gauge, Progress};
 
 use crate::metrics::{self, CutReport, Objective};
-use crate::refine::{FmRefiner, FmScratch};
+use crate::refine::{self, FmScratch};
 use crate::{
     Algorithm1, Bipartition, Bipartitioner, PartitionConfig, PartitionError, PartitionOutcome, Side,
 };
@@ -102,16 +102,6 @@ impl MultilevelConfig {
     pub fn vcycles(mut self, cycles: usize) -> Self {
         self.vcycles = cycles;
         self
-    }
-
-    /// The configured coarsening stop size.
-    pub fn max_coarse_size_value(&self) -> usize {
-        self.max_coarse_size
-    }
-
-    /// The configured V-cycle count.
-    pub fn vcycles_value(&self) -> usize {
-        self.vcycles
     }
 
     pub(crate) fn validate(&self) -> Result<(), PartitionError> {
@@ -251,7 +241,7 @@ fn strictly_beats(obj: Objective, h: &Hypergraph, a: &Bipartition, b: &Bipartiti
 
 /// Runs the full multilevel mode for [`Algorithm1::run`], which has
 /// already validated `ml`. `config` is the host configuration
-/// (`config.multilevel_value()` is `ml`); inner engine runs strip the
+/// (its multilevel field is `ml`); inner engine runs strip the
 /// multilevel field and a disabled collector, so their scope keys never
 /// collide with the V-cycle's own `order::ml` scopes.
 pub(crate) fn run_vcycle(
@@ -262,12 +252,11 @@ pub(crate) fn run_vcycle(
     progress: Option<&Progress>,
 ) -> Result<PartitionOutcome, PartitionError> {
     let flat_config = config.multilevel(None);
-    let refiner = FmRefiner::new();
     // One FM scratch serves every refinement in the V-cycle: the finest
     // level bounds every coarser one, so after the first (finest-sized)
     // warm-up the per-level refinements stop allocating.
     let mut fm = FmScratch::with_capacity(h.num_vertices(), h.num_edges());
-    let obj = config.objective_value();
+    let obj = config.objective;
     let cap = coarsen_cap(h, ml);
     let mut seq = 0usize;
     let mut next_scope = || {
@@ -303,7 +292,7 @@ pub(crate) fn run_vcycle(
     let span = scope.span(names::ML_INITIAL);
     let top = coarsest(h, &levels);
     let coarse_out = Algorithm1::new(flat_config).run(top)?;
-    let mut bp = refiner.refine_with(top, coarse_out.bipartition, &mut fm);
+    let mut bp = refine::refine_with(top, coarse_out.bipartition, &mut fm);
     drop(span);
     let coarsest_cut = metrics::cut_size(top, &bp);
     scope.counter(names::ML_COARSEST_CUT, coarsest_cut as u64);
@@ -317,7 +306,7 @@ pub(crate) fn run_vcycle(
         let scope = collector.scope(next_scope(), None);
         let span = scope.span(names::ML_REFINE);
         bp = Bipartition::from_sides(c.project(bp.as_slice()));
-        bp = refiner.refine_with(fine, bp, &mut fm);
+        bp = refine::refine_with(fine, bp, &mut fm);
         drop(span);
         let cut = metrics::cut_size(fine, &bp);
         scope.counter(names::ML_LEVEL_SIZE, fine.num_vertices() as u64);
@@ -337,7 +326,7 @@ pub(crate) fn run_vcycle(
     for _ in 1..ml.vcycles {
         let scope = collector.scope(next_scope(), None);
         let span = scope.span(names::ML_CYCLE);
-        let candidate = respecting_cycle(h, ml, cap, &bp, &refiner, &mut fm)?;
+        let candidate = respecting_cycle(h, ml, cap, &bp, &mut fm)?;
         if strictly_beats(obj, h, &candidate, &bp) {
             bp = candidate;
         }
@@ -399,7 +388,6 @@ fn respecting_cycle(
     ml: &MultilevelConfig,
     cap: u64,
     incumbent: &Bipartition,
-    refiner: &FmRefiner,
     fm: &mut FmScratch,
 ) -> Result<Bipartition, PartitionError> {
     let mut levels: Vec<Contraction> = Vec::new();
@@ -420,10 +408,10 @@ fn respecting_cycle(
         sides = coarse_sides;
         levels.push(c);
     }
-    let mut bp = refiner.refine_with(coarsest(h, &levels), Bipartition::from_sides(sides), fm);
+    let mut bp = refine::refine_with(coarsest(h, &levels), Bipartition::from_sides(sides), fm);
     for (c, fine) in uncoarsening(h, &levels) {
         bp = Bipartition::from_sides(c.project(bp.as_slice()));
-        bp = refiner.refine_with(fine, bp, fm);
+        bp = refine::refine_with(fine, bp, fm);
     }
     Ok(bp)
 }
@@ -670,7 +658,7 @@ mod tests {
     fn config_defaults_and_accessors() {
         let c = MultilevelConfig::default();
         assert_eq!(c, MultilevelConfig::new());
-        assert_eq!(c.max_coarse_size_value(), 60);
-        assert_eq!(c.vcycles_value(), 1);
+        assert_eq!(c.max_coarse_size, 60);
+        assert_eq!(c.vcycles, 1);
     }
 }

@@ -64,20 +64,6 @@ impl Side {
             Side::Left
         }
     }
-
-    /// Inverse of [`index`](Self::index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i > 1`.
-    #[inline]
-    pub fn from_index(i: usize) -> Side {
-        match i {
-            0 => Side::Left,
-            1 => Side::Right,
-            _ => panic!("side index {i} out of range"), // fhp-audit: allow(panic-site) — documented `# Panics` API contract; ids validated at construction
-        }
-    }
 }
 
 impl Not for Side {
@@ -254,12 +240,6 @@ impl Bipartition {
         self.cardinality_imbalance() <= 1
     }
 
-    /// True if the cardinality imbalance is at most `r` — the paper's
-    /// r-bipartition criterion of Fiduccia–Mattheyses (their ref. \[9\]).
-    pub fn is_r_bipartition(&self, r: usize) -> bool {
-        self.cardinality_imbalance() <= r
-    }
-
     /// Resets to `n` vertices all on [`Side::Left`], reusing the buffer —
     /// the in-place counterpart of [`all_left`](Self::all_left).
     pub fn reset(&mut self, n: usize) {
@@ -306,14 +286,7 @@ mod tests {
         assert_eq!(Side::Left.opposite(), Side::Right);
         assert_eq!(!Side::Right, Side::Left);
         assert_eq!(Side::Left.index(), 0);
-        assert_eq!(Side::from_index(1), Side::Right);
         assert_eq!(Side::Left.to_string(), "L");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn side_bad_index() {
-        let _ = Side::from_index(2);
     }
 
     #[test]
@@ -326,8 +299,6 @@ mod tests {
         assert_eq!(bp.count(Side::Right), 1);
         assert_eq!(bp.cardinality_imbalance(), 1);
         assert!(bp.is_bisection());
-        assert!(bp.is_r_bipartition(1));
-        assert!(!bp.is_r_bipartition(0));
     }
 
     #[test]

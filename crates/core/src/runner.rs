@@ -90,42 +90,6 @@ pub struct StartRecord<T> {
     pub events: ScopeEvents,
 }
 
-/// Runs `work(i)` for every `i in 0..starts` across `workers` scoped
-/// threads and returns the records **in index order**, regardless of
-/// which worker finished what when.
-///
-/// `work` must be a pure function of its index (up to timing); that is
-/// what makes the caller's reduction bit-identical for every `workers`
-/// value, including 1 (which runs inline on the caller's thread). A
-/// panicking call is contained and recorded, and the remaining starts
-/// still run. This is [`run_starts_arena`] with a unit arena and no
-/// tracing, so the records carry empty [`ScopeEvents`].
-///
-/// # Examples
-///
-/// ```
-/// use fhp_core::runner::run_starts;
-///
-/// let records = run_starts(8, 4, |i| i * i);
-/// assert_eq!(records.len(), 8);
-/// assert_eq!(records[3].index, 3);
-/// assert_eq!(records[3].outcome, Ok(9));
-/// ```
-pub fn run_starts<T, F>(starts: usize, workers: usize, work: F) -> Vec<StartRecord<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let (records, _) = run_starts_arena(
-        starts,
-        workers,
-        &Collector::disabled(),
-        || (),
-        |index, (), _| work(index),
-    );
-    records
-}
-
 /// The multi-start engine: runs `work` for every start in `0..starts` on
 /// the shared worker pool ([`pool::run_indexed`]) and returns the records
 /// in index order. Every worker owns one reusable arena `A`, created
@@ -243,6 +207,16 @@ mod tests {
     use super::*;
     use rand::Rng;
 
+    /// [`run_starts_arena`] with a unit arena and no tracing.
+    fn run_unit_arena<T: Send>(
+        starts: usize,
+        workers: usize,
+        work: impl Fn(usize) -> T + Sync,
+    ) -> Vec<StartRecord<T>> {
+        let disabled = Collector::disabled();
+        run_starts_arena(starts, workers, &disabled, || (), |i, (), _| work(i)).0
+    }
+
     #[test]
     fn splitmix_streams_are_seed_functions() {
         let mut a = SplitMix64::for_start(42, 3);
@@ -258,7 +232,7 @@ mod tests {
     #[test]
     fn records_arrive_in_index_order_for_any_worker_count() {
         for workers in [1, 2, 3, 8, 64] {
-            let records = run_starts(23, workers, |i| 100 - i);
+            let records = run_unit_arena(23, workers, |i| 100 - i);
             assert_eq!(records.len(), 23);
             for (i, r) in records.iter().enumerate() {
                 assert_eq!(r.index, i);
@@ -270,7 +244,7 @@ mod tests {
     #[test]
     fn results_identical_across_worker_counts() {
         let run = |workers| -> Vec<Result<u64, String>> {
-            run_starts(17, workers, |i| {
+            run_unit_arena(17, workers, |i| {
                 let mut rng = SplitMix64::for_start(7, i);
                 (0..50)
                     .map(|_| rng.gen::<u64>())
@@ -287,7 +261,7 @@ mod tests {
 
     #[test]
     fn panics_are_contained_and_recorded() {
-        let records = run_starts(6, 3, |i| {
+        let records = run_unit_arena(6, 3, |i| {
             assert!(i != 2 && i != 4, "start {i} poisoned");
             i
         });
@@ -305,9 +279,9 @@ mod tests {
 
     #[test]
     fn zero_starts_and_excess_workers() {
-        let empty = run_starts(0, 8, |i| i);
+        let empty = run_unit_arena(0, 8, |i| i);
         assert!(empty.is_empty());
-        let one = run_starts(1, 8, |i| i + 1);
+        let one = run_unit_arena(1, 8, |i| i + 1);
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].outcome, Ok(1));
     }
@@ -336,31 +310,6 @@ mod tests {
         let total: usize = arenas.iter().map(Vec::len).sum();
         assert_eq!(total, 16);
         assert!(arenas.iter().all(|a| !a.is_empty()));
-    }
-
-    #[test]
-    fn arena_results_match_run_starts_for_any_worker_count() {
-        let work = |i: usize| {
-            let mut rng = SplitMix64::for_start(11, i);
-            (0..40)
-                .map(|_| rng.gen::<u64>())
-                .fold(0u64, u64::wrapping_add)
-        };
-        let baseline: Vec<_> = run_starts(17, 1, work)
-            .into_iter()
-            .map(|r| r.outcome)
-            .collect();
-        for workers in [1, 2, 8] {
-            let (records, _) = run_starts_arena(
-                17,
-                workers,
-                &Collector::disabled(),
-                || (),
-                |i, _arena, _scope| work(i),
-            );
-            let got: Vec<_> = records.into_iter().map(|r| r.outcome).collect();
-            assert_eq!(got, baseline, "workers={workers}");
-        }
     }
 
     #[test]

@@ -197,40 +197,6 @@ pub fn double_sweep(g: &Graph, seed: u32) -> DoubleSweep {
     }
 }
 
-/// Connected components by repeated BFS.
-///
-/// Returns `(component_of, count)`; ids are assigned in order of first
-/// discovery scanning vertex indices ascending.
-pub fn connected_components(g: &Graph) -> (Vec<u32>, usize) {
-    let mut comp = vec![UNREACHED; g.num_vertices()];
-    let mut count = 0u32;
-    let mut queue = Vec::new();
-    for s in g.vertices() {
-        // fhp-audit: allow(panic-site) — visited/frontier buffers sized to the graph at entry
-        if comp[s as usize] != UNREACHED {
-            continue;
-        }
-        comp[s as usize] = count; // fhp-audit: allow(panic-site) — visited/frontier buffers sized to the graph at entry
-        queue.push(s);
-        let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head]; // fhp-audit: allow(panic-site) — visited/frontier buffers sized to the graph at entry
-            head += 1;
-            for &u in g.neighbors(v) {
-                // fhp-audit: allow(panic-site) — visited/frontier buffers sized to the graph at entry
-                if comp[u as usize] == UNREACHED {
-                    // fhp-audit: allow(panic-site) — visited/frontier buffers sized to the graph at entry
-                    comp[u as usize] = count; // fhp-audit: allow(panic-site) — visited/frontier buffers sized to the graph at entry
-                    queue.push(u);
-                }
-            }
-        }
-        queue.clear();
-        count += 1;
-    }
-    (comp, count as usize)
-}
-
 /// True if the graph is connected (the empty graph counts as connected).
 pub fn is_connected(g: &Graph) -> bool {
     g.num_vertices() == 0 || bfs(g, 0).num_reached() == g.num_vertices()
@@ -251,11 +217,6 @@ pub fn exact_diameter(g: &Graph) -> Option<u32> {
             .max()
             .expect("nonempty"), // fhp-audit: allow(panic-site) — visited/frontier buffers sized to the graph at entry
     )
-}
-
-/// Eccentricity of `v` within its component (its BFS depth).
-pub fn eccentricity(g: &Graph, v: u32) -> u32 {
-    bfs(g, v).depth()
 }
 
 #[cfg(test)]
@@ -338,22 +299,9 @@ mod tests {
     #[test]
     fn components() {
         let g = Graph::from_edges(5, [(0, 1), (2, 3)]);
-        let (comp, count) = connected_components(&g);
-        assert_eq!(count, 3);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
-        assert_ne!(comp[4], comp[0]);
         assert!(!is_connected(&g));
         assert!(is_connected(&cycle(5)));
         assert!(is_connected(&Graph::empty(0)));
-    }
-
-    #[test]
-    fn eccentricity_matches_bfs_depth() {
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(eccentricity(&g, 0), 3);
-        assert_eq!(eccentricity(&g, 1), 2);
     }
 
     #[test]

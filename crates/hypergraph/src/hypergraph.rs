@@ -154,12 +154,6 @@ impl Hypergraph {
         (0..self.num_edges()).map(EdgeId::new)
     }
 
-    /// True if the hypergraph is a plain graph (every edge has exactly two
-    /// pins).
-    pub fn is_graph(&self) -> bool {
-        self.edges().all(|e| self.edge_size(e) == 2)
-    }
-
     /// Connected components of the hypergraph, where two vertices are
     /// connected if some hyperedge contains both.
     ///
@@ -419,7 +413,6 @@ mod tests {
         assert_eq!(h.vertex_degree(VertexId::new(0)), 2);
         assert_eq!(h.max_edge_size(), 3);
         assert_eq!(h.max_vertex_degree(), 2);
-        assert!(!h.is_graph());
     }
 
     #[test]
@@ -536,14 +529,5 @@ mod tests {
         assert_ne!(comp[0], comp[2]);
         assert_ne!(comp[5], comp[0]);
         assert_ne!(comp[5], comp[2]);
-    }
-
-    #[test]
-    fn graph_detection() {
-        let mut b = HypergraphBuilder::with_vertices(3);
-        b.add_edge([VertexId::new(0), VertexId::new(1)]).unwrap();
-        b.add_edge([VertexId::new(1), VertexId::new(2)]).unwrap();
-        let h = b.build();
-        assert!(h.is_graph());
     }
 }

@@ -539,17 +539,6 @@ impl IntersectionGraph {
     pub fn filtered_edges<'a>(&'a self, h: &'a Hypergraph) -> impl Iterator<Item = EdgeId> + 'a {
         h.edges().filter(|e| self.g_of[e.index()] == FILTERED) // fhp-audit: allow(panic-site) — g_of is sized to h.num_edges() by keep_map, and every id looked up is an edge id of h
     }
-
-    /// Vertices of `H` covered by at least one kept hyperedge.
-    pub fn covered_vertices(&self, h: &Hypergraph) -> Vec<bool> {
-        let mut covered = vec![false; h.num_vertices()];
-        for &e in &self.kept {
-            for &p in h.pins(e) {
-                covered[p.index()] = true; // fhp-audit: allow(panic-site) — covered is sized to h.num_vertices(), and pins are vertex ids of h
-            }
-        }
-        covered
-    }
 }
 
 /// Computes the kept-edge list and the `g_of` compaction, rejecting
@@ -875,17 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn covered_vertices_accounts_for_filtering() {
-        let mut b = HypergraphBuilder::with_vertices(5);
-        b.add_edge([VertexId::new(0), VertexId::new(1)]).unwrap();
-        b.add_edge((0..5).map(VertexId::new)).unwrap(); // size 5
-        let h = b.build();
-        let ig = IntersectionGraph::build_with_threshold(&h, Some(5));
-        let covered = ig.covered_vertices(&h);
-        assert_eq!(covered, vec![true, true, false, false, false]);
-    }
-
-    #[test]
     fn no_self_adjacency() {
         let h = chain_hypergraph();
         let ig = IntersectionGraph::build(&h);
@@ -913,7 +891,6 @@ mod tests {
                     .build(&h)
                     .unwrap();
                 assert_eq!(ig.num_g_vertices(), 0);
-                assert_eq!(ig.covered_vertices(&h), vec![false; 3]);
                 let s = ig.stats();
                 assert_eq!(s.pairs_generated, 0);
                 assert_eq!(s.passes, 1);

@@ -7,7 +7,7 @@
 //!
 //! - [`Scope`] + [`Collector`] — lock-free per-unit-of-work recording
 //!   with a deterministic merge (scopes sort by caller-assigned
-//!   [`order`] keys, mirroring `runner::run_starts`' index-ordered
+//!   [`order`] keys, mirroring `runner::run_starts_arena`'s index-ordered
 //!   reduction), so the merged event sequence is identical across
 //!   `--threads 1/2/8`.
 //! - [`Span`](Scope::span) RAII guards with monotonic timing,

@@ -4,9 +4,9 @@
 //! k-way decomposition feeding placement, and the `.hgr` interchange
 //! format round-tripping through the whole pipeline.
 
-use fhp::baselines::{FiducciaMattheyses, Refined};
+use fhp::baselines::Refined;
 use fhp::core::multiway::recursive_bisection;
-use fhp::core::{metrics, Algorithm1, Bipartition, Bipartitioner, PartitionConfig};
+use fhp::core::{metrics, refine, Algorithm1, Bipartition, Bipartitioner, PartitionConfig};
 use fhp::gen::{CircuitNetlist, Technology};
 use fhp::hypergraph::contract::{heavy_pair_clustering, Contraction};
 use fhp::hypergraph::{hgr, Netlist};
@@ -39,7 +39,7 @@ fn cluster_partition_project_refine_pipeline() {
     let fine_cut = metrics::weighted_cut(&h, &fine);
     assert_eq!(fine_cut, coarse_cut, "projection changed the cut weight");
     // 4. FM refinement can only improve
-    let refined = FiducciaMattheyses::new(0).refine(&h, fine.clone());
+    let refined = refine::refine(&h, fine.clone());
     assert!(metrics::weighted_cut(&h, &refined) <= fine_cut);
 }
 
@@ -55,7 +55,7 @@ fn clustered_flow_is_competitive_with_flat() {
         .bipartition(c.coarse())
         .expect("valid");
     let projected = Bipartition::from_sides(c.project(coarse_bp.as_slice()));
-    let refined = FiducciaMattheyses::new(0).refine(&h, projected);
+    let refined = refine::refine(&h, projected);
     // clustering + refinement should land in the same quality league
     assert!(
         metrics::cut_size(&h, &refined) <= 2 * metrics::cut_size(&h, &flat) + 4,
