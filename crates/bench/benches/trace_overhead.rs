@@ -16,12 +16,14 @@
 //!
 //! The hard assertions (run in smoke mode too): min-of-N `disabled` and
 //! min-of-N `progress` wall are each within 5% of min-of-N `baseline`.
-//! Min-of-N with up to three attempts keeps scheduler noise out of the
-//! ratio; the margin is generous because the real cost — a few hundred
-//! buffered events or relaxed atomic stores per run — is orders of
-//! magnitude below it. The `enabled` ratio is reported in
-//! `BENCH_trace_overhead.json` but not asserted: exporting a trace is an
-//! opt-in diagnostic, not a fast path.
+//! Each attempt interleaves the baseline's samples with the candidate's,
+//! so a host that speeds up or slows down during the attempt moves both
+//! minima alike instead of landing in the ratio. Min-of-N with up to three
+//! attempts keeps scheduler noise out of the ratio; the margin is generous
+//! because the real cost — a few hundred buffered events or relaxed atomic
+//! stores per run — is orders of magnitude below it. The `enabled` ratio
+//! is reported in `BENCH_trace_overhead.json` but not asserted: exporting
+//! a trace is an opt-in diagnostic, not a fast path.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -46,6 +48,21 @@ fn min_wall_ns(samples: usize, run: impl Fn() -> usize) -> (u128, usize) {
         best = best.min(started.elapsed().as_nanos());
     }
     (best, cut)
+}
+
+/// `samples` timed runs of each of `runs`, interleaved one by one and
+/// alternating which side goes first. Returns each side's minimum wall and
+/// its last cut.
+fn min_wall_ns_interleaved(samples: usize, runs: [&dyn Fn() -> usize; 2]) -> [(u128, usize); 2] {
+    let mut best = [(u128::MAX, usize::MAX); 2];
+    for i in 0..samples {
+        for side in [i % 2, 1 - i % 2] {
+            let started = Instant::now();
+            let cut = runs[side]();
+            best[side] = (best[side].0.min(started.elapsed().as_nanos()), cut);
+        }
+    }
+    best
 }
 
 fn main() {
@@ -78,8 +95,9 @@ fn main() {
     let mut accepted = None;
     let mut attempts = Vec::new();
     for attempt in 1..=MAX_ATTEMPTS {
-        let (base_ns, base_cut) = min_wall_ns(samples, || run_with(None));
-        let (dis_ns, dis_cut) = min_wall_ns(samples, || run_with(Some(Collector::disabled())));
+        let disabled = || run_with(Some(Collector::disabled()));
+        let [(base_ns, base_cut), (dis_ns, dis_cut)] =
+            min_wall_ns_interleaved(samples, [&|| run_with(None), &disabled]);
         assert_eq!(base_cut, dis_cut, "a disabled collector changed the cut");
         let ratio = dis_ns as f64 / base_ns as f64;
         println!(
@@ -106,8 +124,7 @@ fn main() {
     let mut progress_accepted = None;
     let mut progress_attempts = Vec::new();
     for attempt in 1..=MAX_ATTEMPTS {
-        let (pbase_ns, pbase_cut) = min_wall_ns(samples, || run_with(None));
-        let (prog_ns, prog_cut) = min_wall_ns(samples, || {
+        let with_progress = || {
             let progress = Arc::new(Progress::new());
             let cut = run_with_progress(Arc::clone(&progress));
             assert_eq!(
@@ -116,7 +133,9 @@ fn main() {
                 "progress gauges were not updated"
             );
             cut
-        });
+        };
+        let [(pbase_ns, pbase_cut), (prog_ns, prog_cut)] =
+            min_wall_ns_interleaved(samples, [&|| run_with(None), &with_progress]);
         assert_eq!(pbase_cut, prog_cut, "an attached progress changed the cut");
         let prog_ratio = prog_ns as f64 / pbase_ns as f64;
         println!(

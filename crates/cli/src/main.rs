@@ -680,6 +680,7 @@ fn print_stats(stats: &fhp_core::RunStats) {
     line("distinct_paths", stats.distinct_paths.to_string());
     line("engine_threads", stats.threads.to_string());
     line("arena_reuse_hits", stats.arena_reuse_hits.to_string());
+    line("endpoint_memo_hits", stats.endpoint_memo_hits.to_string());
     line(
         "chosen_start",
         stats

@@ -82,6 +82,7 @@ fn stats_flag_prints_phase_lines() {
         "complete_cut_wall_us",
         "starts",
         "distinct_paths",
+        "endpoint_memo_hits",
         "engine_threads",
         "chosen_start",
         "num_g_vertices",
@@ -107,6 +108,13 @@ fn stats_flag_prints_phase_lines() {
     assert!(
         (1..=field("starts")).contains(&distinct),
         "distinct_paths {distinct} in:\n{stdout}"
+    );
+    // a start that reads its second BFS from the memo is never the first
+    // to draw its u
+    let memo_hits = field("endpoint_memo_hits");
+    assert!(
+        memo_hits < field("starts"),
+        "endpoint_memo_hits {memo_hits} in:\n{stdout}"
     );
 
     // quiet mode keeps the number first but still prints the stats

@@ -18,10 +18,12 @@
 //! [`CompletionStrategy`].
 //!
 //! Total cost is `O(n²)` in the number of signals `n`, dominated by the
-//! intersection-graph construction and the BFS sweeps. A run costs two
-//! BFSs per start, to draw its longest path, plus the sweeps of steps 3–5
-//! once per distinct path: a start that draws an endpoint pair an earlier
-//! start already drew takes that start's cut instead of sweeping again.
+//! intersection-graph construction and the BFS sweeps. A run costs one
+//! BFS per start from its random vertex, one BFS per distinct `u` a worker
+//! draws (a worker remembers each `u`'s deepest level for the rest of the
+//! run), plus the sweeps of steps 3–5 once per distinct path: a start that
+//! draws an endpoint pair an earlier start already drew takes that start's
+//! cut instead of sweeping again.
 //!
 //! If the hypergraph is disconnected (the paper's "completely pathological"
 //! `c = 0` case), the BFS structure discovers it and the partitioner
@@ -37,7 +39,7 @@ use fhp_obs::{names, order, Collector, Gauge, Histogram, Progress, Scope};
 
 use crate::boundary::BoundaryDecomposition;
 use crate::complete_cut::{CompletionScratch, CompletionStrategy};
-use crate::dual_bfs::{EndpointScratch, FrontPolicy, TwoFrontScratch};
+use crate::dual_bfs::{EndpointMemo, EndpointScratch, FrontPolicy, TwoFrontScratch};
 use crate::metrics::{CutReport, Objective, PhaseStats};
 use crate::multilevel::{MultilevelConfig, MultilevelStats};
 use crate::runner::{resolve_threads, run_starts_arena, SplitMix64};
@@ -277,6 +279,12 @@ pub struct RunStats {
     /// [`OutcomeFingerprint`](crate::OutcomeFingerprint) and never
     /// recorded into a trace scope (see `fhp_obs::names::RUNNER_ARENA_REUSE`).
     pub arena_reuse_hits: u64,
+    /// How many starts read their second longest-path BFS from their
+    /// worker's memo of earlier starts' `u`s instead of running it. Each
+    /// worker keeps its own memo, so this depends on the worker count
+    /// like [`arena_reuse_hits`](Self::arena_reuse_hits) and is kept out
+    /// of the fingerprint and the trace the same way.
+    pub endpoint_memo_hits: u64,
     /// Per-start outcomes in start order (empty for the shortcut path).
     pub per_start: Vec<StartStat>,
     /// Per-phase wall time and dualization counters (all zero for the
@@ -483,6 +491,7 @@ impl Algorithm1 {
                     distinct_paths: 0,
                     threads: 0,
                     arena_reuse_hits: 0,
+                    endpoint_memo_hits: 0,
                     per_start: Vec::new(),
                     phases: PhaseStats::default(),
                     multilevel: None,
@@ -516,7 +525,7 @@ impl Algorithm1 {
             self.config.starts,
             workers,
             &self.collector,
-            || StartArena::for_instance(h, &ig, config.completion),
+            || StartArena::for_instance(h, &ig, &config),
             |start, arena, scope| {
                 let outcome = evaluate_start(h, &ig, &config, &draws, start, arena, scope);
                 if let Some(p) = progress {
@@ -529,6 +538,7 @@ impl Algorithm1 {
             },
         );
         let arena_reuse_hits = (records.len() - arenas.len()) as u64;
+        let endpoint_memo_hits = arenas.iter().map(|a| a.memo.hits()).sum();
         let distinct_paths = draws.distinct_pairs();
 
         // Deterministic reduction: scan in start order with a strictly-
@@ -637,6 +647,7 @@ impl Algorithm1 {
                     distinct_paths,
                     threads: workers,
                     arena_reuse_hits,
+                    endpoint_memo_hits,
                     per_start,
                     phases,
                     multilevel: None,
@@ -668,6 +679,7 @@ impl Algorithm1 {
                 distinct_paths,
                 threads: workers,
                 arena_reuse_hits,
+                endpoint_memo_hits,
                 per_start,
                 phases,
                 multilevel: None,
@@ -832,8 +844,10 @@ impl Drop for DrawClaim<'_> {
 /// heap. Every stage resets the scratch state it reads at entry, so a
 /// start that panicked mid-pipeline cannot poison the next one.
 struct StartArena {
-    /// Longest-BFS-path endpoint picker (two BFS levelings + a deepest list).
+    /// Longest-BFS-path endpoint picker (one BFS leveling).
     endpoints: EndpointScratch,
+    /// Each `u` this worker drew, with its second BFS's deepest level.
+    memo: EndpointMemo,
     /// Dual-front BFS workspace and its resulting graph cut.
     fronts: TwoFrontScratch,
     /// Boundary set / boundary graph / partial-assignment workspace.
@@ -854,17 +868,18 @@ struct StartArena {
 
 impl StartArena {
     /// An arena pre-sized for hypergraph `h`, its intersection graph and
-    /// the configured completion `strategy`: every buffer gets the
-    /// instance's worst-case capacity up front, so no start — first or
-    /// later — grows it mid-pipeline.
-    fn for_instance(h: &Hypergraph, ig: &IntersectionGraph, strategy: CompletionStrategy) -> Self {
+    /// the run's start count and completion strategy: every buffer gets
+    /// the instance's worst-case capacity up front, so no start — first
+    /// or later — grows it mid-pipeline.
+    fn for_instance(h: &Hypergraph, ig: &IntersectionGraph, config: &PartitionConfig) -> Self {
         let g = ig.graph();
         let (n, g_n, g_m) = (h.num_vertices(), g.num_vertices(), g.num_edges());
         Self {
             endpoints: EndpointScratch::with_capacity(g_n),
+            memo: EndpointMemo::with_capacity(config.starts),
             fronts: TwoFrontScratch::with_capacity(g_n),
             dec: BoundaryDecomposition::with_capacity(n, g_n, g_m),
-            completion: CompletionScratch::with_capacity(strategy, n, g_n, g_m),
+            completion: CompletionScratch::with_capacity(config.completion, n, g_n, g_m),
             work_bp: Bipartition::all_left(n),
             sweep_best_bp: Bipartition::all_left(n),
             best_bp: Bipartition::all_left(n),
@@ -904,7 +919,7 @@ fn evaluate_start(
     // fhp-audit: allow(wallclock-in-fingerprint) — phase walls are diagnostics (PhaseStats), never part of fingerprints
     let lp_started = std::time::Instant::now();
     let lp = scope.map(|s| s.span(names::ALG1_LONGEST_PATH));
-    let endpoints = arena.endpoints.pick(g, &mut rng);
+    let endpoints = arena.endpoints.draw(g, &mut rng, Some(&mut arena.memo));
     drop(lp);
     let lp_ns = lp_started.elapsed().as_nanos() as u64;
     let repeat_of = claim.publish(endpoints.map(|(u, v, _)| (u, v)));

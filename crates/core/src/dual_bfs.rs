@@ -334,18 +334,18 @@ pub fn random_longest_path_endpoints<R: Rng + ?Sized>(
     EndpointScratch::new().pick(g, rng).map(|(u, v, _)| (u, v))
 }
 
-/// Reusable buffers for the longest-BFS-path endpoint draw. Once warmed
-/// to a graph's vertex count, repeated [`pick`](Self::pick) calls
-/// allocate nothing. The RNG draw sequence is byte-identical to
-/// [`random_longest_path_endpoints`] (which delegates here): one
-/// `gen_range` for the start vertex, one `choose` over the deepest level
-/// of the first BFS, one `choose` over the deepest level of the second —
-/// so swapping the scratch path in cannot perturb any seeded run.
+/// Reusable buffer for the longest-BFS-path endpoint draw: one BFS
+/// leveling, which the second search reuses once the first has chosen
+/// `u`. Once warmed to a graph's vertex count, repeated
+/// [`pick`](Self::pick) calls allocate nothing. The RNG draw sequence is
+/// byte-identical to [`random_longest_path_endpoints`] (which delegates
+/// here): one `gen_range` for the start vertex, one `choose` over the
+/// deepest level of the first BFS, one `choose` over the deepest level of
+/// the second — so swapping the scratch path in cannot perturb any seeded
+/// run.
 #[derive(Clone, Debug)]
 pub struct EndpointScratch {
-    first: bfs::BfsLevels,
-    second: bfs::BfsLevels,
-    deepest: Vec<u32>,
+    levels: bfs::BfsLevels,
 }
 
 impl Default for EndpointScratch {
@@ -358,18 +358,14 @@ impl EndpointScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self {
-            first: bfs::BfsLevels::empty(),
-            second: bfs::BfsLevels::empty(),
-            deepest: Vec::new(),
+            levels: bfs::BfsLevels::empty(),
         }
     }
 
     /// A scratch pre-sized for graphs of up to `n` vertices.
     pub fn with_capacity(n: usize) -> Self {
         Self {
-            first: bfs::BfsLevels::with_capacity(n),
-            second: bfs::BfsLevels::with_capacity(n),
-            deepest: Vec::with_capacity(n),
+            levels: bfs::BfsLevels::with_capacity(n),
         }
     }
 
@@ -379,58 +375,148 @@ impl EndpointScratch {
     /// to run. `None` under the same conditions as
     /// [`random_longest_path_endpoints`].
     pub fn pick<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) -> Option<(u32, u32, u32)> {
+        self.draw(g, rng, None)
+    }
+
+    /// The one endpoint draw behind [`pick`](Self::pick) and the
+    /// multi-start engine: `pick` passes no memo; the engine passes its
+    /// worker's [`EndpointMemo`], which answers the second BFS for every
+    /// `u` it stored. A hit `choose`s over the same list the BFS would
+    /// have produced, so both draw the same RNG values in the same order
+    /// and return the same triple.
+    pub(crate) fn draw<R: Rng + ?Sized>(
+        &mut self,
+        g: &Graph,
+        rng: &mut R,
+        memo: Option<&mut EndpointMemo>,
+    ) -> Option<(u32, u32, u32)> {
         let n = g.num_vertices();
         if n < 2 {
             return None;
         }
+        let levels = &mut self.levels;
         let start = rng.gen_range(0..n as u32); // fhp-audit: allow(as-cast-truncation) — vertex count fits u32 by the VertexId representation
-        bfs::bfs_into(g, start, &mut self.first);
-        if self.first.num_reached() < 2 {
+        bfs::bfs_into(g, start, levels);
+        if levels.num_reached() < 2 {
             // isolated start: fall back to any vertex with an edge
             let fallback = g.vertices().find(|&v| g.degree(v) > 0)?;
-            bfs::bfs_into(g, fallback, &mut self.first);
-            if self.first.num_reached() < 2 {
+            bfs::bfs_into(g, fallback, levels);
+            if levels.num_reached() < 2 {
                 return None; // unreachable: the fallback has an edge
             }
         }
-        fill_deepest(&self.first, &mut self.deepest);
-        let u = *self.deepest.choose(rng).expect("nonempty"); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-        bfs::bfs_into(g, u, &mut self.second);
-        fill_deepest(&self.second, &mut self.deepest);
-        let v = *self.deepest.choose(rng).expect("nonempty"); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+        let u = *levels.deepest_level().choose(rng).expect("nonempty"); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+
+        // the first BFS is dead once u is chosen, so the second reuses it
+        let (deepest, depth) = match memo {
+            Some(memo) => memo.second_bfs(g, u, levels),
+            None => {
+                bfs::bfs_into(g, u, levels);
+                (levels.deepest_level(), levels.depth())
+            }
+        };
+        let v = *deepest.choose(rng).expect("nonempty"); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
         if u == v {
             // start's component had a single vertex at positive depth 0 — can
             // only happen if u is isolated, which num_reached() >= 2 rules out.
             return None;
         }
-        Some((u, v, self.second.depth()))
+        Some((u, v, depth))
     }
 }
 
-/// Collects the deepest BFS level into `out` (the singleton source when
-/// the search reached nothing else), preserving visit order so a `choose`
-/// over the buffer matches one over a freshly collected `Vec`.
-fn fill_deepest(levels: &bfs::BfsLevels, out: &mut Vec<u32>) {
-    out.clear();
-    let depth = levels.depth();
-    if depth == 0 {
-        out.push(levels.source());
-        return;
+/// Vertex ids an [`EndpointMemo`] holds at most, over all its stored
+/// levels: 16 KB per worker. A 50-start run on the benchmark's std-cell
+/// netlists stores at most 353.
+pub(crate) const MEMO_ID_BUDGET: usize = 4096;
+
+/// The second longest-path BFS of every distinct `u` one worker drew in
+/// one run: `u`'s depth and deepest level, in visit order. BFS(u) is a
+/// function of `u` and `G` alone, so a start that draws a stored `u`
+/// reads the level instead of searching again, and its `choose` over the
+/// same list draws the same `v`. Valid for one graph only; the
+/// multi-start engine keeps one per worker arena, so no lock guards it.
+/// Both buffers are reserved up front and never grow: a level that does
+/// not fit in what is left of [`MEMO_ID_BUDGET`] is not stored (that `u`
+/// runs its BFS on every draw), and nothing is evicted.
+#[derive(Clone, Debug)]
+pub(crate) struct EndpointMemo {
+    /// The stored levels, back to back.
+    ids: Vec<u32>,
+    /// One entry per stored `u`, sorted by `u`.
+    entries: Vec<MemoEntry>,
+    /// Draws that read a stored level instead of running BFS(u).
+    hits: u64,
+}
+
+/// Where one `u`'s level sits in [`EndpointMemo::ids`], and its depth.
+#[derive(Clone, Copy, Debug)]
+struct MemoEntry {
+    u: u32,
+    depth: u32,
+    start: usize,
+    end: usize,
+}
+
+impl EndpointMemo {
+    /// An empty memo with room for `max_entries` levels (a run's start
+    /// count is enough: each start stores at most one) within
+    /// [`MEMO_ID_BUDGET`] ids.
+    pub(crate) fn with_capacity(max_entries: usize) -> Self {
+        Self {
+            ids: Vec::with_capacity(MEMO_ID_BUDGET),
+            entries: Vec::with_capacity(max_entries.min(MEMO_ID_BUDGET)),
+            hits: 0,
+        }
     }
-    out.extend(
-        levels
-            .visit_order()
-            .iter()
-            .copied()
-            .filter(|&v| levels.dist(v) == Some(depth)),
-    );
+
+    /// Draws that read a stored level instead of running BFS(u).
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// BFS(u)'s deepest level and depth: read from the memo on a hit;
+    /// otherwise searched into `levels` and stored if it fits.
+    fn second_bfs<'a>(
+        &'a mut self,
+        g: &Graph,
+        u: u32,
+        levels: &'a mut bfs::BfsLevels,
+    ) -> (&'a [u32], u32) {
+        match self.entries.binary_search_by_key(&u, |e| e.u) {
+            Ok(i) => {
+                self.hits += 1;
+                let e = self.entries[i]; // fhp-audit: allow(panic-site) — binary_search returned an index into the entries
+                (&self.ids[e.start..e.end], e.depth) // fhp-audit: allow(panic-site) — an entry's range was pushed into ids when it was stored
+            }
+            Err(slot) => {
+                bfs::bfs_into(g, u, levels);
+                let level = levels.deepest_level();
+                if self.entries.len() < self.entries.capacity()
+                    && level.len() <= MEMO_ID_BUDGET - self.ids.len()
+                {
+                    let start = self.ids.len();
+                    self.ids.extend_from_slice(level);
+                    let entry = MemoEntry {
+                        u,
+                        depth: levels.depth(),
+                        start,
+                        end: self.ids.len(),
+                    };
+                    self.entries.insert(slot, entry);
+                }
+                (level, levels.depth())
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::SplitMix64;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn path(n: usize) -> Graph {
         Graph::from_edges(n, (0..n as u32 - 1).map(|i| (i, i + 1)))
@@ -550,6 +636,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Draws a 50-start run's endpoints through one memo, as a worker of
+    /// the multi-start engine does, and checks each start against a fresh
+    /// plain draw on the same stream: same triple, and the same number of
+    /// RNG calls. Returns the memo's hits and the distinct `u`s drawn.
+    fn memoized_draws(g: &Graph, seed: u64) -> (u64, usize) {
+        const STARTS: usize = 50;
+        let mut scratch = EndpointScratch::with_capacity(g.num_vertices());
+        let mut memo = EndpointMemo::with_capacity(STARTS);
+        let mut us = std::collections::BTreeSet::new();
+        for i in 0..STARTS {
+            let mut rng_memo = SplitMix64::for_start(seed, i);
+            let mut rng_plain = SplitMix64::for_start(seed, i);
+            let memoized = scratch.draw(g, &mut rng_memo, Some(&mut memo));
+            let plain = EndpointScratch::new().pick(g, &mut rng_plain);
+            assert_eq!(memoized, plain, "start {i}");
+            assert_eq!(rng_memo.next_u64(), rng_plain.next_u64(), "start {i}");
+            us.extend(plain.map(|(u, _, _)| u));
+        }
+        (memo.hits(), us.len())
+    }
+
+    #[test]
+    fn memoized_draws_match_plain_draws() {
+        // the chain netlist's G is a path: u is always one of its ends
+        let (hits, distinct) = memoized_draws(&path(40), 3);
+        assert!(hits > 0);
+        assert_eq!(hits, 50 - distinct as u64);
+        // two hubs joined by a path, four leaves on each: u is one of the
+        // eight leaves, and each stored level holds the far hub's four
+        let mut broom = vec![(0u32, 2u32), (2, 3), (3, 1)];
+        broom.extend((4..8).map(|l| (0, l)).chain((8..12).map(|l| (1, l))));
+        let (hits, distinct) = memoized_draws(&Graph::from_edges(12, broom), 11);
+        assert!(hits > 0);
+        assert_eq!(hits, 50 - distinct as u64);
+        // on an odd cycle u is one of r's two antipodes, so u rarely repeats
+        let n = 1001u32;
+        let cycle = Graph::from_edges(n as usize, (0..n).map(|i| (i, (i + 1) % n)));
+        let (hits, distinct) = memoized_draws(&cycle, 7);
+        assert_eq!(hits, 50 - distinct as u64);
+        // every u's deepest level holds all other leaves, one id more than
+        // the budget, so no level is stored and every draw runs its BFS
+        assert_eq!(memoized_draws(&star(MEMO_ID_BUDGET + 2), 5).0, 0);
+        // a level of exactly the budget is stored; one id more is not
+        for (leaves, hits) in [(MEMO_ID_BUDGET + 1, 1), (MEMO_ID_BUDGET + 2, 0)] {
+            let g = star(leaves);
+            let mut memo = EndpointMemo::with_capacity(2);
+            let mut levels = bfs::BfsLevels::empty();
+            for _ in 0..2 {
+                let (level, depth) = memo.second_bfs(&g, 1, &mut levels);
+                assert_eq!((level.len(), depth), (leaves - 1, 2));
+            }
+            assert_eq!(memo.hits(), hits, "{leaves} leaves");
+        }
+    }
+
+    /// A star: hub 0 and `leaves` leaves.
+    fn star(leaves: usize) -> Graph {
+        Graph::from_edges(leaves + 1, (1..=leaves as u32).map(|l| (0, l)))
     }
 
     #[test]

@@ -89,6 +89,18 @@ impl BfsLevels {
         self.depth
     }
 
+    /// The deepest level in visit order: the tail of
+    /// [`visit_order`](Self::visit_order) at distance
+    /// [`depth`](Self::depth) (the source alone when nothing else was
+    /// reached). Distances never decrease along the visit order, so the
+    /// level's first vertex is found by binary search.
+    pub fn deepest_level(&self) -> &[u32] {
+        let first = self
+            .order
+            .partition_point(|&v| self.dist[v as usize] < self.depth); // fhp-audit: allow(panic-site) — visited/frontier buffers sized to the graph at entry
+        &self.order[first..] // fhp-audit: allow(panic-site) — partition_point returns at most the order's length
+    }
+
     /// A vertex at maximum distance from the source. The *last visited*
     /// deepest vertex is returned, which for the partitioner's purposes is
     /// an arbitrary deterministic representative.
@@ -261,6 +273,23 @@ mod tests {
             .collect();
         assert!(ds.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(l.visit_order()[0], 0);
+    }
+
+    #[test]
+    fn deepest_level_is_the_visit_order_filtered_to_the_depth() {
+        let g1 = cycle(7);
+        let g2 = Graph::from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4)]); // 5 isolated
+        for (g, src) in [(&g1, 0u32), (&g1, 3), (&g2, 0), (&g2, 1), (&g2, 5)] {
+            let l = bfs(g, src);
+            let filtered: Vec<u32> = l
+                .visit_order()
+                .iter()
+                .copied()
+                .filter(|&v| l.dist(v) == Some(l.depth()))
+                .collect();
+            assert_eq!(l.deepest_level(), filtered, "source {src}");
+        }
+        assert_eq!(bfs(&g2, 5).deepest_level(), [5]);
     }
 
     #[test]
