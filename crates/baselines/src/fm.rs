@@ -1,8 +1,11 @@
 //! Fiduccia–Mattheyses iterative-improvement bipartitioning.
 //!
-//! The linear-time-per-pass successor of KL that the paper cites as [9]:
-//! single-vertex moves instead of swaps, a balance criterion instead of
-//! strict alternation, and gains maintained incrementally. The pass
+//! The successor of KL that the paper cites as [9]: single-vertex moves
+//! instead of swaps, a balance criterion instead of strict alternation,
+//! and gains updated by delta on critical nets only. A pass is linear in
+//! FM's sense: its gain updates visit at most `8·Σ|e|` pins, each changed
+//! gain costs one `O(log n)` heap push, and the deferred re-queue of
+//! balance-blocked moves is outside that bound. The pass
 //! engine itself — lazy max-heap move selection, deferred-move balance
 //! handling, best-prefix rollback — is [`fhp_core::refine`] (the
 //! multilevel V-cycle refines with it at every level); this type wraps

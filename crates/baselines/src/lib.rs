@@ -5,8 +5,11 @@
 //! annealing ([`SimulatedAnnealing`]); this crate implements both from the
 //! primary sources, plus:
 //!
-//! - [`FiducciaMattheyses`] — the linear-time-per-pass KL successor the
-//!   paper cites as the state of the art (its ref. \[9\]);
+//! - [`FiducciaMattheyses`] — the KL successor the paper cites as the
+//!   state of the art (its ref. \[9\]); its gain updates visit at most
+//!   `8·Σ|e|` pins per pass, each changed gain costs an `O(log n)` heap
+//!   push, and the deferred re-queue of balance-blocked moves is outside
+//!   that bound;
 //! - [`RandomCut`] — the null baseline that motivates the paper's focus on
 //!   *difficult* inputs;
 //! - [`Exhaustive`] — ground-truth optimum for tiny instances, used by the

@@ -1,6 +1,8 @@
-//! Shared incremental-move machinery for the move-based baselines.
+//! Shared incremental-move machinery for every move-based engine: the FM
+//! pass that refines the multilevel V-cycle and the FM baseline, KL and
+//! simulated annealing.
 //!
-//! KL, FM and simulated annealing all revolve around the same primitive:
+//! They all revolve around the same primitive:
 //! flip one vertex across the cut and know the cut-size change in
 //! `O(deg(v))`. [`MoveState`] maintains per-edge pin counts per side, the
 //! running weighted cut, and the side weights, exactly as
@@ -8,7 +10,7 @@
 //! metrics is property-tested.
 
 use crate::{metrics, Bipartition, Side};
-use fhp_hypergraph::{Hypergraph, VertexId};
+use fhp_hypergraph::{EdgeId, Hypergraph, VertexId};
 
 /// Incrementally-maintained cut state for single-vertex moves.
 #[derive(Clone, Debug)]
@@ -95,6 +97,16 @@ impl<'a> MoveState<'a> {
     /// Current side of `v`.
     pub fn side(&self, v: VertexId) -> Side {
         self.bp.side(v)
+    }
+
+    /// Pins of net `e` on `side`: the count the FM pass reads to tell a
+    /// move's critical nets from the rest.
+    pub(crate) fn pins_on(&self, e: EdgeId, side: Side) -> u32 {
+        self.counts
+            .get(e.index())
+            .and_then(|c| c.get(side.index()))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// The FM *gain* of moving `v` to the other side: the decrease in

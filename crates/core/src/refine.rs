@@ -12,6 +12,35 @@
 //! passes under [`balance_slack`]. Refinement is monotone (a pass never
 //! returns a worse cut than it started with), which is what makes the
 //! V-cycle's per-level cuts non-increasing.
+//!
+//! # Gain updates on critical nets
+//!
+//! A pin's gain is `Σ w(e)·([its side holds 1 pin of e] − [the other side
+//! holds 0])` over its nets, so a move of `v` changes only the gains of
+//! pins on `v`'s nets, and only through nets whose counts cross those
+//! thresholds. With `f` and `t` the post-move pin counts of a net on
+//! `v`'s old and new sides, the net is *critical* when `f ≤ 1` or
+//! `t ≤ 2`. A free pin left on the old side then gains
+//! `w·([f = 1] + [t = 1])`, and a free pin on the new side loses
+//! `w·([f = 0] + [t = 2])`; every other net leaves every gain as it was.
+//! The pass applies these deltas to its gain cache and pushes each pin
+//! whose gain changed once, with its final gain — the same heap entries a
+//! full recompute of every free pin on `v`'s nets would push, so under
+//! the total `(gain, id)` heap order the moves are the same too.
+//!
+//! The update is linear per pass: a net is critical at most 8 times in
+//! one pass, so the gain updates visit at most `8·Σ|e|` pins.
+//!
+//! - A move *into* a side with `t ≤ 2` can happen at most twice per side,
+//!   because a pin that moves in stays there, locked, for the rest of the
+//!   pass.
+//! - A move *out of* a side with `f ≤ 1` can happen at most twice per
+//!   side, because only free pins move and no free pin ever enters a
+//!   side, so the free pins on it only dwindle.
+//!
+//! Each changed gain costs one heap push, `O(log n)`. The deferred
+//! re-queue, which puts back the moves the balance rule held off, is not
+//! covered by that bound.
 
 use std::collections::BinaryHeap;
 
@@ -106,6 +135,7 @@ fn pass_with(st: &mut MoveState<'_>, tolerance: u64, scratch: &mut FmScratch) ->
     let gains = &mut scratch.gains;
     gains.clear();
     gains.extend((0..n).map(|i| st.gain(VertexId::new(i))));
+    scratch.touched.reset(n);
     let mut buf = std::mem::take(&mut scratch.heap_buf);
     buf.clear();
     buf.extend(gains.iter().enumerate().map(|(i, &g)| (g, i as u32))); // fhp-audit: allow(as-cast-truncation) — pin index fits u32 by the VertexId representation
@@ -118,6 +148,7 @@ fn pass_with(st: &mut MoveState<'_>, tolerance: u64, scratch: &mut FmScratch) ->
     let deferred = &mut scratch.deferred;
     deferred.clear();
     let (mut left_count, mut right_count) = st.partition().counts();
+    let mut visited = 0usize;
 
     while let Some((g, i)) = heap.pop() {
         let idx = i as usize;
@@ -168,22 +199,12 @@ fn pass_with(st: &mut MoveState<'_>, tolerance: u64, scratch: &mut FmScratch) ->
             best_cut = st.cut();
             best_prefix = moves.len();
         }
-        // Refresh gains of free pins on v's nets (the critical-net set).
-        for &e in h.edges_of(v) {
-            for &p in h.pins(e) {
-                if locked.get(p.index()) != Some(&false) {
-                    continue;
-                }
-                let g2 = st.gain(p);
-                if let Some(slot) = gains.get_mut(p.index()) {
-                    if *slot != g2 {
-                        *slot = g2;
-                        heap.push((g2, p.index() as u32)); // fhp-audit: allow(as-cast-truncation) — pin index fits u32 by the VertexId representation
-                    }
-                }
-            }
-        }
+        visited += update_gains(st, v, locked, gains, &mut scratch.touched, &mut heap);
     }
+    debug_assert!(
+        visited <= 8 * h.num_pins(),
+        "gain updates visited {visited} pins"
+    );
 
     for &v in moves.iter().skip(best_prefix).rev() {
         st.apply_flip(v);
@@ -193,15 +214,107 @@ fn pass_with(st: &mut MoveState<'_>, tolerance: u64, scratch: &mut FmScratch) ->
     start_cut - best_cut
 }
 
+/// FM's gain update after `v` has moved (see the [module docs](self)):
+/// adds each critical net's delta to the cached gains of its free pins,
+/// then pushes every free pin whose gain changed onto `heap` once, with
+/// its final gain. Returns the number of pins visited, the pins of `v`'s
+/// critical nets.
+fn update_gains(
+    st: &MoveState<'_>,
+    v: VertexId,
+    locked: &[bool],
+    gains: &mut [i64],
+    touched: &mut Touched,
+    heap: &mut BinaryHeap<(i64, u32)>,
+) -> usize {
+    let h = st.hypergraph();
+    let to = st.side(v);
+    let from = to.opposite();
+    let mut visited = 0;
+    for &e in h.edges_of(v) {
+        let (f, t) = (st.pins_on(e, from), st.pins_on(e, to));
+        if f > 1 && t > 2 {
+            continue;
+        }
+        let w = h.edge_weight(e) as i64;
+        let on_from = w * (i64::from(f == 1) + i64::from(t == 1));
+        let on_to = -w * (i64::from(f == 0) + i64::from(t == 2));
+        visited += h.edge_size(e);
+        for &p in h.pins(e) {
+            let delta = if st.side(p) == from { on_from } else { on_to };
+            if delta == 0 || locked.get(p.index()) != Some(&false) {
+                continue;
+            }
+            if let Some(gain) = gains.get_mut(p.index()) {
+                touched.note(p, *gain);
+                *gain += delta;
+            }
+        }
+    }
+    for (p, before) in touched.drain() {
+        if let Some(&gain) = gains.get(p.index()) {
+            if gain != before {
+                heap.push((gain, p.index() as u32)); // fhp-audit: allow(as-cast-truncation) — pin index fits u32 by the VertexId representation
+            }
+        }
+    }
+    visited
+}
+
+/// The pins one move's gain update changed, each listed once with its
+/// gain before the move.
+#[derive(Clone, Debug, Default)]
+struct Touched {
+    pins: Vec<(VertexId, i64)>,
+    listed: Vec<bool>,
+}
+
+impl Touched {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            pins: Vec::with_capacity(n),
+            listed: Vec::with_capacity(n),
+        }
+    }
+
+    /// Empties the list and sizes the marks for `n` vertices.
+    fn reset(&mut self, n: usize) {
+        self.pins.clear();
+        self.listed.clear();
+        self.listed.resize(n, false);
+    }
+
+    /// Lists `p` with its gain `before` the move, unless it is listed.
+    fn note(&mut self, p: VertexId, before: i64) {
+        if let Some(listed) = self.listed.get_mut(p.index()) {
+            if !*listed {
+                *listed = true;
+                self.pins.push((p, before));
+            }
+        }
+    }
+
+    /// Takes the listed pins out, clearing their marks.
+    fn drain(&mut self) -> impl Iterator<Item = (VertexId, i64)> + '_ {
+        let listed = &mut self.listed;
+        self.pins.drain(..).inspect(move |(p, _)| {
+            if let Some(slot) = listed.get_mut(p.index()) {
+                *slot = false;
+            }
+        })
+    }
+}
+
 /// Reusable buffers for the FM pass loop: the lock set, the gain
-/// cache, the lazy heap's backing store, the move log, the deferred
-/// queue, and the [`MoveState`] pin-count table. Every buffer is fully
-/// reset at the start of each pass, so a scratch abandoned mid-pass
-/// self-heals on reuse.
+/// cache, the pins a move's gain update touched, the lazy heap's backing
+/// store, the move log, the deferred queue, and the [`MoveState`]
+/// pin-count table. Every buffer is fully reset at the start of each
+/// pass, so a scratch abandoned mid-pass self-heals on reuse.
 #[derive(Clone, Debug, Default)]
 pub struct FmScratch {
     locked: Vec<bool>,
     gains: Vec<i64>,
+    touched: Touched,
     heap_buf: Vec<(i64, u32)>,
     moves: Vec<VertexId>,
     deferred: Vec<(i64, u32)>,
@@ -220,6 +333,7 @@ impl FmScratch {
         Self {
             locked: Vec::with_capacity(n),
             gains: Vec::with_capacity(n),
+            touched: Touched::with_capacity(n),
             heap_buf: Vec::with_capacity(2 * n),
             moves: Vec::with_capacity(n),
             deferred: Vec::with_capacity(n),
@@ -234,6 +348,9 @@ mod tests {
     use crate::metrics;
     use fhp_hypergraph::intersection::paper_example;
     use fhp_hypergraph::HypergraphBuilder;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn halves(n: usize) -> Bipartition {
         Bipartition::from_fn(n, |v| {
@@ -291,5 +408,138 @@ mod tests {
         let h = b.build();
         let refined = refine(&h, halves(8));
         assert!(metrics::weight_imbalance(&h, &refined) <= balance_slack(&h));
+    }
+
+    /// A random hypergraph on `n` weighted vertices whose nets range from
+    /// one pin to all `n`, weighted 0 to 100.
+    fn random_hypergraph(rng: &mut StdRng, n: usize, m: usize) -> Hypergraph {
+        let mut b = HypergraphBuilder::new();
+        let vs: Vec<_> = (0..n)
+            .map(|_| b.add_weighted_vertex(rng.gen_range(1..4)))
+            .collect();
+        for _ in 0..m {
+            let size = match rng.gen_range(0..4) {
+                0 => n,
+                1 => rng.gen_range(1..=n),
+                _ => rng.gen_range(2..=3.min(n)),
+            };
+            let mut pins = vs.clone();
+            pins.shuffle(rng);
+            pins.truncate(size);
+            let weight = [0, 1, 1, 2, 5, 100][rng.gen_range(0..6)];
+            b.add_weighted_edge(pins, weight).unwrap();
+        }
+        b.build()
+    }
+
+    /// A start with `k` random vertices on the right, the rest left.
+    fn start_with_right(rng: &mut StdRng, n: usize, k: usize) -> Bipartition {
+        let mut ids: Vec<usize> = (0..n).collect();
+        ids.shuffle(rng);
+        let right = &ids[..k];
+        Bipartition::from_fn(n, |v| {
+            if right.contains(&v.index()) {
+                Side::Right
+            } else {
+                Side::Left
+            }
+        })
+    }
+
+    /// Moves every vertex once in random order, as a pass does, checking
+    /// after each move that every free vertex's cached gain equals a
+    /// recompute and that `update_gains` pushed exactly the changed gains.
+    /// Returns the pins the updates visited.
+    fn drive_pass(st: &mut MoveState<'_>, scratch: &mut FmScratch, rng: &mut StdRng) -> usize {
+        let n = st.hypergraph().num_vertices();
+        scratch.locked.clear();
+        scratch.locked.resize(n, false);
+        scratch.gains.clear();
+        scratch
+            .gains
+            .extend((0..n).map(|i| st.gain(VertexId::new(i))));
+        scratch.touched.reset(n);
+        let mut order: Vec<VertexId> = (0..n).map(VertexId::new).collect();
+        order.shuffle(rng);
+        let mut visited = 0;
+        for v in order {
+            let before: Vec<i64> = (0..n).map(|i| st.gain(VertexId::new(i))).collect();
+            st.apply_flip(v);
+            scratch.locked[v.index()] = true;
+            let mut heap = BinaryHeap::new();
+            visited += update_gains(
+                st,
+                v,
+                &scratch.locked,
+                &mut scratch.gains,
+                &mut scratch.touched,
+                &mut heap,
+            );
+            let mut expected = Vec::new();
+            for (i, &was) in before.iter().enumerate() {
+                if scratch.locked[i] {
+                    continue;
+                }
+                let now = st.gain(VertexId::new(i));
+                assert_eq!(scratch.gains[i], now, "gain of {i} after moving {v}");
+                if now != was {
+                    expected.push((now, i as u32));
+                }
+            }
+            expected.sort_unstable();
+            assert_eq!(heap.into_sorted_vec(), expected, "pushes after moving {v}");
+        }
+        visited
+    }
+
+    #[test]
+    fn delta_gains_equal_recomputed_gains() {
+        let mut rng = StdRng::seed_from_u64(26);
+        for round in 0..60 {
+            let n = rng.gen_range(2..24);
+            let m = rng.gen_range(1..3 * n);
+            let h = random_hypergraph(&mut rng, n, m);
+            // sides from one pin up to an even split
+            let k = [1, 2, n / 2, n - 1][round % 4].clamp(1, n - 1);
+            let mut st = MoveState::new(&h, start_with_right(&mut rng, n, k));
+            let mut scratch = FmScratch::new();
+            for _ in 0..3 {
+                drive_pass(&mut st, &mut scratch, &mut rng);
+            }
+            st.verify().expect("state stays consistent");
+        }
+    }
+
+    #[test]
+    fn gain_updates_visit_at_most_eight_pins_per_pin_of_a_net() {
+        let mut rng = StdRng::seed_from_u64(8);
+        // one net on all n vertices plus a chain: recomputing every free
+        // pin of every net of the moved vertex visits at least n² pins
+        let n = 200;
+        let mut b = HypergraphBuilder::with_vertices(n);
+        b.add_edge((0..n).map(VertexId::new)).unwrap();
+        for i in 1..n {
+            b.add_edge([VertexId::new(i - 1), VertexId::new(i)])
+                .unwrap();
+        }
+        let mut instances = vec![b.build()];
+        for _ in 0..20 {
+            let n = rng.gen_range(2..40);
+            let m = rng.gen_range(1..4 * n);
+            instances.push(random_hypergraph(&mut rng, n, m));
+        }
+        for h in &instances {
+            let n = h.num_vertices();
+            for k in [1, n / 2] {
+                let k = k.clamp(1, n - 1);
+                let mut st = MoveState::new(h, start_with_right(&mut rng, n, k));
+                let visited = drive_pass(&mut st, &mut FmScratch::new(), &mut rng);
+                assert!(
+                    visited <= 8 * h.num_pins(),
+                    "{visited} pins visited, Σ|e| = {}",
+                    h.num_pins()
+                );
+            }
+        }
     }
 }

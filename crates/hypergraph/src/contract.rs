@@ -225,6 +225,13 @@ pub fn heavy_pair_clustering_within(
 }
 
 /// The shared greedy-matching loop behind both clustering fronts.
+///
+/// A vertex's candidate partners are rated in a dense array indexed by
+/// vertex id and listed in the order of their first rating. `None` marks
+/// a vertex not yet rated, since a zero-weight net rates its pins 0.
+/// Each rating is summed in edge-then-pin order, so the max-rating,
+/// lowest-id winner is the same, bit for bit, as with any other map from
+/// partner to summed rating.
 fn pair_clustering(
     h: &Hypergraph,
     max_cluster_weight: u64,
@@ -233,13 +240,13 @@ fn pair_clustering(
     const UNMATCHED: u32 = u32::MAX;
     let mut cluster_of = vec![UNMATCHED; h.num_vertices()];
     let mut next = 0u32;
-    let mut affinity: BTreeMap<VertexId, f64> = BTreeMap::new();
+    let mut affinity: Vec<Option<f64>> = vec![None; h.num_vertices()];
+    let mut rated: Vec<VertexId> = Vec::new();
     for v in h.vertices() {
         // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
         if cluster_of[v.index()] != UNMATCHED {
             continue;
         }
-        affinity.clear();
         for &e in h.edges_of(v) {
             let size = h.edge_size(e);
             if size < 2 {
@@ -249,20 +256,30 @@ fn pair_clustering(
             for &u in h.pins(e) {
                 // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
                 if u != v && cluster_of[u.index()] == UNMATCHED && can_pair(v, u) {
-                    *affinity.entry(u).or_insert(0.0) += rating;
+                    if let Some(slot) = affinity.get_mut(u.index()) {
+                        if slot.is_none() {
+                            rated.push(u);
+                        }
+                        *slot.get_or_insert(0.0) += rating;
+                    }
                 }
             }
         }
-        let partner = affinity
-            .iter()
-            .filter(|(u, _)| h.vertex_weight(**u) + h.vertex_weight(v) <= max_cluster_weight)
-            .max_by(|a, b| {
-                // fhp-audit: allow(float-in-ordering) — ratings are sums accumulated in pin order; bitwise deterministic
-                a.1.total_cmp(b.1).then(b.0.cmp(a.0)) // deterministic tie-break: lowest id
-            })
-            .map(|(&u, _)| u);
+        let mut partner: Option<(VertexId, f64)> = None;
+        for u in rated.drain(..) {
+            let Some(a) = affinity.get_mut(u.index()).and_then(Option::take) else {
+                continue;
+            };
+            if h.vertex_weight(u) + h.vertex_weight(v) > max_cluster_weight {
+                continue;
+            }
+            // fhp-audit: allow(float-in-ordering) — ratings are sums accumulated in pin order; bitwise deterministic
+            if partner.is_none_or(|(best, r)| a.total_cmp(&r).then(best.cmp(&u)).is_gt()) {
+                partner = Some((u, a)); // deterministic tie-break: lowest id
+            }
+        }
         cluster_of[v.index()] = next; // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
-        if let Some(u) = partner {
+        if let Some((u, _)) = partner {
             cluster_of[u.index()] = next; // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
         }
         next += 1;

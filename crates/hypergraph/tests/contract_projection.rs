@@ -8,8 +8,10 @@
 //! The cut recount here is local to this file on purpose — it shares no
 //! code with `fhp_core::metrics` or the engine under test.
 
+use std::collections::BTreeMap;
+
 use fhp_hypergraph::contract::{heavy_pair_clustering, heavy_pair_clustering_within, Contraction};
-use fhp_hypergraph::Hypergraph;
+use fhp_hypergraph::{Hypergraph, HypergraphBuilder, VertexId};
 use fhp_verify::gen::Family;
 use proptest::prelude::*;
 
@@ -153,6 +155,114 @@ fn iterated_contraction_is_monotone_down_to_the_stop_size() {
             "{family:?}: {sizes:?}"
         );
     }
+}
+
+/// The greedy matching as a map from partner to summed rating: the
+/// reference the dense-array match must reproduce exactly. `group_of`
+/// restricts pairs as `heavy_pair_clustering_within` does.
+fn map_clustering(h: &Hypergraph, max_cluster_weight: u64, group_of: Option<&[u32]>) -> Vec<u32> {
+    const UNMATCHED: u32 = u32::MAX;
+    let can_pair = |v: VertexId, u: VertexId| {
+        group_of.is_none_or(|g| g.get(v.index()).is_some() && g.get(v.index()) == g.get(u.index()))
+    };
+    let mut cluster_of = vec![UNMATCHED; h.num_vertices()];
+    let mut next = 0u32;
+    let mut affinity: BTreeMap<VertexId, f64> = BTreeMap::new();
+    for v in h.vertices() {
+        if cluster_of[v.index()] != UNMATCHED {
+            continue;
+        }
+        affinity.clear();
+        for &e in h.edges_of(v) {
+            let size = h.edge_size(e);
+            if size < 2 {
+                continue;
+            }
+            let rating = h.edge_weight(e) as f64 / (size - 1) as f64;
+            for &u in h.pins(e) {
+                if u != v && cluster_of[u.index()] == UNMATCHED && can_pair(v, u) {
+                    *affinity.entry(u).or_insert(0.0) += rating;
+                }
+            }
+        }
+        let partner = affinity
+            .iter()
+            .filter(|(u, _)| h.vertex_weight(**u) + h.vertex_weight(v) <= max_cluster_weight)
+            .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(a.0)))
+            .map(|(&u, _)| u);
+        cluster_of[v.index()] = next;
+        if let Some(u) = partner {
+            cluster_of[u.index()] = next;
+        }
+        next += 1;
+    }
+    cluster_of
+}
+
+/// A random hypergraph with weighted vertices, mostly small nets and a
+/// few wide ones. Net weights come from a short list with repeats and
+/// zeros, so equal ratings and zero ratings are common.
+fn random_weighted(seed: u64) -> Hypergraph {
+    let mut state = seed ^ 0x2545_f491_4f6c_dd1d;
+    let mut next = move |bound: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % bound
+    };
+    let n = 2 + next(60) as usize;
+    let mut b = HypergraphBuilder::new();
+    for _ in 0..n {
+        b.add_weighted_vertex(1 + next(3));
+    }
+    for _ in 0..next(3 * n as u64) + 1 {
+        let size = if next(8) == 0 {
+            1 + next(n as u64) as usize
+        } else {
+            1 + next(4) as usize
+        };
+        let pins: Vec<VertexId> = (0..size)
+            .map(|_| VertexId::new(next(n as u64) as usize))
+            .collect();
+        let weight = [0, 0, 1, 1, 2, 3, 6][next(7) as usize];
+        b.add_weighted_edge(pins, weight).expect("pins exist");
+    }
+    b.build()
+}
+
+#[test]
+fn dense_match_picks_the_same_partners_as_a_rating_map() {
+    for seed in 0..300u64 {
+        let h = random_weighted(seed);
+        let groups: Vec<u32> = labelling(h.num_vertices(), seed)
+            .into_iter()
+            .map(u32::from)
+            .collect();
+        for cap in [2, 3, 4, 1_000] {
+            assert_eq!(
+                heavy_pair_clustering(&h, cap),
+                map_clustering(&h, cap, None),
+                "seed {seed} cap {cap}"
+            );
+            assert_eq!(
+                heavy_pair_clustering_within(&h, cap, &groups),
+                map_clustering(&h, cap, Some(&groups)),
+                "seed {seed} cap {cap}, within groups"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_zero_weight_net_still_offers_a_partner() {
+    // 0's only net weighs 0: its one candidate rates 0 and still wins
+    let mut b = HypergraphBuilder::with_vertices(3);
+    let v = VertexId::new;
+    b.add_weighted_edge([v(0), v(2)], 0).unwrap();
+    b.add_weighted_edge([v(1), v(2)], 0).unwrap();
+    let h = b.build();
+    assert_eq!(heavy_pair_clustering(&h, 10), [0, 1, 0]);
+    assert_eq!(map_clustering(&h, 10, None), [0, 1, 0]);
 }
 
 proptest! {

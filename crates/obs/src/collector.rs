@@ -13,7 +13,8 @@
 //!   back once, at [`Scope::finish`]/[`Collector::adopt`] time (one short
 //!   mutex lock per scope, never per event). A disabled collector drops
 //!   adopted buffers on the floor, so the fast path of an untraced run
-//!   is just the local buffering.
+//!   is just the local buffering. It counts what it drops, so a check can
+//!   pin how much an untraced run records.
 //! - [`Collector::snapshot`] merges the adopted buffers **in scope-order
 //!   key order**, not adoption order. Callers assign each scope a
 //!   deterministic key (see [`crate::order`]) — the same contract as
@@ -57,6 +58,8 @@ struct CollectorInner {
     enabled: bool,
     epoch: Instant,
     scopes: Mutex<Vec<ScopeEvents>>,
+    dropped_scopes: AtomicU64,
+    dropped_events: AtomicU64,
 }
 
 impl std::fmt::Debug for CollectorInner {
@@ -106,6 +109,8 @@ impl Collector {
                 enabled,
                 epoch: Instant::now(),
                 scopes: Mutex::new(Vec::new()),
+                dropped_scopes: AtomicU64::new(0),
+                dropped_events: AtomicU64::new(0),
             }),
         }
     }
@@ -133,16 +138,38 @@ impl Collector {
         Scope::with_epoch(self.inner.epoch, order, start_index)
     }
 
-    /// Takes ownership of a finished scope's buffer (no-op when
-    /// disabled).
+    /// Takes ownership of a finished scope's buffer. A disabled collector
+    /// drops it, counting it in [`dropped_scopes`](Self::dropped_scopes)
+    /// and [`dropped_events`](Self::dropped_events) if it holds any
+    /// events.
     pub fn adopt(&self, scope: ScopeEvents) {
-        if self.inner.enabled && !scope.events.is_empty() {
+        if scope.events.is_empty() {
+            return;
+        }
+        if self.inner.enabled {
             self.inner
                 .scopes
                 .lock()
                 .expect("no recording panics hold this lock") // fhp-audit: allow(panic-site) — mutex poisoning implies a recording panic already unwinding; nothing to salvage
                 .push(scope);
+        } else {
+            self.inner.dropped_scopes.fetch_add(1, Ordering::Relaxed); // fhp-audit: allow(atomic-ordering) — drop tallies are monotonic statistics read after the run; no synchronizes-with needed
+            self.inner
+                .dropped_events
+                .fetch_add(scope.events.len() as u64, Ordering::Relaxed); // fhp-audit: allow(atomic-ordering) — drop tallies are monotonic statistics read after the run; no synchronizes-with needed
         }
+    }
+
+    /// Scopes holding at least one event that this collector dropped at
+    /// [`adopt`](Self::adopt) because it is disabled: the recording an
+    /// untraced run pays for and throws away.
+    pub fn dropped_scopes(&self) -> u64 {
+        self.inner.dropped_scopes.load(Ordering::Relaxed) // fhp-audit: allow(atomic-ordering) — drop tallies are monotonic statistics read after the run; no synchronizes-with needed
+    }
+
+    /// Events inside the [dropped scopes](Self::dropped_scopes).
+    pub fn dropped_events(&self) -> u64 {
+        self.inner.dropped_events.load(Ordering::Relaxed) // fhp-audit: allow(atomic-ordering) — drop tallies are monotonic statistics read after the run; no synchronizes-with needed
     }
 
     /// The deterministically merged event sequence: adopted scopes
@@ -374,6 +401,17 @@ mod tests {
         assert_eq!(counter_total(&finished.events, "k"), 1);
         collector.adopt(finished);
         assert!(collector.snapshot().is_empty());
+        // what it drops is counted; an empty buffer is not a scope
+        collector.adopt(ScopeEvents::default());
+        assert_eq!(
+            (collector.dropped_scopes(), collector.dropped_events()),
+            (1, 1)
+        );
+        let enabled = Collector::enabled();
+        let scope = enabled.scope(0, None);
+        scope.counter("k", 1);
+        enabled.adopt(scope.finish());
+        assert_eq!((enabled.dropped_scopes(), enabled.dropped_events()), (0, 0));
     }
 
     #[test]
