@@ -18,9 +18,10 @@
 //! The assertions (run in smoke mode too):
 //!
 //! - the disabled collector dropped exactly [`DISABLED_DROPPED_SCOPES`]
-//!   scopes holding [`DISABLED_DROPPED_EVENTS`] events — the dualizer's
-//!   scope, which `DualizeStats` reads back before it is adopted. A scope
-//!   recorded on the untraced path raises the counts;
+//!   scopes holding [`DISABLED_DROPPED_EVENTS`] events — the `dualize`
+//!   scope of the run's `DualIncidence` build, which `DualizeStats` reads
+//!   back before it is adopted. A scope recorded on the untraced path
+//!   raises the counts;
 //! - at one thread, where a run's allocations are a pure function of its
 //!   inputs, the `progress` run allocates exactly as often as the
 //!   `baseline` run, and its `StartsDone` gauge equals the start count;
@@ -43,10 +44,12 @@ fhp_obs::install_counting_allocator!();
 
 const HUB_SIGNALS: usize = 512;
 const HUB_MODULES: usize = 8;
-/// Scopes an untraced run hands a disabled collector: the dualizer's.
+/// Scopes an untraced run hands a disabled collector: the `dualize`
+/// scope of its `DualIncidence` build.
 const DISABLED_DROPPED_SCOPES: u64 = 1;
-/// Events in the dualizer's scope: five spans and eight counters.
-const DISABLED_DROPPED_EVENTS: u64 = 13;
+/// Events in that scope: the build's span and the kept and filtered
+/// counters.
+const DISABLED_DROPPED_EVENTS: u64 = 3;
 
 /// `samples` timed runs of each of `runs`, interleaved one by one and
 /// rotating which goes first, so a host that speeds up or slows down
@@ -111,7 +114,7 @@ fn main() {
         dropped,
         (DISABLED_DROPPED_SCOPES, DISABLED_DROPPED_EVENTS),
         "an untraced run recorded (scopes, events) a disabled collector drops; \
-         only the dualizer's scope, which its stats facade reads, may be recorded"
+         only the view's `dualize` scope, which its stats facade reads, may be recorded"
     );
 
     // What a live gauge registry costs in allocations, at one thread.

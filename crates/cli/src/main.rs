@@ -16,8 +16,6 @@
 //!                           (default 0 = one per core; the cut is
 //!                           identical for every value)
 //!   -t, --threshold <K>     ignore signals with K or more pins
-//!       --pair-cap <N>      cap the dualizer's raw pair buffer at N pairs
-//!                           per pass (same graph, more passes)
 //!       --balance           engineer's-method weighted completion (alg1)
 //!       --objective <cut|quotient|ratio>     alg1 ranking objective
 //!       --multilevel        multilevel V-cycle mode: coarsen by heavy-edge
@@ -82,7 +80,6 @@ struct Options {
     seed: u64,
     threads: usize,
     threshold: Option<usize>,
-    pair_cap: Option<usize>,
     balance: bool,
     objective: Objective,
     multilevel: bool,
@@ -109,7 +106,6 @@ fn parse_args() -> Result<Options, String> {
         seed: 0,
         threads: 0,
         threshold: None,
-        pair_cap: None,
         balance: false,
         objective: Objective::CutSize,
         multilevel: false,
@@ -152,15 +148,6 @@ fn parse_args() -> Result<Options, String> {
                         .parse()
                         .map_err(|_| "threshold must be an integer".to_string())?,
                 )
-            }
-            "--pair-cap" => {
-                let n: usize = value("--pair-cap")?
-                    .parse()
-                    .map_err(|_| "pair cap must be a positive integer".to_string())?;
-                if n == 0 {
-                    return Err("pair cap must be at least 1".to_string());
-                }
-                opts.pair_cap = Some(n);
             }
             "--balance" => opts.balance = true,
             "--objective" => {
@@ -335,8 +322,6 @@ fn main() -> ExitCode {
         .seed(opts.seed)
         .threads(opts.threads)
         .edge_size_threshold(opts.threshold)
-        .streaming_dualize(opts.pair_cap.is_some())
-        .pair_cap(opts.pair_cap)
         .completion(completion)
         .objective(opts.objective)
         .multilevel(ml_mode);
@@ -650,18 +635,12 @@ fn print_mem_stats() {
 /// Prints the run's phase-level diagnostics as stable `[stats] key value`
 /// lines (one fact per line, machine-greppable; documented in README).
 fn print_stats(stats: &fhp_core::RunStats) {
+    // Algorithm I reads G off the incidence lists: its `dualize` phase
+    // is the view's build, which keeps and filters signals and pairs none.
     let d = &stats.phases.dualize;
     let line = |key: &str, value: String| println!("[stats] {key} {value}");
-    line("dualize_pairs_generated", d.pairs_generated.to_string());
-    line("dualize_duplicates_merged", d.duplicates_merged.to_string());
-    line("dualize_unique_edges", d.unique_edges.to_string());
     line("dualize_kept_edges", d.kept_edges.to_string());
     line("dualize_filtered_edges", d.filtered_edges.to_string());
-    line("dualize_shards", d.shards.to_string());
-    line("dualize_threads", d.threads.to_string());
-    line("dualize_passes", d.passes.to_string());
-    line("dualize_peak_pair_buffer", d.peak_pair_buffer.to_string());
-    line("dualize_bytes_spilled", d.bytes_spilled.to_string());
     line("dualize_wall_us", d.wall.as_micros().to_string());
     let p = &stats.phases;
     line(
@@ -829,8 +808,6 @@ fn usage() -> &'static str {
      \x20     --threads <N>     alg1 worker threads (default 0 = one per core;\n\
      \x20                       same cut for every value)\n\
      \x20 -t, --threshold <K>   ignore signals with K or more pins\n\
-     \x20     --pair-cap <N>    cap the dualizer's raw pair buffer at N pairs\n\
-     \x20                       per pass (same graph, more passes)\n\
      \x20     --balance         engineer's-method weighted completion\n\
      \x20     --objective <cut|quotient|ratio>\n\
      \x20     --multilevel      multilevel V-cycle mode: coarsen by heavy-edge\n\
@@ -841,8 +818,8 @@ fn usage() -> &'static str {
      \x20     --coarse-size <N> stop coarsening at N vertices (default 60;\n\
      \x20                       requires --multilevel)\n\
      \x20     --stats           print per-phase `[stats] key value` lines\n\
-     \x20                       (dualization counters + phase wall times for\n\
-     \x20                       alg1; restart/pass/move counters for kl/fm/sa;\n\
+     \x20                       (kept/filtered signal counts + phase wall times\n\
+     \x20                       for alg1; restart/pass/move counters for kl/fm/sa;\n\
      \x20                       `random` prints a not_instrumented note)\n\
      \x20     --trace <FILE>    write an NDJSON event trace of the run\n\
      \x20                       (two-way alg1, kl, fm, or sa)\n\

@@ -71,9 +71,6 @@ fn stats_flag_prints_phase_lines() {
     let (stdout, stderr, ok) = run(&["--demo", "--stats"]);
     assert!(ok, "{stderr}");
     for key in [
-        "dualize_pairs_generated",
-        "dualize_duplicates_merged",
-        "dualize_unique_edges",
         "dualize_kept_edges",
         "dualize_filtered_edges",
         "dualize_wall_us",
@@ -96,12 +93,9 @@ fn stats_flag_prints_phase_lines() {
             "missing {key} in:\n{stdout}"
         );
     }
-    // the counters balance: generated = unique + duplicates
+    // Algorithm I reads G off the incidence lists: no pair counter is left
     let field = |key: &str| stat(&stdout, key);
-    assert_eq!(
-        field("dualize_pairs_generated"),
-        field("dualize_unique_edges") + field("dualize_duplicates_merged")
-    );
+    assert!(!stdout.contains("dualize_pairs_generated"), "{stdout}");
     assert_eq!(field("dualize_kept_edges"), 9);
     // every start that swept drew a path no earlier start drew
     let distinct = field("distinct_paths");
@@ -121,7 +115,7 @@ fn stats_flag_prints_phase_lines() {
     let (quiet, _, ok) = run(&["--demo", "--stats", "-q"]);
     assert!(ok);
     assert_eq!(quiet.lines().next().unwrap().trim(), "2");
-    assert!(quiet.contains("[stats] dualize_unique_edges"));
+    assert!(quiet.contains("[stats] dualize_kept_edges"));
 
     // stats with a filtered threshold reports the filtered count
     let (filtered, _, ok) = run(&["--demo", "--stats", "-t", "4"]);
@@ -725,28 +719,17 @@ fn multilevel_flag_values_are_validated() {
 }
 
 #[test]
-fn pair_cap_changes_passes_not_the_cut() {
-    let (plain, stderr, ok) = run(&["--demo", "-q", "--stats"]);
-    assert!(ok, "{stderr}");
-    let (capped, stderr, ok) = run(&["--demo", "-q", "--stats", "--pair-cap", "3"]);
-    assert!(ok, "{stderr}");
-    assert_eq!(capped.lines().next(), plain.lines().next(), "cut changed");
-    let pairs = stat(&capped, "dualize_pairs_generated");
-    assert_eq!(pairs, stat(&plain, "dualize_pairs_generated"));
-    assert_eq!(stat(&capped, "dualize_passes"), pairs.div_ceil(3));
-    assert_eq!(stat(&capped, "dualize_passes"), 7);
-    assert!(stat(&capped, "dualize_peak_pair_buffer") <= 3, "{capped}");
-    assert_eq!(
-        stat(&capped, "dualize_unique_edges"),
-        stat(&plain, "dualize_unique_edges")
-    );
-
-    let out = fhp()
-        .args(["--demo", "--pair-cap", "0"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("pair cap must be at least 1"));
+fn pair_cap_is_an_unknown_option() {
+    // Algorithm I builds no pairs, so the dualizer's pair cap is no flag
+    for args in [
+        &["--demo", "--pair-cap", "3"][..],
+        &["--demo", "--pair-cap", "0"][..],
+    ] {
+        let out = fhp().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option `--pair-cap`"), "{stderr}");
+    }
 }
 
 #[test]

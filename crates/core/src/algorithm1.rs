@@ -3,8 +3,10 @@
 //! The pipeline (paper §2.3), repeated over `starts` random longest BFS
 //! paths (the paper's test runs used 50) and keeping the best cut:
 //!
-//! 1. build the intersection graph `G` (optionally dropping hyperedges at
-//!    or above a size threshold, §3);
+//! 1. read the intersection graph `G` off the incidence lists
+//!    ([`DualIncidence`]: each module's kept nets, optionally dropping
+//!    hyperedges at or above a size threshold, §3) — `G`'s adjacency is
+//!    never built;
 //! 2. pick a random vertex, BFS to a furthest vertex `u`, BFS again to a
 //!    furthest vertex `v` — a longest BFS path;
 //! 3. grow BFS fronts from `u` and `v` simultaneously to cut `G`;
@@ -18,12 +20,14 @@
 //! [`CompletionStrategy`].
 //!
 //! Total cost is `O(n²)` in the number of signals `n`, dominated by the
-//! intersection-graph construction and the BFS sweeps. A run costs one
-//! BFS per start from its random vertex, one BFS per distinct `u` a worker
-//! draws (a worker remembers each `u`'s deepest level for the rest of the
-//! run), plus the sweeps of steps 3–5 once per distinct path: a start that
-//! draws an endpoint pair an earlier start already drew takes that start's
-//! cut instead of sweeping again.
+//! BFS sweeps; the view costs `O(pins)` to build, and each BFS or sweep
+//! over it reads at most two or three ids per kept pin (see
+//! [`crate::dual_bfs`]). A run costs one BFS per start from its random
+//! vertex, one BFS per distinct `u` a worker draws (a worker remembers
+//! each `u`'s deepest level for the rest of the run), plus the sweeps of
+//! steps 3–5 once per distinct path: a start that draws an endpoint pair
+//! an earlier start already drew takes that start's cut instead of
+//! sweeping again.
 //!
 //! If the hypergraph is disconnected (the paper's "completely pathological"
 //! `c = 0` case), the BFS structure discovers it and the partitioner
@@ -34,7 +38,7 @@
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use fhp_hypergraph::{Dualizer, Hypergraph, IntersectionGraph, VertexId};
+use fhp_hypergraph::{DualIncidence, Hypergraph, VertexId};
 use fhp_obs::{names, order, Collector, Gauge, Histogram, Progress, Scope};
 
 use crate::boundary::BoundaryDecomposition;
@@ -179,20 +183,23 @@ impl PartitionConfig {
         self
     }
 
-    /// Lets [`pair_cap`](Self::pair_cap) bound the dualizer's pair buffer
-    /// (default `false`). Either way the one [`Dualizer::build`] kernel
-    /// runs and the built graph is byte-identical; a cap only trades a
-    /// smaller peak pair buffer for extra merge passes.
+    /// Admits a [`pair_cap`](Self::pair_cap) (default `false`). It no
+    /// longer affects [`Algorithm1::run`], which reads `G` off the
+    /// incidence lists and runs no dualizer; only the validation rule
+    /// below reads it. The benchmark driver still sets it, so it is
+    /// deleted together with `pair_cap` in the change to that driver
+    /// (ROADMAP items 6 and 7).
     pub fn streaming_dualize(mut self, streaming: bool) -> Self {
         self.streaming_dualize = streaming;
         self
     }
 
-    /// Caps the dualizer's in-flight pair buffer at `cap` entries per pass
-    /// ([`Dualizer::pair_cap`]; default `None` — uncapped, a single pass
-    /// over the whole pair stream). Requires
-    /// [`streaming_dualize`](Self::streaming_dualize); rejected by
-    /// validation otherwise.
+    /// A pair-buffer cap for the dualizer
+    /// (`fhp_hypergraph::Dualizer::pair_cap`; default `None`). It no
+    /// longer affects [`Algorithm1::run`], which builds no pairs;
+    /// validation still rejects a cap of 0, and a cap without
+    /// [`streaming_dualize`](Self::streaming_dualize). Deleted with
+    /// `streaming_dualize` (ROADMAP items 6 and 7).
     pub fn pair_cap(mut self, cap: Option<usize>) -> Self {
         self.pair_cap = cap;
         self
@@ -287,8 +294,8 @@ pub struct RunStats {
     pub endpoint_memo_hits: u64,
     /// Per-start outcomes in start order (empty for the shortcut path).
     pub per_start: Vec<StartStat>,
-    /// Per-phase wall time and dualization counters (all zero for the
-    /// component shortcut, which never builds `G`).
+    /// Per-phase wall time and the `G` view's kept and filtered counts
+    /// (all zero for the component shortcut, which never reads `G`).
     pub phases: PhaseStats,
     /// What the multilevel V-cycle did, when the run used the multilevel
     /// mode (`None` for flat runs). The other fields then describe the
@@ -417,10 +424,9 @@ impl Algorithm1 {
     }
 
     /// Attaches a live [`Progress`] registry: start totals are planned
-    /// into it up front, `StartsDone`/`BestCut` tick as workers retire
-    /// starts, and the dualizer's pass/pair gauges are forwarded. All
-    /// updates are relaxed atomics on pre-existing slots, so the
-    /// zero-allocation contract of the hot loop is untouched.
+    /// into it up front, and `StartsDone`/`BestCut` tick as workers retire
+    /// starts. All updates are relaxed atomics on pre-existing slots, so
+    /// the zero-allocation contract of the hot loop is untouched.
     pub fn progress(mut self, progress: Option<Arc<Progress>>) -> Self {
         self.progress = progress;
         self
@@ -499,19 +505,11 @@ impl Algorithm1 {
             });
         }
 
-        // The dualization kernel takes the raw `threads` knob (not clamped
-        // to `starts`): unit parallelism is independent of how many starts
-        // there are, and the built graph is thread-count-invariant.
-        // Validation admits a pair cap only with `streaming_dualize`.
-        let ig = Dualizer::new()
-            .threshold(self.config.edge_size_threshold)
-            .threads(self.config.threads)
-            .pair_cap(self.config.pair_cap)
-            .collector(self.collector.clone())
-            .progress(self.progress.clone())
-            .build(h)?;
+        // Every start reads `G` off the incidence lists; the view's build
+        // is the run's `dualize` scope.
+        let view = DualIncidence::build(h, self.config.edge_size_threshold, &self.collector)?;
         let mut phases = PhaseStats {
-            dualize: ig.stats().clone(),
+            dualize: view.stats().clone(),
             ..PhaseStats::default()
         };
         let workers = resolve_threads(self.config.threads).clamp(1, self.config.starts);
@@ -525,9 +523,9 @@ impl Algorithm1 {
             self.config.starts,
             workers,
             &self.collector,
-            || StartArena::for_instance(h, &ig, &config),
+            || StartArena::for_instance(&view, &config),
             |start, arena, scope| {
-                let outcome = evaluate_start(h, &ig, &config, &draws, start, arena, scope);
+                let outcome = evaluate_start(&view, &config, &draws, start, arena, scope);
                 if let Some(p) = progress {
                     p.add(Gauge::StartsDone, 1);
                     if let Some(c) = outcome.candidate {
@@ -637,7 +635,7 @@ impl Algorithm1 {
                 report,
                 stats: RunStats {
                     starts: self.config.starts,
-                    num_g_vertices: ig.num_g_vertices(),
+                    num_g_vertices: view.num_g_vertices(),
                     boundary_len: cand.boundary_len,
                     bfs_path_length: cand.path_length,
                     num_placed_by_partial: cand.num_placed,
@@ -669,7 +667,7 @@ impl Algorithm1 {
             report,
             stats: RunStats {
                 starts: 0,
-                num_g_vertices: ig.num_g_vertices(),
+                num_g_vertices: view.num_g_vertices(),
                 boundary_len: 0,
                 bfs_path_length: 0,
                 num_placed_by_partial: 0,
@@ -867,19 +865,21 @@ struct StartArena {
 }
 
 impl StartArena {
-    /// An arena pre-sized for hypergraph `h`, its intersection graph and
-    /// the run's start count and completion strategy: every buffer gets
-    /// the instance's worst-case capacity up front, so no start — first
-    /// or later — grows it mid-pipeline.
-    fn for_instance(h: &Hypergraph, ig: &IntersectionGraph, config: &PartitionConfig) -> Self {
-        let g = ig.graph();
-        let (n, g_n, g_m) = (h.num_vertices(), g.num_vertices(), g.num_edges());
+    /// An arena pre-sized for the instance `view` reads and the run's
+    /// start count and completion strategy: every buffer gets the
+    /// instance's worst-case capacity up front, so no start — first or
+    /// later — grows it mid-pipeline. A cut's boundary graph `G′` has at
+    /// most [`DualIncidence::cross_pair_bound`] edges, and its module-by-
+    /// module pair listing at most that many entries.
+    fn for_instance(view: &DualIncidence<'_>, config: &PartitionConfig) -> Self {
+        let (n, g_n) = (view.num_modules(), view.num_g_vertices());
+        let cross = usize::try_from(view.cross_pair_bound()).unwrap_or(usize::MAX);
         Self {
-            endpoints: EndpointScratch::with_capacity(g_n),
+            endpoints: EndpointScratch::with_capacity(g_n, n),
             memo: EndpointMemo::with_capacity(config.starts),
-            fronts: TwoFrontScratch::with_capacity(g_n),
-            dec: BoundaryDecomposition::with_capacity(n, g_n, g_m),
-            completion: CompletionScratch::with_capacity(config.completion, n, g_n, g_m),
+            fronts: TwoFrontScratch::with_capacity(g_n, n),
+            dec: BoundaryDecomposition::with_capacity(n, g_n, cross),
+            completion: CompletionScratch::with_capacity(config.completion, n, g_n, cross),
             work_bp: Bipartition::all_left(n),
             sweep_best_bp: Bipartition::all_left(n),
             best_bp: Bipartition::all_left(n),
@@ -897,7 +897,7 @@ impl StartArena {
 /// start's own counter-derived RNG stream, publish it to `draws`, sweep the
 /// configured front policies, and keep the start's best candidate — or,
 /// when an earlier start drew the same ordered path, skip the sweeps and
-/// name that start instead. A pure function of `(h, ig, config, start)` —
+/// name that start instead. A pure function of `(view, config, start)` —
 /// the foundation of the engine's thread-count invariance; the arena only
 /// lends buffers, never state, and the table only tells a start what the
 /// earlier starts drew. Phase walls are measured as plain scalars
@@ -905,21 +905,20 @@ impl StartArena {
 /// only — the phase spans and counters are recorded too. Timing is never
 /// consulted by any decision, so it cannot perturb determinism.
 fn evaluate_start(
-    h: &Hypergraph,
-    ig: &IntersectionGraph,
+    view: &DualIncidence<'_>,
     config: &PartitionConfig,
     draws: &DrawTable,
     start: usize,
     arena: &mut StartArena,
     scope: Option<&Scope>,
 ) -> StartOutcome {
-    let g = ig.graph();
+    let h = view.hypergraph();
     let claim = draws.claim(start);
     let mut rng = SplitMix64::for_start(config.seed, start);
     // fhp-audit: allow(wallclock-in-fingerprint) — phase walls are diagnostics (PhaseStats), never part of fingerprints
     let lp_started = std::time::Instant::now();
     let lp = scope.map(|s| s.span(names::ALG1_LONGEST_PATH));
-    let endpoints = arena.endpoints.draw(g, &mut rng, Some(&mut arena.memo));
+    let endpoints = arena.endpoints.draw(view, &mut rng, Some(&mut arena.memo));
     drop(lp);
     let lp_ns = lp_started.elapsed().as_nanos() as u64;
     let repeat_of = claim.publish(endpoints.map(|(u, v, _)| (u, v)));
@@ -948,8 +947,8 @@ fn evaluate_start(
         // fhp-audit: allow(wallclock-in-fingerprint) — phase walls are diagnostics (PhaseStats), never part of fingerprints
         let front_started = std::time::Instant::now();
         let front = scope.map(|s| s.span(names::ALG1_DUAL_FRONT));
-        arena.fronts.run(g, u, v, sweep);
-        arena.dec.recompute(h, ig, arena.fronts.cut());
+        arena.fronts.run(view, u, v, sweep);
+        arena.dec.recompute(view, arena.fronts.cut());
         drop(front);
         dual_ns += front_started.elapsed().as_nanos() as u64;
         // fhp-audit: allow(wallclock-in-fingerprint) — phase walls are diagnostics (PhaseStats), never part of fingerprints
@@ -957,7 +956,7 @@ fn evaluate_start(
         let cc = scope.map(|s| s.span(names::ALG1_COMPLETE_CUT));
         arena
             .completion
-            .complete_into(config.completion, h, ig, &arena.dec, &mut arena.work_bp);
+            .complete_into(config.completion, view, &arena.dec, &mut arena.work_bp);
         drop(cc);
         cc_ns += cc_started.elapsed().as_nanos() as u64;
         let (cut_size, weighted_cut) = crate::metrics::cut_totals(h, &arena.work_bp);
@@ -1297,12 +1296,8 @@ mod tests {
         let p = &out.stats.phases;
         assert_eq!(p.dualize.kept_edges, h.num_edges());
         assert_eq!(p.dualize.filtered_edges, 0);
-        assert_eq!(
-            p.dualize.pairs_generated,
-            p.dualize.unique_edges + p.dualize.duplicates_merged
-        );
-        let ig = fhp_hypergraph::IntersectionGraph::build(&h);
-        assert_eq!(p.dualize.unique_edges, ig.graph().num_edges() as u64);
+        // the run reads G off the incidence lists: no pair is generated
+        assert_eq!(p.dualize.pairs_generated, 0);
         assert!(p.total_wall() >= p.dualize.wall);
     }
 

@@ -10,7 +10,7 @@
 //! *winners* (signals pulled entirely to one side) and *losers* (signals
 //! conceded to the cut) on `G′` — see [`crate::complete_cut`].
 
-use fhp_hypergraph::{Graph, Hypergraph, IntersectionGraph};
+use fhp_hypergraph::{DualIncidence, Graph};
 
 use crate::dual_bfs::GraphCut;
 use crate::Side;
@@ -22,14 +22,17 @@ use crate::Side;
 /// ```
 /// use fhp_core::boundary::BoundaryDecomposition;
 /// use fhp_core::dual_bfs::two_front_bfs;
-/// use fhp_hypergraph::{intersection::paper_example, IntersectionGraph};
+/// use fhp_hypergraph::{intersection::paper_example, DualIncidence};
 ///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let h = paper_example();
-/// let ig = IntersectionGraph::build(&h);
-/// let cut = two_front_bfs(ig.graph(), 0, 8); // seeds: signals a and i
-/// let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+/// let view = DualIncidence::new(&h, None)?;
+/// let cut = two_front_bfs(&view, 0, 8); // seeds: signals a and i
+/// let dec = BoundaryDecomposition::new(&view, &cut);
 /// assert!(dec.boundary_len() > 0);
-/// assert!(dec.boundary_len() < ig.num_g_vertices());
+/// assert!(dec.boundary_len() < view.num_g_vertices());
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Clone, Debug)]
 pub struct BoundaryDecomposition {
@@ -44,7 +47,7 @@ pub struct BoundaryDecomposition {
     /// Partial assignment of hypergraph vertices implied by non-boundary
     /// G-vertices.
     partial: Vec<Option<Side>>,
-    /// Cross-edge workspace for [`recompute`](Self::recompute); kept so a
+    /// Cross-pair workspace for [`recompute`](Self::recompute); kept so a
     /// reused decomposition rebuilds `gprime` without allocating.
     pairs: Vec<(u32, u32)>,
     /// CSR cursor workspace for [`recompute`](Self::recompute).
@@ -55,15 +58,15 @@ const NOT_BOUNDARY: u32 = u32::MAX;
 
 impl BoundaryDecomposition {
     /// Computes the boundary set, boundary graph and implied partial
-    /// bipartition for the cut `cut` of `ig.graph()`.
+    /// bipartition for the cut `cut` of the `G` that `view` reads.
     ///
     /// # Panics
     ///
-    /// Panics if `cut` does not label exactly `ig.num_g_vertices()`
-    /// vertices, or `ig` was not built from `h`.
-    pub fn new(h: &Hypergraph, ig: &IntersectionGraph, cut: &GraphCut) -> Self {
+    /// Panics if `cut` does not label exactly `view.num_g_vertices()`
+    /// vertices.
+    pub fn new(view: &DualIncidence<'_>, cut: &GraphCut) -> Self {
         let mut dec = Self::empty();
-        dec.recompute(h, ig, cut);
+        dec.recompute(view, cut);
         dec
     }
 
@@ -82,21 +85,22 @@ impl BoundaryDecomposition {
     }
 
     /// An empty decomposition with every buffer pre-reserved for an
-    /// instance of `num_modules` hypergraph vertices and an intersection
-    /// graph of `num_g_vertices` / `num_g_edges`: a later
+    /// instance of `num_modules` modules and `num_g_vertices` G-vertices
+    /// whose cuts list at most `cross_pairs` (left, right) pairs through
+    /// their split modules ([`DualIncidence::cross_pair_bound`]): a later
     /// [`recompute`](Self::recompute) at or below those sizes allocates
     /// nothing, which is what the zero-allocation multi-start arena
     /// relies on.
-    pub fn with_capacity(num_modules: usize, num_g_vertices: usize, num_g_edges: usize) -> Self {
+    pub fn with_capacity(num_modules: usize, num_g_vertices: usize, cross_pairs: usize) -> Self {
         let mut gprime = Graph::empty(0);
-        gprime.reserve(num_g_vertices, num_g_edges);
+        gprime.reserve(num_g_vertices, cross_pairs);
         Self {
             boundary: Vec::with_capacity(num_g_vertices),
             gprime_of: Vec::with_capacity(num_g_vertices),
             gprime,
             side: Vec::with_capacity(num_g_vertices),
             partial: Vec::with_capacity(num_modules),
-            pairs: Vec::with_capacity(num_g_edges),
+            pairs: Vec::with_capacity(cross_pairs),
             cursor: Vec::with_capacity(num_g_vertices),
         }
     }
@@ -109,43 +113,39 @@ impl BoundaryDecomposition {
     ///
     /// # Panics
     ///
-    /// Panics if `cut` does not label exactly `ig.num_g_vertices()`
-    /// vertices, or `ig` was not built from `h`.
-    pub fn recompute(&mut self, h: &Hypergraph, ig: &IntersectionGraph, cut: &GraphCut) {
-        let g = ig.graph();
-        assert_eq!(
-            cut.len(),
-            g.num_vertices(),
-            "cut does not match intersection graph"
-        );
+    /// Panics if `cut` does not label exactly `view.num_g_vertices()`
+    /// vertices.
+    pub fn recompute(&mut self, view: &DualIncidence<'_>, cut: &GraphCut) {
+        let n = view.num_g_vertices();
+        assert_eq!(cut.len(), n, "cut does not match intersection graph");
 
         // 1. Boundary set: any G-vertex with a cross neighbor, which the
         //    sweep that made `cut` has already marked.
         self.gprime_of.clear();
-        self.gprime_of.resize(g.num_vertices(), NOT_BOUNDARY);
+        self.gprime_of.resize(n, NOT_BOUNDARY);
         self.boundary.clear();
-        for v in g.vertices().filter(|&v| cut.is_boundary(v)) {
+        // fhp-audit: allow(as-cast-truncation) — G ids fit u32 by the view's construction
+        for v in (0..n as u32).filter(|&v| cut.is_boundary(v)) {
             self.gprime_of[v as usize] = u32::try_from(self.boundary.len()).expect("overflow"); // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
             self.boundary.push(v);
         }
 
         // 2. Boundary graph: only edges that cross the G-cut (the paper
         //    deletes edges internal to B_L or B_R, leaving G′ bipartite).
+        //    A cross edge joins two kept nets on a split module, whose kept
+        //    nets are all boundary, so each split module is met once, from
+        //    its first kept net. It lists its l·r (left, right) pairs,
+        //    outer loop over its smaller side.
         self.pairs.clear();
-        for (bi, &v) in self.boundary.iter().enumerate() {
-            let s = cut.side_of(v);
-            for &u in g.neighbors(v) {
-                if cut.side_of(u) != s {
-                    let bj = self.gprime_of[u as usize]; // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
-                    debug_assert_ne!(bj, NOT_BOUNDARY, "cross neighbor must be boundary");
-                    // fhp-audit: allow(as-cast-truncation) — boundary ids fit u32 by the EdgeId representation
-                    if (bi as u32) < bj {
-                        // fhp-audit: allow(as-cast-truncation) — boundary ids fit u32 by the EdgeId representation
-                        self.pairs.push((bi as u32, bj)); // fhp-audit: allow(as-cast-truncation) — boundary ids fit u32 by the EdgeId representation
-                    }
+        for &first in &self.boundary {
+            for &m in view.pins(first) {
+                let nets = view.nets_of(m);
+                if nets.first() == Some(&first) {
+                    list_cross_pairs(nets, cut, &self.gprime_of, &mut self.pairs);
                 }
             }
         }
+        debug_assert!(self.pairs.len() as u64 <= view.cross_pair_bound());
         self.gprime
             .rebuild_from_pairs(self.boundary.len(), &mut self.pairs, &mut self.cursor);
         self.side.clear();
@@ -157,14 +157,13 @@ impl BoundaryDecomposition {
         //    sharing a module are adjacent in G, hence on the same side (or
         //    they would both be boundary), so the assignment is consistent.
         self.partial.clear();
-        self.partial.resize(h.num_vertices(), None);
-        for v in g.vertices() {
-            // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
-            if self.gprime_of[v as usize] != NOT_BOUNDARY {
-                continue;
-            }
+        self.partial.resize(view.num_modules(), None);
+        for (v, _) in (0u32..)
+            .zip(&self.gprime_of)
+            .filter(|&(_, &b)| b == NOT_BOUNDARY)
+        {
             let s = cut.side_of(v);
-            for &p in h.pins(ig.edge_of(v)) {
+            for &p in view.pins(v) {
                 debug_assert!(
                     self.partial[p.index()].is_none() || self.partial[p.index()] == Some(s), // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
                     "inconsistent partial assignment at {p}"
@@ -232,12 +231,35 @@ impl BoundaryDecomposition {
     }
 }
 
+/// Pushes the (left, right) pairs of G′ indices through one module's kept
+/// `nets`, outer loop over the side holding fewer of them: `l·r` pairs
+/// for `l + r` nets split across the cut, none for an unsplit module.
+fn list_cross_pairs(nets: &[u32], cut: &GraphCut, gprime_of: &[u32], pairs: &mut Vec<(u32, u32)>) {
+    let lefts = nets
+        .iter()
+        .filter(|&&x| cut.side_of(x) == Side::Left)
+        .count();
+    let outer = if 2 * lefts <= nets.len() {
+        Side::Left
+    } else {
+        Side::Right
+    };
+    for &x in nets.iter().filter(|&&x| cut.side_of(x) == outer) {
+        let bx = gprime_of[x as usize]; // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
+        for &y in nets.iter().filter(|&&y| cut.side_of(y) != outer) {
+            let by = gprime_of[y as usize]; // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
+            debug_assert!(bx != NOT_BOUNDARY && by != NOT_BOUNDARY);
+            pairs.push((bx, by));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dual_bfs::two_front_bfs;
     use fhp_hypergraph::intersection::paper_example;
-    use fhp_hypergraph::{HypergraphBuilder, IntersectionGraph, VertexId};
+    use fhp_hypergraph::{Hypergraph, HypergraphBuilder, IntersectionGraph, VertexId};
 
     fn chain(n_modules: usize) -> Hypergraph {
         // modules 0..n, signals {i, i+1}: G is a path of n-1 signals
@@ -249,12 +271,16 @@ mod tests {
         b.build()
     }
 
+    fn view(h: &Hypergraph) -> DualIncidence<'_> {
+        DualIncidence::new(h, None).unwrap()
+    }
+
     #[test]
     fn chain_boundary_is_two_adjacent_signals() {
         let h = chain(8); // 7 signals, G = path of 7
-        let ig = IntersectionGraph::build(&h);
-        let cut = two_front_bfs(ig.graph(), 0, 6);
-        let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+        let view = view(&h);
+        let cut = two_front_bfs(&view, 0, 6);
+        let dec = BoundaryDecomposition::new(&view, &cut);
         // the cutline on a path crosses exactly one G-edge; both its
         // endpoints are boundary
         assert_eq!(dec.boundary_len(), 2);
@@ -265,9 +291,9 @@ mod tests {
     #[test]
     fn gprime_is_bipartite_by_side() {
         let h = paper_example();
-        let ig = IntersectionGraph::build(&h);
-        let cut = two_front_bfs(ig.graph(), 0, 8);
-        let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+        let view = view(&h);
+        let cut = two_front_bfs(&view, 0, 8);
+        let dec = BoundaryDecomposition::new(&view, &cut);
         for (u, v) in dec.gprime().edges() {
             assert_ne!(dec.side_of(u), dec.side_of(v), "edge within a side");
         }
@@ -278,8 +304,9 @@ mod tests {
         let h = paper_example();
         let ig = IntersectionGraph::build(&h);
         let g = ig.graph();
-        let cut = two_front_bfs(g, 0, 8);
-        let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+        let view = view(&h);
+        let cut = two_front_bfs(&view, 0, 8);
+        let dec = BoundaryDecomposition::new(&view, &cut);
         for v in g.vertices() {
             let has_cross = g
                 .neighbors(v)
@@ -291,14 +318,27 @@ mod tests {
         for b in 0..dec.boundary_len() as u32 {
             assert_eq!(dec.gprime_index(dec.g_vertex(b)), Some(b));
         }
+        // G′ holds exactly G's cross edges
+        let cross: Vec<(u32, u32)> = g
+            .edges()
+            .filter(|&(a, b)| cut.side_of(a) != cut.side_of(b))
+            .map(|(a, b)| {
+                let (x, y) = (dec.gprime_index(a).unwrap(), dec.gprime_index(b).unwrap());
+                (x.min(y), x.max(y))
+            })
+            .collect();
+        let mut want = cross;
+        want.sort_unstable();
+        assert_eq!(dec.gprime().edges().collect::<Vec<_>>(), want);
     }
 
     #[test]
     fn partial_assignment_covers_only_nonboundary_pins() {
         let h = paper_example();
         let ig = IntersectionGraph::build(&h);
-        let cut = two_front_bfs(ig.graph(), 0, 8);
-        let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+        let view = view(&h);
+        let cut = two_front_bfs(&view, 0, 8);
+        let dec = BoundaryDecomposition::new(&view, &cut);
         // every pin of a non-boundary signal is committed to that side
         for v in ig.graph().vertices() {
             if dec.gprime_index(v).is_none() {
@@ -320,21 +360,41 @@ mod tests {
         // proportion of the nodes in H" — at minimum, *some* are placed on
         // the example.
         let h = paper_example();
-        let ig = IntersectionGraph::build(&h);
-        let cut = two_front_bfs(ig.graph(), 0, 8);
-        let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+        let view = view(&h);
+        let cut = two_front_bfs(&view, 0, 8);
+        let dec = BoundaryDecomposition::new(&view, &cut);
         assert!(dec.num_placed() > 0);
-        assert!(dec.boundary_len() < ig.num_g_vertices());
+        assert!(dec.boundary_len() < view.num_g_vertices());
+    }
+
+    #[test]
+    fn cross_pairs_fit_the_reservation_on_a_hub() {
+        // one module on 9 kept nets (plus a leaf each): every cut of the
+        // hub's nets splits it l + r, listing l·r ≤ ⌊81/4⌋ = 20 pairs
+        let mut b = HypergraphBuilder::with_vertices(10);
+        for leaf in 1..10 {
+            b.add_edge([VertexId::new(0), VertexId::new(leaf)]).unwrap();
+        }
+        let h = b.build();
+        let view = view(&h);
+        assert_eq!(view.cross_pair_bound(), 20);
+        let mut dec = BoundaryDecomposition::with_capacity(10, 9, 20);
+        let pairs = dec.pairs.as_ptr();
+        let cut = two_front_bfs(&view, 0, 8);
+        dec.recompute(&view, &cut);
+        assert_eq!(dec.boundary_len(), 9);
+        let left = (0..9).filter(|&g| cut.side_of(g) == Side::Left).count();
+        assert_eq!(dec.gprime().num_edges(), left * (9 - left));
+        assert_eq!(dec.pairs.as_ptr(), pairs, "the pair buffer grew");
     }
 
     #[test]
     #[should_panic(expected = "does not match")]
     fn mismatched_cut_panics() {
         let h = paper_example();
-        let ig = IntersectionGraph::build(&h);
         let other = chain(4);
-        let other_ig = IntersectionGraph::build(&other);
-        let cut = two_front_bfs(other_ig.graph(), 0, 2);
-        let _ = BoundaryDecomposition::new(&h, &ig, &cut);
+        let other_view = view(&other);
+        let cut = two_front_bfs(&other_view, 0, 2);
+        let _ = BoundaryDecomposition::new(&view(&h), &cut);
     }
 }

@@ -36,7 +36,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use fhp_hypergraph::{Graph, Hypergraph, IntersectionGraph, VertexId};
+use fhp_hypergraph::{DualIncidence, Graph, Hypergraph, VertexId};
 
 use crate::boundary::BoundaryDecomposition;
 use crate::matching::{hopcroft_karp, konig_cover};
@@ -109,23 +109,25 @@ impl Completion {
 /// use fhp_core::boundary::BoundaryDecomposition;
 /// use fhp_core::complete_cut::{complete, CompletionStrategy};
 /// use fhp_core::dual_bfs::two_front_bfs;
-/// use fhp_hypergraph::{intersection::paper_example, IntersectionGraph};
+/// use fhp_hypergraph::{intersection::paper_example, DualIncidence};
 ///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let h = paper_example();
-/// let ig = IntersectionGraph::build(&h);
-/// let cut = two_front_bfs(ig.graph(), 0, 8);
-/// let dec = BoundaryDecomposition::new(&h, &ig, &cut);
-/// let done = complete(CompletionStrategy::MinDegree, &h, &ig, &dec);
+/// let view = DualIncidence::new(&h, None)?;
+/// let cut = two_front_bfs(&view, 0, 8);
+/// let dec = BoundaryDecomposition::new(&view, &cut);
+/// let done = complete(CompletionStrategy::MinDegree, &view, &dec);
 /// assert_eq!(done.num_winners() + done.num_losers(), dec.boundary_len());
+/// # Ok(())
+/// # }
 /// ```
 pub fn complete(
     strategy: CompletionStrategy,
-    h: &Hypergraph,
-    ig: &IntersectionGraph,
+    view: &DualIncidence<'_>,
     dec: &BoundaryDecomposition,
 ) -> Completion {
     let mut scratch = CompletionScratch::new();
-    scratch.pick_winners(strategy, h, ig, dec);
+    scratch.pick_winners(strategy, view, dec);
     scratch.completion
 }
 
@@ -205,17 +207,17 @@ impl CompletionScratch {
     pub fn complete_into(
         &mut self,
         strategy: CompletionStrategy,
-        h: &Hypergraph,
-        ig: &IntersectionGraph,
+        view: &DualIncidence<'_>,
         dec: &BoundaryDecomposition,
         out: &mut Bipartition,
     ) {
-        self.pick_winners(strategy, h, ig, dec);
+        let h = view.hypergraph();
+        self.pick_winners(strategy, view, dec);
         // The engineer's method placed its winners' modules as they won.
         if strategy != CompletionStrategy::EngineerWeighted {
             for (b, _) in (0u32..).zip(&self.completion.winner).filter(|&(_, &w)| w) {
                 let side = dec.side_of(b);
-                for &p in h.pins(ig.edge_of(dec.g_vertex(b))) {
+                for &p in view.pins(dec.g_vertex(b)) {
                     place(&mut self.placed, &mut self.weights, h, p, side);
                 }
             }
@@ -255,10 +257,10 @@ impl CompletionScratch {
     fn pick_winners(
         &mut self,
         strategy: CompletionStrategy,
-        h: &Hypergraph,
-        ig: &IntersectionGraph,
+        view: &DualIncidence<'_>,
         dec: &BoundaryDecomposition,
     ) {
+        let h = view.hypergraph();
         self.placed.clear();
         self.placed.extend_from_slice(dec.partial());
         self.weights = [0; 2];
@@ -270,7 +272,7 @@ impl CompletionScratch {
         }
         match strategy {
             CompletionStrategy::MinDegree => self.greedy(dec.gprime(), None),
-            CompletionStrategy::EngineerWeighted => self.greedy(dec.gprime(), Some((h, ig, dec))),
+            CompletionStrategy::EngineerWeighted => self.greedy(dec.gprime(), Some((view, dec))),
             CompletionStrategy::ExactKonig => {
                 self.completion = complete_exact(dec.gprime(), dec.sides());
             }
@@ -284,16 +286,16 @@ impl CompletionScratch {
     /// 2. mark all its remaining neighbours losers;
     /// 3. delete the winner and the losers; repeat while vertices remain.
     ///
-    /// With the `engineer` sweep's hypergraph, intersection graph and
-    /// decomposition, the next winner comes from the heap of the side now
-    /// carrying less module weight (the other side's once it runs dry),
-    /// and each winner places its unplaced modules as it wins, because the
-    /// rule reads the side weights. Every heap is built with one `extend`,
-    /// a single heapify pass.
+    /// With the `engineer` sweep's view of `G` and decomposition, the
+    /// next winner comes from the heap of the side now carrying less
+    /// module weight (the other side's once it runs dry), and each winner
+    /// places its unplaced modules as it wins, because the rule reads the
+    /// side weights. Every heap is built with one `extend`, a single
+    /// heapify pass.
     fn greedy(
         &mut self,
         gprime: &Graph,
-        engineer: Option<(&Hypergraph, &IntersectionGraph, &BoundaryDecomposition)>,
+        engineer: Option<(&DualIncidence<'_>, &BoundaryDecomposition)>,
     ) {
         let Self {
             alive,
@@ -312,7 +314,7 @@ impl CompletionScratch {
         winner.resize(n, false);
         deg.clear();
         deg.extend(gprime.vertices().map(|v| degree_u32(gprime, v)));
-        let heap_side = |v: u32| engineer.map_or(Side::Left, |(_, _, dec)| dec.side_of(v));
+        let heap_side = |v: u32| engineer.map_or(Side::Left, |(_, dec)| dec.side_of(v));
         for (heap, side) in [(&mut *left, Side::Left), (&mut *right, Side::Right)] {
             heap.clear();
             heap.extend(
@@ -335,10 +337,10 @@ impl CompletionScratch {
             };
             winner[v as usize] = true; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
             alive[v as usize] = false; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-            if let Some((h, ig, dec)) = engineer {
+            if let Some((view, dec)) = engineer {
                 let side = dec.side_of(v);
-                for &p in h.pins(ig.edge_of(dec.g_vertex(v))) {
-                    place(placed, weights, h, p, side);
+                for &p in view.pins(dec.g_vertex(v)) {
+                    place(placed, weights, view.hypergraph(), p, side);
                 }
             }
             for &u in gprime.neighbors(v) {
@@ -623,15 +625,15 @@ mod tests {
     #[test]
     fn engineer_strategy_produces_independent_winners() {
         let h = paper_example();
-        let ig = IntersectionGraph::build(&h);
-        let cut = two_front_bfs(ig.graph(), 0, 8);
-        let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+        let view = DualIncidence::new(&h, None).unwrap();
+        let cut = two_front_bfs(&view, 0, 8);
+        let dec = BoundaryDecomposition::new(&view, &cut);
         for strategy in [
             CompletionStrategy::MinDegree,
             CompletionStrategy::EngineerWeighted,
             CompletionStrategy::ExactKonig,
         ] {
-            let c = complete(strategy, &h, &ig, &dec);
+            let c = complete(strategy, &view, &dec);
             c.assert_independent(dec.gprime());
             assert_eq!(c.num_winners() + c.num_losers(), dec.boundary_len());
         }
@@ -640,12 +642,12 @@ mod tests {
     #[test]
     fn exact_never_worse_than_greedy() {
         let h = paper_example();
-        let ig = IntersectionGraph::build(&h);
+        let view = DualIncidence::new(&h, None).unwrap();
         for (a, b) in [(0u32, 8u32), (1, 7), (3, 5)] {
-            let cut = two_front_bfs(ig.graph(), a, b);
-            let dec = BoundaryDecomposition::new(&h, &ig, &cut);
-            let greedy = complete(CompletionStrategy::MinDegree, &h, &ig, &dec);
-            let exact = complete(CompletionStrategy::ExactKonig, &h, &ig, &dec);
+            let cut = two_front_bfs(&view, a, b);
+            let dec = BoundaryDecomposition::new(&view, &cut);
+            let greedy = complete(CompletionStrategy::MinDegree, &view, &dec);
+            let exact = complete(CompletionStrategy::ExactKonig, &view, &dec);
             assert!(exact.num_losers() <= greedy.num_losers());
         }
     }

@@ -9,10 +9,17 @@
 //!    fronts simultaneously until the expanding sets meet, which defines a
 //!    cutline through `G`.
 //!
-//! Both steps are `O(n²)` in the worst case and linear in edges per BFS.
+//! Both steps read `G` off the incidence lists ([`DualIncidence`]): a net's
+//! neighbours are the other kept nets on its modules, and a search expands
+//! each module once. Over the kept nets `e`, a BFS reads at most `2·Σ|e|`
+//! ids — the pins of the nets it pops plus the kept nets of the modules it
+//! expands — and a sweep at most `3·Σ|e|`, the third share marking the
+//! boundary on the modules the cut splits. Both are linear in pins
+//! however dense `G` is; walking `G`'s adjacency instead reads
+//! `k(k − 1)` ids around a single module of `k` kept nets.
 
 use fhp_hypergraph::bfs;
-use fhp_hypergraph::Graph;
+use fhp_hypergraph::DualIncidence;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -27,16 +34,24 @@ use crate::Side;
 /// ```
 /// use fhp_core::dual_bfs::two_front_bfs;
 /// use fhp_core::Side;
-/// use fhp_hypergraph::Graph;
+/// use fhp_hypergraph::{DualIncidence, HypergraphBuilder, VertexId};
 ///
-/// let path = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
-/// let cut = two_front_bfs(&path, 0, 4);
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// // modules 0..6 chained by 2-pin signals: G is the path 0-1-2-3-4
+/// let mut b = HypergraphBuilder::with_vertices(6);
+/// for i in 0..5 {
+///     b.add_edge([VertexId::new(i), VertexId::new(i + 1)])?;
+/// }
+/// let h = b.build();
+/// let cut = two_front_bfs(&DualIncidence::new(&h, None)?, 0, 4);
 /// assert_eq!(cut.side_of(0), Side::Left);
 /// assert_eq!(cut.side_of(4), Side::Right);
 /// assert_eq!(cut.side_of(1), Side::Left);
 /// assert_eq!(cut.side_of(3), Side::Right);
 /// assert!(cut.is_boundary(2) && cut.is_boundary(3));
 /// assert!(!cut.is_boundary(1));
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GraphCut {
@@ -131,17 +146,17 @@ impl FrontPolicy {
     }
 }
 
-/// Grows BFS fronts from `u` (left) and `v` (right) simultaneously under
-/// [`FrontPolicy::SmallerFirst`] until every vertex reachable from either
-/// seed is claimed by the front that got there first. Vertices in
-/// components containing neither seed are then assigned — whole components
-/// at a time — to whichever side currently has fewer vertices.
+/// Grows BFS fronts in `G` from `u` (left) and `v` (right) simultaneously
+/// under [`FrontPolicy::SmallerFirst`] until every vertex reachable from
+/// either seed is claimed by the front that got there first. Vertices in
+/// components containing neither seed are then assigned — whole
+/// components at a time — to whichever side currently has fewer vertices.
 ///
 /// # Panics
 ///
 /// Panics if `u == v` or either is out of range.
-pub fn two_front_bfs(g: &Graph, u: u32, v: u32) -> GraphCut {
-    two_front_bfs_with_policy(g, u, v, FrontPolicy::SmallerFirst)
+pub fn two_front_bfs(view: &DualIncidence<'_>, u: u32, v: u32) -> GraphCut {
+    two_front_bfs_with_policy(view, u, v, FrontPolicy::SmallerFirst)
 }
 
 /// [`two_front_bfs`] with an explicit expansion policy.
@@ -152,22 +167,32 @@ pub fn two_front_bfs(g: &Graph, u: u32, v: u32) -> GraphCut {
 /// # Panics
 ///
 /// Panics if `u == v` or either is out of range.
-pub fn two_front_bfs_with_policy(g: &Graph, u: u32, v: u32, policy: FrontPolicy) -> GraphCut {
+pub fn two_front_bfs_with_policy(
+    view: &DualIncidence<'_>,
+    u: u32,
+    v: u32,
+    policy: FrontPolicy,
+) -> GraphCut {
     let mut scratch = TwoFrontScratch::new();
-    scratch.run(g, u, v, policy);
+    scratch.run(view, u, v, policy);
     scratch.cut
 }
 
-/// Reusable buffers for [`two_front_bfs_with_policy`]. Once warmed to a
-/// graph's vertex count, repeated [`run`](Self::run) calls allocate
-/// nothing — the multi-start engine keeps one of these per worker. Every
-/// buffer is fully reset at the start of `run`, so a scratch that was
-/// abandoned mid-sweep (e.g. by a contained panic) self-heals on reuse.
+/// Reusable buffers for [`two_front_bfs_with_policy`]. Once warmed to an
+/// instance's G-vertex and module counts, repeated [`run`](Self::run)
+/// calls allocate nothing — the multi-start engine keeps one of these per
+/// worker. Every buffer is fully reset at the start of `run`, so a scratch
+/// that was abandoned mid-sweep (e.g. by a contained panic) self-heals on
+/// reuse.
 #[derive(Clone, Debug, Default)]
 pub struct TwoFrontScratch {
     fronts: [Vec<u32>; 2],
     next: Vec<u32>,
     stack: Vec<u32>,
+    /// Per module: some claimed net has expanded it.
+    expanded: Vec<bool>,
+    /// Ids the most recent sweep read.
+    reads: u64,
     cut: GraphCut,
 }
 
@@ -177,12 +202,15 @@ impl TwoFrontScratch {
         Self::default()
     }
 
-    /// A scratch pre-sized for graphs of up to `n` vertices.
-    pub fn with_capacity(n: usize) -> Self {
+    /// A scratch pre-sized for instances of up to `n` G-vertices and
+    /// `modules` modules.
+    pub fn with_capacity(n: usize, modules: usize) -> Self {
         Self {
             fronts: [Vec::with_capacity(n), Vec::with_capacity(n)],
             next: Vec::with_capacity(n),
             stack: Vec::with_capacity(n),
+            expanded: Vec::with_capacity(modules),
+            reads: 0,
             cut: GraphCut {
                 labels: Vec::with_capacity(n),
                 left_seed: 0,
@@ -200,37 +228,47 @@ impl TwoFrontScratch {
     /// result with [`cut`](Self::cut). Identical output to
     /// [`two_front_bfs_with_policy`] (which delegates here).
     ///
-    /// The sweep marks the boundary as it goes: a front that expands `w`
-    /// and meets a neighbour the other front owns marks `w`. Every claimed
-    /// vertex is expanded once, after which all its neighbours are claimed
-    /// for good, so every cut edge is met from both of its ends; the
-    /// components neither seed reaches go to one side whole and hold no
-    /// boundary vertex.
+    /// A front expanding net `w` expands each of `w`'s modules that no
+    /// claimed net expanded yet and claims the unclaimed kept nets there.
+    /// That leaves all of the module's nets claimed for good, so a module
+    /// whose nets then lie on both sides is split for good: the sweep
+    /// marks every kept net on it as boundary, which marks exactly the
+    /// nets with a neighbour across. The sides depend only on which nets
+    /// each front holds, never on their order within it. The components
+    /// neither seed reaches go to one side whole and hold no boundary
+    /// vertex.
     ///
     /// # Panics
     ///
     /// Panics if `u == v` or either is out of range.
-    pub fn run(&mut self, g: &Graph, u: u32, v: u32, policy: FrontPolicy) {
+    pub fn run(&mut self, view: &DualIncidence<'_>, u: u32, v: u32, policy: FrontPolicy) {
         assert_ne!(u, v, "the two BFS seeds must differ");
-        let n = g.num_vertices();
+        let n = view.num_g_vertices();
         assert!((u as usize) < n && (v as usize) < n, "seed out of range");
 
-        let owner = &mut self.cut.labels;
+        let Self {
+            fronts,
+            next,
+            stack,
+            expanded,
+            reads,
+            cut,
+        } = self;
+        let owner = &mut cut.labels;
         owner.clear();
         owner.resize(n, UNCLAIMED);
         owner[u as usize] = 0; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
         owner[v as usize] = 1; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-        let fronts = &mut self.fronts;
-        fronts[0].clear(); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-        fronts[0].push(u); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-        fronts[1].clear(); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-        fronts[1].push(v); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+        expanded.clear();
+        expanded.resize(view.num_modules(), false);
+        *reads = 0;
+        for (front, seed) in fronts.iter_mut().zip([u, v]) {
+            front.clear();
+            front.push(seed);
+        }
         let mut claimed = [1usize, 1usize];
-        let next = &mut self.next;
-        next.clear();
         let mut round = 0usize;
-        // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-        while !fronts[0].is_empty() || !fronts[1].is_empty() {
+        while fronts.iter().any(|f| !f.is_empty()) {
             let order = match policy {
                 // Alternate which side expands first each round to keep the
                 // boundary tie-breaking symmetric.
@@ -244,41 +282,28 @@ impl TwoFrontScratch {
                 // The smaller side expands; if it stalls (empty front), the
                 // other side finishes the sweep.
                 FrontPolicy::SmallerFirst | FrontPolicy::Both => {
-                    let smaller = usize::from(
-                        claimed[1] < claimed[0] || (claimed[1] == claimed[0] && round % 2 == 1), // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                    );
+                    let [left_n, right_n] = claimed;
+                    let smaller =
+                        usize::from(right_n < left_n || (right_n == left_n && round % 2 == 1));
                     [smaller, 1 - smaller]
                 }
             };
             let single_step = policy != FrontPolicy::Alternate;
             for side in order {
-                // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                if fronts[side].is_empty() {
+                // fhp-audit: allow(panic-site) — a side index is 0 or 1
+                let front = &mut fronts[side];
+                if front.is_empty() {
                     continue;
                 }
                 // fhp-audit: allow(as-cast-truncation) — a side index is 0 or 1
                 let mine = side as u8;
                 next.clear();
-                // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                for &w in &fronts[side] {
-                    let mut meets_other = false;
-                    for &x in g.neighbors(w) {
-                        let o = owner[x as usize]; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                        if o == UNCLAIMED {
-                            owner[x as usize] = mine; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                            claimed[side] += 1; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                            next.push(x);
-                        } else if o & SIDE != mine {
-                            meets_other = true;
-                        }
-                    }
-                    if meets_other {
-                        owner[w as usize] |= BOUNDARY; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                    }
+                for &w in front.iter() {
+                    *reads += expand(view, w, mine, owner, expanded, next);
                 }
-                std::mem::swap(&mut fronts[side], next); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                                                         // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                if single_step && !fronts[0].is_empty() && !fronts[1].is_empty() {
+                claimed[side] += next.len(); // fhp-audit: allow(panic-site) — a side index is 0 or 1
+                std::mem::swap(front, next);
+                if single_step && fronts.iter().all(|f| !f.is_empty()) {
                     break; // re-evaluate which side is smaller
                 }
             }
@@ -287,34 +312,82 @@ impl TwoFrontScratch {
 
         // Components reached by neither seed: assign whole components to the
         // currently smaller side.
-        let stack = &mut self.stack;
         stack.clear();
-        // fhp-audit: allow(as-cast-truncation) — vertex count fits u32 by the VertexId representation
+        // fhp-audit: allow(as-cast-truncation) — G ids fit u32 by the view's construction
         for s in 0..n as u32 {
-            // fhp-audit: allow(as-cast-truncation) — vertex count fits u32 by the VertexId representation
             // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
             if owner[s as usize] != UNCLAIMED {
                 continue;
             }
-            let side = if claimed[0] <= claimed[1] { 0u8 } else { 1u8 }; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+            let [left_n, right_n] = claimed;
+            let side = u8::from(left_n > right_n);
             owner[s as usize] = side; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-            claimed[side as usize] += 1; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
             stack.push(s);
+            let mut size = 1;
             while let Some(w) = stack.pop() {
-                for &x in g.neighbors(w) {
-                    // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                    if owner[x as usize] == UNCLAIMED {
-                        // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                        owner[x as usize] = side; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                        claimed[side as usize] += 1; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-                        stack.push(x);
-                    }
-                }
+                let before = stack.len();
+                *reads += expand(view, w, side, owner, expanded, stack);
+                size += stack.len() - before;
+            }
+            claimed[usize::from(side)] += size; // fhp-audit: allow(panic-site) — a side index is 0 or 1
+        }
+        debug_assert!(
+            *reads <= 3 * view.num_kept_pins() as u64,
+            "{reads} ids read"
+        );
+        cut.left_seed = u;
+        cut.right_seed = v;
+    }
+
+    /// Ids the most recent [`run`](Self::run) read: the pins of the nets
+    /// it expanded, the kept nets of the modules they expanded, and the
+    /// kept nets of the split modules again to mark them boundary — each
+    /// kept pin at most three times.
+    #[cfg(test)]
+    pub(crate) fn ids_read(&self) -> u64 {
+        self.reads
+    }
+}
+
+/// Expands net `w` for the front labelled `mine`: each module of `w`
+/// that is not yet expanded claims its unclaimed kept nets for `mine`
+/// (pushing them onto `claimed`), and a module that also holds a net of
+/// the other side marks all its kept nets boundary. Returns the ids read.
+fn expand(
+    view: &DualIncidence<'_>,
+    w: u32,
+    mine: u8,
+    owner: &mut [u8],
+    expanded: &mut [bool],
+    claimed: &mut Vec<u32>,
+) -> u64 {
+    let pins = view.pins(w);
+    let mut reads = pins.len() as u64;
+    for &m in pins {
+        // fhp-audit: allow(panic-site) — expanded is sized to the module count at entry, and pins are modules of the view's hypergraph
+        if std::mem::replace(&mut expanded[m.index()], true) {
+            continue;
+        }
+        let nets = view.nets_of(m);
+        reads += nets.len() as u64;
+        let mut split = false;
+        for &x in nets {
+            let o = &mut owner[x as usize]; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+            if *o == UNCLAIMED {
+                *o = mine;
+                claimed.push(x);
+            } else if *o & SIDE != mine {
+                split = true;
             }
         }
-        self.cut.left_seed = u;
-        self.cut.right_seed = v;
+        if split {
+            reads += nets.len() as u64;
+            for &x in nets {
+                owner[x as usize] |= BOUNDARY; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+            }
+        }
     }
+    reads
 }
 
 /// Picks a random longest-BFS-path endpoint pair: a random start vertex,
@@ -325,27 +398,29 @@ impl TwoFrontScratch {
 /// what makes the paper's multi-start extension ("50 random longest paths")
 /// explore genuinely different cuts.
 ///
-/// Returns `None` if the graph has fewer than 2 vertices or the random
-/// start's component is a single vertex.
+/// Returns `None` if `G` has fewer than 2 vertices or no edge.
 pub fn random_longest_path_endpoints<R: Rng + ?Sized>(
-    g: &Graph,
+    view: &DualIncidence<'_>,
     rng: &mut R,
 ) -> Option<(u32, u32)> {
-    EndpointScratch::new().pick(g, rng).map(|(u, v, _)| (u, v))
+    EndpointScratch::new()
+        .pick(view, rng)
+        .map(|(u, v, _)| (u, v))
 }
 
-/// Reusable buffer for the longest-BFS-path endpoint draw: one BFS
+/// Reusable buffers for the longest-BFS-path endpoint draw: one BFS
 /// leveling, which the second search reuses once the first has chosen
-/// `u`. Once warmed to a graph's vertex count, repeated
-/// [`pick`](Self::pick) calls allocate nothing. The RNG draw sequence is
-/// byte-identical to [`random_longest_path_endpoints`] (which delegates
-/// here): one `gen_range` for the start vertex, one `choose` over the
-/// deepest level of the first BFS, one `choose` over the deepest level of
-/// the second — so swapping the scratch path in cannot perturb any seeded
-/// run.
+/// `u`, and the searches' per-module marks. Once warmed to an instance,
+/// repeated [`pick`](Self::pick) calls allocate nothing. The RNG draw
+/// sequence is byte-identical to [`random_longest_path_endpoints`] (which
+/// delegates here): one `gen_range` for the start vertex, one `choose`
+/// over the deepest level of the first BFS, one `choose` over the deepest
+/// level of the second — so swapping the scratch path in cannot perturb
+/// any seeded run.
 #[derive(Clone, Debug)]
 pub struct EndpointScratch {
     levels: bfs::BfsLevels,
+    expanded: Vec<bool>,
 }
 
 impl Default for EndpointScratch {
@@ -359,13 +434,16 @@ impl EndpointScratch {
     pub fn new() -> Self {
         Self {
             levels: bfs::BfsLevels::empty(),
+            expanded: Vec::new(),
         }
     }
 
-    /// A scratch pre-sized for graphs of up to `n` vertices.
-    pub fn with_capacity(n: usize) -> Self {
+    /// A scratch pre-sized for instances of up to `n` G-vertices and
+    /// `modules` modules.
+    pub fn with_capacity(n: usize, modules: usize) -> Self {
         Self {
             levels: bfs::BfsLevels::with_capacity(n),
+            expanded: Vec::with_capacity(modules),
         }
     }
 
@@ -374,8 +452,12 @@ impl EndpointScratch {
     /// of the second BFS, saving the separate distance BFS callers used
     /// to run. `None` under the same conditions as
     /// [`random_longest_path_endpoints`].
-    pub fn pick<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) -> Option<(u32, u32, u32)> {
-        self.draw(g, rng, None)
+    pub fn pick<R: Rng + ?Sized>(
+        &mut self,
+        view: &DualIncidence<'_>,
+        rng: &mut R,
+    ) -> Option<(u32, u32, u32)> {
+        self.draw(view, rng, None)
     }
 
     /// The one endpoint draw behind [`pick`](Self::pick) and the
@@ -386,39 +468,35 @@ impl EndpointScratch {
     /// and return the same triple.
     pub(crate) fn draw<R: Rng + ?Sized>(
         &mut self,
-        g: &Graph,
+        view: &DualIncidence<'_>,
         rng: &mut R,
         memo: Option<&mut EndpointMemo>,
     ) -> Option<(u32, u32, u32)> {
-        let n = g.num_vertices();
+        let n = view.num_g_vertices();
         if n < 2 {
             return None;
         }
-        let levels = &mut self.levels;
-        let start = rng.gen_range(0..n as u32); // fhp-audit: allow(as-cast-truncation) — vertex count fits u32 by the VertexId representation
-        bfs::bfs_into(g, start, levels);
+        let Self { levels, expanded } = self;
+        let start = rng.gen_range(0..n as u32); // fhp-audit: allow(as-cast-truncation) — G ids fit u32 by the view's construction
+        bfs::bfs_dual_into(view, start, levels, expanded);
         if levels.num_reached() < 2 {
-            // isolated start: fall back to any vertex with an edge
-            let fallback = g.vertices().find(|&v| g.degree(v) > 0)?;
-            bfs::bfs_into(g, fallback, levels);
-            if levels.num_reached() < 2 {
-                return None; // unreachable: the fallback has an edge
-            }
+            // isolated start: fall back to the lowest vertex with an edge
+            bfs::bfs_dual_into(view, view.first_linked()?, levels, expanded);
         }
         let u = *levels.deepest_level().choose(rng).expect("nonempty"); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
 
         // the first BFS is dead once u is chosen, so the second reuses it
         let (deepest, depth) = match memo {
-            Some(memo) => memo.second_bfs(g, u, levels),
+            Some(memo) => memo.second_bfs(view, u, levels, expanded),
             None => {
-                bfs::bfs_into(g, u, levels);
+                bfs::bfs_dual_into(view, u, levels, expanded);
                 (levels.deepest_level(), levels.depth())
             }
         };
         let v = *deepest.choose(rng).expect("nonempty"); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
         if u == v {
-            // start's component had a single vertex at positive depth 0 — can
-            // only happen if u is isolated, which num_reached() >= 2 rules out.
+            // u's component is u alone, which the fallback to a vertex
+            // with an edge rules out
             return None;
         }
         Some((u, v, depth))
@@ -434,7 +512,7 @@ pub(crate) const MEMO_ID_BUDGET: usize = 4096;
 /// one run: `u`'s depth and deepest level, in visit order. BFS(u) is a
 /// function of `u` and `G` alone, so a start that draws a stored `u`
 /// reads the level instead of searching again, and its `choose` over the
-/// same list draws the same `v`. Valid for one graph only; the
+/// same list draws the same `v`. Valid for one instance only; the
 /// multi-start engine keeps one per worker arena, so no lock guards it.
 /// Both buffers are reserved up front and never grow: a level that does
 /// not fit in what is left of [`MEMO_ID_BUDGET`] is not stored (that `u`
@@ -479,9 +557,10 @@ impl EndpointMemo {
     /// otherwise searched into `levels` and stored if it fits.
     fn second_bfs<'a>(
         &'a mut self,
-        g: &Graph,
+        view: &DualIncidence<'_>,
         u: u32,
         levels: &'a mut bfs::BfsLevels,
+        expanded: &mut Vec<bool>,
     ) -> (&'a [u32], u32) {
         match self.entries.binary_search_by_key(&u, |e| e.u) {
             Ok(i) => {
@@ -490,7 +569,7 @@ impl EndpointMemo {
                 (&self.ids[e.start..e.end], e.depth) // fhp-audit: allow(panic-site) — an entry's range was pushed into ids when it was stored
             }
             Err(slot) => {
-                bfs::bfs_into(g, u, levels);
+                bfs::bfs_dual_into(view, u, levels, expanded);
                 let level = levels.deepest_level();
                 if self.entries.len() < self.entries.capacity()
                     && level.len() <= MEMO_ID_BUDGET - self.ids.len()
@@ -515,17 +594,60 @@ impl EndpointMemo {
 mod tests {
     use super::*;
     use crate::runner::SplitMix64;
+    use fhp_gen::RandomHypergraph;
+    use fhp_hypergraph::{Hypergraph, HypergraphBuilder, IntersectionGraph, VertexId};
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
 
-    fn path(n: usize) -> Graph {
-        Graph::from_edges(n, (0..n as u32 - 1).map(|i| (i, i + 1)))
+    /// A hypergraph whose intersection graph is exactly the simple graph
+    /// on `n` vertices with `edges`: net `a` holds a private module `a`,
+    /// plus module `n + k` for every edge `k` that touches it.
+    fn dual_of(n: usize, edges: &[(u32, u32)]) -> Hypergraph {
+        let mut pins: Vec<Vec<VertexId>> = (0..n).map(|a| vec![VertexId::new(a)]).collect();
+        for (k, &(a, b)) in edges.iter().enumerate() {
+            pins[a as usize].push(VertexId::new(n + k));
+            pins[b as usize].push(VertexId::new(n + k));
+        }
+        let mut builder = HypergraphBuilder::with_vertices(n + edges.len());
+        for p in pins {
+            builder.add_edge(p).unwrap();
+        }
+        builder.build()
+    }
+
+    fn view(h: &Hypergraph) -> DualIncidence<'_> {
+        DualIncidence::new(h, None).unwrap()
+    }
+
+    fn path(n: usize) -> Hypergraph {
+        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+        dual_of(n, &edges)
+    }
+
+    fn cycle(n: u32) -> Hypergraph {
+        let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        dual_of(n as usize, &edges)
+    }
+
+    /// A star: hub 0 and `leaves` leaves.
+    fn star(leaves: usize) -> Hypergraph {
+        let edges: Vec<(u32, u32)> = (1..=leaves as u32).map(|l| (0, l)).collect();
+        dual_of(leaves + 1, &edges)
+    }
+
+    /// One module on `k` kept 2-pin nets, each with a leaf of its own.
+    fn hub(k: usize) -> Hypergraph {
+        let mut b = HypergraphBuilder::with_vertices(k + 1);
+        for leaf in 1..=k {
+            b.add_edge([VertexId::new(0), VertexId::new(leaf)]).unwrap();
+        }
+        b.build()
     }
 
     #[test]
     fn fronts_meet_in_the_middle() {
-        let g = path(10);
-        let cut = two_front_bfs(&g, 0, 9);
+        let h = path(10);
+        let cut = two_front_bfs(&view(&h), 0, 9);
         let left: usize = (0..10).filter(|&i| cut.side_of(i) == Side::Left).count();
         assert_eq!(left, 5);
         // contiguity: all left vertices precede all right vertices
@@ -535,8 +657,8 @@ mod tests {
 
     #[test]
     fn asymmetric_seeds_split_by_distance() {
-        let g = path(10);
-        let cut = two_front_bfs(&g, 0, 3);
+        let h = path(10);
+        let cut = two_front_bfs(&view(&h), 0, 3);
         // vertices 4.. are closer to 3; the right side should dominate
         assert_eq!(cut.side_of(0), Side::Left);
         assert_eq!(cut.side_of(1), Side::Left);
@@ -549,10 +671,9 @@ mod tests {
 
     #[test]
     fn every_vertex_claimed_even_disconnected() {
-        let mut edges = vec![(0u32, 1u32), (1, 2)]; // component A
-        edges.push((3, 4)); // component B, no seed
-        let g = Graph::from_edges(5, edges);
-        let cut = two_front_bfs(&g, 0, 2);
+        // component A: 0-1-2; component B: 3-4, no seed
+        let h = dual_of(5, &[(0, 1), (1, 2), (3, 4)]);
+        let cut = two_front_bfs(&view(&h), 0, 2);
         assert_eq!(cut.len(), 5);
         // component B goes wholesale to one side
         assert_eq!(cut.side_of(3), cut.side_of(4));
@@ -563,24 +684,25 @@ mod tests {
     fn orphan_component_balances_counts() {
         // seeds claim 1 vertex each; orphan pair should go to... either side,
         // but wholesale.
-        let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
-        let cut = two_front_bfs(&g, 0, 1);
+        let h = dual_of(4, &[(0, 1), (2, 3)]);
+        let cut = two_front_bfs(&view(&h), 0, 1);
         assert_eq!(cut.side_of(2), cut.side_of(3));
     }
 
     #[test]
     #[should_panic(expected = "must differ")]
     fn equal_seeds_panic() {
-        let g = path(3);
-        let _ = two_front_bfs(&g, 1, 1);
+        let h = path(3);
+        let _ = two_front_bfs(&view(&h), 1, 1);
     }
 
     #[test]
     fn random_endpoints_are_far_apart_on_path() {
-        let g = path(20);
+        let h = path(20);
+        let view = view(&h);
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..10 {
-            let (u, v) = random_longest_path_endpoints(&g, &mut rng).unwrap();
+            let (u, v) = random_longest_path_endpoints(&view, &mut rng).unwrap();
             assert!(u == 0 || u == 19);
             assert!(v == 0 || v == 19);
             assert_ne!(u, v);
@@ -590,21 +712,23 @@ mod tests {
     #[test]
     fn random_endpoints_tiny_graphs() {
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(random_longest_path_endpoints(&Graph::empty(0), &mut rng).is_none());
-        assert!(random_longest_path_endpoints(&Graph::empty(1), &mut rng).is_none());
-        assert!(random_longest_path_endpoints(&Graph::empty(5), &mut rng).is_none());
-        let pair = Graph::from_edges(2, [(0, 1)]);
-        let (u, v) = random_longest_path_endpoints(&pair, &mut rng).unwrap();
+        for n in [0, 1, 5] {
+            let h = dual_of(n, &[]);
+            assert!(random_longest_path_endpoints(&view(&h), &mut rng).is_none());
+        }
+        let pair = dual_of(2, &[(0, 1)]);
+        let (u, v) = random_longest_path_endpoints(&view(&pair), &mut rng).unwrap();
         assert!((u == 0 && v == 1) || (u == 1 && v == 0));
     }
 
     #[test]
     fn random_endpoints_with_isolated_vertices() {
         // vertex 3 isolated; restarts from a connected vertex
-        let g = Graph::from_edges(4, [(0, 1), (1, 2)]);
+        let h = dual_of(4, &[(0, 1), (1, 2)]);
+        let view = view(&h);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..20 {
-            let (u, v) = random_longest_path_endpoints(&g, &mut rng).unwrap();
+            let (u, v) = random_longest_path_endpoints(&view, &mut rng).unwrap();
             assert_ne!(u, 3);
             assert_ne!(v, 3);
             assert_ne!(u, v);
@@ -613,26 +737,28 @@ mod tests {
 
     #[test]
     fn scratch_pick_matches_free_function_draw_for_draw() {
-        let graphs = [
+        let instances = [
             path(20),
-            Graph::from_edges(4, [(0, 1), (1, 2)]), // vertex 3 isolated
-            Graph::from_edges(12, (0..12u32).map(|i| (i, (i + 1) % 12))),
-            Graph::empty(5),
+            dual_of(4, &[(0, 1), (1, 2)]), // vertex 3 isolated
+            cycle(12),
+            dual_of(5, &[]),
         ];
-        let mut scratch = EndpointScratch::with_capacity(20);
-        for (gi, g) in graphs.iter().enumerate() {
+        let mut scratch = EndpointScratch::with_capacity(20, 40);
+        for (gi, h) in instances.iter().enumerate() {
+            let view = view(h);
+            let g = IntersectionGraph::build(h);
             let mut rng_a = StdRng::seed_from_u64(99 + gi as u64);
             let mut rng_b = StdRng::seed_from_u64(99 + gi as u64);
             for round in 0..15 {
-                let free = random_longest_path_endpoints(g, &mut rng_a);
-                let picked = scratch.pick(g, &mut rng_b);
+                let free = random_longest_path_endpoints(&view, &mut rng_a);
+                let picked = scratch.pick(&view, &mut rng_b);
                 assert_eq!(
                     picked.map(|(u, v, _)| (u, v)),
                     free,
                     "graph {gi} round {round}"
                 );
                 if let Some((u, v, len)) = picked {
-                    assert_eq!(bfs::bfs(g, u).dist(v), Some(len), "graph {gi}");
+                    assert_eq!(bfs::bfs(g.graph(), u).dist(v), Some(len), "graph {gi}");
                 }
             }
         }
@@ -642,16 +768,17 @@ mod tests {
     /// the multi-start engine does, and checks each start against a fresh
     /// plain draw on the same stream: same triple, and the same number of
     /// RNG calls. Returns the memo's hits and the distinct `u`s drawn.
-    fn memoized_draws(g: &Graph, seed: u64) -> (u64, usize) {
+    fn memoized_draws(h: &Hypergraph, seed: u64) -> (u64, usize) {
         const STARTS: usize = 50;
-        let mut scratch = EndpointScratch::with_capacity(g.num_vertices());
+        let view = view(h);
+        let mut scratch = EndpointScratch::with_capacity(view.num_g_vertices(), h.num_vertices());
         let mut memo = EndpointMemo::with_capacity(STARTS);
         let mut us = std::collections::BTreeSet::new();
         for i in 0..STARTS {
             let mut rng_memo = SplitMix64::for_start(seed, i);
             let mut rng_plain = SplitMix64::for_start(seed, i);
-            let memoized = scratch.draw(g, &mut rng_memo, Some(&mut memo));
-            let plain = EndpointScratch::new().pick(g, &mut rng_plain);
+            let memoized = scratch.draw(&view, &mut rng_memo, Some(&mut memo));
+            let plain = EndpointScratch::new().pick(&view, &mut rng_plain);
             assert_eq!(memoized, plain, "start {i}");
             assert_eq!(rng_memo.next_u64(), rng_plain.next_u64(), "start {i}");
             us.extend(plain.map(|(u, _, _)| u));
@@ -669,48 +796,44 @@ mod tests {
         // eight leaves, and each stored level holds the far hub's four
         let mut broom = vec![(0u32, 2u32), (2, 3), (3, 1)];
         broom.extend((4..8).map(|l| (0, l)).chain((8..12).map(|l| (1, l))));
-        let (hits, distinct) = memoized_draws(&Graph::from_edges(12, broom), 11);
+        let (hits, distinct) = memoized_draws(&dual_of(12, &broom), 11);
         assert!(hits > 0);
         assert_eq!(hits, 50 - distinct as u64);
         // on an odd cycle u is one of r's two antipodes, so u rarely repeats
-        let n = 1001u32;
-        let cycle = Graph::from_edges(n as usize, (0..n).map(|i| (i, (i + 1) % n)));
-        let (hits, distinct) = memoized_draws(&cycle, 7);
+        let (hits, distinct) = memoized_draws(&cycle(1001), 7);
         assert_eq!(hits, 50 - distinct as u64);
         // every u's deepest level holds all other leaves, one id more than
         // the budget, so no level is stored and every draw runs its BFS
         assert_eq!(memoized_draws(&star(MEMO_ID_BUDGET + 2), 5).0, 0);
         // a level of exactly the budget is stored; one id more is not
         for (leaves, hits) in [(MEMO_ID_BUDGET + 1, 1), (MEMO_ID_BUDGET + 2, 0)] {
-            let g = star(leaves);
+            let h = star(leaves);
+            let view = view(&h);
             let mut memo = EndpointMemo::with_capacity(2);
             let mut levels = bfs::BfsLevels::empty();
+            let mut expanded = Vec::new();
             for _ in 0..2 {
-                let (level, depth) = memo.second_bfs(&g, 1, &mut levels);
+                let (level, depth) = memo.second_bfs(&view, 1, &mut levels, &mut expanded);
                 assert_eq!((level.len(), depth), (leaves - 1, 2));
             }
             assert_eq!(memo.hits(), hits, "{leaves} leaves");
         }
     }
 
-    /// A star: hub 0 and `leaves` leaves.
-    fn star(leaves: usize) -> Graph {
-        Graph::from_edges(leaves + 1, (1..=leaves as u32).map(|l| (0, l)))
-    }
-
     #[test]
     fn two_front_scratch_reuse_matches_fresh_runs() {
-        let g1 = path(10);
-        let g2 = Graph::from_edges(4, [(0, 1), (2, 3)]);
-        let mut scratch = TwoFrontScratch::with_capacity(10);
+        let h1 = path(10);
+        let h2 = dual_of(4, &[(0, 1), (2, 3)]);
+        let (v1, v2) = (view(&h1), view(&h2));
+        let mut scratch = TwoFrontScratch::with_capacity(10, 19);
         for policy in [
             FrontPolicy::SmallerFirst,
             FrontPolicy::Alternate,
             FrontPolicy::Both,
         ] {
-            for (g, u, v) in [(&g1, 0u32, 9u32), (&g2, 0, 1), (&g1, 0, 3)] {
-                scratch.run(g, u, v, policy);
-                let fresh = two_front_bfs_with_policy(g, u, v, policy);
+            for (view, u, v) in [(&v1, 0u32, 9u32), (&v2, 0, 1), (&v1, 0, 3)] {
+                scratch.run(view, u, v, policy);
+                let fresh = two_front_bfs_with_policy(view, u, v, policy);
                 assert_eq!(scratch.cut(), &fresh, "{policy:?}");
             }
         }
@@ -720,9 +843,9 @@ mod tests {
     fn boundary_marks_are_exactly_the_vertices_with_a_cross_neighbour() {
         // a 6-cycle with a chord, seeded at opposite ends, plus a triangle
         // and an isolated vertex that neither seed reaches
-        let g = Graph::from_edges(
+        let h = dual_of(
             10,
-            [
+            &[
                 (0, 1),
                 (1, 2),
                 (2, 3),
@@ -735,9 +858,12 @@ mod tests {
                 (8, 6),
             ],
         );
+        let view = view(&h);
+        let ig = IntersectionGraph::build(&h);
+        let g = ig.graph();
         for policy in [FrontPolicy::SmallerFirst, FrontPolicy::Alternate] {
             for (u, v) in [(0, 3), (3, 0), (1, 2), (2, 5)] {
-                let cut = two_front_bfs_with_policy(&g, u, v, policy);
+                let cut = two_front_bfs_with_policy(&view, u, v, policy);
                 for w in g.vertices() {
                     let crosses = g
                         .neighbors(w)
@@ -758,14 +884,85 @@ mod tests {
     fn multi_start_varies_endpoints_on_cycle() {
         // every vertex of a cycle is a valid longest-path endpoint; with
         // randomization we should see variety.
-        let n = 12u32;
-        let g = Graph::from_edges(n as usize, (0..n).map(|i| (i, (i + 1) % n)));
+        let h = cycle(12);
+        let view = view(&h);
         let mut rng = StdRng::seed_from_u64(42);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..40 {
-            let (u, _) = random_longest_path_endpoints(&g, &mut rng).unwrap();
+            let (u, _) = random_longest_path_endpoints(&view, &mut rng).unwrap();
             seen.insert(u);
         }
         assert!(seen.len() > 3, "expected endpoint diversity, saw {seen:?}");
+    }
+
+    /// Every search over `h`'s view stays within its read bound: at most
+    /// `2·Σ|e|` ids per BFS from each of `sources` (modulo the G-vertex
+    /// count) and `3·Σ|e|` per sweep between consecutive sources, under
+    /// both policies. Returns the
+    /// largest BFS and sweep read counts.
+    fn max_reads(h: &Hypergraph, threshold: Option<usize>, sources: &[u32]) -> (u64, u64) {
+        let view = DualIncidence::new(h, threshold).unwrap();
+        let pins = view.num_kept_pins() as u64;
+        let n = view.num_g_vertices() as u32;
+        let sources: Vec<u32> = sources.iter().map(|&s| s % n).collect();
+        let mut levels = bfs::BfsLevels::empty();
+        let mut expanded = Vec::new();
+        let mut sweep = TwoFrontScratch::new();
+        let (mut bfs_max, mut sweep_max) = (0, 0);
+        for &s in &sources {
+            let reads = bfs::bfs_dual_into(&view, s, &mut levels, &mut expanded);
+            assert!(reads <= 2 * pins, "BFS from {s} read {reads} > 2·{pins}");
+            bfs_max = bfs_max.max(reads);
+        }
+        for pair in sources.windows(2).filter(|p| p[0] != p[1]) {
+            for policy in [FrontPolicy::SmallerFirst, FrontPolicy::Alternate] {
+                sweep.run(&view, pair[0], pair[1], policy);
+                let reads = sweep.ids_read();
+                assert!(
+                    reads <= 3 * pins,
+                    "{policy:?} {pair:?} read {reads} > 3·{pins}"
+                );
+                sweep_max = sweep_max.max(reads);
+            }
+        }
+        (bfs_max, sweep_max)
+    }
+
+    #[test]
+    fn searches_read_at_most_two_and_three_ids_per_kept_pin() {
+        // the hub: one module on k kept nets, Σ|e| = 2k. The searches read
+        // 4k and at most 6k ids; walking G's adjacency, which is K_k, reads
+        // k(k − 1) around the hub module and fails the same bound.
+        let k = 64u32;
+        let h = hub(k as usize);
+        let (bfs_reads, sweep_reads) = max_reads(&h, None, &[0, 63, 5, 17, 40]);
+        assert_eq!(bfs_reads, 4 * u64::from(k));
+        assert!(sweep_reads <= 6 * u64::from(k));
+        let ig = IntersectionGraph::build(&h);
+        let neighbour_walk: usize = ig.graph().vertices().map(|g| ig.graph().degree(g)).sum();
+        assert_eq!(neighbour_walk, (k * (k - 1)) as usize);
+        assert!(neighbour_walk as u64 > 3 * 2 * u64::from(k));
+
+        // a chain: G is a path, and a BFS that reaches every net reads
+        // every kept pin exactly twice
+        let mut b = HypergraphBuilder::with_vertices(41);
+        for i in 0..40 {
+            b.add_edge([VertexId::new(i), VertexId::new(i + 1)])
+                .unwrap();
+        }
+        let (bfs_reads, _) = max_reads(&b.build(), None, &[0, 39, 20, 7]);
+        assert_eq!(bfs_reads, 2 * 80);
+
+        // random instances, unfiltered and filtered
+        for seed in 0..6 {
+            let h = RandomHypergraph::new(60, 90)
+                .edge_size_range(2, 6)
+                .seed(seed)
+                .generate()
+                .unwrap();
+            let sources: Vec<u32> = (0..6).map(|i| (i * 13 + seed as u32) % 40).collect();
+            max_reads(&h, None, &sources);
+            max_reads(&h, Some(4), &sources);
+        }
     }
 }

@@ -13,11 +13,11 @@ use fhp_hypergraph::{DualizeStats, EdgeId, Hypergraph};
 
 use crate::Bipartition;
 
-/// Wall-clock time (and dualization counters) per pipeline phase of one
-/// [`Algorithm1::run`](crate::Algorithm1::run) call.
+/// Wall-clock time (and the `G` view's counters) per pipeline phase of
+/// one [`Algorithm1::run`](crate::Algorithm1::run) call.
 ///
-/// Dualization happens once per run and the longest-path draw once per
-/// start. The dual-front and Complete-Cut phases run once per sweep of
+/// The view of `G` is built once per run and the longest-path draw runs
+/// once per start. The dual-front and Complete-Cut phases run once per sweep of
 /// each *distinct* path: a start that draws an earlier start's endpoint
 /// pair skips them
 /// ([`RunStats::distinct_paths`](crate::RunStats::distinct_paths)). The
@@ -41,15 +41,17 @@ use crate::Bipartition;
 /// let out = Algorithm1::new(PartitionConfig::new().starts(4)).run(&paper_example())?;
 /// let p = &out.stats.phases;
 /// assert_eq!(p.dualize.kept_edges, 9);
-/// assert_eq!(p.dualize.pairs_generated,
-///            p.dualize.unique_edges + p.dualize.duplicates_merged);
+/// // G is read off the incidence lists: no pair is generated
+/// assert_eq!(p.dualize.pairs_generated, 0);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct PhaseStats {
-    /// Counters and wall time of the dualization kernel (one run).
+    /// The run's `DualIncidence` build: its kept and filtered signal
+    /// counts and wall time. Algorithm I generates no pair, so the pair
+    /// counters stay 0.
     pub dualize: DualizeStats,
     /// Total time drawing random longest BFS paths, across all starts.
     pub longest_path_bfs: Duration,

@@ -13,7 +13,7 @@ use fhp_core::complete_cut::{complete, CompletionScratch, CompletionStrategy};
 use fhp_core::dual_bfs::two_front_bfs_with_policy;
 use fhp_core::{Bipartition, FrontPolicy};
 use fhp_gen::{CircuitNetlist, Technology};
-use fhp_hypergraph::{intersection::paper_example, Hypergraph, IntersectionGraph};
+use fhp_hypergraph::{intersection::paper_example, DualIncidence, Hypergraph};
 
 use CompletionStrategy::{EngineerWeighted, ExactKonig, MinDegree};
 use FrontPolicy::{Alternate, SmallerFirst};
@@ -178,12 +178,12 @@ const HYBRID: &[Case] = &[
 ];
 
 fn check(name: &str, h: &Hypergraph, cases: &[Case], scratch: &mut CompletionScratch) {
-    let ig = IntersectionGraph::build(h);
+    let view = DualIncidence::new(h, None).expect("fits u32 ids");
     let mut out = Bipartition::all_left(0);
     for &((u, v), policy, strategy, winners, sides) in cases {
-        let cut = two_front_bfs_with_policy(ig.graph(), u, v, policy);
-        let dec = BoundaryDecomposition::new(h, &ig, &cut);
-        scratch.complete_into(strategy, h, &ig, &dec, &mut out);
+        let cut = two_front_bfs_with_policy(&view, u, v, policy);
+        let dec = BoundaryDecomposition::new(&view, &cut);
+        scratch.complete_into(strategy, &view, &dec, &mut out);
         let got: String = scratch
             .completion()
             .winners()
@@ -194,7 +194,7 @@ fn check(name: &str, h: &Hypergraph, cases: &[Case], scratch: &mut CompletionScr
         assert_eq!(got, winners, "{case}: winners");
         assert_eq!(out.to_string(), sides, "{case}: bipartition");
         assert_eq!(
-            &complete(strategy, h, &ig, &dec),
+            &complete(strategy, &view, &dec),
             scratch.completion(),
             "{case}: the reference entry point picks other winners"
         );
@@ -209,7 +209,12 @@ fn every_strategy_reproduces_its_recorded_winners_and_bipartition() {
         .seed(5)
         .generate()
         .expect("a valid hybrid netlist");
-    assert_eq!(IntersectionGraph::build(&hybrid).num_g_vertices(), 60);
+    assert_eq!(
+        DualIncidence::new(&hybrid, None)
+            .expect("fits u32 ids")
+            .num_g_vertices(),
+        60
+    );
     assert!(hybrid.vertices().any(|v| hybrid.vertex_weight(v) > 1));
     check("hybrid", &hybrid, HYBRID, &mut scratch);
 }

@@ -4,7 +4,7 @@ use fhp_core::boundary::BoundaryDecomposition;
 use fhp_core::complete_cut::{complete, CompletionStrategy};
 use fhp_core::dual_bfs::{random_longest_path_endpoints, two_front_bfs_with_policy, FrontPolicy};
 use fhp_core::{Algorithm1, PartitionConfig};
-use fhp_hypergraph::{Hypergraph, HypergraphBuilder, IntersectionGraph, VertexId};
+use fhp_hypergraph::{DualIncidence, Hypergraph, HypergraphBuilder, IntersectionGraph, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,13 +74,14 @@ proptest! {
         for (h, threshold) in [(&h, None), (&segmented, Some(4))] {
             let ig = IntersectionGraph::build_with_threshold(h, threshold);
             let g = ig.graph();
+            let view = DualIncidence::new(h, threshold).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            let Some((u, v)) = random_longest_path_endpoints(g, &mut rng) else {
+            let Some((u, v)) = random_longest_path_endpoints(&view, &mut rng) else {
                 continue;
             };
             for policy in [FrontPolicy::SmallerFirst, FrontPolicy::Alternate] {
-                let cut = two_front_bfs_with_policy(g, u, v, policy);
-                let dec = BoundaryDecomposition::new(h, &ig, &cut);
+                let cut = two_front_bfs_with_policy(&view, u, v, policy);
+                let dec = BoundaryDecomposition::new(&view, &cut);
                 // the boundary the sweep marked is exactly the G-vertices
                 // with a neighbour on the other side
                 for w in g.vertices() {
@@ -99,7 +100,7 @@ proptest! {
                     CompletionStrategy::EngineerWeighted,
                     CompletionStrategy::ExactKonig,
                 ] {
-                    let done = complete(strategy, h, &ig, &dec);
+                    let done = complete(strategy, &view, &dec);
                     prop_assert_eq!(
                         done.num_winners() + done.num_losers(),
                         dec.boundary_len()

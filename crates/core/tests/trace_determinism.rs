@@ -6,7 +6,7 @@
 use fhp_core::dual_bfs::EndpointScratch;
 use fhp_core::runner::{run_starts_arena, SplitMix64};
 use fhp_core::{Algorithm1, PartitionConfig, PartitionOutcome};
-use fhp_hypergraph::{Hypergraph, HypergraphBuilder, IntersectionGraph, VertexId};
+use fhp_hypergraph::{DualIncidence, Hypergraph, HypergraphBuilder, VertexId};
 use fhp_obs::{canonical_line, names, order, Collector, Event};
 
 /// A ~60-module, 90-signal pseudo-random netlist (tiny LCG, fixed seed) —
@@ -77,12 +77,12 @@ fn canonical_trace(h: &Hypergraph, threads: usize) -> Vec<String> {
 /// engine does, and returns for each start that found endpoints the first
 /// earlier start that drew the same ordered pair (`None` for a new pair).
 fn expected_repeats(h: &Hypergraph) -> Vec<Option<Option<usize>>> {
-    let ig = IntersectionGraph::build(h);
+    let view = DualIncidence::new(h, None).expect("fits u32 ids");
     let mut scratch = EndpointScratch::new();
     let pairs: Vec<Option<(u32, u32)>> = (0..STARTS)
         .map(|i| {
             let mut rng = SplitMix64::for_start(SEED, i);
-            scratch.pick(ig.graph(), &mut rng).map(|(u, v, _)| (u, v))
+            scratch.pick(&view, &mut rng).map(|(u, v, _)| (u, v))
         })
         .collect();
     pairs

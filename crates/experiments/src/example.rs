@@ -14,7 +14,7 @@ use fhp_core::dual_bfs::two_front_bfs;
 use fhp_core::{Algorithm1, PartitionConfig, Side};
 use fhp_hypergraph::bfs;
 use fhp_hypergraph::intersection::paper_example;
-use fhp_hypergraph::IntersectionGraph;
+use fhp_hypergraph::{DualIncidence, IntersectionGraph};
 
 use crate::util::banner;
 
@@ -62,8 +62,10 @@ pub fn run(_quick: bool) {
         sweep.length
     );
 
-    let cut = two_front_bfs(g, sweep.u, sweep.v);
-    let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+    // fhp-audit: allow(panic-site) — the paper example's 9 signals fit u32 G ids
+    let view = DualIncidence::new(&h, None).expect("the example's 9 signals fit u32 ids");
+    let cut = two_front_bfs(&view, sweep.u, sweep.v);
+    let dec = BoundaryDecomposition::new(&view, &cut);
     let fmt_set = |side: Side| {
         g.vertices()
             .filter(|&v| cut.side_of(v) == side)
@@ -83,7 +85,7 @@ pub fn run(_quick: bool) {
         .collect();
     println!("boundary set B = {{{}}}", boundary.join(" "));
 
-    let completion = complete(CompletionStrategy::MinDegree, &h, &ig, &dec);
+    let completion = complete(CompletionStrategy::MinDegree, &view, &dec);
     let winners: Vec<String> = (0..dec.boundary_len() as u32)
         .filter(|&b| completion.is_winner(b))
         .map(|b| signal(dec.g_vertex(b)).to_string())

@@ -1,4 +1,5 @@
-//! Breadth-first-search primitives on [`Graph`].
+//! Breadth-first-search primitives on [`Graph`], and the same search on
+//! `G` read off the incidence lists ([`bfs_dual_into`]).
 //!
 //! Algorithm I never computes a true graph diameter — the fastest known
 //! exact methods cost `O(nm)` — it uses *longest BFS paths* instead: BFS
@@ -8,7 +9,7 @@
 //! the partitioner, and exact all-pairs diameters for verification at small
 //! scale.
 
-use crate::Graph;
+use crate::{DualIncidence, Graph};
 
 /// Distance label for vertices not reached by a search.
 pub const UNREACHED: u32 = u32::MAX;
@@ -168,6 +169,78 @@ pub fn bfs_into(g: &Graph, source: u32, levels: &mut BfsLevels) {
             }
         }
     }
+}
+
+/// Runs BFS in `G` from `source` over `view`'s incidence lists, into
+/// `levels`, and returns the ids it read. The levels are exactly
+/// [`bfs_into`]'s on `G`'s CSR: a popped net expands each of its modules
+/// that no earlier net expanded, claims the unclaimed kept nets there —
+/// exactly its unvisited neighbours, since an expanded module's nets are
+/// all claimed — and sorts that batch, which is the CSR's ascending
+/// neighbour order.
+///
+/// The ids read are the pins of the popped nets plus the kept nets of
+/// the expanded modules: each kept pin at most twice, so at most
+/// `2 · view.num_kept_pins()`. `expanded` is per-module scratch, reset on
+/// entry; once it and `levels` have grown to the instance, repeated
+/// calls allocate nothing.
+///
+/// # Panics
+///
+/// Panics if `source` is out of range.
+pub fn bfs_dual_into(
+    view: &DualIncidence<'_>,
+    source: u32,
+    levels: &mut BfsLevels,
+    expanded: &mut Vec<bool>,
+) -> u64 {
+    let n = view.num_g_vertices();
+    assert!((source as usize) < n, "bfs source {source} out of range");
+    levels.source = source;
+    levels.dist.clear();
+    levels.dist.resize(n, UNREACHED);
+    levels.order.clear();
+    levels.depth = 0;
+    levels.farthest = source;
+    expanded.clear();
+    expanded.resize(view.num_modules(), false);
+    let dist = &mut levels.dist;
+    let order = &mut levels.order;
+    dist[source as usize] = 0; // fhp-audit: allow(panic-site) — visited/frontier buffers sized to the graph at entry
+    order.push(source);
+    let mut reads = 0u64;
+    let mut head = 0usize;
+    while let Some(&w) = order.get(head) {
+        head += 1;
+        let dw = dist[w as usize]; // fhp-audit: allow(panic-site) — visited/frontier buffers sized to the graph at entry
+        let batch = order.len();
+        let pins = view.pins(w);
+        reads += pins.len() as u64;
+        for &m in pins {
+            // fhp-audit: allow(panic-site) — expanded is sized to the module count at entry, and pins are modules of the view's hypergraph
+            if std::mem::replace(&mut expanded[m.index()], true) {
+                continue;
+            }
+            let nets = view.nets_of(m);
+            reads += nets.len() as u64;
+            for &x in nets {
+                // fhp-audit: allow(panic-site) — visited/frontier buffers sized to the graph at entry
+                if dist[x as usize] == UNREACHED {
+                    dist[x as usize] = dw + 1; // fhp-audit: allow(panic-site) — visited/frontier buffers sized to the graph at entry
+                    order.push(x);
+                }
+            }
+        }
+        // fhp-audit: allow(panic-site) — batch was the order's length before this net's pushes
+        let claimed = &mut order[batch..];
+        claimed.sort_unstable();
+        if let Some(&last) = claimed.last() {
+            levels.depth = dw + 1;
+            levels.farthest = last;
+        }
+    }
+    debug_assert!(reads <= 2 * view.num_kept_pins() as u64, "{reads} ids read");
+    reads
 }
 
 /// Result of a double-sweep pseudo-diameter search.
@@ -338,6 +411,37 @@ mod tests {
     fn bfs_bad_source_panics() {
         let g = Graph::empty(1);
         let _ = bfs(&g, 1);
+    }
+
+    #[test]
+    fn dual_bfs_levels_equal_the_csr_bfs_from_every_source() {
+        use crate::intersection::paper_example;
+        use crate::{HypergraphBuilder, IntersectionGraph, VertexId};
+        // a hub module on 12 two-pin nets, two of them bridged to a chain
+        let mut b = HypergraphBuilder::with_vertices(20);
+        for leaf in 1..13 {
+            b.add_edge([VertexId::new(0), VertexId::new(leaf)]).unwrap();
+        }
+        for m in 12..19 {
+            b.add_edge([VertexId::new(m), VertexId::new(m + 1)])
+                .unwrap();
+        }
+        b.add_edge([VertexId::new(3), VertexId::new(15), VertexId::new(19)])
+            .unwrap();
+        let hub = b.build();
+        let mut levels = BfsLevels::empty();
+        let mut expanded = Vec::new();
+        for h in [paper_example(), hub] {
+            for threshold in [None, Some(3), Some(4)] {
+                let ig = IntersectionGraph::build_with_threshold(&h, threshold);
+                let view = DualIncidence::new(&h, threshold).unwrap();
+                for s in ig.graph().vertices() {
+                    let reads = bfs_dual_into(&view, s, &mut levels, &mut expanded);
+                    assert_eq!(levels, bfs(ig.graph(), s), "{threshold:?} source {s}");
+                    assert!(reads <= 2 * view.num_kept_pins() as u64);
+                }
+            }
+        }
     }
 
     #[test]

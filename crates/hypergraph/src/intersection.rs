@@ -4,7 +4,10 @@
 //! hyperedge of `H`, with two vertices adjacent iff the corresponding
 //! hyperedges share a module (paper §2, Figure 1). Algorithm I operates
 //! entirely on `G`: a graph cut in `G` whose boundary is handled by
-//! Complete-Cut yields a hypergraph cut in `H`.
+//! Complete-Cut yields a hypergraph cut in `H`. It reads `G` through
+//! [`DualIncidence`], straight off the incidence lists, and never builds
+//! the adjacency; [`IntersectionGraph`] and the kernel below build it for
+//! everything else (experiments, oracles, the serve fingerprint).
 //!
 //! The paper's §3 observes that a hyperedge of size `k` crosses the min-cut
 //! bipartition with probability `1 − O(2^{−k})`, so edges above a size
@@ -538,6 +541,191 @@ impl IntersectionGraph {
     /// Hyperedges that were filtered out (size ≥ threshold).
     pub fn filtered_edges<'a>(&'a self, h: &'a Hypergraph) -> impl Iterator<Item = EdgeId> + 'a {
         h.edges().filter(|e| self.g_of[e.index()] == FILTERED) // fhp-audit: allow(panic-site) — g_of is sized to h.num_edges() by keep_map, and every id looked up is an edge id of h
+    }
+}
+
+/// `G` read straight off the netlist's incidence lists: each G-vertex's
+/// pins and each module's kept nets, both as CSR lists, with no adjacency
+/// stored.
+///
+/// Two kept nets are adjacent in `G` iff they share a module, so a net's
+/// neighbours are the other kept nets on its modules. A traversal that
+/// expands each module once — the BFS of [`crate::bfs::bfs_dual_into`] and
+/// Algorithm I's two-front sweep — therefore reads each kept pin at most
+/// twice, where `G`'s CSR holds up to `Σ_m C(d_m, 2)` adjacencies for
+/// modules of `d_m` kept nets. The view costs `O(pins)` to build and
+/// holds no pair at all.
+///
+/// G ids are [`IntersectionGraph`]'s: the hyperedges below the
+/// threshold, numbered in edge order. Each module's kept nets are listed
+/// in ascending G id.
+///
+/// # Examples
+///
+/// ```
+/// use fhp_hypergraph::{intersection::paper_example, DualIncidence, VertexId};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let h = paper_example();
+/// let view = DualIncidence::new(&h, None)?;
+/// assert_eq!(view.num_g_vertices(), 9);
+/// // module 6 carries signals e, f, g and i
+/// assert_eq!(view.nets_of(VertexId::new(5)), [4, 5, 6, 8]);
+/// // filtering the 4-pin signals c and i renumbers the rest
+/// let filtered = DualIncidence::new(&h, Some(4))?;
+/// assert_eq!(filtered.nets_of(VertexId::new(5)), [3, 4, 5]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Clone, Debug)]
+pub struct DualIncidence<'h> {
+    h: &'h Hypergraph,
+    /// G-vertex `g`'s modules are `pins[pin_offsets[g]..pin_offsets[g + 1]]`.
+    pin_offsets: Vec<usize>,
+    pins: Vec<VertexId>,
+    /// Module `m`'s kept nets are `nets[offsets[m]..offsets[m + 1]]`.
+    offsets: Vec<usize>,
+    nets: Vec<u32>,
+    cross_pair_bound: u64,
+    first_linked: Option<u32>,
+    stats: DualizeStats,
+}
+
+impl<'h> DualIncidence<'h> {
+    /// Builds the view of `h` over the hyperedges of size `< threshold`
+    /// (all of them for `None`), recording nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildGraphError::TooManyGVertices`] if the kept hyperedges
+    /// overflow the `u32` G-vertex id space.
+    pub fn new(h: &'h Hypergraph, threshold: Option<usize>) -> Result<Self, BuildGraphError> {
+        Self::build(h, threshold, &Collector::disabled())
+    }
+
+    /// [`new`](Self::new), recorded into `collector` as a `dualize`
+    /// scope: the build's span and the kept and filtered counts, which
+    /// [`stats`](Self::stats) reads back (the pair counters stay 0).
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new).
+    pub fn build(
+        h: &'h Hypergraph,
+        threshold: Option<usize>,
+        collector: &Collector,
+    ) -> Result<Self, BuildGraphError> {
+        let scope = collector.scope(order::DUALIZE, None);
+        let root = scope.span(names::DUALIZE);
+        let (kept, g_of) = keep_map(h, threshold)?;
+        let mut offsets = Vec::with_capacity(h.num_vertices() + 1);
+        offsets.push(0);
+        let kept_pins = kept.iter().map(|&e| h.edge_size(e)).sum();
+        let mut pin_offsets = Vec::with_capacity(kept.len() + 1);
+        pin_offsets.push(0);
+        let mut pins = Vec::with_capacity(kept_pins);
+        for &e in &kept {
+            pins.extend_from_slice(h.pins(e));
+            pin_offsets.push(pins.len());
+        }
+        let mut nets = Vec::with_capacity(kept_pins);
+        let mut cross_pair_bound = 0u64;
+        let mut first_linked: Option<u32> = None;
+        for v in h.vertices() {
+            let first = nets.len();
+            // edges_of is ascending and g_of keeps edge order, so each
+            // module's list comes out ascending
+            nets.extend(
+                h.edges_of(v)
+                    .iter()
+                    .map(|e| g_of[e.index()]) // fhp-audit: allow(panic-site) — keep_map sizes g_of to h.num_edges(), and edges_of yields edge ids of h
+                    .filter(|&g| g != FILTERED),
+            );
+            let d = (nets.len() - first) as u64;
+            cross_pair_bound += d * d / 4;
+            if d >= 2 {
+                let lowest = nets[first]; // fhp-audit: allow(panic-site) — d >= 2 nets were just pushed from index first
+                first_linked = Some(first_linked.map_or(lowest, |f| f.min(lowest)));
+            }
+            offsets.push(nets.len());
+        }
+        drop(root);
+        scope.counter(names::DUALIZE_KEPT, kept.len() as u64);
+        scope.counter(names::DUALIZE_FILTERED, (h.num_edges() - kept.len()) as u64);
+        let recorded = scope.finish();
+        let stats = DualizeStats::from_recorded(&recorded.events, 1, 1);
+        collector.adopt(recorded);
+        Ok(Self {
+            h,
+            pin_offsets,
+            pins,
+            offsets,
+            nets,
+            cross_pair_bound,
+            first_linked,
+            stats,
+        })
+    }
+
+    /// The hypergraph this view reads.
+    pub fn hypergraph(&self) -> &'h Hypergraph {
+        self.h
+    }
+
+    /// Number of G-vertices (kept hyperedges).
+    pub fn num_g_vertices(&self) -> usize {
+        self.pin_offsets.len() - 1
+    }
+
+    /// Number of modules, `h.num_vertices()`.
+    pub fn num_modules(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// `Σ|e|` over the kept hyperedges: every module's kept-net count
+    /// summed. A traversal's read bounds are multiples of it.
+    pub fn num_kept_pins(&self) -> usize {
+        self.nets.len()
+    }
+
+    /// The modules on G-vertex `g`'s hyperedge, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    pub fn pins(&self, g: u32) -> &[VertexId] {
+        let g = g as usize;
+        // fhp-audit: allow(panic-site) — documented `# Panics`: g must be a G-vertex id; pin_offsets has num_g_vertices + 1 ascending entries within pins
+        &self.pins[self.pin_offsets[g]..self.pin_offsets[g + 1]]
+    }
+
+    /// Module `m`'s kept nets as G ids, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is out of range.
+    pub fn nets_of(&self, m: VertexId) -> &[u32] {
+        // fhp-audit: allow(panic-site) — documented `# Panics`: m must be a module of h; offsets has num_modules + 1 ascending entries within nets
+        &self.nets[self.offsets[m.index()]..self.offsets[m.index() + 1]]
+    }
+
+    /// `Σ_m ⌊d_m² / 4⌋` over the modules' kept-net counts `d_m`: a module
+    /// whose kept nets split `l + r` across a cut joins `l·r ≤ ⌊d_m²/4⌋`
+    /// (left, right) pairs, so no cut's boundary graph has more edges,
+    /// nor a module-by-module listing of them more entries.
+    pub fn cross_pair_bound(&self) -> u64 {
+        self.cross_pair_bound
+    }
+
+    /// The lowest G-vertex with a neighbour in `G`, or `None` when `G`
+    /// has no edge.
+    pub fn first_linked(&self) -> Option<u32> {
+        self.first_linked
+    }
+
+    /// The build's kept and filtered counts and wall time.
+    pub fn stats(&self) -> &DualizeStats {
+        &self.stats
     }
 }
 

@@ -11,6 +11,9 @@
 //! - [`IntersectionGraph`]: the dual construction `G` of a hypergraph `H`
 //!   (one G-vertex per signal, adjacency = shared module), with optional
 //!   large-edge filtering per the paper's §3.
+//! - [`DualIncidence`]: the same `G` read off the incidence lists (each
+//!   module's kept nets), which Algorithm I traverses without building
+//!   the adjacency.
 //! - [`pool`]: the index-ordered worker pool every parallel stage runs on.
 //! - [`bfs`]: breadth-first level structures, the double-sweep
 //!   pseudo-diameter, components and exact diameters for verification.
@@ -58,5 +61,5 @@ pub use graph::{Graph, GraphBuilder};
 pub use hypergraph::{Hypergraph, HypergraphBuilder};
 pub use ids::{EdgeId, VertexId};
 pub use incremental::{DynamicNetlist, IncrementalError};
-pub use intersection::{DualizeStats, Dualizer, IntersectionGraph};
+pub use intersection::{DualIncidence, DualizeStats, Dualizer, IntersectionGraph};
 pub use netlist::Netlist;

@@ -5,15 +5,17 @@
 //! test — cut sizes are recounted pin by pin, bipartiteness is re-proved
 //! by an independent 2-coloring, the within-1 completion bound is checked
 //! against [`fhp_baselines::exhaustive_min_losers`], the dualization
-//! kernel against the naive pair-spray builder, and thread invariance by
-//! literally running the engine at 1, 2 and 8 workers. A failed check is
-//! a [`Violation`]; the harness feeds the instance to the shrinker and
-//! reports a minimal reproduction.
+//! kernel against the naive pair-spray builder, Algorithm I's searches
+//! over the incidence lists against the same searches over `G`'s CSR, and
+//! thread invariance by literally running the engine at 1, 2 and 8
+//! workers. A failed check is a [`Violation`]; the harness feeds the
+//! instance to the shrinker and reports a minimal reproduction.
 //!
 //! Oracles never panic on degenerate inputs: instances too small or
 //! disconnected for a given claim are skipped (the claim is vacuous), and
 //! legitimate [`PartitionError`]s are skips, not violations — only a
-//! *wrong answer* fails.
+//! *wrong answer* fails. A panic raised inside an oracle by the code under
+//! test is that oracle's violation too.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +24,9 @@ use fhp_baselines::{
 };
 use fhp_core::boundary::BoundaryDecomposition;
 use fhp_core::complete_cut::{complete, complete_min_degree, CompletionScratch};
-use fhp_core::dual_bfs::{random_longest_path_endpoints, two_front_bfs};
+use fhp_core::dual_bfs::{
+    random_longest_path_endpoints, two_front_bfs, two_front_bfs_with_policy, FrontPolicy,
+};
 use fhp_core::moves::{random_balanced_start, MoveState};
 use fhp_core::multilevel::{coarsen_cap, coarsen_sequence};
 use fhp_core::multiway::recursive_bisection;
@@ -30,7 +34,9 @@ use fhp_core::{
     Algorithm1, Bipartition, Bipartitioner, CompletionStrategy, Edit, EngineConfig, EngineError,
     MultilevelConfig, PartitionConfig, PartitionEngine, PartitionError, PartitionOutcome, Side,
 };
-use fhp_hypergraph::{bfs, hgr, DynamicNetlist, Graph, Hypergraph, IntersectionGraph};
+use fhp_hypergraph::{
+    bfs, hgr, DualIncidence, Dualizer, DynamicNetlist, Graph, Hypergraph, IntersectionGraph,
+};
 use rand::rngs::SplitMix64;
 use rand::{Rng, SeedableRng};
 
@@ -95,8 +101,9 @@ pub fn check_instance(
     counts: &mut OracleCounts,
 ) -> CheckOutcome {
     let mut outcome = CheckOutcome::default();
-    let oracles: [(&'static str, OracleFn); 11] = [
+    let oracles: [(&'static str, OracleFn); 12] = [
         ("differential", oracle_differential),
+        ("dual_incidence", oracle_dual_incidence),
         ("pipeline_stages", oracle_pipeline_stages),
         ("thread_invariance", oracle_thread_invariance),
         ("repeated_paths", oracle_repeated_paths),
@@ -115,7 +122,18 @@ pub fn check_instance(
             threads,
             oracle: name,
         };
-        match oracle(&ctx) {
+        // A panic inside an oracle (the code under test asserting on a
+        // broken invariant) is that oracle's violation, which the
+        // shrinker can minimize, not the end of the run.
+        let result = std::panic::catch_unwind(|| oracle(&ctx)).unwrap_or_else(|payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "a non-string panic".to_string());
+            Err(ctx.fail(format!("panicked: {msg}")))
+        });
+        match result {
             Ok(checks) => {
                 outcome.checks += checks;
                 *counts.entry(name).or_insert(0) += checks;
@@ -388,12 +406,13 @@ fn oracle_pipeline_stages(ctx: &Ctx<'_>) -> Result<u64, Violation> {
     let h = ctx.h;
     let ig = IntersectionGraph::build(h);
     let g = ig.graph();
+    let view = DualIncidence::new(h, None).map_err(|e| ctx.fail(format!("view failed: {e}")))?;
     let mut rng = SplitMix64::seed_from_u64(ctx.seed ^ 0x5157_4c50);
-    let Some((u, v)) = random_longest_path_endpoints(g, &mut rng) else {
+    let Some((u, v)) = random_longest_path_endpoints(&view, &mut rng) else {
         return Ok(0); // no path to grow fronts from: the claims are vacuous
     };
-    let cut = two_front_bfs(g, u, v);
-    let dec = BoundaryDecomposition::new(h, &ig, &cut);
+    let cut = two_front_bfs(&view, u, v);
+    let dec = BoundaryDecomposition::new(&view, &cut);
     let mut checks = 0;
 
     // Boundary membership re-derived from the raw G-cut.
@@ -451,7 +470,7 @@ fn oracle_pipeline_stages(ctx: &Ctx<'_>) -> Result<u64, Violation> {
         CompletionStrategy::EngineerWeighted,
         CompletionStrategy::ExactKonig,
     ] {
-        let done = complete(strategy, h, &ig, &dec);
+        let done = complete(strategy, &view, &dec);
         checks += ctx.ensure(
             done.num_winners() + done.num_losers() == dec.boundary_len(),
             || format!("{strategy:?}: winners + losers != |B|"),
@@ -519,7 +538,7 @@ fn oracle_pipeline_stages(ctx: &Ctx<'_>) -> Result<u64, Violation> {
         // reference commits on the same side — except the lightest module,
         // which the final step moves across when a side would otherwise
         // be empty, leaving it alone on its side.
-        scratch.complete_into(strategy, h, &ig, &dec, &mut assembled);
+        scratch.complete_into(strategy, &view, &dec, &mut assembled);
         checks += ctx.ensure(scratch.completion() == &done, || {
             format!(
                 "{strategy:?}: CompletionScratch::complete_into picked other winners than complete"
@@ -552,7 +571,7 @@ fn oracle_pipeline_stages(ctx: &Ctx<'_>) -> Result<u64, Violation> {
     if n > 0 && n <= KONIG_CHECK_LIMIT {
         let exact = exhaustive_min_losers(gprime)
             .map_err(|e| ctx.fail(format!("exhaustive_min_losers failed: {e}")))?;
-        let konig = complete(CompletionStrategy::ExactKonig, h, &ig, &dec).num_losers();
+        let konig = complete(CompletionStrategy::ExactKonig, &view, &dec).num_losers();
         checks += ctx.ensure(konig == exact, || {
             format!("König completion found {konig} losers, enumeration found {exact}")
         })?;
@@ -570,6 +589,281 @@ fn oracle_pipeline_stages(ctx: &Ctx<'_>) -> Result<u64, Violation> {
         }
     }
     Ok(checks)
+}
+
+/// Thresholds the `dual_incidence` oracle reads `G` at.
+const DUAL_THRESHOLDS: [Option<usize>; 2] = [None, Some(3)];
+
+/// BFS sources the `dual_incidence` oracle samples per threshold; the
+/// sweeps run between consecutive sources and between a random longest
+/// path's endpoints.
+const DUAL_SOURCES: usize = 4;
+
+/// Algorithm I's `G` read off the incidence lists ([`DualIncidence`])
+/// against the explicit `G` ([`IntersectionGraph`]'s CSR), at each of
+/// [`DUAL_THRESHOLDS`]: every G-vertex's neighbour set; the BFS visit
+/// order and distances from sampled sources; both sweep policies' sides
+/// and boundary marks against [`csr_sweep`]; and the whole
+/// [`BoundaryDecomposition`] — boundary list, G′'s CSR and partial
+/// bipartition — against [`csr_decomposition`].
+fn oracle_dual_incidence(ctx: &Ctx<'_>) -> Result<u64, Violation> {
+    let h = ctx.h;
+    let mut checks = 0;
+    let mut rng = SplitMix64::seed_from_u64(ctx.seed ^ 0x4455_414c);
+    let mut levels = bfs::BfsLevels::empty();
+    let mut expanded = Vec::new();
+    let mut row: Vec<u32> = Vec::new();
+    for threshold in DUAL_THRESHOLDS {
+        let ig = Dualizer::new()
+            .threshold(threshold)
+            .build(h)
+            .map_err(|e| ctx.fail(format!("dualizer failed: {e}")))?;
+        let view =
+            DualIncidence::new(h, threshold).map_err(|e| ctx.fail(format!("view failed: {e}")))?;
+        let g = ig.graph();
+        let n = g.num_vertices();
+        checks += ctx.ensure(view.num_g_vertices() == n, || {
+            format!(
+                "threshold {threshold:?}: the view has {} G-vertices, the CSR {n}",
+                view.num_g_vertices()
+            )
+        })?;
+        for x in g.vertices() {
+            row.clear();
+            for &m in view.pins(x) {
+                row.extend(view.nets_of(m).iter().filter(|&&y| y != x));
+            }
+            row.sort_unstable();
+            row.dedup();
+            checks += ctx.ensure(row == g.neighbors(x), || {
+                format!(
+                    "threshold {threshold:?}: G-vertex {x}'s neighbours through its modules \
+                     are {row:?}, the CSR row {:?}",
+                    g.neighbors(x)
+                )
+            })?;
+        }
+        let Ok(n) = u32::try_from(n) else {
+            return Err(ctx.fail(format!("{n} G-vertices overflow u32 ids")));
+        };
+        if n < 2 {
+            continue;
+        }
+        let sources: Vec<u32> = (0..DUAL_SOURCES).map(|_| rng.gen_range(0..n)).collect();
+        for &s in &sources {
+            bfs::bfs_dual_into(&view, s, &mut levels, &mut expanded);
+            let csr = bfs::bfs(g, s);
+            checks += ctx.ensure(
+                levels.visit_order() == csr.visit_order() && levels.raw_dist() == csr.raw_dist(),
+                || {
+                    format!(
+                        "threshold {threshold:?}: BFS from {s} visits {:?}, the CSR BFS {:?}",
+                        levels.visit_order(),
+                        csr.visit_order()
+                    )
+                },
+            )?;
+        }
+        let mut seeds: Vec<(u32, u32)> = sources
+            .windows(2)
+            .filter_map(|w| match *w {
+                [a, b] if a != b => Some((a, b)),
+                _ => None,
+            })
+            .collect();
+        seeds.extend(random_longest_path_endpoints(&view, &mut rng));
+        for (u, v) in seeds {
+            for policy in [FrontPolicy::SmallerFirst, FrontPolicy::Alternate] {
+                let tag = || format!("threshold {threshold:?}, {policy:?} sweep ({u}, {v})");
+                let cut = two_front_bfs_with_policy(&view, u, v, policy);
+                let reference = csr_sweep(g, u, v, policy);
+                let got: Vec<(Side, bool)> = g
+                    .vertices()
+                    .map(|x| (cut.side_of(x), cut.is_boundary(x)))
+                    .collect();
+                checks += ctx.ensure(got == reference, || {
+                    format!(
+                        "{}: (side, boundary) per G-vertex {got:?}, the CSR sweep {reference:?}",
+                        tag()
+                    )
+                })?;
+                let dec = BoundaryDecomposition::new(&view, &cut);
+                let (boundary, gprime, partial) = csr_decomposition(h, &ig, &reference);
+                checks += ctx.ensure(dec.boundary_g_vertices() == boundary, || {
+                    format!(
+                        "{}: boundary {:?}, from the CSR {boundary:?}",
+                        tag(),
+                        dec.boundary_g_vertices()
+                    )
+                })?;
+                checks += ctx.ensure(dec.gprime() == &gprime, || {
+                    format!(
+                        "{}: G′ edges {:?}, from the CSR {:?}",
+                        tag(),
+                        dec.gprime().edges().collect::<Vec<_>>(),
+                        gprime.edges().collect::<Vec<_>>()
+                    )
+                })?;
+                checks += ctx.ensure(dec.partial() == partial, || {
+                    format!(
+                        "{}: partial bipartition {:?}, from the CSR {partial:?}",
+                        tag(),
+                        dec.partial()
+                    )
+                })?;
+            }
+        }
+    }
+    Ok(checks)
+}
+
+/// The two-front sweep over `G`'s CSR, the reference the
+/// `dual_incidence` oracle holds Algorithm I's sweep to: each vertex's
+/// `(side, boundary)`. A front expanding `w` claims `w`'s unclaimed
+/// neighbours and marks `w` boundary if a neighbour belongs to the other
+/// front; the components neither seed reaches go whole to the side with
+/// fewer vertices, left on ties.
+fn csr_sweep(g: &Graph, u: u32, v: u32, policy: FrontPolicy) -> Vec<(Side, bool)> {
+    let mut owner: Vec<Option<Side>> = vec![None; g.num_vertices()];
+    let mut boundary = vec![false; g.num_vertices()];
+    let mut left = CsrFront::seeded(Side::Left, u, &mut owner);
+    let mut right = CsrFront::seeded(Side::Right, v, &mut owner);
+    let alternate = policy == FrontPolicy::Alternate;
+    let mut round = 0usize;
+    while !left.queue.is_empty() || !right.queue.is_empty() {
+        let odd = round % 2 == 1;
+        let right_first = if alternate {
+            odd
+        } else {
+            right.claimed < left.claimed || (right.claimed == left.claimed && odd)
+        };
+        let (first, second) = if right_first {
+            (&mut right, &mut left)
+        } else {
+            (&mut left, &mut right)
+        };
+        // smaller-first expands one front, then re-evaluates which is
+        // smaller, unless a front ran dry
+        let mut both = true;
+        if !first.queue.is_empty() {
+            first.expand(g, &mut owner, &mut boundary);
+            both = alternate || first.queue.is_empty() || second.queue.is_empty();
+        }
+        if both && !second.queue.is_empty() {
+            second.expand(g, &mut owner, &mut boundary);
+        }
+        round += 1;
+    }
+    let mut stack = Vec::new();
+    for s in g.vertices() {
+        if owner.get(s as usize).copied().flatten().is_some() {
+            continue;
+        }
+        let front = if left.claimed <= right.claimed {
+            &mut left
+        } else {
+            &mut right
+        };
+        front.claim(s, &mut owner);
+        stack.push(s);
+        while let Some(w) = stack.pop() {
+            for &x in g.neighbors(w) {
+                if owner.get(x as usize).copied().flatten().is_none() {
+                    front.claim(x, &mut owner);
+                    stack.push(x);
+                }
+            }
+        }
+    }
+    owner
+        .iter()
+        .zip(&boundary)
+        .map(|(o, &b)| (o.unwrap_or(Side::Left), b))
+        .collect()
+}
+
+/// One front of [`csr_sweep`]: its side, the vertices it expands next,
+/// and how many vertices it has claimed.
+struct CsrFront {
+    side: Side,
+    queue: Vec<u32>,
+    claimed: usize,
+}
+
+impl CsrFront {
+    fn seeded(side: Side, seed: u32, owner: &mut [Option<Side>]) -> Self {
+        let mut front = Self {
+            side,
+            queue: vec![seed],
+            claimed: 0,
+        };
+        front.claim(seed, owner);
+        front
+    }
+
+    fn claim(&mut self, x: u32, owner: &mut [Option<Side>]) {
+        if let Some(o) = owner.get_mut(x as usize) {
+            *o = Some(self.side);
+        }
+        self.claimed += 1;
+    }
+
+    /// Expands every queued vertex in order, queueing what it claims.
+    fn expand(&mut self, g: &Graph, owner: &mut [Option<Side>], boundary: &mut [bool]) {
+        let mut next = Vec::new();
+        for w in std::mem::take(&mut self.queue) {
+            for &x in g.neighbors(w) {
+                match owner.get(x as usize).copied().flatten() {
+                    None => {
+                        self.claim(x, owner);
+                        next.push(x);
+                    }
+                    Some(s) if s != self.side => {
+                        if let Some(b) = boundary.get_mut(w as usize) {
+                            *b = true;
+                        }
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        self.queue = next;
+    }
+}
+
+/// The boundary decomposition of a CSR sweep's labels: the boundary
+/// G-vertices ascending, `G′` over their indices with `G`'s cross edges,
+/// and the partial bipartition the other kept nets commit.
+fn csr_decomposition(
+    h: &Hypergraph,
+    ig: &IntersectionGraph,
+    labels: &[(Side, bool)],
+) -> (Vec<u32>, Graph, Vec<Option<Side>>) {
+    let g = ig.graph();
+    let side_of = |x: u32| labels.get(x as usize).map(|l| l.0);
+    let is_boundary = |x: u32| labels.get(x as usize).is_some_and(|l| l.1);
+    let boundary: Vec<u32> = g.vertices().filter(|&x| is_boundary(x)).collect();
+    let index = |x: u32| {
+        boundary
+            .binary_search(&x)
+            .ok()
+            .and_then(|i| u32::try_from(i).ok())
+    };
+    let cross: Vec<(u32, u32)> = g
+        .edges()
+        .filter(|&(a, b)| side_of(a) != side_of(b))
+        .filter_map(|(a, b)| Some((index(a)?, index(b)?)))
+        .collect();
+    let gprime = Graph::from_edges(boundary.len(), cross);
+    let mut partial = vec![None; h.num_vertices()];
+    for x in g.vertices().filter(|&x| !is_boundary(x)) {
+        for &p in h.pins(ig.edge_of(x)) {
+            if let Some(slot) = partial.get_mut(p.index()) {
+                *slot = side_of(x);
+            }
+        }
+    }
+    (boundary, gprime, partial)
 }
 
 /// Independent bipartiteness proof: BFS 2-coloring with no conflicts.
@@ -1538,6 +1832,7 @@ mod tests {
         // every oracle contributed
         for name in [
             "differential",
+            "dual_incidence",
             "pipeline_stages",
             "thread_invariance",
             "repeated_paths",

@@ -9,7 +9,7 @@ use fhp::core::complete_cut::{complete, CompletionStrategy};
 use fhp::core::dual_bfs::{two_front_bfs, two_front_bfs_with_policy, FrontPolicy};
 use fhp::core::{metrics, Algorithm1, PartitionConfig};
 use fhp::gen::{CircuitNetlist, RandomHypergraph, Technology};
-use fhp::hypergraph::{bfs, IntersectionGraph};
+use fhp::hypergraph::{bfs, DualIncidence, IntersectionGraph};
 
 fn instances() -> Vec<fhp::hypergraph::Hypergraph> {
     vec![
@@ -33,13 +33,14 @@ fn instances() -> Vec<fhp::hypergraph::Hypergraph> {
 fn boundary_graph_edges_all_cross_the_g_cut() {
     for h in instances() {
         let ig = IntersectionGraph::build(&h);
+        let view = DualIncidence::new(&h, None).unwrap();
         let sweep = bfs::double_sweep(ig.graph(), 0);
         if sweep.u == sweep.v {
             continue;
         }
         for policy in [FrontPolicy::SmallerFirst, FrontPolicy::Alternate] {
-            let cut = two_front_bfs_with_policy(ig.graph(), sweep.u, sweep.v, policy);
-            let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+            let cut = two_front_bfs_with_policy(&view, sweep.u, sweep.v, policy);
+            let dec = BoundaryDecomposition::new(&view, &cut);
             for (u, v) in dec.gprime().edges() {
                 assert_ne!(dec.side_of(u), dec.side_of(v), "{policy:?}");
             }
@@ -60,15 +61,16 @@ fn boundary_graph_edges_all_cross_the_g_cut() {
 fn non_boundary_signals_never_cross_the_final_partition() {
     for h in instances() {
         let ig = IntersectionGraph::build(&h);
+        let view = DualIncidence::new(&h, None).unwrap();
         let sweep = bfs::double_sweep(ig.graph(), 0);
-        let cut = two_front_bfs(ig.graph(), sweep.u, sweep.v);
-        let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+        let cut = two_front_bfs(&view, sweep.u, sweep.v);
+        let dec = BoundaryDecomposition::new(&view, &cut);
         let out = Algorithm1::new(PartitionConfig::new().seed(0))
             .run(&h)
             .expect("valid");
         // with the same seed the driver uses a random start, so re-derive a
         // partition from this specific decomposition instead:
-        let completion = complete(CompletionStrategy::MinDegree, &h, &ig, &dec);
+        let completion = complete(CompletionStrategy::MinDegree, &view, &dec);
         let mut placed: Vec<Option<fhp::core::Side>> = dec.partial().to_vec();
         for b in 0..dec.boundary_len() as u32 {
             if completion.is_winner(b) {

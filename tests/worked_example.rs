@@ -11,7 +11,7 @@ use fhp::core::complete_cut::{complete, CompletionStrategy};
 use fhp::core::dual_bfs::two_front_bfs;
 use fhp::core::{metrics, Algorithm1, PartitionConfig};
 use fhp::hypergraph::intersection::paper_example;
-use fhp::hypergraph::{bfs, IntersectionGraph, Netlist};
+use fhp::hypergraph::{bfs, DualIncidence, IntersectionGraph, Netlist};
 
 #[test]
 fn example_netlist_parses_identically_from_text() {
@@ -51,9 +51,10 @@ fn intersection_graph_matches_shared_module_rule() {
 fn dual_bfs_cut_has_nonempty_boundary_and_partial() {
     let h = paper_example();
     let ig = IntersectionGraph::build(&h);
+    let view = DualIncidence::new(&h, None).unwrap();
     let sweep = bfs::double_sweep(ig.graph(), 0);
-    let cut = two_front_bfs(ig.graph(), sweep.u, sweep.v);
-    let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+    let cut = two_front_bfs(&view, sweep.u, sweep.v);
+    let dec = BoundaryDecomposition::new(&view, &cut);
     assert!(dec.boundary_len() >= 2, "a real cut separates something");
     assert!(dec.boundary_len() < 9, "not everything is boundary");
     assert!(dec.num_placed() > 0);
@@ -74,15 +75,15 @@ fn dual_bfs_cut_has_nonempty_boundary_and_partial() {
 #[test]
 fn winners_do_not_cross_after_assembly() {
     let h = paper_example();
-    let ig = IntersectionGraph::build(&h);
-    let cut = two_front_bfs(ig.graph(), 0, 8);
-    let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+    let view = DualIncidence::new(&h, None).unwrap();
+    let cut = two_front_bfs(&view, 0, 8);
+    let dec = BoundaryDecomposition::new(&view, &cut);
     for strategy in [
         CompletionStrategy::MinDegree,
         CompletionStrategy::EngineerWeighted,
         CompletionStrategy::ExactKonig,
     ] {
-        let completion = complete(strategy, &h, &ig, &dec);
+        let completion = complete(strategy, &view, &dec);
         let out = Algorithm1::new(PartitionConfig::new().completion(strategy))
             .run(&h)
             .expect("valid");
@@ -169,8 +170,9 @@ fn golden_intersection_graph_adjacency() {
 fn golden_boundary_of_the_0_8_cut() {
     let h = paper_example();
     let ig = IntersectionGraph::build(&h);
-    let cut = two_front_bfs(ig.graph(), 0, 8);
-    let dec = BoundaryDecomposition::new(&h, &ig, &cut);
+    let view = DualIncidence::new(&h, None).unwrap();
+    let cut = two_front_bfs(&view, 0, 8);
+    let dec = BoundaryDecomposition::new(&view, &cut);
     let boundary: Vec<u32> = ig
         .graph()
         .vertices()
