@@ -31,6 +31,10 @@
 //! interleaved samples, and their ratios to `baseline` go into
 //! `BENCH_trace_overhead.json` for the trajectory. `disabled` runs the
 //! same code as `baseline`, so its ratio shows only the host's noise.
+//! Beside them go three counts of the enabled run: its `trace_events`,
+//! and its `alg1.longest_path_bfs` and `alg1.dual_front_bfs` spans
+//! (`bfs_spans`, `sweep_spans`) — the run's searches and sweeps, which
+//! `fhp-perf --counts-only` holds to the committed baseline.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -38,7 +42,7 @@ use std::time::Instant;
 
 use fhp_bench::hub_instance;
 use fhp_core::{Algorithm1, PartitionConfig};
-use fhp_obs::{Collector, Gauge, Progress, TraceWriter};
+use fhp_obs::{names, Collector, Gauge, Progress, TraceWriter};
 
 fhp_obs::install_counting_allocator!();
 
@@ -169,14 +173,25 @@ fn main() {
     );
     let ratio = |ns: u128| ns as f64 / base_ns as f64;
     let (dis_ratio, prog_ratio, enabled_ratio) = (ratio(dis_ns), ratio(prog_ns), ratio(enabled_ns));
-    let events = {
+    // The enabled run's work, in spans: one longest-path BFS per start
+    // plus one per distinct `u`, and one sweep per front policy and
+    // distinct path. Counts of a seeded run, so the CI gate fails a
+    // change that searches or sweeps more often.
+    let (events, bfs_spans, sweep_spans) = {
         let collector = Collector::enabled();
         run(config, Some(collector.clone()), None);
-        collector.snapshot().len()
+        let events = collector.snapshot();
+        let spans = |name: &str| events.iter().filter(|e| e.name == name).count();
+        (
+            events.len(),
+            spans(names::ALG1_LONGEST_PATH),
+            spans(names::ALG1_DUAL_FRONT),
+        )
     };
     println!(
         "trace_overhead/walls: baseline {:.3} ms; disabled {dis_ratio:.4}x, \
-         progress {prog_ratio:.4}x, enabled {enabled_ratio:.4}x ({events} events exported)",
+         progress {prog_ratio:.4}x, enabled {enabled_ratio:.4}x ({events} events exported, \
+         {bfs_spans} BFS and {sweep_spans} sweep spans)",
         base_ns as f64 / 1e6
     );
 
@@ -201,7 +216,9 @@ fn main() {
     );
     let _ = writeln!(json, "  \"enabled_min_wall_ns\": {enabled_ns},");
     let _ = writeln!(json, "  \"enabled_ratio\": {enabled_ratio:.4},");
-    let _ = writeln!(json, "  \"trace_events\": {events}");
+    let _ = writeln!(json, "  \"trace_events\": {events},");
+    let _ = writeln!(json, "  \"bfs_spans\": {bfs_spans},");
+    let _ = writeln!(json, "  \"sweep_spans\": {sweep_spans}");
     json.push_str("}\n");
 
     let out = std::env::var("FHP_BENCH_OUT").unwrap_or_else(|_| {

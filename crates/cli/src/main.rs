@@ -10,7 +10,7 @@
 //!
 //! options:
 //!   -a, --algorithm <alg1|kl|fm|sa|random>   partitioner (default alg1)
-//!   -s, --starts <N>        random longest paths for alg1 (default 50)
+//!   -s, --starts <N>        random longest paths for alg1 (default 50, at most 4096)
 //!       --seed <S>          RNG seed (default 0)
 //!       --threads <N>       worker threads for alg1's multi-start engine
 //!                           (default 0 = one per core; the cut is
@@ -657,9 +657,8 @@ fn print_stats(stats: &fhp_core::RunStats) {
     );
     line("starts", stats.starts.to_string());
     line("distinct_paths", stats.distinct_paths.to_string());
+    line("distinct_u", stats.distinct_u.to_string());
     line("engine_threads", stats.threads.to_string());
-    line("arena_reuse_hits", stats.arena_reuse_hits.to_string());
-    line("endpoint_memo_hits", stats.endpoint_memo_hits.to_string());
     line(
         "chosen_start",
         stats
@@ -698,6 +697,12 @@ fn run_place(
     use fhp_place::{wirelength, MinCutPlacer, SlotGrid};
     let h = netlist.hypergraph();
     let base = config.starts(opts.starts.min(10));
+    // the placer splits a region evenly when its run fails, which would
+    // hide an invalid configuration
+    if let Err(e) = base.validate() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let seed = opts.seed;
     let placer = MinCutPlacer::new(move |region| {
         Box::new(Algorithm1::new(base.seed(seed ^ region))) as Box<dyn Bipartitioner>
@@ -746,6 +751,12 @@ fn run_place(
 fn run_multiway(opts: &Options, netlist: &Netlist, config: PartitionConfig) -> ExitCode {
     use fhp_core::multiway::recursive_bisection;
     let h = netlist.hypergraph();
+    // the recursive driver splits a region evenly when its bisection
+    // fails, which would hide an invalid configuration
+    if let Err(e) = config.validate() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     // fhp-audit: allow(wallclock-in-fingerprint) — times the human-facing summary line only
     let started = std::time::Instant::now();
     let mp = match recursive_bisection(h, opts.blocks, |region| {
@@ -803,7 +814,7 @@ fn usage() -> &'static str {
      \n\
      options:\n\
      \x20 -a, --algorithm <alg1|kl|fm|sa|random>  partitioner (default alg1)\n\
-     \x20 -s, --starts <N>      random longest paths for alg1 (default 50)\n\
+     \x20 -s, --starts <N>      random longest paths for alg1 (default 50, at most 4096)\n\
      \x20     --seed <S>        RNG seed (default 0)\n\
      \x20     --threads <N>     alg1 worker threads (default 0 = one per core;\n\
      \x20                       same cut for every value)\n\

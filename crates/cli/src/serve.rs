@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use fhp_core::{Edit, EngineConfig, EngineError, PartitionConfig, PartitionEngine};
+use fhp_core::{Edit, EngineConfig, EngineError, PartitionConfig, PartitionEngine, MAX_STARTS};
 use fhp_hypergraph::HypergraphBuilder;
 use fhp_obs::json::{self, Json};
 use fhp_obs::{names, Gauge, Progress, Sampler};
@@ -40,12 +40,6 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 /// this cap keeps every numeric reply field exact instead of silently
 /// rounding. Enforced at `partition` load and on `add_net` edits.
 const MAX_TOTAL_NET_WEIGHT: u64 = (1 << 53) - 1;
-
-/// Cap on the multi-start count, for `partition` requests and for
-/// `--starts`. A run sizes its per-start tables by the count, so an
-/// uncapped request could ask the allocator for terabytes and abort the
-/// process; the paper runs 50 starts and serve defaults to 8.
-const MAX_STARTS: usize = 4096;
 
 struct ServeOptions {
     tcp: Option<String>,

@@ -79,7 +79,7 @@ fn stats_flag_prints_phase_lines() {
         "complete_cut_wall_us",
         "starts",
         "distinct_paths",
-        "endpoint_memo_hits",
+        "distinct_u",
         "engine_threads",
         "chosen_start",
         "num_g_vertices",
@@ -97,19 +97,28 @@ fn stats_flag_prints_phase_lines() {
     let field = |key: &str| stat(&stdout, key);
     assert!(!stdout.contains("dualize_pairs_generated"), "{stdout}");
     assert_eq!(field("dualize_kept_edges"), 9);
-    // every start that swept drew a path no earlier start drew
-    let distinct = field("distinct_paths");
+    // every start that swept drew a path no earlier start drew, and each
+    // distinct u was searched once for at least one path
+    let (distinct_u, distinct) = (field("distinct_u"), field("distinct_paths"));
     assert!(
-        (1..=field("starts")).contains(&distinct),
-        "distinct_paths {distinct} in:\n{stdout}"
+        1 <= distinct_u && distinct_u <= distinct && distinct <= field("starts"),
+        "distinct_u {distinct_u}, distinct_paths {distinct} in:\n{stdout}"
     );
-    // a start that reads its second BFS from the memo is never the first
-    // to draw its u
-    let memo_hits = field("endpoint_memo_hits");
-    assert!(
-        memo_hits < field("starts"),
-        "endpoint_memo_hits {memo_hits} in:\n{stdout}"
-    );
+    // both count work a function of the seed does, at any thread count
+    for threads in ["1", "8"] {
+        let (out, stderr, ok) = run(&["--demo", "--stats", "--threads", threads]);
+        assert!(ok, "{stderr}");
+        assert_eq!(
+            stat(&out, "engine_threads"),
+            threads.parse::<u64>().unwrap()
+        );
+        assert_eq!(stat(&out, "distinct_u"), distinct_u, "--threads {threads}");
+        assert_eq!(
+            stat(&out, "distinct_paths"),
+            distinct,
+            "--threads {threads}"
+        );
+    }
 
     // quiet mode keeps the number first but still prints the stats
     let (quiet, _, ok) = run(&["--demo", "--stats", "-q"]);
@@ -255,9 +264,9 @@ fn trace_writes_valid_ndjson_with_phase_spans() {
     ] {
         assert!(text.contains(name), "missing {name} in:\n{text}");
     }
-    // one runner.start span per start
+    // one runner.start span per start and pass
     let starts = text.matches("\"name\":\"runner.start\"").count();
-    assert_eq!(starts, 4, "{text}");
+    assert_eq!(starts, 3 * 4, "{text}");
 }
 
 #[test]
@@ -716,6 +725,39 @@ fn multilevel_flag_values_are_validated() {
         stderr.contains("coarse size must be at least 2"),
         "{stderr}"
     );
+}
+
+#[test]
+fn invalid_start_counts_are_refused_in_every_mode() {
+    // the cap is checked before a run reserves its per-start tables, and
+    // the k-way and placement drivers, which split a region evenly when
+    // its run fails, check it before they start
+    for (args, message) in [
+        (
+            &["--demo", "--starts", "4097"][..],
+            "starts must be at most 4096",
+        ),
+        (
+            &["--demo", "-k", "3", "--starts", "4097"][..],
+            "starts must be at most 4096",
+        ),
+        (
+            &["--demo", "-k", "3", "--starts", "0"][..],
+            "starts must be at least 1",
+        ),
+        (
+            &["--demo", "--place", "4x3", "--starts", "0"][..],
+            "starts must be at least 1",
+        ),
+    ] {
+        let out = fhp().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("invalid configuration: {message}")),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

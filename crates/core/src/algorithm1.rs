@@ -22,12 +22,16 @@
 //! Total cost is `O(n²)` in the number of signals `n`, dominated by the
 //! BFS sweeps; the view costs `O(pins)` to build, and each BFS or sweep
 //! over it reads at most two or three ids per kept pin (see
-//! [`crate::dual_bfs`]). A run costs one BFS per start from its random
-//! vertex, one BFS per distinct `u` a worker draws (a worker remembers
-//! each `u`'s deepest level for the rest of the run), plus the sweeps of
-//! steps 3–5 once per distinct path: a start that draws an endpoint pair
-//! an earlier start already drew takes that start's cut instead of
-//! sweeping again.
+//! [`crate::dual_bfs`]).
+//!
+//! The multi-start runs as three passes over the start indices, each on
+//! the same per-worker arenas: every start draws its random vertex, runs
+//! BFS from it and draws `u`; the first start with each distinct `u` runs
+//! BFS(u) once and draws `v` for every start with that `u`, each from the
+//! start's own stream; and the first start with each distinct ordered
+//! pair `(u, v)` runs steps 3–5, while a later start with the same pair
+//! takes its cut. So a run costs `starts + distinct u` BFSs and one set
+//! of sweeps per distinct path, whatever the worker count.
 //!
 //! If the hypergraph is disconnected (the paper's "completely pathological"
 //! `c = 0` case), the BFS structure discovers it and the partitioner
@@ -35,7 +39,7 @@
 //! returned cut has size 0, while move-based heuristics typically get stuck
 //! at a locally-minimum cut of size `Θ(|E|)` (§4).
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use fhp_hypergraph::{DualIncidence, Hypergraph, VertexId};
@@ -43,7 +47,7 @@ use fhp_obs::{names, order, Collector, Gauge, Histogram, Progress, Scope};
 
 use crate::boundary::BoundaryDecomposition;
 use crate::complete_cut::{CompletionScratch, CompletionStrategy};
-use crate::dual_bfs::{EndpointMemo, EndpointScratch, FrontPolicy, TwoFrontScratch};
+use crate::dual_bfs::{EndpointScratch, FrontPolicy, TwoFrontScratch};
 use crate::metrics::{CutReport, Objective, PhaseStats};
 use crate::multilevel::{MultilevelConfig, MultilevelStats};
 use crate::runner::{resolve_threads, run_starts_arena, SplitMix64};
@@ -63,6 +67,12 @@ pub trait Bipartitioner {
     /// Short human-readable name used in experiment tables.
     fn name(&self) -> &str;
 }
+
+/// The most multi-start attempts one run takes
+/// ([`PartitionConfig::starts`]). A run reserves its per-start tables by
+/// the count, so an uncapped count could ask the allocator for terabytes
+/// and abort the process; the paper runs 50 starts.
+pub const MAX_STARTS: usize = 4096;
 
 /// Configuration for [`Algorithm1`], built with chained setters.
 ///
@@ -131,7 +141,8 @@ impl PartitionConfig {
         self
     }
 
-    /// Number of random longest paths to try (default 1).
+    /// Number of random longest paths to try (default 1, at most
+    /// [`MAX_STARTS`]).
     pub fn starts(mut self, starts: usize) -> Self {
         self.starts = starts;
         self
@@ -205,10 +216,25 @@ impl PartitionConfig {
         self
     }
 
-    fn validate(&self) -> Result<(), PartitionError> {
+    /// Checks the configuration as [`Algorithm1::run`] does before it
+    /// runs. Drivers that run Algorithm I on many regions and fall back
+    /// to a plain split when a region's run fails call it up front, so an
+    /// invalid configuration is refused instead of hidden.
+    ///
+    /// # Errors
+    ///
+    /// [`PartitionError::InvalidConfig`] for a start count of 0 or above
+    /// [`MAX_STARTS`], a degenerate edge-size threshold, an invalid pair
+    /// cap or multilevel configuration.
+    pub fn validate(&self) -> Result<(), PartitionError> {
         if self.starts == 0 {
             return Err(PartitionError::InvalidConfig {
                 reason: "starts must be at least 1",
+            });
+        }
+        if self.starts > MAX_STARTS {
+            return Err(PartitionError::InvalidConfig {
+                reason: "starts must be at most 4096 (MAX_STARTS)",
             });
         }
         if self.edge_size_threshold == Some(0) || self.edge_size_threshold == Some(1) {
@@ -242,7 +268,8 @@ pub struct StartStat {
     /// Cut size of this start's best candidate; `None` if the start
     /// found no usable BFS endpoints or failed.
     pub cut_size: Option<usize>,
-    /// Wall-clock time the start took on whichever worker ran it.
+    /// Wall-clock time the start took, summed over its three passes (each
+    /// on whichever worker ran it).
     pub wall: Duration,
     /// The contained panic message if this start failed.
     pub error: Option<String>,
@@ -276,22 +303,15 @@ pub struct RunStats {
     /// endpoints drew an earlier start's pair and took its result (0 for
     /// the component shortcut, and when no start found endpoints).
     pub distinct_paths: usize,
+    /// Distinct first endpoints `u` the starts drew: how many second
+    /// longest-path BFSs the run searched, one per distinct `u` (0 for
+    /// the component shortcut). Like
+    /// [`distinct_paths`](Self::distinct_paths) it depends on the seed
+    /// and the instance only, never on the worker count.
+    pub distinct_u: usize,
     /// Worker threads the multi-start engine ran with (0 when it never
     /// ran, i.e. the component shortcut fired).
     pub threads: usize,
-    /// How many starts reused a worker's warm scratch arena instead of
-    /// building a fresh one (`starts − arenas created`). Like
-    /// [`threads`](Self::threads) this depends on the worker count, so it
-    /// is a volatile diagnostic: excluded from
-    /// [`OutcomeFingerprint`](crate::OutcomeFingerprint) and never
-    /// recorded into a trace scope (see `fhp_obs::names::RUNNER_ARENA_REUSE`).
-    pub arena_reuse_hits: u64,
-    /// How many starts read their second longest-path BFS from their
-    /// worker's memo of earlier starts' `u`s instead of running it. Each
-    /// worker keeps its own memo, so this depends on the worker count
-    /// like [`arena_reuse_hits`](Self::arena_reuse_hits) and is kept out
-    /// of the fingerprint and the trace the same way.
-    pub endpoint_memo_hits: u64,
     /// Per-start outcomes in start order (empty for the shortcut path).
     pub per_start: Vec<StartStat>,
     /// Per-phase wall time and the `G` view's kept and filtered counts
@@ -411,11 +431,14 @@ impl Algorithm1 {
         }
     }
 
-    /// Records the run into `collector`: a `dualize` scope, one
-    /// `runner.start` scope per start (with the three downstream phase
-    /// spans nested inside, or an `alg1.repeat_of` counter in place of the
-    /// sweep spans when the start drew an earlier start's path), and a
-    /// summary scope with run-level counters and the cut-size histogram.
+    /// Records the run into `collector`: a `dualize` scope, one scope per
+    /// start with a `runner.start` span for each of the three passes, and
+    /// a summary scope with run-level counters and the cut-size histogram.
+    /// Pass 1's span holds an `alg1.longest_path_bfs` span (BFS from the
+    /// random vertex), pass 2's another one when the start is the first
+    /// with its `u` (BFS(u) and every `v` drawn from it), and pass 3's the
+    /// sweep and Complete-Cut spans — or an `alg1.repeat_of` counter in
+    /// their place when the start drew an earlier start's path.
     /// The default collector is disabled, which skips all retention —
     /// [`RunStats`] is still populated, from the same local buffers.
     pub fn collector(mut self, collector: Collector) -> Self {
@@ -448,8 +471,8 @@ impl Algorithm1 {
     /// # Errors
     ///
     /// [`PartitionError::TooFewVertices`] if `h` has fewer than two
-    /// vertices; [`PartitionError::InvalidConfig`] for a zero start count
-    /// or a degenerate edge-size threshold.
+    /// vertices; [`PartitionError::InvalidConfig`] for a start count of 0
+    /// or above [`MAX_STARTS`], or a degenerate edge-size threshold.
     pub fn run(&self, h: &Hypergraph) -> Result<PartitionOutcome, PartitionError> {
         self.config.validate()?;
         if h.num_vertices() < 2 {
@@ -495,9 +518,8 @@ impl Algorithm1 {
                     used_fallback_split: false,
                     chosen_start: None,
                     distinct_paths: 0,
+                    distinct_u: 0,
                     threads: 0,
-                    arena_reuse_hits: 0,
-                    endpoint_memo_hits: 0,
                     per_start: Vec::new(),
                     phases: PhaseStats::default(),
                     multilevel: None,
@@ -512,47 +534,102 @@ impl Algorithm1 {
             dualize: view.stats().clone(),
             ..PhaseStats::default()
         };
-        let workers = resolve_threads(self.config.threads).clamp(1, self.config.starts);
-        let config = self.config;
+        let (config, collector) = (self.config, &self.collector);
+        let starts = config.starts;
+        let workers = resolve_threads(config.threads).clamp(1, starts);
         let progress = self.progress.as_deref();
         if let Some(p) = progress {
-            p.add(Gauge::StartsTotal, self.config.starts as u64);
+            p.add(Gauge::StartsTotal, starts as u64);
         }
-        let draws = DrawTable::new(self.config.starts);
-        let (records, arenas) = run_starts_arena(
-            self.config.starts,
-            workers,
-            &self.collector,
-            || StartArena::for_instance(&view, &config),
-            |start, arena, scope| {
-                let outcome = evaluate_start(&view, &config, &draws, start, arena, scope);
-                if let Some(p) = progress {
-                    p.add(Gauge::StartsDone, 1);
-                    if let Some(c) = outcome.candidate {
-                        p.record_min(Gauge::BestCut, c.cut_size as u64);
-                    }
+        // One arena per worker, kept warm across the three passes.
+        let mut arenas: Vec<StartArena> = (0..workers)
+            .map(|_| StartArena::for_instance(&view, config.completion))
+            .collect();
+
+        // Pass 1: every start draws `r`, searches BFS(r) and draws `u`,
+        // keeping its stream for `v`.
+        let pass1 = run_starts_arena(starts, &mut arenas, collector, |start, arena, scope| {
+            let _lp = scope.map(|s| s.span(names::ALG1_LONGEST_PATH));
+            let mut rng = SplitMix64::for_start(config.seed, start);
+            arena.endpoints.draw_u(&view, &mut rng).map(|u| (u, rng))
+        });
+        let drawn = |i: usize| match pass1.get(i).map(|r| &r.outcome) {
+            Some(Ok(Some(drawn))) => Some(drawn),
+            _ => None,
+        };
+        let u_leads = first_with_key(starts, |i| drawn(i).map(|&(u, _)| u));
+        let u_lead = |i: usize| u_leads.get(i).copied().flatten();
+
+        // Pass 2: the first start with each `u` searches BFS(u) once and
+        // draws `v` for every start with that `u`, in start order and from
+        // each start's own stream, into that start's write-once slot.
+        let ends: Vec<OnceLock<Option<(u32, u32)>>> =
+            (0..starts).map(|_| OnceLock::new()).collect();
+        let pass2 = run_starts_arena(starts, &mut arenas, collector, |start, arena, scope| {
+            let Some(&(u, _)) = drawn(start).filter(|_| u_lead(start) == Some(start)) else {
+                return;
+            };
+            let _lp = scope.map(|s| s.span(names::ALG1_LONGEST_PATH));
+            arena.endpoints.search(&view, u);
+            for (j, end) in ends.iter().enumerate().skip(start) {
+                if let Some((_, rng)) = drawn(j).filter(|_| u_lead(j) == Some(start)) {
+                    let mut rng = rng.clone();
+                    end.get_or_init(|| arena.endpoints.draw_v(u, &mut rng));
                 }
-                outcome
-            },
-        );
-        let arena_reuse_hits = (records.len() - arenas.len()) as u64;
-        let endpoint_memo_hits = arenas.iter().map(|a| a.memo.hits()).sum();
-        let distinct_paths = draws.distinct_pairs();
+            }
+        });
+        // A start's path `(u, v, depth)`, unless the first start with its
+        // `u` failed in pass 2.
+        let path = |i: usize| {
+            let (v, depth) = (*ends.get(i)?.get()?)?;
+            let searched = pass2.get(u_lead(i)?)?.outcome.is_ok();
+            searched.then_some((drawn(i)?.0, v, depth))
+        };
+        let path_leads = first_with_key(starts, path);
+
+        // Pass 3: the first start with each ordered `(u, v)` sweeps it,
+        // completes and scores the cuts; a later start with the same
+        // pair takes that start's result.
+        let pass3 = run_starts_arena(starts, &mut arenas, collector, |start, arena, scope| {
+            let first = path_leads.get(start).copied().flatten();
+            let outcome =
+                evaluate_start(&view, &config, start, path(start).zip(first), arena, scope);
+            if let Some(p) = progress {
+                p.add(Gauge::StartsDone, 1);
+                if let Some(c) = outcome.candidate {
+                    p.record_min(Gauge::BestCut, c.cut_size as u64);
+                }
+            }
+            outcome
+        });
+        let distinct_u = count_leaders(&u_leads);
+        let distinct_paths = count_leaders(&path_leads);
 
         // Deterministic reduction: scan in start order with a strictly-
         // better rule, so the winner (and every tie-break) is the one the
         // sequential loop would have kept, whatever the worker count.
-        // Phase walls were measured as plain scalars inside each start
-        // (span recording allocates — see [`run_starts_arena`]) and are
-        // folded into the PhaseStats facade here.
-        let mut per_start: Vec<StartStat> = Vec::with_capacity(records.len());
+        // Pass 3 measured its sweep and Complete-Cut walls as plain
+        // scalars (span recording allocates — see [`run_starts_arena`]),
+        // and passes 1 and 2 are the longest-path draw; all three fold
+        // into the PhaseStats facade here.
+        let mut per_start: Vec<StartStat> = Vec::with_capacity(starts);
         let mut best: Option<(usize, StartCandidate)> = None;
         let mut num_failed = 0usize;
         let mut first_error = None;
-        for record in records {
-            let (cut_size, error) = match record.outcome {
+        for ((p1, p2), p3) in pass1.into_iter().zip(&pass2).zip(pass3) {
+            let index = p1.index;
+            // A start fails with its own panic, or with the pass-2 panic of
+            // the first start with its `u`.
+            let u_failed = u_lead(index).and_then(|l| pass2.get(l)?.outcome.clone().err());
+            let outcome = p1.outcome.and(u_failed.map_or(p3.outcome, Err));
+            let lp_wall = p1.wall + p2.wall;
+            let (cut_size, error) = match outcome {
                 Ok(outcome) => {
-                    phases.record_start_walls(outcome.lp_ns, outcome.dual_ns, outcome.cc_ns);
+                    phases.record_start_walls(
+                        lp_wall.as_nanos() as u64,
+                        outcome.dual_ns,
+                        outcome.cc_ns,
+                    );
                     match outcome.repeat_of {
                         // The skipped sweeps were the earlier start's, so
                         // its cut or error is this start's too. With the
@@ -565,7 +642,7 @@ impl Algorithm1 {
                         None => {
                             if let Some(c) = outcome.candidate {
                                 if best.as_ref().is_none_or(|(_, b)| c.beats(b)) {
-                                    best = Some((record.index, c));
+                                    best = Some((index, c));
                                 }
                             }
                             (outcome.candidate.map(|c| c.cut_size), None)
@@ -581,14 +658,18 @@ impl Algorithm1 {
                 }
             }
             per_start.push(StartStat {
-                start: record.index,
+                start: index,
                 cut_size,
-                wall: record.wall,
+                wall: lp_wall + p3.wall,
                 error,
             });
-            self.collector.adopt(record.events);
+            // One scope per start, its passes in order.
+            let mut events = p1.events;
+            events.events.extend_from_slice(&p2.events.events);
+            events.events.extend(p3.events.events);
+            self.collector.adopt(events);
         }
-        if num_failed == self.config.starts {
+        if num_failed == starts {
             return Err(PartitionError::AllStartsFailed {
                 error: first_error.unwrap_or_else(|| "no start reported an error".to_string()),
             });
@@ -643,9 +724,8 @@ impl Algorithm1 {
                     used_fallback_split: false,
                     chosen_start: Some(chosen),
                     distinct_paths,
+                    distinct_u,
                     threads: workers,
-                    arena_reuse_hits,
-                    endpoint_memo_hits,
                     per_start,
                     phases,
                     multilevel: None,
@@ -675,9 +755,8 @@ impl Algorithm1 {
                 used_fallback_split: true,
                 chosen_start: None,
                 distinct_paths,
+                distinct_u,
                 threads: workers,
-                arena_reuse_hits,
-                endpoint_memo_hits,
                 per_start,
                 phases,
                 multilevel: None,
@@ -715,137 +794,47 @@ impl StartCandidate {
     }
 }
 
-/// What one start reports back through the engine: its best candidate (if
-/// any), the earlier start whose path it drew again (if it did, in which
-/// case it swept nothing and has no candidate of its own) and the directly
+/// What one start reports back from pass 3: its best candidate (if any),
+/// the earlier start whose path it drew again (if it did, in which case
+/// it swept nothing and has no candidate of its own) and the directly
 /// measured phase walls, all plain scalars.
 struct StartOutcome {
     candidate: Option<StartCandidate>,
     repeat_of: Option<usize>,
-    lp_ns: u64,
     dual_ns: u64,
     cc_ns: u64,
 }
 
-/// The run's longest-path draws, one slot per start — the multi-start
-/// engine's one lock. A start publishes its ordered endpoint pair `(u, v)`
-/// before it sweeps and then reads every earlier start's. The sweeps,
-/// Complete-Cut and scoring of a start are a pure function of its pair, so
-/// a start whose pair an earlier start already drew would only repeat that
-/// start's work: it skips it, and the reduction hands it the earlier
-/// start's result.
-///
-/// A start waits for the earlier starts' draws only, never for their
-/// sweeps. Workers claim starts in increasing order, so every earlier
-/// start is already running or done and its draw will come; a start that
-/// unwinds before it publishes publishes "no pair" ([`DrawClaim`]). With
-/// one worker every earlier draw is in before a start begins, and nothing
-/// waits. The lock orders only the knowledge of earlier draws: which
-/// start repeats which is a function of the start indices alone, so it
-/// changes no outcome and no trace, whatever the worker count.
-struct DrawTable {
-    draws: Mutex<Vec<Draw>>,
-    published: Condvar,
+/// For every index `i < n` that has a key, the first index with the same
+/// key (`i` itself when no earlier index has it); `None` for an index
+/// without one. The passes group the starts by `u` and by `(u, v)` with
+/// it; `O(n²)` over a run's starts.
+fn first_with_key<K: PartialEq>(n: usize, key: impl Fn(usize) -> Option<K>) -> Vec<Option<usize>> {
+    (0..n)
+        .map(|i| {
+            let k = key(i)?;
+            (0..i).find(|&j| key(j).as_ref() == Some(&k)).or(Some(i))
+        })
+        .collect()
 }
 
-/// One start's entry in the [`DrawTable`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Draw {
-    /// The start has not published yet.
-    Pending,
-    /// The start found no usable endpoints, or unwound before publishing.
-    NoPair,
-    /// The start's ordered endpoint pair.
-    Pair(u32, u32),
+/// The groups in a [`first_with_key`] result: how many indices lead one.
+fn count_leaders(leads: &[Option<usize>]) -> usize {
+    leads
+        .iter()
+        .enumerate()
+        .filter(|&(i, f)| *f == Some(i))
+        .count()
 }
 
-impl DrawTable {
-    fn new(starts: usize) -> Self {
-        Self {
-            draws: Mutex::new(vec![Draw::Pending; starts]),
-            published: Condvar::new(),
-        }
-    }
-
-    /// Locks the table. Every update writes one whole slot, so the table
-    /// is valid at every step and a lock poisoned by an unwinding start
-    /// is safe to take over.
-    fn lock(&self) -> MutexGuard<'_, Vec<Draw>> {
-        self.draws.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Start `start`'s claim on its slot, taken before it draws.
-    fn claim(&self, start: usize) -> DrawClaim<'_> {
-        DrawClaim { table: self, start }
-    }
-
-    /// Stores `draw` in slot `start`, unless the slot is already filled,
-    /// and wakes the starts waiting for it.
-    fn store(&self, start: usize, draw: Draw) -> MutexGuard<'_, Vec<Draw>> {
-        let mut draws = self.lock();
-        if let Some(slot) = draws.get_mut(start).filter(|d| **d == Draw::Pending) {
-            *slot = draw;
-            self.published.notify_all();
-        }
-        draws
-    }
-
-    /// Distinct pairs in the finished table: how many starts swept.
-    fn distinct_pairs(&self) -> usize {
-        let draws = self.lock();
-        draws
-            .iter()
-            .enumerate()
-            .filter(|&(i, d)| matches!(d, Draw::Pair(..)) && !draws.iter().take(i).any(|e| e == d))
-            .count()
-    }
-}
-
-/// A start's claim on its [`DrawTable`] slot. [`publish`](Self::publish)
-/// fills the slot; a claim dropped without publishing, as by a start that
-/// unwinds before it draws, publishes "no pair", so no later start waits
-/// for it forever.
-struct DrawClaim<'a> {
-    table: &'a DrawTable,
-    start: usize,
-}
-
-impl DrawClaim<'_> {
-    /// Publishes the start's endpoint pair, waits until every earlier
-    /// start has published, and returns the first earlier start that drew
-    /// the same ordered pair.
-    fn publish(self, pair: Option<(u32, u32)>) -> Option<usize> {
-        let draw = pair.map_or(Draw::NoPair, |(u, v)| Draw::Pair(u, v));
-        let draws = self.table.store(self.start, draw);
-        pair?; // no pair, nothing to repeat
-        let draws = self
-            .table
-            .published
-            .wait_while(draws, |d| {
-                d.iter().take(self.start).any(|&e| e == Draw::Pending)
-            })
-            .unwrap_or_else(PoisonError::into_inner);
-        draws.iter().take(self.start).position(|&d| d == draw)
-    }
-}
-
-impl Drop for DrawClaim<'_> {
-    fn drop(&mut self) {
-        // a published slot is filled, so this store leaves it as it is
-        drop(self.table.store(self.start, Draw::NoPair));
-    }
-}
-
-/// One worker's reusable scratch for the whole per-start pipeline. Created
-/// once per worker by the arena engine, pre-sized to the instance's upper
-/// bounds so that every start after the first runs without touching the
+/// One worker's reusable scratch for the whole per-start pipeline. Built
+/// once per worker before pass 1 and kept across all three passes,
+/// pre-sized to the instance's upper bounds so that no start touches the
 /// heap. Every stage resets the scratch state it reads at entry, so a
 /// start that panicked mid-pipeline cannot poison the next one.
 struct StartArena {
     /// Longest-BFS-path endpoint picker (one BFS leveling).
     endpoints: EndpointScratch,
-    /// Each `u` this worker drew, with its second BFS's deepest level.
-    memo: EndpointMemo,
     /// Dual-front BFS workspace and its resulting graph cut.
     fronts: TwoFrontScratch,
     /// Boundary set / boundary graph / partial-assignment workspace.
@@ -856,30 +845,30 @@ struct StartArena {
     work_bp: Bipartition,
     /// Best partition among the current start's sweeps.
     sweep_best_bp: Bipartition,
-    /// Best partition among every start this worker has run, with its
-    /// reduction key `(score, imbalance, start index)`. The worker claims
-    /// strictly increasing indices and keeps the incumbent on full ties,
-    /// mirroring the global reduction's order exactly.
+    /// Best partition among every start this worker swept in pass 3, with
+    /// its reduction key `(score, imbalance, start index)`. Within a pass
+    /// the worker claims strictly increasing indices and keeps the
+    /// incumbent on full ties, mirroring the global reduction's order
+    /// exactly.
     best_bp: Bipartition,
     best_key: Option<(f64, u64, usize)>,
 }
 
 impl StartArena {
     /// An arena pre-sized for the instance `view` reads and the run's
-    /// start count and completion strategy: every buffer gets the
+    /// completion strategy: every buffer gets the
     /// instance's worst-case capacity up front, so no start — first or
     /// later — grows it mid-pipeline. A cut's boundary graph `G′` has at
     /// most [`DualIncidence::cross_pair_bound`] edges, and its module-by-
     /// module pair listing at most that many entries.
-    fn for_instance(view: &DualIncidence<'_>, config: &PartitionConfig) -> Self {
+    fn for_instance(view: &DualIncidence<'_>, completion: CompletionStrategy) -> Self {
         let (n, g_n) = (view.num_modules(), view.num_g_vertices());
         let cross = usize::try_from(view.cross_pair_bound()).unwrap_or(usize::MAX);
         Self {
             endpoints: EndpointScratch::with_capacity(g_n, n),
-            memo: EndpointMemo::with_capacity(config.starts),
             fronts: TwoFrontScratch::with_capacity(g_n, n),
             dec: BoundaryDecomposition::with_capacity(n, g_n, cross),
-            completion: CompletionScratch::with_capacity(config.completion, n, g_n, cross),
+            completion: CompletionScratch::with_capacity(completion, n, g_n, cross),
             work_bp: Bipartition::all_left(n),
             sweep_best_bp: Bipartition::all_left(n),
             best_bp: Bipartition::all_left(n),
@@ -893,53 +882,46 @@ impl StartArena {
     }
 }
 
-/// Runs one multi-start attempt: draw a random longest path from the
-/// start's own counter-derived RNG stream, publish it to `draws`, sweep the
-/// configured front policies, and keep the start's best candidate — or,
-/// when an earlier start drew the same ordered path, skip the sweeps and
-/// name that start instead. A pure function of `(view, config, start)` —
-/// the foundation of the engine's thread-count invariance; the arena only
-/// lends buffers, never state, and the table only tells a start what the
-/// earlier starts drew. Phase walls are measured as plain scalars
-/// (recording spans allocates); when a `scope` is present — tracing runs
-/// only — the phase spans and counters are recorded too. Timing is never
-/// consulted by any decision, so it cannot perturb determinism.
+/// Pass 3 of one multi-start attempt: given the start's longest path
+/// `(u, v, path_length)` and the first start that drew the same ordered
+/// pair, sweep the configured front policies and keep the start's best
+/// candidate — or, when that first start is an earlier one, skip the
+/// sweeps and name it instead. A pure function of `(view, config, path)`
+/// — the foundation of the engine's thread-count invariance; the arena
+/// only lends buffers, never state. Phase walls are measured as plain
+/// scalars (recording spans allocates); when a `scope` is present —
+/// tracing runs only — the phase spans and counters are recorded too.
+/// Timing is never consulted by any decision, so it cannot perturb
+/// determinism.
 fn evaluate_start(
     view: &DualIncidence<'_>,
     config: &PartitionConfig,
-    draws: &DrawTable,
     start: usize,
+    path: Option<((u32, u32, u32), usize)>,
     arena: &mut StartArena,
     scope: Option<&Scope>,
 ) -> StartOutcome {
     let h = view.hypergraph();
-    let claim = draws.claim(start);
-    let mut rng = SplitMix64::for_start(config.seed, start);
-    // fhp-audit: allow(wallclock-in-fingerprint) — phase walls are diagnostics (PhaseStats), never part of fingerprints
-    let lp_started = std::time::Instant::now();
-    let lp = scope.map(|s| s.span(names::ALG1_LONGEST_PATH));
-    let endpoints = arena.endpoints.draw(view, &mut rng, Some(&mut arena.memo));
-    drop(lp);
-    let lp_ns = lp_started.elapsed().as_nanos() as u64;
-    let repeat_of = claim.publish(endpoints.map(|(u, v, _)| (u, v)));
     let skipped = StartOutcome {
         candidate: None,
-        repeat_of,
-        lp_ns,
+        repeat_of: None,
         dual_ns: 0,
         cc_ns: 0,
     };
-    let Some((u, v, path_length)) = endpoints else {
+    let Some(((u, v, path_length), first)) = path else {
         return skipped;
     };
     if let Some(s) = scope {
         s.counter(names::ALG1_PATH_LENGTH, u64::from(path_length));
     }
-    if let Some(earlier) = repeat_of {
+    if first != start {
         if let Some(s) = scope {
-            s.counter(names::ALG1_REPEAT_OF, earlier as u64);
+            s.counter(names::ALG1_REPEAT_OF, first as u64);
         }
-        return skipped;
+        return StartOutcome {
+            repeat_of: Some(first),
+            ..skipped
+        };
     }
     let (mut dual_ns, mut cc_ns) = (0u64, 0u64);
     let mut best: Option<StartCandidate> = None;
@@ -998,7 +980,6 @@ fn evaluate_start(
     StartOutcome {
         candidate: best,
         repeat_of: None,
-        lp_ns,
         dual_ns,
         cc_ns,
     }
@@ -1128,6 +1109,16 @@ mod tests {
             Algorithm1::new(PartitionConfig::new().starts(0)).run(&h),
             Err(PartitionError::InvalidConfig { .. })
         ));
+        // above the cap the run is refused before it reserves anything
+        for starts in [MAX_STARTS + 1, usize::MAX] {
+            let err = Algorithm1::new(PartitionConfig::new().starts(starts))
+                .run(&h)
+                .unwrap_err();
+            assert!(err.to_string().contains(&MAX_STARTS.to_string()), "{err}");
+        }
+        assert!(Algorithm1::new(PartitionConfig::new().starts(MAX_STARTS))
+            .run(&h)
+            .is_ok());
         assert!(matches!(
             Algorithm1::new(PartitionConfig::new().edge_size_threshold(Some(1))).run(&h),
             Err(PartitionError::InvalidConfig { .. })
@@ -1309,46 +1300,6 @@ mod tests {
         let out = Algorithm1::default().run(&b.build()).unwrap();
         assert!(out.stats.used_component_shortcut);
         assert_eq!(out.stats.phases, crate::PhaseStats::default());
-    }
-
-    #[test]
-    fn draw_table_waits_for_earlier_draws_and_survives_an_unwinding_start() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::time::Instant;
-        let table = DrawTable::new(4);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let (first, unwound, released, later) = std::thread::scope(|scope| {
-            // start 2 publishes first and must wait for starts 0 and 1
-            let later = scope.spawn(|| table.claim(2).publish(Some((1, 2))));
-            while table.lock()[2] == Draw::Pending && Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            let first = table.claim(0).publish(Some((1, 2)));
-            // start 1 unwinds before publishing: its claim publishes
-            // "no pair", so start 2's wait still ends
-            let unwound = catch_unwind(AssertUnwindSafe(|| {
-                let _claim = table.claim(1);
-                panic!("draw failed");
-            }));
-            while !later.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let released = later.is_finished();
-            // if the claim did not publish, fill its slot here so that
-            // start 2 returns and the scope can join it
-            drop(table.store(1, Draw::NoPair));
-            (first, unwound.is_err(), released, later.join())
-        });
-        assert!(
-            released,
-            "start 1's dropped claim did not publish: start 2 still waited"
-        );
-        assert!(unwound);
-        assert_eq!(first, None);
-        assert_eq!(later.expect("start 2 returns"), Some(0));
-        // pairs are ordered: (2, 1) is a new path
-        assert_eq!(table.claim(3).publish(Some((2, 1))), None);
-        assert_eq!(table.distinct_pairs(), 2);
     }
 
     #[test]

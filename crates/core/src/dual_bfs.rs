@@ -452,141 +452,55 @@ impl EndpointScratch {
     /// of the second BFS, saving the separate distance BFS callers used
     /// to run. `None` under the same conditions as
     /// [`random_longest_path_endpoints`].
+    ///
+    /// This is the reference draw. The multi-start engine runs its two
+    /// halves apart — `draw_u` for every start, then one `search` per
+    /// distinct `u` and `draw_v` for each start with that `u` — and makes
+    /// the same RNG calls in the same order.
     pub fn pick<R: Rng + ?Sized>(
         &mut self,
         view: &DualIncidence<'_>,
         rng: &mut R,
     ) -> Option<(u32, u32, u32)> {
-        self.draw(view, rng, None)
+        let u = self.draw_u(view, rng)?;
+        self.search(view, u);
+        self.draw_v(u, rng).map(|(v, depth)| (u, v, depth))
     }
 
-    /// The one endpoint draw behind [`pick`](Self::pick) and the
-    /// multi-start engine: `pick` passes no memo; the engine passes its
-    /// worker's [`EndpointMemo`], which answers the second BFS for every
-    /// `u` it stored. A hit `choose`s over the same list the BFS would
-    /// have produced, so both draw the same RNG values in the same order
-    /// and return the same triple.
-    pub(crate) fn draw<R: Rng + ?Sized>(
+    /// The first half of the draw: a random vertex `r`, BFS(r), and a
+    /// random deepest `u`. `None` if `G` has fewer than 2 vertices or no
+    /// edge.
+    pub(crate) fn draw_u<R: Rng + ?Sized>(
         &mut self,
         view: &DualIncidence<'_>,
         rng: &mut R,
-        memo: Option<&mut EndpointMemo>,
-    ) -> Option<(u32, u32, u32)> {
+    ) -> Option<u32> {
         let n = view.num_g_vertices();
         if n < 2 {
             return None;
         }
-        let Self { levels, expanded } = self;
         let start = rng.gen_range(0..n as u32); // fhp-audit: allow(as-cast-truncation) — G ids fit u32 by the view's construction
-        bfs::bfs_dual_into(view, start, levels, expanded);
-        if levels.num_reached() < 2 {
+        self.search(view, start);
+        if self.levels.num_reached() < 2 {
             // isolated start: fall back to the lowest vertex with an edge
-            bfs::bfs_dual_into(view, view.first_linked()?, levels, expanded);
+            self.search(view, view.first_linked()?);
         }
-        let u = *levels.deepest_level().choose(rng).expect("nonempty"); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-
-        // the first BFS is dead once u is chosen, so the second reuses it
-        let (deepest, depth) = match memo {
-            Some(memo) => memo.second_bfs(view, u, levels, expanded),
-            None => {
-                bfs::bfs_dual_into(view, u, levels, expanded);
-                (levels.deepest_level(), levels.depth())
-            }
-        };
-        let v = *deepest.choose(rng).expect("nonempty"); // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-        if u == v {
-            // u's component is u alone, which the fallback to a vertex
-            // with an edge rules out
-            return None;
-        }
-        Some((u, v, depth))
-    }
-}
-
-/// Vertex ids an [`EndpointMemo`] holds at most, over all its stored
-/// levels: 16 KB per worker. A 50-start run on the benchmark's std-cell
-/// netlists stores at most 353.
-pub(crate) const MEMO_ID_BUDGET: usize = 4096;
-
-/// The second longest-path BFS of every distinct `u` one worker drew in
-/// one run: `u`'s depth and deepest level, in visit order. BFS(u) is a
-/// function of `u` and `G` alone, so a start that draws a stored `u`
-/// reads the level instead of searching again, and its `choose` over the
-/// same list draws the same `v`. Valid for one instance only; the
-/// multi-start engine keeps one per worker arena, so no lock guards it.
-/// Both buffers are reserved up front and never grow: a level that does
-/// not fit in what is left of [`MEMO_ID_BUDGET`] is not stored (that `u`
-/// runs its BFS on every draw), and nothing is evicted.
-#[derive(Clone, Debug)]
-pub(crate) struct EndpointMemo {
-    /// The stored levels, back to back.
-    ids: Vec<u32>,
-    /// One entry per stored `u`, sorted by `u`.
-    entries: Vec<MemoEntry>,
-    /// Draws that read a stored level instead of running BFS(u).
-    hits: u64,
-}
-
-/// Where one `u`'s level sits in [`EndpointMemo::ids`], and its depth.
-#[derive(Clone, Copy, Debug)]
-struct MemoEntry {
-    u: u32,
-    depth: u32,
-    start: usize,
-    end: usize,
-}
-
-impl EndpointMemo {
-    /// An empty memo with room for `max_entries` levels (a run's start
-    /// count is enough: each start stores at most one) within
-    /// [`MEMO_ID_BUDGET`] ids.
-    pub(crate) fn with_capacity(max_entries: usize) -> Self {
-        Self {
-            ids: Vec::with_capacity(MEMO_ID_BUDGET),
-            entries: Vec::with_capacity(max_entries.min(MEMO_ID_BUDGET)),
-            hits: 0,
-        }
+        self.levels.deepest_level().choose(rng).copied()
     }
 
-    /// Draws that read a stored level instead of running BFS(u).
-    pub(crate) fn hits(&self) -> u64 {
-        self.hits
+    /// BFS from `source` into the scratch's leveling: the search between
+    /// the two halves, once per distinct `u`.
+    pub(crate) fn search(&mut self, view: &DualIncidence<'_>, source: u32) {
+        bfs::bfs_dual_into(view, source, &mut self.levels, &mut self.expanded);
     }
 
-    /// BFS(u)'s deepest level and depth: read from the memo on a hit;
-    /// otherwise searched into `levels` and stored if it fits.
-    fn second_bfs<'a>(
-        &'a mut self,
-        view: &DualIncidence<'_>,
-        u: u32,
-        levels: &'a mut bfs::BfsLevels,
-        expanded: &mut Vec<bool>,
-    ) -> (&'a [u32], u32) {
-        match self.entries.binary_search_by_key(&u, |e| e.u) {
-            Ok(i) => {
-                self.hits += 1;
-                let e = self.entries[i]; // fhp-audit: allow(panic-site) — binary_search returned an index into the entries
-                (&self.ids[e.start..e.end], e.depth) // fhp-audit: allow(panic-site) — an entry's range was pushed into ids when it was stored
-            }
-            Err(slot) => {
-                bfs::bfs_dual_into(view, u, levels, expanded);
-                let level = levels.deepest_level();
-                if self.entries.len() < self.entries.capacity()
-                    && level.len() <= MEMO_ID_BUDGET - self.ids.len()
-                {
-                    let start = self.ids.len();
-                    self.ids.extend_from_slice(level);
-                    let entry = MemoEntry {
-                        u,
-                        depth: levels.depth(),
-                        start,
-                        end: self.ids.len(),
-                    };
-                    self.entries.insert(slot, entry);
-                }
-                (level, levels.depth())
-            }
-        }
+    /// The second half, after [`search`](Self::search) from `u`: a random
+    /// deepest `v` and the search's depth. `None` if `v` is `u`, which a
+    /// `u` drawn by [`draw_u`](Self::draw_u) rules out: its component
+    /// holds an edge.
+    pub(crate) fn draw_v<R: Rng + ?Sized>(&self, u: u32, rng: &mut R) -> Option<(u32, u32)> {
+        let v = *self.levels.deepest_level().choose(rng)?;
+        (v != u).then(|| (v, self.levels.depth()))
     }
 }
 
@@ -764,60 +678,62 @@ mod tests {
         }
     }
 
-    /// Draws a 50-start run's endpoints through one memo, as a worker of
-    /// the multi-start engine does, and checks each start against a fresh
-    /// plain draw on the same stream: same triple, and the same number of
-    /// RNG calls. Returns the memo's hits and the distinct `u`s drawn.
-    fn memoized_draws(h: &Hypergraph, seed: u64) -> (u64, usize) {
+    /// Draws a 50-start run's endpoints in the multi-start engine's order
+    /// — every start's `u` first, then one search per distinct `u` and a
+    /// `v` for each start with that `u`, in start order and from the
+    /// start's own stream — and checks each start against `pick` on the
+    /// same stream: the same triple, and the same number of RNG calls.
+    /// Returns the number of searches from a `u`, one per distinct `u`.
+    fn grouped_draws(h: &Hypergraph, seed: u64) -> usize {
         const STARTS: usize = 50;
         let view = view(h);
-        let mut scratch = EndpointScratch::with_capacity(view.num_g_vertices(), h.num_vertices());
-        let mut memo = EndpointMemo::with_capacity(STARTS);
-        let mut us = std::collections::BTreeSet::new();
+        let mut scratch = EndpointScratch::new();
+        let mut draws: Vec<(Option<u32>, SplitMix64)> = (0..STARTS)
+            .map(|i| {
+                let mut rng = SplitMix64::for_start(seed, i);
+                (scratch.draw_u(&view, &mut rng), rng)
+            })
+            .collect();
+        let mut grouped = vec![None; STARTS];
+        let mut searches = 0;
         for i in 0..STARTS {
-            let mut rng_memo = SplitMix64::for_start(seed, i);
-            let mut rng_plain = SplitMix64::for_start(seed, i);
-            let memoized = scratch.draw(&view, &mut rng_memo, Some(&mut memo));
-            let plain = EndpointScratch::new().pick(&view, &mut rng_plain);
-            assert_eq!(memoized, plain, "start {i}");
-            assert_eq!(rng_memo.next_u64(), rng_plain.next_u64(), "start {i}");
-            us.extend(plain.map(|(u, _, _)| u));
+            let first = draws[i]
+                .0
+                .filter(|&u| draws[..i].iter().all(|d| d.0 != Some(u)));
+            let Some(u) = first else { continue };
+            scratch.search(&view, u);
+            searches += 1;
+            for (j, (uj, rng)) in draws.iter_mut().enumerate().skip(i) {
+                if *uj == Some(u) {
+                    grouped[j] = scratch.draw_v(u, rng).map(|(v, depth)| (u, v, depth));
+                }
+            }
         }
-        (memo.hits(), us.len())
+        let mut us = std::collections::BTreeSet::new();
+        for (i, ((_, mut rng), grouped)) in draws.into_iter().zip(grouped).enumerate() {
+            let mut rng_plain = SplitMix64::for_start(seed, i);
+            let plain = EndpointScratch::new().pick(&view, &mut rng_plain);
+            us.extend(plain.map(|(u, _, _)| u));
+            assert_eq!(grouped, plain, "start {i}");
+            assert_eq!(rng.next_u64(), rng_plain.next_u64(), "start {i}");
+        }
+        assert_eq!(searches, us.len());
+        searches
     }
 
     #[test]
-    fn memoized_draws_match_plain_draws() {
+    fn grouped_draws_match_pick() {
         // the chain netlist's G is a path: u is always one of its ends
-        let (hits, distinct) = memoized_draws(&path(40), 3);
-        assert!(hits > 0);
-        assert_eq!(hits, 50 - distinct as u64);
+        assert!(grouped_draws(&path(40), 3) <= 2);
         // two hubs joined by a path, four leaves on each: u is one of the
-        // eight leaves, and each stored level holds the far hub's four
+        // eight leaves
         let mut broom = vec![(0u32, 2u32), (2, 3), (3, 1)];
         broom.extend((4..8).map(|l| (0, l)).chain((8..12).map(|l| (1, l))));
-        let (hits, distinct) = memoized_draws(&dual_of(12, &broom), 11);
-        assert!(hits > 0);
-        assert_eq!(hits, 50 - distinct as u64);
-        // on an odd cycle u is one of r's two antipodes, so u rarely repeats
-        let (hits, distinct) = memoized_draws(&cycle(1001), 7);
-        assert_eq!(hits, 50 - distinct as u64);
-        // every u's deepest level holds all other leaves, one id more than
-        // the budget, so no level is stored and every draw runs its BFS
-        assert_eq!(memoized_draws(&star(MEMO_ID_BUDGET + 2), 5).0, 0);
-        // a level of exactly the budget is stored; one id more is not
-        for (leaves, hits) in [(MEMO_ID_BUDGET + 1, 1), (MEMO_ID_BUDGET + 2, 0)] {
-            let h = star(leaves);
-            let view = view(&h);
-            let mut memo = EndpointMemo::with_capacity(2);
-            let mut levels = bfs::BfsLevels::empty();
-            let mut expanded = Vec::new();
-            for _ in 0..2 {
-                let (level, depth) = memo.second_bfs(&view, 1, &mut levels, &mut expanded);
-                assert_eq!((level.len(), depth), (leaves - 1, 2));
-            }
-            assert_eq!(memo.hits(), hits, "{leaves} leaves");
-        }
+        assert!(grouped_draws(&dual_of(12, &broom), 11) <= 8);
+        // on an odd cycle u is one of r's two antipodes, so u rarely
+        // repeats; on a star u is one of the leaves
+        grouped_draws(&cycle(1001), 7);
+        grouped_draws(&star(500), 5);
     }
 
     #[test]

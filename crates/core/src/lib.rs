@@ -68,7 +68,7 @@ pub mod runner;
 
 pub use algorithm1::{
     Algorithm1, Bipartitioner, OutcomeFingerprint, PartitionConfig, PartitionOutcome, RunStats,
-    StartStat,
+    StartStat, MAX_STARTS,
 };
 pub use complete_cut::CompletionStrategy;
 pub use dual_bfs::FrontPolicy;

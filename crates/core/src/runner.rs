@@ -28,6 +28,13 @@
 //!    the process — a panic crossing a [`std::thread::scope`] join would
 //!    otherwise propagate).
 //!
+//! One [`run_starts_arena`] call is one pass over the start indices, on
+//! arenas the caller builds once per worker. Algorithm I runs three
+//! passes over the same arenas — draw every `u`, then every `v`, then
+//! sweep every distinct path — and reads each pass's records before the
+//! next starts, so what one start learns of another is fixed by the
+//! indices alone.
+//!
 //! The engine is generic over the per-start work so the containment and
 //! determinism machinery can be tested in isolation from the partitioner.
 //! Point 2 is the workspace's one worker pool,
@@ -92,10 +99,12 @@ pub struct StartRecord<T> {
 
 /// The multi-start engine: runs `work` for every start in `0..starts` on
 /// the shared worker pool ([`pool::run_indexed`]) and returns the records
-/// in index order. Every worker owns one reusable arena `A`, created
-/// lazily by `make_arena` on the worker's first claimed start and handed
-/// by `&mut` to every start it runs afterwards, so index-pure per-start
-/// work can execute with **zero heap allocation after warm-up**.
+/// in index order. The caller builds the arenas: one worker runs per
+/// arena, up to `starts` of them, and hands its arena by `&mut` to every
+/// start it claims, so index-pure per-start work can execute with **zero
+/// heap allocation once the arena is warm**. A caller that runs several
+/// passes over the starts passes the same arenas to each, and every
+/// worker keeps its warm arena across them.
 ///
 /// Tracing is opt-in per run: a [`Scope`] keyed by `order::start(index)`
 /// is created (and the `runner.start` root span recorded) only when
@@ -110,22 +119,12 @@ pub struct StartRecord<T> {
 /// function of `(starts, work)`, and only the volatile `thread` field
 /// betrays which worker ran what.
 ///
-/// Returns the records plus every arena the run actually created
-/// (workers that claim no start create none). The difference
-/// `starts − arenas.len()` is the number of times an arena was *reused*
-/// instead of rebuilt — [`RunStats::arena_reuse_hits`] upstream. That
-/// number depends on the worker count, which is why it is reported as a
-/// volatile run stat and never recorded into a scope.
-///
-/// The determinism contract tightens accordingly: `work` must be a pure
-/// function of its index *given an arena in any prior state*, i.e. it
-/// must reset whatever arena state it reads at entry (every scratch type
-/// in this workspace does). Each start runs under
-/// [`std::panic::catch_unwind`], so a panic becomes the record's error;
-/// the poisoned worker's arena is handed to its next start as-is, which
-/// the reset-at-entry rule makes safe.
-///
-/// [`RunStats::arena_reuse_hits`]: crate::RunStats
+/// The determinism contract: `work` must be a pure function of its index
+/// *given an arena in any prior state*, i.e. it must reset whatever arena
+/// state it reads at entry (every scratch type in this workspace does).
+/// Each start runs under [`std::panic::catch_unwind`], so a panic becomes
+/// the record's error; the poisoned worker's arena is handed to its next
+/// start as-is, which the reset-at-entry rule makes safe.
 ///
 /// # Examples
 ///
@@ -133,11 +132,11 @@ pub struct StartRecord<T> {
 /// use fhp_core::runner::run_starts_arena;
 /// use fhp_obs::Collector;
 ///
-/// let (records, arenas) = run_starts_arena(
+/// let mut arenas = vec![Vec::new(); 2];
+/// let records = run_starts_arena(
 ///     8,
-///     2,
+///     &mut arenas,
 ///     &Collector::disabled(),
-///     Vec::new,
 ///     |i, scratch: &mut Vec<usize>, _scope| {
 ///         scratch.clear(); // reset-at-entry: correctness can't depend on reuse
 ///         scratch.extend(0..i);
@@ -145,23 +144,20 @@ pub struct StartRecord<T> {
 ///     },
 /// );
 /// assert_eq!(records[5].outcome, Ok(5));
-/// assert!(!arenas.is_empty() && arenas.len() <= 2);
 /// ```
-pub fn run_starts_arena<T, A, M, F>(
+pub fn run_starts_arena<T, A, F>(
     starts: usize,
-    workers: usize,
+    arenas: &mut [A],
     collector: &Collector,
-    make_arena: M,
     work: F,
-) -> (Vec<StartRecord<T>>, Vec<A>)
+) -> Vec<StartRecord<T>>
 where
     T: Send,
     A: Send,
-    M: Fn() -> A + Sync,
     F: Fn(usize, &mut A, Option<&Scope>) -> T + Sync,
 {
     let traced = collector.is_enabled();
-    pool::run_indexed(starts, workers, make_arena, |index, arena| {
+    pool::run_indexed(starts, arenas, |index, arena| {
         let scope = traced.then(|| collector.scope(order::start(index), Some(index as u32))); // fhp-audit: allow(as-cast-truncation) — start index bounded by the start count, well below u32::MAX
                                                                                               // fhp-audit: allow(wallclock-in-fingerprint) — times the volatile wall field only
         let started = Instant::now();
@@ -207,14 +203,16 @@ mod tests {
     use super::*;
     use rand::Rng;
 
-    /// [`run_starts_arena`] with a unit arena and no tracing.
+    /// [`run_starts_arena`] with unit arenas and no tracing.
     fn run_unit_arena<T: Send>(
         starts: usize,
         workers: usize,
         work: impl Fn(usize) -> T + Sync,
     ) -> Vec<StartRecord<T>> {
         let disabled = Collector::disabled();
-        run_starts_arena(starts, workers, &disabled, || (), |i, (), _| work(i)).0
+        run_starts_arena(starts, &mut vec![(); workers], &disabled, |i, (), _| {
+            work(i)
+        })
     }
 
     #[test]
@@ -287,12 +285,12 @@ mod tests {
     }
 
     #[test]
-    fn arena_engine_gives_each_worker_one_arena() {
-        let (records, arenas) = run_starts_arena(
+    fn arena_engine_runs_each_start_on_one_caller_arena() {
+        let mut arenas = vec![Vec::new(); 4];
+        let records = run_starts_arena(
             16,
-            4,
+            &mut arenas,
             &Collector::disabled(),
-            Vec::new,
             |i, scratch: &mut Vec<usize>, scope| {
                 assert!(scope.is_none(), "disabled collector must not build scopes");
                 scratch.push(i);
@@ -305,27 +303,19 @@ mod tests {
             assert_eq!(r.outcome, Ok(i * 2));
             assert_eq!(r.events, ScopeEvents::default());
         }
-        assert!(!arenas.is_empty() && arenas.len() <= 4, "{}", arenas.len());
         // every start touched exactly one arena exactly once
         let total: usize = arenas.iter().map(Vec::len).sum();
         assert_eq!(total, 16);
-        assert!(arenas.iter().all(|a| !a.is_empty()));
     }
 
     #[test]
     fn arena_engine_traces_when_collector_enabled() {
         let collector = Collector::enabled();
-        let (records, _) = run_starts_arena(
-            3,
-            2,
-            &collector,
-            || (),
-            |i, _arena, scope| {
-                let scope = scope.expect("enabled collector must hand out scopes");
-                scope.counter("probe", i as u64);
-                i
-            },
-        );
+        let records = run_starts_arena(3, &mut [(), ()], &collector, |i, _arena, scope| {
+            let scope = scope.expect("enabled collector must hand out scopes");
+            scope.counter("probe", i as u64);
+            i
+        });
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.events.order, order::start(i));
             assert_eq!(r.events.start_index, Some(i as u32));
@@ -336,11 +326,11 @@ mod tests {
 
     #[test]
     fn arena_engine_contains_panics_and_keeps_the_worker_alive() {
-        let (records, arenas) = run_starts_arena(
+        let mut arenas = vec![Vec::new(); 2];
+        let records = run_starts_arena(
             8,
-            2,
+            &mut arenas,
             &Collector::disabled(),
-            Vec::new,
             |i, scratch: &mut Vec<usize>, _scope| {
                 scratch.push(i);
                 assert!(i != 3, "start {i} poisoned");

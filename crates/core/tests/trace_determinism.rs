@@ -75,8 +75,9 @@ fn canonical_trace(h: &Hypergraph, threads: usize) -> Vec<String> {
 
 /// Draws every start's endpoint pair from its own stream, the way the
 /// engine does, and returns for each start that found endpoints the first
-/// earlier start that drew the same ordered pair (`None` for a new pair).
-fn expected_repeats(h: &Hypergraph) -> Vec<Option<Option<usize>>> {
+/// earlier start that drew the same ordered pair (`None` for a new pair),
+/// plus the number of distinct `u`s the starts drew.
+fn expected_repeats(h: &Hypergraph) -> (Vec<Option<Option<usize>>>, usize) {
     let view = DualIncidence::new(h, None).expect("fits u32 ids");
     let mut scratch = EndpointScratch::new();
     let pairs: Vec<Option<(u32, u32)>> = (0..STARTS)
@@ -85,11 +86,13 @@ fn expected_repeats(h: &Hypergraph) -> Vec<Option<Option<usize>>> {
             scratch.pick(&view, &mut rng).map(|(u, v, _)| (u, v))
         })
         .collect();
-    pairs
+    let us: std::collections::BTreeSet<u32> = pairs.iter().flatten().map(|&(u, _)| u).collect();
+    let repeats = pairs
         .iter()
         .enumerate()
         .map(|(i, p)| p.map(|_| pairs[..i].iter().position(|q| q == p)))
-        .collect()
+        .collect();
+    (repeats, us.len())
 }
 
 #[test]
@@ -113,76 +116,81 @@ fn algorithm1_trace_is_identical_across_thread_counts() {
 #[test]
 fn trace_sweeps_each_distinct_path_once() {
     for (h, name) in [(instance(), "netlist"), (chain(), "chain")] {
-        let (out, events) = traced_run(&h, 4);
-        let count = |needle: &str| events.iter().filter(|e| e.name == needle).count();
-        let expected = expected_repeats(&h);
+        let (expected, distinct_u) = expected_repeats(&h);
         let distinct = expected.iter().filter(|r| **r == Some(None)).count();
-        assert_eq!(out.stats.distinct_paths, distinct, "{name}");
-        assert_eq!(count(names::RUNNER_START), STARTS, "{name}");
-        assert_eq!(count(names::ALG1_LONGEST_PATH), STARTS, "{name}");
-        // the default front policy sweeps twice per distinct path
-        assert_eq!(count(names::ALG1_DUAL_FRONT), 2 * distinct, "{name}");
-        assert_eq!(count(names::ALG1_COMPLETE_CUT), 2 * distinct, "{name}");
-        // one `alg1.repeat_of` counter per start with endpoints that drew
-        // an earlier pair, naming the first start that drew it
-        let repeats: Vec<(u32, u64)> = events
-            .iter()
-            .filter(|e| e.name == names::ALG1_REPEAT_OF)
-            .map(|e| {
-                (
-                    e.start_index.expect("a start scope"),
-                    e.counter_value().expect("a counter"),
-                )
-            })
-            .collect();
-        let want: Vec<(u32, u64)> = expected
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.flatten().map(|j| (i as u32, j as u64)))
-            .collect();
-        assert_eq!(repeats, want, "{name}");
-        // a repeat takes the earlier start's cut
-        for &(i, j) in &repeats {
+        for threads in [1, 2, 8] {
+            let name = &format!("{name} threads={threads}");
+            let (out, events) = traced_run(&h, threads);
+            let count = |needle: &str| events.iter().filter(|e| e.name == needle).count();
+            assert_eq!(out.stats.distinct_paths, distinct, "{name}");
+            assert_eq!(out.stats.distinct_u, distinct_u, "{name}");
+            // one root span per start and pass
+            assert_eq!(count(names::RUNNER_START), 3 * STARTS, "{name}");
+            // one BFS per start from its random vertex, one per distinct u
             assert_eq!(
-                out.stats.per_start[i as usize].cut_size, out.stats.per_start[j as usize].cut_size,
+                count(names::ALG1_LONGEST_PATH),
+                STARTS + distinct_u,
                 "{name}"
             );
-        }
-        assert_eq!(count(names::DUALIZE), 1, "{name}");
-        assert_eq!(count(names::ALG1_CUT_HIST), 1, "{name}");
-        // dualize events come before every start, summary after
-        let pos = |needle: &str| {
-            events
+            // the default front policy sweeps twice per distinct path
+            assert_eq!(count(names::ALG1_DUAL_FRONT), 2 * distinct, "{name}");
+            assert_eq!(count(names::ALG1_COMPLETE_CUT), 2 * distinct, "{name}");
+            // one `alg1.repeat_of` counter per start with endpoints that
+            // drew an earlier pair, naming the first start that drew it
+            let repeats: Vec<(u32, u64)> = events
                 .iter()
-                .position(|e| e.name == needle)
-                .unwrap_or_else(|| panic!("missing {needle}"))
-        };
-        assert!(pos(names::DUALIZE) < pos(names::RUNNER_START), "{name}");
-        assert!(pos(names::ALG1_CUT_HIST) > events.len() - 8, "{name}");
+                .filter(|e| e.name == names::ALG1_REPEAT_OF)
+                .map(|e| {
+                    (
+                        e.start_index.expect("a start scope"),
+                        e.counter_value().expect("a counter"),
+                    )
+                })
+                .collect();
+            let want: Vec<(u32, u64)> = expected
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| r.flatten().map(|j| (i as u32, j as u64)))
+                .collect();
+            assert_eq!(repeats, want, "{name}");
+            // a repeat takes the earlier start's cut
+            for &(i, j) in &repeats {
+                assert_eq!(
+                    out.stats.per_start[i as usize].cut_size,
+                    out.stats.per_start[j as usize].cut_size,
+                    "{name}"
+                );
+            }
+            assert_eq!(count(names::DUALIZE), 1, "{name}");
+            assert_eq!(count(names::ALG1_CUT_HIST), 1, "{name}");
+            // dualize events come before every start, summary after
+            let pos = |needle: &str| {
+                events
+                    .iter()
+                    .position(|e| e.name == needle)
+                    .unwrap_or_else(|| panic!("missing {needle}"))
+            };
+            assert!(pos(names::DUALIZE) < pos(names::RUNNER_START), "{name}");
+            assert!(pos(names::ALG1_CUT_HIST) > events.len() - 8, "{name}");
+        }
     }
-    // the chain's draws do repeat: at most its two ordered end pairs sweep
-    let chain_distinct = expected_repeats(&chain())
-        .iter()
-        .filter(|r| **r == Some(None))
-        .count();
+    // the chain's draws do repeat: at most its two ordered end pairs sweep,
+    // from at most its two ends
+    let (chain_repeats, chain_u) = expected_repeats(&chain());
+    let chain_distinct = chain_repeats.iter().filter(|r| **r == Some(None)).count();
     assert!((1..=2).contains(&chain_distinct), "{chain_distinct}");
+    assert!((1..=2).contains(&chain_u), "{chain_u}");
 }
 
 #[test]
 fn runner_merges_scopes_in_start_order_at_any_worker_count() {
     let merged = |workers: usize| -> Vec<String> {
         let collector = Collector::enabled();
-        let (records, _) = run_starts_arena(
-            12,
-            workers,
-            &collector,
-            || (),
-            |i, (), scope| {
-                let scope = scope.expect("an enabled collector hands out scopes");
-                scope.counter("work.index", i as u64);
-                i * i
-            },
-        );
+        let records = run_starts_arena(12, &mut vec![(); workers], &collector, |i, (), scope| {
+            let scope = scope.expect("an enabled collector hands out scopes");
+            scope.counter("work.index", i as u64);
+            i * i
+        });
         assert_eq!(records.len(), 12);
         // adoption is the caller's job: the runner hands each start's
         // buffered events back on its record (Algorithm 1 adopts them in

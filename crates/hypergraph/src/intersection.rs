@@ -294,10 +294,9 @@ impl Dualizer {
         }
         let shards_span = scope.span(names::DUALIZE_SHARDS);
         let progress = self.progress.as_deref();
-        let (runs, _) = pool::run_indexed(
+        let runs = pool::run_indexed(
             units as usize,
-            threads,
-            || (),
+            &mut vec![(); threads.min(units as usize)],
             |u, ()| {
                 let lo = (u as u64 * unit_len).min(total_pairs);
                 let hi = (lo + unit_len).min(total_pairs);

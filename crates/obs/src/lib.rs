@@ -126,15 +126,12 @@ pub mod names {
     /// the in-memory kernel). Deterministic: 8 bytes per unique pair
     /// across all passes.
     pub const DUALIZE_BYTES_SPILLED: &str = "dualize.bytes_spilled";
-    /// Root span of one multi-start attempt (child spans nest under it).
+    /// Root span of one pass of one multi-start attempt (child spans nest
+    /// under it); a start records one per pass.
     pub const RUNNER_START: &str = "runner.start";
-    /// Counter name for start evaluations that reused an already-warm
-    /// per-worker scratch arena (`starts − arenas created`). Reported via
-    /// `RunStats` and the bench JSON only — the value depends on the
-    /// worker count, so recording it into a trace scope would break the
-    /// byte-identical-across-thread-counts contract.
-    pub const RUNNER_ARENA_REUSE: &str = "runner.arena_reuse_hits";
-    /// Algorithm 1 phase: longest-path endpoint + distance BFS.
+    /// Algorithm 1 phase: a longest-path BFS and its draw — from a start's
+    /// random vertex to `u` (pass 1), or from a distinct `u` to the `v` of
+    /// every start that drew it (pass 2).
     pub const ALG1_LONGEST_PATH: &str = "alg1.longest_path_bfs";
     /// Algorithm 1 phase: dual-front BFS sweep.
     pub const ALG1_DUAL_FRONT: &str = "alg1.dual_front_bfs";
