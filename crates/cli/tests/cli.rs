@@ -83,7 +83,10 @@ fn stats_flag_prints_phase_lines() {
         "engine_threads",
         "chosen_start",
         "num_g_vertices",
+        "g_components",
+        "path_component",
         "boundary_len",
+        "arena_growths",
         "mem_live_bytes",
         "mem_peak_bytes",
         "mem_allocs",
@@ -104,7 +107,13 @@ fn stats_flag_prints_phase_lines() {
         1 <= distinct_u && distinct_u <= distinct && distinct <= field("starts"),
         "distinct_u {distinct_u}, distinct_paths {distinct} in:\n{stdout}"
     );
-    // both count work a function of the seed does, at any thread count
+    // the worked example's G is connected, so the winning path's
+    // component is all of it
+    assert_eq!(field("g_components"), 1);
+    assert_eq!(field("path_component"), 9);
+    // both count work a function of the seed does, at any thread count;
+    // arena_growths depends on which worker meets which G′ first, so it
+    // stays out of the comparison
     for threads in ["1", "8"] {
         let (out, stderr, ok) = run(&["--demo", "--stats", "--threads", threads]);
         assert!(ok, "{stderr}");
@@ -113,6 +122,9 @@ fn stats_flag_prints_phase_lines() {
             threads.parse::<u64>().unwrap()
         );
         assert_eq!(stat(&out, "distinct_u"), distinct_u, "--threads {threads}");
+        for key in ["g_components", "path_component"] {
+            assert_eq!(stat(&out, key), field(key), "{key} at --threads {threads}");
+        }
         assert_eq!(
             stat(&out, "distinct_paths"),
             distinct,

@@ -216,17 +216,15 @@ impl PartitionConfig {
         self
     }
 
-    /// Checks the configuration as [`Algorithm1::run`] does before it
-    /// runs. Drivers that run Algorithm I on many regions and fall back
-    /// to a plain split when a region's run fails call it up front, so an
-    /// invalid configuration is refused instead of hidden.
+    /// Checks the configuration; [`Algorithm1::run`] calls it before it
+    /// runs.
     ///
     /// # Errors
     ///
     /// [`PartitionError::InvalidConfig`] for a start count of 0 or above
     /// [`MAX_STARTS`], a degenerate edge-size threshold, an invalid pair
     /// cap or multilevel configuration.
-    pub fn validate(&self) -> Result<(), PartitionError> {
+    pub(crate) fn validate(&self) -> Result<(), PartitionError> {
         if self.starts == 0 {
             return Err(PartitionError::InvalidConfig {
                 reason: "starts must be at least 1",
@@ -312,6 +310,20 @@ pub struct RunStats {
     /// Worker threads the multi-start engine ran with (0 when it never
     /// ran, i.e. the component shortcut fired).
     pub threads: usize,
+    /// Connected components of `G` (0 for the component shortcut, which
+    /// never reads `G`). The size threshold splits `G` even where the
+    /// hypergraph is connected.
+    pub g_components: usize,
+    /// G-vertices in the component of `G` that holds the winning start's
+    /// longest path (0 when no start won). A sweep's fronts stay inside
+    /// that component; every other component goes whole to one side.
+    pub path_component: usize,
+    /// Times a worker grew a scratch buffer sized by a boundary graph
+    /// `G′` — one allocation each — summed over the workers. Which worker
+    /// meets which `G′` first depends on scheduling, so like
+    /// [`threads`](Self::threads) this count varies with the worker count
+    /// and stays out of [`OutcomeFingerprint`] and the trace.
+    pub arena_growths: u64,
     /// Per-start outcomes in start order (empty for the shortcut path).
     pub per_start: Vec<StartStat>,
     /// Per-phase wall time and the `G` view's kept and filtered counts
@@ -520,6 +532,9 @@ impl Algorithm1 {
                     distinct_paths: 0,
                     distinct_u: 0,
                     threads: 0,
+                    g_components: 0,
+                    path_component: 0,
+                    arena_growths: 0,
                     per_start: Vec::new(),
                     phases: PhaseStats::default(),
                     multilevel: None,
@@ -543,7 +558,7 @@ impl Algorithm1 {
         }
         // One arena per worker, kept warm across the three passes.
         let mut arenas: Vec<StartArena> = (0..workers)
-            .map(|_| StartArena::for_instance(&view, config.completion))
+            .map(|_| StartArena::for_instance(&view))
             .collect();
 
         // Pass 1: every start draws `r`, searches BFS(r) and draws `u`,
@@ -604,6 +619,7 @@ impl Algorithm1 {
         });
         let distinct_u = count_leaders(&u_leads);
         let distinct_paths = count_leaders(&path_leads);
+        let arena_growths = arenas.iter().map(StartArena::growths).sum();
 
         // Deterministic reduction: scan in start order with a strictly-
         // better rule, so the winner (and every tie-break) is the one the
@@ -705,7 +721,9 @@ impl Algorithm1 {
                 .find_map(|a| a.into_winner(chosen))
                 // fhp-audit: allow(panic-site) — the worker that executed `chosen` must hold it as its local best; a miss is an engine bug worth a loud stop
                 .expect("some worker arena holds the winning start's cut");
-            let report = CutReport::new(h, &bipartition);
+            // The winner's sweep already counted its cut and sides.
+            let report =
+                CutReport::from_totals(cand.cut_size, cand.weighted_cut, cand.counts, cand.weights);
             if let Some(summary) = summary {
                 summary.counter(names::ALG1_CHOSEN_START, chosen as u64);
                 summary.counter(names::ALG1_BEST_CUT, report.cut_size as u64);
@@ -726,6 +744,9 @@ impl Algorithm1 {
                     distinct_paths,
                     distinct_u,
                     threads: workers,
+                    g_components: view.num_components(),
+                    path_component: cand.path_component,
+                    arena_growths,
                     per_start,
                     phases,
                     multilevel: None,
@@ -757,6 +778,9 @@ impl Algorithm1 {
                 distinct_paths,
                 distinct_u,
                 threads: workers,
+                g_components: view.num_components(),
+                path_component: 0,
+                arena_growths,
                 per_start,
                 phases,
                 multilevel: None,
@@ -768,15 +792,20 @@ impl Algorithm1 {
 /// One start's best candidate cut — scalars only. The sides themselves
 /// stay in the worker's [`StartArena`] (cloning them per start would put
 /// an `O(n)` allocation in the hot loop); the reduction retrieves the
-/// winner's sides from the arenas afterwards.
+/// winner's sides from the arenas afterwards, and builds its
+/// [`CutReport`] from the totals here.
 #[derive(Clone, Copy, Debug)]
 struct StartCandidate {
     score: f64,
     imbalance: u64,
     cut_size: usize,
+    weighted_cut: u64,
+    counts: (usize, usize),
+    weights: (u64, u64),
     boundary_len: usize,
     num_placed: usize,
     path_length: u32,
+    path_component: usize,
 }
 
 impl StartCandidate {
@@ -828,9 +857,11 @@ fn count_leaders(leads: &[Option<usize>]) -> usize {
 }
 
 /// One worker's reusable scratch for the whole per-start pipeline. Built
-/// once per worker before pass 1 and kept across all three passes,
-/// pre-sized to the instance's upper bounds so that no start touches the
-/// heap. Every stage resets the scratch state it reads at entry, so a
+/// once per worker before pass 1 and kept across all three passes. The
+/// buffers sized by `G` or the module count are reserved here once; those
+/// sized by a cut's boundary graph `G′` grow, geometrically and counted,
+/// to the largest `G′` the worker meets, so a start allocates only to
+/// grow one. Every stage resets the scratch state it reads at entry, so a
 /// start that panicked mid-pipeline cannot poison the next one.
 struct StartArena {
     /// Longest-BFS-path endpoint picker (one BFS leveling).
@@ -855,25 +886,27 @@ struct StartArena {
 }
 
 impl StartArena {
-    /// An arena pre-sized for the instance `view` reads and the run's
-    /// completion strategy: every buffer gets the
-    /// instance's worst-case capacity up front, so no start — first or
-    /// later — grows it mid-pipeline. A cut's boundary graph `G′` has at
-    /// most [`DualIncidence::cross_pair_bound`] edges, and its module-by-
-    /// module pair listing at most that many entries.
-    fn for_instance(view: &DualIncidence<'_>, completion: CompletionStrategy) -> Self {
+    /// An arena for the instance `view` reads: the BFS levels, fronts,
+    /// labels, `gprime_of`, partial bipartition, placement and the three
+    /// bipartitions reserved at `G`'s and the module count's sizes; the
+    /// `G′`-sized buffers empty.
+    fn for_instance(view: &DualIncidence<'_>) -> Self {
         let (n, g_n) = (view.num_modules(), view.num_g_vertices());
-        let cross = usize::try_from(view.cross_pair_bound()).unwrap_or(usize::MAX);
         Self {
             endpoints: EndpointScratch::with_capacity(g_n, n),
             fronts: TwoFrontScratch::with_capacity(g_n, n),
-            dec: BoundaryDecomposition::with_capacity(n, g_n, cross),
-            completion: CompletionScratch::with_capacity(completion, n, g_n, cross),
+            dec: BoundaryDecomposition::with_capacity(n, g_n),
+            completion: CompletionScratch::with_capacity(n),
             work_bp: Bipartition::all_left(n),
             sweep_best_bp: Bipartition::all_left(n),
             best_bp: Bipartition::all_left(n),
             best_key: None,
         }
+    }
+
+    /// How many times this worker grew a `G′`-sized buffer.
+    fn growths(&self) -> u64 {
+        self.dec.growths() + self.completion.growths()
     }
 
     /// The worker-best partition, if it came from start `index`.
@@ -924,6 +957,7 @@ fn evaluate_start(
         };
     }
     let (mut dual_ns, mut cc_ns) = (0u64, 0u64);
+    let path_component = view.component_len(view.component_of(u));
     let mut best: Option<StartCandidate> = None;
     for &sweep in config.front_policy.sweeps() {
         // fhp-audit: allow(wallclock-in-fingerprint) — phase walls are diagnostics (PhaseStats), never part of fingerprints
@@ -942,15 +976,19 @@ fn evaluate_start(
         drop(cc);
         cc_ns += cc_started.elapsed().as_nanos() as u64;
         let (cut_size, weighted_cut) = crate::metrics::cut_totals(h, &arena.work_bp);
+        let counts = arena.work_bp.counts();
+        let weights = arena.work_bp.weights(h);
         let candidate = StartCandidate {
-            score: config
-                .objective
-                .score(cut_size, weighted_cut, arena.work_bp.counts()),
-            imbalance: crate::metrics::weight_imbalance(h, &arena.work_bp),
+            score: config.objective.score(cut_size, weighted_cut, counts),
+            imbalance: weights.0.abs_diff(weights.1),
             cut_size,
+            weighted_cut,
+            counts,
+            weights,
             boundary_len: arena.dec.boundary_len(),
             num_placed: arena.dec.num_placed(),
             path_length,
+            path_component,
         };
         if best.is_none_or(|b| candidate.beats(&b)) {
             best = Some(candidate);
@@ -1300,6 +1338,34 @@ mod tests {
         let out = Algorithm1::default().run(&b.build()).unwrap();
         assert!(out.stats.used_component_shortcut);
         assert_eq!(out.stats.phases, crate::PhaseStats::default());
+    }
+
+    #[test]
+    fn run_stats_count_g_components_and_the_paths_component() {
+        // two chains of five 2-pin signals, joined only by a 4-pin signal
+        let mut b = HypergraphBuilder::with_vertices(12);
+        for i in (0..5).chain(6..11) {
+            b.add_edge([VertexId::new(i), VertexId::new(i + 1)])
+                .unwrap();
+        }
+        b.add_edge([0, 1, 6, 7].map(VertexId::new)).unwrap();
+        let h = b.build();
+        let run = |threshold| {
+            Algorithm1::new(
+                PartitionConfig::new()
+                    .starts(6)
+                    .edge_size_threshold(threshold),
+            )
+            .run(&h)
+            .unwrap()
+            .stats
+        };
+        // the threshold drops the joining signal and splits G in two
+        let split = run(Some(4));
+        assert!(!split.used_component_shortcut);
+        assert_eq!((split.g_components, split.path_component), (2, 5));
+        let whole = run(None);
+        assert_eq!((whole.g_components, whole.path_component), (1, 11));
     }
 
     #[test]

@@ -52,6 +52,8 @@ pub struct BoundaryDecomposition {
     pairs: Vec<(u32, u32)>,
     /// CSR cursor workspace for [`recompute`](Self::recompute).
     cursor: Vec<usize>,
+    /// Buffer growths over every [`recompute`](Self::recompute) so far.
+    growths: u64,
 }
 
 const NOT_BOUNDARY: u32 = u32::MAX;
@@ -81,35 +83,32 @@ impl BoundaryDecomposition {
             partial: Vec::new(),
             pairs: Vec::new(),
             cursor: Vec::new(),
+            growths: 0,
         }
     }
 
-    /// An empty decomposition with every buffer pre-reserved for an
-    /// instance of `num_modules` modules and `num_g_vertices` G-vertices
-    /// whose cuts list at most `cross_pairs` (left, right) pairs through
-    /// their split modules ([`DualIncidence::cross_pair_bound`]): a later
-    /// [`recompute`](Self::recompute) at or below those sizes allocates
-    /// nothing, which is what the zero-allocation multi-start arena
-    /// relies on.
-    pub fn with_capacity(num_modules: usize, num_g_vertices: usize, cross_pairs: usize) -> Self {
-        let mut gprime = Graph::empty(0);
-        gprime.reserve(num_g_vertices, cross_pairs);
+    /// An empty decomposition with its per-instance buffers reserved for
+    /// `num_modules` modules and `num_g_vertices` G-vertices. The buffers
+    /// sized by a cut's boundary graph `G′` — the boundary and side
+    /// lists, the pair listing, `G′`'s CSR and its cursor — start empty
+    /// and grow in [`recompute`](Self::recompute) to the largest `G′` it
+    /// meets.
+    pub fn with_capacity(num_modules: usize, num_g_vertices: usize) -> Self {
         Self {
-            boundary: Vec::with_capacity(num_g_vertices),
             gprime_of: Vec::with_capacity(num_g_vertices),
-            gprime,
-            side: Vec::with_capacity(num_g_vertices),
             partial: Vec::with_capacity(num_modules),
-            pairs: Vec::with_capacity(cross_pairs),
-            cursor: Vec::with_capacity(num_g_vertices),
+            ..Self::empty()
         }
     }
 
     /// Recomputes the decomposition for a new cut, reusing every buffer.
-    /// Identical output to [`new`](Self::new) (which delegates here);
-    /// once the buffers have warmed to the instance's sizes, repeated
-    /// calls allocate nothing. All state is overwritten on entry, so a
-    /// decomposition abandoned mid-build self-heals on reuse.
+    /// Identical output to [`new`](Self::new) (which delegates here).
+    /// A `G′`-sized buffer short of room grows geometrically, by one
+    /// counted allocation (a run reports the total as
+    /// [`RunStats::arena_growths`](crate::RunStats::arena_growths)); the
+    /// G- and module-sized ones allocate nothing once warm. All state is
+    /// overwritten on entry, so a decomposition abandoned mid-build
+    /// self-heals on reuse.
     ///
     /// # Panics
     ///
@@ -127,8 +126,9 @@ impl BoundaryDecomposition {
         // fhp-audit: allow(as-cast-truncation) — G ids fit u32 by the view's construction
         for v in (0..n as u32).filter(|&v| cut.is_boundary(v)) {
             self.gprime_of[v as usize] = u32::try_from(self.boundary.len()).expect("overflow"); // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
-            self.boundary.push(v);
+            self.growths += push_counted(&mut self.boundary, v);
         }
+        let b = self.boundary.len();
 
         // 2. Boundary graph: only edges that cross the G-cut (the paper
         //    deletes edges internal to B_L or B_R, leaving G′ bipartite).
@@ -141,14 +141,17 @@ impl BoundaryDecomposition {
             for &m in view.pins(first) {
                 let nets = view.nets_of(m);
                 if nets.first() == Some(&first) {
-                    list_cross_pairs(nets, cut, &self.gprime_of, &mut self.pairs);
+                    self.growths += list_cross_pairs(nets, cut, &self.gprime_of, &mut self.pairs);
                 }
             }
         }
-        debug_assert!(self.pairs.len() as u64 <= view.cross_pair_bound());
+        // The deduplicated edges are at most the listed pairs.
+        self.growths += self.gprime.reserve(b, self.pairs.len()) as u64;
+        self.growths += grow(&mut self.cursor, b);
         self.gprime
-            .rebuild_from_pairs(self.boundary.len(), &mut self.pairs, &mut self.cursor);
+            .rebuild_from_pairs(b, &mut self.pairs, &mut self.cursor);
         self.side.clear();
+        self.growths += grow(&mut self.side, b);
         self.side
             .extend(self.boundary.iter().map(|&v| cut.side_of(v)));
 
@@ -229,16 +232,47 @@ impl BoundaryDecomposition {
     pub fn num_placed(&self) -> usize {
         self.partial.iter().filter(|p| p.is_some()).count()
     }
+
+    /// How many times [`recompute`](Self::recompute) grew a buffer, over
+    /// the decomposition's life: one allocation each.
+    pub(crate) fn growths(&self) -> u64 {
+        self.growths
+    }
+}
+
+/// Makes room for `len` elements in `buf`; a buffer short of room grows
+/// geometrically, by one allocation. Returns 1 if it grew, else 0.
+pub(crate) fn grow<T>(buf: &mut Vec<T>, len: usize) -> u64 {
+    if buf.capacity() >= len {
+        return 0;
+    }
+    buf.reserve(len - buf.len());
+    1
+}
+
+/// Pushes `x` onto `buf`. Returns 1 if that grew the buffer — a full
+/// `Vec` grows geometrically, by one allocation — else 0.
+fn push_counted<T>(buf: &mut Vec<T>, x: T) -> u64 {
+    let full = u64::from(buf.len() == buf.capacity());
+    buf.push(x);
+    full
 }
 
 /// Pushes the (left, right) pairs of G′ indices through one module's kept
 /// `nets`, outer loop over the side holding fewer of them: `l·r` pairs
 /// for `l + r` nets split across the cut, none for an unsplit module.
-fn list_cross_pairs(nets: &[u32], cut: &GraphCut, gprime_of: &[u32], pairs: &mut Vec<(u32, u32)>) {
+/// Returns 1 if `pairs` grew to take them, else 0.
+fn list_cross_pairs(
+    nets: &[u32],
+    cut: &GraphCut,
+    gprime_of: &[u32],
+    pairs: &mut Vec<(u32, u32)>,
+) -> u64 {
     let lefts = nets
         .iter()
         .filter(|&&x| cut.side_of(x) == Side::Left)
         .count();
+    let grown = grow(pairs, pairs.len() + lefts * (nets.len() - lefts));
     let outer = if 2 * lefts <= nets.len() {
         Side::Left
     } else {
@@ -252,6 +286,7 @@ fn list_cross_pairs(nets: &[u32], cut: &GraphCut, gprime_of: &[u32], pairs: &mut
             pairs.push((bx, by));
         }
     }
+    grown
 }
 
 #[cfg(test)]
@@ -368,24 +403,30 @@ mod tests {
     }
 
     #[test]
-    fn cross_pairs_fit_the_reservation_on_a_hub() {
+    fn cross_pairs_on_a_hub_grow_each_buffer_once() {
         // one module on 9 kept nets (plus a leaf each): every cut of the
-        // hub's nets splits it l + r, listing l·r ≤ ⌊81/4⌋ = 20 pairs
+        // hub's nets splits it l + r and lists its l·r cross pairs
         let mut b = HypergraphBuilder::with_vertices(10);
         for leaf in 1..10 {
             b.add_edge([VertexId::new(0), VertexId::new(leaf)]).unwrap();
         }
         let h = b.build();
         let view = view(&h);
-        assert_eq!(view.cross_pair_bound(), 20);
-        let mut dec = BoundaryDecomposition::with_capacity(10, 9, 20);
-        let pairs = dec.pairs.as_ptr();
+        let mut dec = BoundaryDecomposition::with_capacity(10, 9);
         let cut = two_front_bfs(&view, 0, 8);
         dec.recompute(&view, &cut);
         assert_eq!(dec.boundary_len(), 9);
         let left = (0..9).filter(|&g| cut.side_of(g) == Side::Left).count();
         assert_eq!(dec.gprime().num_edges(), left * (9 - left));
-        assert_eq!(dec.pairs.as_ptr(), pairs, "the pair buffer grew");
+        // from empty, the 9-entry boundary list grows to capacities 4, 8
+        // and 16, and the pair list, G′'s offsets and neighbours, the
+        // cursor and the side list once each
+        let first = dec.growths();
+        assert_eq!(first, 3 + 5);
+        // the same G′ again grows nothing
+        dec.recompute(&view, &cut);
+        assert_eq!(dec.growths(), first);
+        assert_eq!(dec.gprime().num_edges(), left * (9 - left));
     }
 
     #[test]

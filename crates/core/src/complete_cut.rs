@@ -38,7 +38,7 @@ use std::collections::BinaryHeap;
 
 use fhp_hypergraph::{DualIncidence, Graph, Hypergraph, VertexId};
 
-use crate::boundary::BoundaryDecomposition;
+use crate::boundary::{grow, BoundaryDecomposition};
 use crate::matching::{hopcroft_karp, konig_cover};
 use crate::{Bipartition, Side};
 
@@ -136,11 +136,13 @@ pub fn complete(
 type DegreeHeap = BinaryHeap<Reverse<(u32, u32)>>;
 
 /// The one place where a sweep's partial bipartition becomes a full one:
-/// the Complete-Cut greedy's buffers plus the assembly's. A warm scratch
-/// makes [`complete_into`](Self::complete_into) allocation-free for
+/// the Complete-Cut greedy's buffers plus the assembly's. Under
 /// [`CompletionStrategy::MinDegree`] and
-/// [`CompletionStrategy::EngineerWeighted`]; `ExactKonig` still allocates
-/// its matching and cover.
+/// [`CompletionStrategy::EngineerWeighted`],
+/// [`complete_into`](Self::complete_into) allocates only to grow a
+/// buffer sized by the boundary graph `G′` to a larger `G′` than it has
+/// met, by one geometric growth each; `ExactKonig` still allocates its
+/// matching and cover.
 #[derive(Clone, Debug, Default)]
 pub struct CompletionScratch {
     alive: Vec<bool>,
@@ -155,6 +157,8 @@ pub struct CompletionScratch {
     weights: [u64; 2],
     /// Modules left unplaced after the winners commit, for the LPT pass.
     leftovers: Vec<VertexId>,
+    /// `G′`-sized buffer growths over every greedy run so far.
+    growths: u64,
 }
 
 impl CompletionScratch {
@@ -163,32 +167,25 @@ impl CompletionScratch {
         Self::default()
     }
 
-    /// A scratch pre-sized for `strategy` on an instance of `num_modules`
-    /// modules whose boundary graphs have at most `n` vertices and `m`
-    /// edges. A lazy heap holds at most `n + 2m` entries of 8 bytes (a
-    /// `u32` degree and a `u32` vertex id); only `EngineerWeighted`
-    /// reserves a second one, and `ExactKonig` none.
-    pub fn with_capacity(
-        strategy: CompletionStrategy,
-        num_modules: usize,
-        n: usize,
-        m: usize,
-    ) -> Self {
-        let heap = |used: bool| DegreeHeap::with_capacity(if used { n + 2 * m } else { 0 });
+    /// A scratch with its assembly buffers reserved for `num_modules`
+    /// modules. The greedy's buffers, sized by a boundary graph `G′`,
+    /// start empty and grow to the largest `G′` the scratch completes: a
+    /// lazy heap of `n + m` entries of 8 bytes (a `u32` degree and a
+    /// `u32` vertex id) for `n` vertices and `m` edges, as each edge
+    /// pushes at most one entry; `EngineerWeighted` grows a second one,
+    /// and `ExactKonig` none.
+    pub fn with_capacity(num_modules: usize) -> Self {
         Self {
-            alive: Vec::with_capacity(n),
-            deg: Vec::with_capacity(n),
-            heaps: [
-                heap(strategy != CompletionStrategy::ExactKonig),
-                heap(strategy == CompletionStrategy::EngineerWeighted),
-            ],
-            completion: Completion {
-                winner: Vec::with_capacity(n),
-            },
             placed: Vec::with_capacity(num_modules),
-            weights: [0; 2],
             leftovers: Vec::with_capacity(num_modules),
+            ..Self::default()
         }
+    }
+
+    /// How many times the greedy grew a buffer sized by `G′`, over the
+    /// scratch's life: one allocation each.
+    pub(crate) fn growths(&self) -> u64 {
+        self.growths
     }
 
     /// The winners picked by the most recent
@@ -304,19 +301,30 @@ impl CompletionScratch {
             completion,
             placed,
             weights,
+            growths,
             ..
         } = self;
         let n = gprime.num_vertices();
         alive.clear();
+        *growths += grow(alive, n);
         alive.resize(n, true);
         let winner = &mut completion.winner;
         winner.clear();
+        *growths += grow(winner, n);
         winner.resize(n, false);
         deg.clear();
+        *growths += grow(deg, n);
         deg.extend(gprime.vertices().map(|v| degree_u32(gprime, v)));
         let heap_side = |v: u32| engineer.map_or(Side::Left, |(_, dec)| dec.side_of(v));
         for (heap, side) in [(&mut *left, Side::Left), (&mut *right, Side::Right)] {
             heap.clear();
+            // a used heap holds at most the vertices plus one push per edge
+            let used = side == Side::Left || engineer.is_some();
+            let need = if used { n + gprime.num_edges() } else { 0 };
+            if heap.capacity() < need {
+                heap.reserve(need);
+                *growths += 1;
+            }
             heap.extend(
                 gprime
                     .vertices()

@@ -16,7 +16,11 @@
 //! expands — and a sweep at most `3·Σ|e|`, the third share marking the
 //! boundary on the modules the cut splits. Both are linear in pins
 //! however dense `G` is; walking `G`'s adjacency instead reads
-//! `k(k − 1)` ids around a single module of `k` kept nets.
+//! `k(k − 1)` ids around a single module of `k` kept nets. A sweep's
+//! fronts stay inside the seeds' components: it hands out the other
+//! components whole from the view's component table, in one pass over
+//! the G ids, so it reads at most `3·Σ|e|` over the seeds' components'
+//! kept nets only.
 
 use fhp_hypergraph::bfs;
 use fhp_hypergraph::DualIncidence;
@@ -188,7 +192,9 @@ pub fn two_front_bfs_with_policy(
 pub struct TwoFrontScratch {
     fronts: [Vec<u32>; 2],
     next: Vec<u32>,
-    stack: Vec<u32>,
+    /// Per component of `G`: the side the sweep gives it when no front
+    /// reaches it.
+    component_side: Vec<u8>,
     /// Per module: some claimed net has expanded it.
     expanded: Vec<bool>,
     /// Ids the most recent sweep read.
@@ -202,13 +208,13 @@ impl TwoFrontScratch {
         Self::default()
     }
 
-    /// A scratch pre-sized for instances of up to `n` G-vertices and
-    /// `modules` modules.
+    /// A scratch pre-sized for instances of up to `n` G-vertices (and so
+    /// at most `n` components) and `modules` modules.
     pub fn with_capacity(n: usize, modules: usize) -> Self {
         Self {
             fronts: [Vec::with_capacity(n), Vec::with_capacity(n)],
             next: Vec::with_capacity(n),
-            stack: Vec::with_capacity(n),
+            component_side: Vec::with_capacity(n),
             expanded: Vec::with_capacity(modules),
             reads: 0,
             cut: GraphCut {
@@ -234,9 +240,13 @@ impl TwoFrontScratch {
     /// whose nets then lie on both sides is split for good: the sweep
     /// marks every kept net on it as boundary, which marks exactly the
     /// nets with a neighbour across. The sides depend only on which nets
-    /// each front holds, never on their order within it. The components
-    /// neither seed reaches go to one side whole and hold no boundary
-    /// vertex.
+    /// each front holds, never on their order within it.
+    ///
+    /// The fronts claim the seeds' components in full and nothing else.
+    /// Every other component goes whole to the side holding fewer
+    /// G-vertices at its turn, left on ties, in order of its lowest G id
+    /// — read off the view's component table, not walked — and holds no
+    /// boundary vertex.
     ///
     /// # Panics
     ///
@@ -249,7 +259,7 @@ impl TwoFrontScratch {
         let Self {
             fronts,
             next,
-            stack,
+            component_side,
             expanded,
             reads,
             cut,
@@ -310,26 +320,25 @@ impl TwoFrontScratch {
             round += 1;
         }
 
-        // Components reached by neither seed: assign whole components to the
-        // currently smaller side.
-        stack.clear();
-        // fhp-audit: allow(as-cast-truncation) — G ids fit u32 by the view's construction
-        for s in 0..n as u32 {
-            // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-            if owner[s as usize] != UNCLAIMED {
-                continue;
+        // Components reached by neither seed, in order of their lowest G
+        // id: each goes whole to the currently smaller side, and one pass
+        // over the G ids fills in their labels.
+        let seeded = [view.component_of(u), view.component_of(v)];
+        component_side.clear();
+        // fhp-audit: allow(as-cast-truncation) — components are numbered below the G-vertex count, which fits u32
+        component_side.extend((0..view.num_components() as u32).map(|c| {
+            if seeded.contains(&c) {
+                return UNCLAIMED;
             }
             let [left_n, right_n] = claimed;
             let side = u8::from(left_n > right_n);
-            owner[s as usize] = side; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-            stack.push(s);
-            let mut size = 1;
-            while let Some(w) = stack.pop() {
-                let before = stack.len();
-                *reads += expand(view, w, side, owner, expanded, stack);
-                size += stack.len() - before;
+            claimed[usize::from(side)] += view.component_len(c); // fhp-audit: allow(panic-site) — a side index is 0 or 1
+            side
+        }));
+        for (o, &c) in owner.iter_mut().zip(view.components()) {
+            if *o == UNCLAIMED {
+                *o = component_side[c as usize]; // fhp-audit: allow(panic-site) — the table numbers components below num_components
             }
-            claimed[usize::from(side)] += size; // fhp-audit: allow(panic-site) — a side index is 0 or 1
         }
         debug_assert!(
             *reads <= 3 * view.num_kept_pins() as u64,
@@ -342,7 +351,8 @@ impl TwoFrontScratch {
     /// Ids the most recent [`run`](Self::run) read: the pins of the nets
     /// it expanded, the kept nets of the modules they expanded, and the
     /// kept nets of the split modules again to mark them boundary — each
-    /// kept pin at most three times.
+    /// kept pin of the seeds' components at most three times. The pass
+    /// over the component table is not counted.
     #[cfg(test)]
     pub(crate) fn ids_read(&self) -> u64 {
         self.reads
@@ -751,6 +761,35 @@ mod tests {
                 scratch.run(view, u, v, policy);
                 let fresh = two_front_bfs_with_policy(view, u, v, policy);
                 assert_eq!(scratch.cut(), &fresh, "{policy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sweep_reads_only_its_seeds_component() {
+        // a 4-net path (G ids 0..4) and, apart from it, a 200-net path
+        let mut edges: Vec<(u32, u32)> = (0..3).map(|i| (i, i + 1)).collect();
+        edges.extend((4..203).map(|i| (i, i + 1)));
+        let h = dual_of(204, &edges);
+        let view = view(&h);
+        assert_eq!(view.num_components(), 2);
+        let small_pins: usize = (0..4).map(|g| view.pins(g).len()).sum();
+        let mut sweep = TwoFrontScratch::new();
+        for policy in [FrontPolicy::SmallerFirst, FrontPolicy::Alternate] {
+            for (u, v) in [(0, 3), (2, 1)] {
+                sweep.run(&view, u, v, policy);
+                let reads = sweep.ids_read();
+                assert!(
+                    reads <= 3 * small_pins as u64,
+                    "{policy:?} ({u}, {v}) read {reads} > 3·{small_pins}"
+                );
+                // the other component goes whole to the smaller side
+                let cut = sweep.cut();
+                let side = cut.side_of(4);
+                let seeds_left = (0..4).filter(|&g| cut.side_of(g) == Side::Left).count();
+                assert_eq!(side == Side::Right, seeds_left > 2, "{policy:?}");
+                assert!((4..204).all(|g| cut.side_of(g) == side && !cut.is_boundary(g)));
+                assert_eq!(cut, &two_front_bfs_with_policy(&view, u, v, policy));
             }
         }
     }

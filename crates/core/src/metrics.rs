@@ -202,12 +202,23 @@ impl CutReport {
     /// pass over the pins ([`cut_totals`]).
     pub fn new(h: &Hypergraph, bp: &Bipartition) -> Self {
         let (cut_size, weighted_cut) = cut_totals(h, bp);
-        let counts = bp.counts();
+        Self::from_totals(cut_size, weighted_cut, bp.counts(), bp.weights(h))
+    }
+
+    /// The report of a bipartition whose cut totals ([`cut_totals`]),
+    /// side counts and side weights are already known, without another
+    /// pass over the pins.
+    pub fn from_totals(
+        cut_size: usize,
+        weighted_cut: u64,
+        counts: (usize, usize),
+        weights: (u64, u64),
+    ) -> Self {
         Self {
             cut_size,
             weighted_cut,
             counts,
-            weights: bp.weights(h),
+            weights,
             quotient: Objective::QuotientCut.score(cut_size, weighted_cut, counts),
         }
     }

@@ -141,8 +141,9 @@ impl Multipartition {
 /// # Errors
 ///
 /// [`PartitionError::InvalidConfig`] if `k` is 0 or exceeds the vertex
-/// count. Partitioner failures inside a region fall back to an even split
-/// rather than aborting.
+/// count, or if the bisector refuses its configuration (it would refuse
+/// every region alike). Other partitioner failures inside a region fall
+/// back to an even split rather than aborting.
 pub fn recursive_bisection<F>(
     h: &Hypergraph,
     k: usize,
@@ -163,7 +164,7 @@ where
     }
     let mut block_of = vec![0u32; h.num_vertices()];
     let all: Vec<VertexId> = h.vertices().collect();
-    split(h, &all, 0, k, 1, &factory, &mut block_of);
+    split(h, &all, 0, k, 1, &factory, &mut block_of)?;
     Ok(Multipartition { block_of, k })
 }
 
@@ -175,14 +176,15 @@ fn split<F>(
     region: u64,
     factory: &F,
     block_of: &mut [u32],
-) where
+) -> Result<(), PartitionError>
+where
     F: Fn(u64) -> Box<dyn Bipartitioner>,
 {
     if k == 1 {
         for &v in cells {
             block_of[v.index()] = first_block; // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
         }
-        return;
+        return Ok(());
     }
     let k_left = k / 2;
     let k_right = k - k_left;
@@ -195,6 +197,7 @@ fn split<F>(
     let bp = if sub.hypergraph().num_vertices() >= 2 {
         match factory(region).bipartition(sub.hypergraph()) {
             Ok(bp) => bp,
+            Err(e @ PartitionError::InvalidConfig { .. }) => return Err(e),
             Err(_) => even_split(cells.len(), cap_left),
         }
     } else {
@@ -210,7 +213,7 @@ fn split<F>(
             Side::Right => right.push(v),
         }
     }
-    split(h, &left, first_block, k_left, region * 2, factory, block_of);
+    split(h, &left, first_block, k_left, region * 2, factory, block_of)?;
     split(
         h,
         &right,
@@ -219,7 +222,7 @@ fn split<F>(
         region * 2 + 1,
         factory,
         block_of,
-    );
+    )
 }
 
 fn even_split(n: usize, cap_left: usize) -> Bipartition {
@@ -282,6 +285,18 @@ mod tests {
         Box::new(Algorithm1::new(
             PartitionConfig::new().starts(4).seed(region),
         ))
+    }
+
+    #[test]
+    fn an_invalid_bisector_configuration_is_an_error_not_an_even_split() {
+        let h = clusters(4, 6);
+        let err = recursive_bisection(&h, 4, |region| {
+            Box::new(Algorithm1::new(
+                PartitionConfig::new().starts(0).seed(region),
+            )) as Box<dyn Bipartitioner>
+        })
+        .unwrap_err();
+        assert!(matches!(err, PartitionError::InvalidConfig { .. }), "{err}");
     }
 
     fn clusters(k: usize, m: usize) -> Hypergraph {

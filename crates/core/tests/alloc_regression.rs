@@ -1,6 +1,7 @@
-//! Allocation-regression battery for the zero-allocation multi-start hot
-//! loop: once a worker's scratch arena is warm, running more starts must
-//! not touch the heap at all.
+//! Allocation-regression battery for the multi-start hot loop: a start
+//! allocates only to grow a scratch buffer sized by a boundary graph `G′`
+//! — geometrically, one allocation per growth — and every growth is
+//! counted in `RunStats::arena_growths`.
 //!
 //! Method: the global allocator is wrapped in a counting shim, and a run
 //! with 32 starts is compared against a run with 16 starts on the same
@@ -9,10 +10,12 @@
 //! `(seed, i)`), and the seeds below are chosen so both runs crown the
 //! same winner — so every per-run fixed cost (the `G` view, the per-run
 //! tables reserved once at the start count, the reduction, the report)
-//! allocates identically and cancels in the comparison. The only
-//! remaining difference is whatever the extra 16 starts allocate, which
-//! the engine contract says is **zero** — the allocation counts must be
-//! *equal*, not merely close.
+//! allocates identically and cancels in the comparison. What remains is
+//! what the extra 16 starts allocate, which the engine contract says is
+//! exactly their counted growths: allocations minus `arena_growths` must
+//! be *equal*, not merely close. The growths themselves may differ —
+//! which worker meets which `G′` first depends on scheduling — and are
+//! not compared.
 //!
 //! The engine builds one arena per worker before its first pass, every
 //! pass starts the same `min(threads, starts)` workers, and the pool joins
@@ -135,8 +138,8 @@ fn hub_instance() -> Hypergraph {
     b.build()
 }
 
-/// Runs the engine and returns `(allocations during the run, the
-/// outcome)`.
+/// Runs the engine and returns `(allocations during the run that were
+/// not counted buffer growths, the outcome)`.
 fn measured_run(
     h: &Hypergraph,
     strategy: CompletionStrategy,
@@ -154,7 +157,7 @@ fn measured_run(
     let before = ALLOCS.load(Ordering::SeqCst);
     let out = alg.run(h).expect("run succeeds");
     let after = ALLOCS.load(Ordering::SeqCst);
-    (after - before, out)
+    (after - before - out.stats.arena_growths, out)
 }
 
 /// Both runs must crown the same winner, or their per-run fixed costs
@@ -171,7 +174,7 @@ fn assert_same_winner(name: &str, small: &PartitionOutcome, big: &PartitionOutco
 }
 
 #[test]
-fn extra_starts_allocate_nothing_once_arenas_are_warm() {
+fn extra_starts_allocate_only_counted_growths() {
     let instances = [
         ("circuit", circuit_instance(), 16u64),
         ("planted", planted_instance(), 1),
@@ -197,7 +200,7 @@ fn extra_starts_allocate_nothing_once_arenas_are_warm() {
                     assert_eq!(
                         big_allocs,
                         small_allocs,
-                        "{name} (threads={threads}): 16 extra starts allocated {} times — the hot loop must not touch the heap after warm-up",
+                        "{name} (threads={threads}): 16 extra starts allocated {} times beyond their counted growths",
                         big_allocs as i64 - small_allocs as i64
                     );
                 }

@@ -60,14 +60,22 @@ impl Graph {
         }
     }
 
-    /// Pre-reserves capacity for `n` vertices and `m` undirected edges,
-    /// so a later [`rebuild_from_pairs`](Self::rebuild_from_pairs) at or
-    /// below those sizes allocates nothing.
-    pub fn reserve(&mut self, n: usize, m: usize) {
-        self.offsets
-            .reserve((n + 1).saturating_sub(self.offsets.len()));
-        self.neighbors
-            .reserve((2 * m).saturating_sub(self.neighbors.len()));
+    /// Makes room for `n` vertices and `m` undirected edges, so a later
+    /// [`rebuild_from_pairs`](Self::rebuild_from_pairs) at or below those
+    /// sizes allocates nothing. A buffer short of room grows
+    /// geometrically, by one allocation; returns how many of the two
+    /// grew.
+    pub fn reserve(&mut self, n: usize, m: usize) -> usize {
+        let mut grown = 0;
+        if self.offsets.capacity() < n + 1 {
+            self.offsets.reserve(n + 1 - self.offsets.len());
+            grown += 1;
+        }
+        if self.neighbors.capacity() < 2 * m {
+            self.neighbors.reserve(2 * m - self.neighbors.len());
+            grown += 1;
+        }
+        grown
     }
 
     /// Number of vertices.

@@ -8,6 +8,7 @@
 //! (iterating pins of an edge, iterating edges of a vertex) touch contiguous
 //! memory.
 
+use crate::components::LowestRootSets;
 use crate::{BuildHypergraphError, EdgeId, VertexId};
 
 /// An immutable weighted hypergraph in dual CSR representation.
@@ -158,41 +159,16 @@ impl Hypergraph {
     /// connected if some hyperedge contains both.
     ///
     /// Returns `(component_of, count)` with `component_of[v] ∈ 0..count`.
-    /// Isolated vertices each form their own component. Component ids are
-    /// assigned in order of first discovery by a scan over vertex ids.
+    /// Isolated vertices each form their own component. Components are
+    /// numbered in order of their lowest vertex id — the order a scan
+    /// over vertex ids first discovers them — by one union-find pass over
+    /// the pins.
     pub fn connected_components(&self) -> (Vec<u32>, usize) {
-        const UNSEEN: u32 = u32::MAX;
-        let mut comp = vec![UNSEEN; self.num_vertices()];
-        let mut edge_seen = vec![false; self.num_edges()];
-        let mut count = 0u32;
-        let mut stack = Vec::new();
-        for start in self.vertices() {
-            // fhp-audit: allow(panic-site) — pin/vertex ids validated by HypergraphBuilder; documented `# Panics` contracts
-            if comp[start.index()] != UNSEEN {
-                continue;
-            }
-            comp[start.index()] = count; // fhp-audit: allow(panic-site) — pin/vertex ids validated by HypergraphBuilder; documented `# Panics` contracts
-            stack.push(start);
-            while let Some(v) = stack.pop() {
-                for &e in self.edges_of(v) {
-                    // fhp-audit: allow(panic-site) — pin/vertex ids validated by HypergraphBuilder; documented `# Panics` contracts
-                    if edge_seen[e.index()] {
-                        continue;
-                    }
-                    edge_seen[e.index()] = true; // fhp-audit: allow(panic-site) — pin/vertex ids validated by HypergraphBuilder; documented `# Panics` contracts
-                    for &u in self.pins(e) {
-                        // fhp-audit: allow(panic-site) — pin/vertex ids validated by HypergraphBuilder; documented `# Panics` contracts
-                        if comp[u.index()] == UNSEEN {
-                            // fhp-audit: allow(panic-site) — pin/vertex ids validated by HypergraphBuilder; documented `# Panics` contracts
-                            comp[u.index()] = count; // fhp-audit: allow(panic-site) — pin/vertex ids validated by HypergraphBuilder; documented `# Panics` contracts
-                            stack.push(u);
-                        }
-                    }
-                }
-            }
-            count += 1;
+        let mut sets = LowestRootSets::new(self.num_vertices());
+        for e in self.edges() {
+            sets.union_all(self.pins(e).iter().map(|p| p.raw()));
         }
-        (comp, count as usize)
+        sets.into_labels()
     }
 }
 

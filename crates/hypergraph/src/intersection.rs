@@ -60,6 +60,7 @@ use fhp_obs::{
     counter_total, names, order, span_total_ns, Collector, Event, Gauge, Progress, Scope,
 };
 
+use crate::components::LowestRootSets;
 use crate::{pool, BuildGraphError, EdgeId, Graph, GraphBuilder, Hypergraph, VertexId};
 
 const FILTERED: u32 = u32::MAX;
@@ -555,6 +556,13 @@ impl IntersectionGraph {
 /// modules of `d_m` kept nets. The view costs `O(pins)` to build and
 /// holds no pair at all.
 ///
+/// The build also labels `G`'s connected components, by one union-find
+/// pass over each module's kept nets: [`component_of`](Self::component_of)
+/// numbers them in order of their lowest G id and
+/// [`component_len`](Self::component_len) counts their G-vertices, so a
+/// sweep can hand out the components neither of its seeds reaches without
+/// walking them.
+///
 /// G ids are [`IntersectionGraph`]'s: the hyperedges below the
 /// threshold, numbered in edge order. Each module's kept nets are listed
 /// in ascending G id.
@@ -573,6 +581,12 @@ impl IntersectionGraph {
 /// // filtering the 4-pin signals c and i renumbers the rest
 /// let filtered = DualIncidence::new(&h, Some(4))?;
 /// assert_eq!(filtered.nets_of(VertexId::new(5)), [3, 4, 5]);
+/// // G is connected; its 2-pin signals d and g share no module
+/// assert_eq!(view.num_components(), 1);
+/// assert_eq!(view.component_len(0), 9);
+/// let two_pin = DualIncidence::new(&h, Some(3))?;
+/// assert_eq!(two_pin.num_components(), 2);
+/// assert_eq!(two_pin.component_of(1), 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -585,7 +599,11 @@ pub struct DualIncidence<'h> {
     /// Module `m`'s kept nets are `nets[offsets[m]..offsets[m + 1]]`.
     offsets: Vec<usize>,
     nets: Vec<u32>,
-    cross_pair_bound: u64,
+    /// Each G-vertex's connected component in `G`, the components
+    /// numbered in order of their lowest G id.
+    component_of: Vec<u32>,
+    /// G-vertices per component.
+    component_lens: Vec<u32>,
     first_linked: Option<u32>,
     stats: DualizeStats,
 }
@@ -628,8 +646,9 @@ impl<'h> DualIncidence<'h> {
             pin_offsets.push(pins.len());
         }
         let mut nets = Vec::with_capacity(kept_pins);
-        let mut cross_pair_bound = 0u64;
         let mut first_linked: Option<u32> = None;
+        // Nets sharing a module are one component of G.
+        let mut sets = LowestRootSets::new(kept.len());
         for v in h.vertices() {
             let first = nets.len();
             // edges_of is ascending and g_of keeps edge order, so each
@@ -640,13 +659,18 @@ impl<'h> DualIncidence<'h> {
                     .map(|e| g_of[e.index()]) // fhp-audit: allow(panic-site) — keep_map sizes g_of to h.num_edges(), and edges_of yields edge ids of h
                     .filter(|&g| g != FILTERED),
             );
-            let d = (nets.len() - first) as u64;
-            cross_pair_bound += d * d / 4;
-            if d >= 2 {
-                let lowest = nets[first]; // fhp-audit: allow(panic-site) — d >= 2 nets were just pushed from index first
+            // fhp-audit: allow(panic-site) — first <= nets.len() by construction
+            let mine = &nets[first..];
+            sets.union_all(mine.iter().copied());
+            if let [lowest, _, ..] = *mine {
                 first_linked = Some(first_linked.map_or(lowest, |f| f.min(lowest)));
             }
             offsets.push(nets.len());
+        }
+        let (component_of, components) = sets.into_labels();
+        let mut component_lens = vec![0u32; components];
+        for &c in &component_of {
+            component_lens[c as usize] += 1; // fhp-audit: allow(panic-site) — into_labels numbers components below its count
         }
         drop(root);
         scope.counter(names::DUALIZE_KEPT, kept.len() as u64);
@@ -660,7 +684,8 @@ impl<'h> DualIncidence<'h> {
             pins,
             offsets,
             nets,
-            cross_pair_bound,
+            component_of,
+            component_lens,
             first_linked,
             stats,
         })
@@ -708,12 +733,36 @@ impl<'h> DualIncidence<'h> {
         &self.nets[self.offsets[m.index()]..self.offsets[m.index() + 1]]
     }
 
-    /// `Σ_m ⌊d_m² / 4⌋` over the modules' kept-net counts `d_m`: a module
-    /// whose kept nets split `l + r` across a cut joins `l·r ≤ ⌊d_m²/4⌋`
-    /// (left, right) pairs, so no cut's boundary graph has more edges,
-    /// nor a module-by-module listing of them more entries.
-    pub fn cross_pair_bound(&self) -> u64 {
-        self.cross_pair_bound
+    /// Number of connected components of `G`; an isolated G-vertex is
+    /// one of its own.
+    pub fn num_components(&self) -> usize {
+        self.component_lens.len()
+    }
+
+    /// The connected component of G-vertex `g`. Components are numbered
+    /// in order of their lowest G id, so a scan over the G ids meets
+    /// them in number order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    pub fn component_of(&self, g: u32) -> u32 {
+        self.component_of[g as usize] // fhp-audit: allow(panic-site) — documented `# Panics`: g must be a G-vertex id
+    }
+
+    /// Each G-vertex's component, indexed by G id: the table behind
+    /// [`component_of`](Self::component_of).
+    pub fn components(&self) -> &[u32] {
+        &self.component_of
+    }
+
+    /// Number of G-vertices in component `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not below [`num_components`](Self::num_components).
+    pub fn component_len(&self, c: u32) -> usize {
+        self.component_lens[c as usize] as usize // fhp-audit: allow(panic-site) — documented `# Panics`: c must be a component number
     }
 
     /// The lowest G-vertex with a neighbour in `G`, or `None` when `G`

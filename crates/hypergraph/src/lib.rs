@@ -40,6 +40,7 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+mod components;
 mod error;
 mod graph;
 mod hypergraph;

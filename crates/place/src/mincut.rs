@@ -11,7 +11,7 @@
 //! not-yet-fixed modules.
 
 use fhp_core::multiway::repair_capacity;
-use fhp_core::{Bipartition, Bipartitioner, Side};
+use fhp_core::{Bipartition, Bipartitioner, PartitionError, Side};
 use fhp_hypergraph::subhypergraph::Subhypergraph;
 use fhp_hypergraph::{Hypergraph, VertexId};
 
@@ -127,8 +127,9 @@ where
     /// # Errors
     ///
     /// [`PlaceError::GridTooSmall`] if the modules outnumber the slots;
-    /// [`PlaceError::Partition`] if a region's bipartitioner fails
-    /// irrecoverably.
+    /// [`PlaceError::Partition`] if a region's bipartitioner refuses its
+    /// configuration ([`PartitionError::InvalidConfig`]). Any other
+    /// failure on a region falls back to an even split.
     pub fn place(&self, h: &Hypergraph, grid: SlotGrid) -> Result<Placement, PlaceError> {
         if h.num_vertices() > grid.num_slots() {
             return Err(PlaceError::GridTooSmall {
@@ -201,6 +202,10 @@ where
         let bp = if sub.hypergraph().num_vertices() >= 2 {
             match (self.factory)(region_id).bipartition(sub.hypergraph()) {
                 Ok(bp) => bp,
+                // An invalid configuration fails every region alike.
+                Err(e @ PartitionError::InvalidConfig { .. }) => {
+                    return Err(PlaceError::Partition(e))
+                }
                 // A region with no internal signals can legitimately make
                 // some partitioners unhappy; fall back to an even split.
                 Err(_) => Bipartition::from_fn(cells.len(), |v| {
@@ -322,6 +327,23 @@ mod tests {
                 .unwrap();
         }
         b.build()
+    }
+
+    #[test]
+    fn an_invalid_bisector_configuration_is_an_error_not_an_even_split() {
+        let placer = MinCutPlacer::new(|region| {
+            Box::new(Algorithm1::new(
+                PartitionConfig::new().starts(0).seed(region),
+            )) as Box<dyn Bipartitioner>
+        });
+        let err = placer.place_row(&chain(8)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PlaceError::Partition(PartitionError::InvalidConfig { .. })
+            ),
+            "{err}"
+        );
     }
 
     #[test]

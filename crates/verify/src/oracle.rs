@@ -601,11 +601,12 @@ const DUAL_SOURCES: usize = 4;
 
 /// Algorithm I's `G` read off the incidence lists ([`DualIncidence`])
 /// against the explicit `G` ([`IntersectionGraph`]'s CSR), at each of
-/// [`DUAL_THRESHOLDS`]: every G-vertex's neighbour set; the BFS visit
-/// order and distances from sampled sources; both sweep policies' sides
-/// and boundary marks against [`csr_sweep`]; and the whole
-/// [`BoundaryDecomposition`] — boundary list, G′'s CSR and partial
-/// bipartition — against [`csr_decomposition`].
+/// [`DUAL_THRESHOLDS`]: every G-vertex's neighbour set; the component
+/// table against [`csr_components`]; the BFS visit order and distances
+/// from sampled sources; both sweep policies' sides and boundary marks
+/// against [`csr_sweep`]; and the whole [`BoundaryDecomposition`] —
+/// boundary list, G′'s CSR and partial bipartition — against
+/// [`csr_decomposition`].
 fn oracle_dual_incidence(ctx: &Ctx<'_>) -> Result<u64, Violation> {
     let h = ctx.h;
     let mut checks = 0;
@@ -643,6 +644,20 @@ fn oracle_dual_incidence(ctx: &Ctx<'_>) -> Result<u64, Violation> {
                 )
             })?;
         }
+        let (component_of, lens) = csr_components(g);
+        checks += ctx.ensure(view.components() == component_of, || {
+            format!(
+                "threshold {threshold:?}: component table {:?}, by repeated CSR BFS {component_of:?}",
+                view.components()
+            )
+        })?;
+        let view_lens: Vec<usize> = (0..view.num_components())
+            .filter_map(|c| u32::try_from(c).ok())
+            .map(|c| view.component_len(c))
+            .collect();
+        checks += ctx.ensure(view_lens == lens, || {
+            format!("threshold {threshold:?}: component sizes {view_lens:?}, by CSR BFS {lens:?}")
+        })?;
         let Ok(n) = u32::try_from(n) else {
             return Err(ctx.fail(format!("{n} G-vertices overflow u32 ids")));
         };
@@ -715,6 +730,30 @@ fn oracle_dual_incidence(ctx: &Ctx<'_>) -> Result<u64, Violation> {
         }
     }
     Ok(checks)
+}
+
+/// `G`'s connected components by repeated BFS over its CSR, the
+/// reference for [`DualIncidence`]'s component table: each vertex's
+/// component, numbered in order of the lowest vertex (a BFS from each
+/// vertex no earlier search reached), and each component's size.
+fn csr_components(g: &Graph) -> (Vec<u32>, Vec<usize>) {
+    let mut component_of = vec![u32::MAX; g.num_vertices()];
+    let mut lens = Vec::new();
+    let mut levels = bfs::BfsLevels::empty();
+    for s in g.vertices() {
+        if component_of.get(s as usize) != Some(&u32::MAX) {
+            continue;
+        }
+        let c = u32::try_from(lens.len()).unwrap_or(u32::MAX);
+        bfs::bfs_into(g, s, &mut levels);
+        for &x in levels.visit_order() {
+            if let Some(slot) = component_of.get_mut(x as usize) {
+                *slot = c;
+            }
+        }
+        lens.push(levels.visit_order().len());
+    }
+    (component_of, lens)
 }
 
 /// The two-front sweep over `G`'s CSR, the reference the
