@@ -1,21 +1,17 @@
-//! The dualization kernel's perf trajectory: wall time and kernel
-//! counters on circuit instances across thread counts, plus the
-//! hub-adversary insertion-ratio check, written to `BENCH_dualize.json`
-//! at the workspace root.
+//! The dualizer's perf trajectory: wall time and counters on circuit
+//! instances, plus the hub-adversary insertion-ratio check, written to
+//! `BENCH_dualize.json` at the workspace root.
 //!
-//! Two hard assertions run even in smoke mode (`--test`, or
-//! `FHP_BENCH_SMOKE=1`):
-//!
-//! - on the hub instance (hub modules of degree ≥ 512) the naive
-//!   pair-spray builder performs ≥ 4× more edge insertions than the
-//!   sparse kernel — measured by the [`DualizeStats`] counters, not by
-//!   timing, so the check is exact and machine-independent;
-//! - every thread count builds a bit-identical graph (equal to the
-//!   single-thread build).
+//! One hard assertion runs even in smoke mode (`--test`, or
+//! `FHP_BENCH_SMOKE=1`): on the hub instance (hub modules of degree
+//! ≥ 512) the naive pair-spray builder performs ≥ 4× more edge
+//! insertions than [`Dualizer`] writes edges — measured by the
+//! [`DualizeStats`] counters, not by timing, so the check is exact and
+//! machine-independent — and both build the same graph.
 //!
 //! Smoke mode times one sample of the smallest circuit size so CI stays
 //! fast; the full run (`cargo bench -p fhp-bench --bench dualize`) takes
-//! the median of several samples per (size, threads) cell.
+//! the median of several samples per size.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -23,13 +19,11 @@ use std::time::Instant;
 use fhp_bench::{bench_instance, hub_instance, SIZES};
 use fhp_hypergraph::{DualizeStats, Dualizer, IntersectionGraph};
 
-const THREADS: [usize; 3] = [1, 2, 8];
 const HUB_SIGNALS: usize = 512;
 const HUB_MODULES: usize = 8;
 
 struct Cell {
     n: usize,
-    threads: usize,
     median_ns: u128,
     stats: DualizeStats,
 }
@@ -39,12 +33,8 @@ fn median_ns(samples: &mut [u128]) -> u128 {
     samples[samples.len() / 2]
 }
 
-fn time_build(
-    h: &fhp_hypergraph::Hypergraph,
-    threads: usize,
-    samples: usize,
-) -> (u128, DualizeStats) {
-    let d = Dualizer::new().threshold(Some(10)).threads(threads);
+fn time_build(h: &fhp_hypergraph::Hypergraph, samples: usize) -> (u128, DualizeStats) {
+    let d = Dualizer::new().threshold(Some(10));
     let mut walls = Vec::with_capacity(samples);
     let mut stats = None;
     for _ in 0..samples {
@@ -63,7 +53,7 @@ fn main() {
     // --- Hub adversary: counter-based insertion-ratio acceptance check ---
     let hub = hub_instance(HUB_SIGNALS, HUB_MODULES);
     let started = Instant::now();
-    let kernel = Dualizer::new().threads(2).build(&hub).expect("fits u32");
+    let kernel = Dualizer::new().build(&hub).expect("fits u32");
     let hub_wall_ns = started.elapsed().as_nanos();
     let naive = IntersectionGraph::build_naive_with_threshold(&hub, None);
     let naive_insertions = naive.stats().pairs_generated;
@@ -89,50 +79,25 @@ fn main() {
          (got {ratio:.2}x)"
     );
 
-    // --- Thread invariance on a circuit instance ---
-    let h_small = bench_instance(SIZES[0]);
-    let base = Dualizer::new()
-        .threshold(Some(10))
-        .threads(1)
-        .build(&h_small)
-        .expect("fits");
-    for &t in &THREADS[1..] {
-        let other = Dualizer::new()
-            .threshold(Some(10))
-            .threads(t)
-            .build(&h_small)
-            .expect("fits");
-        assert_eq!(
-            base.graph(),
-            other.graph(),
-            "threads = {t} changed the graph"
-        );
-    }
-    println!("dualize/invariance: graphs identical across threads {THREADS:?}");
-
     // --- Timing grid ---
     let sizes: &[usize] = if smoke { &SIZES[..1] } else { &SIZES };
     let samples = if smoke { 1 } else { 7 };
     let mut cells = Vec::new();
     for &n in sizes {
         let h = bench_instance(n);
-        for &threads in &THREADS {
-            let (ns, stats) = time_build(&h, threads, samples);
-            println!(
-                "dualize/circuit/{n}/threads={threads}  time: {:.2} ms  \
-                 (pairs {}, merged {}, edges {})",
-                ns as f64 / 1e6,
-                stats.pairs_generated,
-                stats.duplicates_merged,
-                stats.unique_edges
-            );
-            cells.push(Cell {
-                n,
-                threads,
-                median_ns: ns,
-                stats,
-            });
-        }
+        let (ns, stats) = time_build(&h, samples);
+        println!(
+            "dualize/circuit/{n}  time: {:.2} ms  (pairs {}, merged {}, edges {})",
+            ns as f64 / 1e6,
+            stats.pairs_generated,
+            stats.duplicates_merged,
+            stats.unique_edges
+        );
+        cells.push(Cell {
+            n,
+            median_ns: ns,
+            stats,
+        });
     }
 
     // --- BENCH_dualize.json at the workspace root ---
@@ -155,18 +120,16 @@ fn main() {
         let comma = if i + 1 < cells.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"signals\": {}, \"threads\": {}, \"median_wall_ns\": {}, \
+            "    {{\"signals\": {}, \"median_wall_ns\": {}, \
              \"pairs_generated\": {}, \"duplicates_merged\": {}, \"unique_edges\": {}, \
-             \"kept_edges\": {}, \"filtered_edges\": {}, \"shards\": {}}}{comma}",
+             \"kept_edges\": {}, \"filtered_edges\": {}}}{comma}",
             c.n,
-            c.threads,
             c.median_ns,
             c.stats.pairs_generated,
             c.stats.duplicates_merged,
             c.stats.unique_edges,
             c.stats.kept_edges,
             c.stats.filtered_edges,
-            c.stats.shards,
         );
     }
     json.push_str("  ]\n}\n");

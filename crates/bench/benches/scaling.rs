@@ -1,22 +1,13 @@
-//! The million-edge scaling family: pair-capped ("streaming")
-//! dualization and the zero-allocation multi-start engine on
-//! [`fhp_gen::scaling_instance`] workloads at 10^5 / 10^6 / 10^7
-//! signals, written to `BENCH_scaling.json` at the workspace root. The
-//! `inmem_*` keys describe the uncapped single-pass build, the
-//! `streaming_*` keys the capped multi-pass build of the same kernel,
-//! both timed on [`Dualizer`] directly: Algorithm I reads `G` off the
-//! incidence lists and runs neither.
+//! The million-edge scaling family: dualization and the
+//! zero-allocation multi-start engine on [`fhp_gen::scaling_instance`]
+//! workloads at 10^5 / 10^6 / 10^7 signals, written to
+//! `BENCH_scaling.json` at the workspace root. The `inmem_wall_ns` key
+//! times [`Dualizer::build`] directly: Algorithm I reads `G` off the
+//! incidence lists and never runs it.
 //!
-//! Hard assertions run on every tier, even in smoke mode (`--test`, or
-//! `FHP_BENCH_SMOKE=1`):
-//!
-//! - the dualizer capped at `pairs_generated / 16` builds a graph
-//!   bit-identical to the uncapped build at every thread count — the
-//!   cap is real memory pressure, not slack: the uncapped peak pair
-//!   buffer exceeds it by at least 10×;
-//! - the capped peak pair buffer never exceeds the configured cap;
-//! - Algorithm 1 produces equal [`OutcomeFingerprint`]s at 1, 2 and 8
-//!   threads.
+//! One hard assertion runs on every tier, even in smoke mode (`--test`,
+//! or `FHP_BENCH_SMOKE=1`): Algorithm 1 produces equal
+//! [`OutcomeFingerprint`]s at 1, 2 and 8 threads.
 //!
 //! Smoke mode covers the 10^5 tier only so CI stays under its bench
 //! budget; the full run (`cargo bench -p fhp-bench --bench scaling`)
@@ -33,10 +24,6 @@ const THREADS: [usize; 3] = [1, 2, 8];
 const THRESHOLD: usize = 10;
 const STARTS: usize = 2;
 const SEED: u64 = 1;
-/// The uncapped build holds the whole pair stream; the cap is set this
-/// many times smaller, so the bounded buffer is exercised for real (and
-/// the ≥ 10× pressure assertion has 6× headroom).
-const CAP_RATIO: u64 = 16;
 
 struct Tier {
     signals: usize,
@@ -45,9 +32,6 @@ struct Tier {
     gen_wall_ns: u128,
     inmem: DualizeStats,
     inmem_wall_ns: u128,
-    pair_cap: u64,
-    streaming: DualizeStats,
-    streaming_wall_ns: Vec<u128>,
     alg1_wall_ns: Vec<u128>,
     cut_size: usize,
     chosen_start: Option<usize>,
@@ -70,50 +54,12 @@ fn measure_tier(signals: usize) -> Tier {
     let gen_wall_ns = started.elapsed().as_nanos();
     assert_eq!(h.num_edges(), signals);
 
-    // Reference build: uncapped, the kernel materializes the entire pair
-    // stream in one pass, so its peak pair buffer is the pair count itself.
     let started = Instant::now();
     let inmem = Dualizer::new()
         .threshold(Some(THRESHOLD))
-        .threads(2)
         .build(&h)
         .expect("fits u32 ids");
     let inmem_wall_ns = started.elapsed().as_nanos();
-    let pairs = inmem.stats().pairs_generated;
-    let pair_cap = (pairs / CAP_RATIO).max(1);
-    assert!(
-        inmem.stats().peak_pair_buffer >= 10 * pair_cap,
-        "acceptance: the cap must represent >= 10x memory pressure on the uncapped \
-         build (peak {}, cap {pair_cap})",
-        inmem.stats().peak_pair_buffer
-    );
-
-    // Capped build at every thread count: identical graph, bounded
-    // buffer.
-    let mut streaming = None;
-    let mut streaming_wall_ns = Vec::new();
-    for &t in &THREADS {
-        let started = Instant::now();
-        let ig = Dualizer::new()
-            .threshold(Some(THRESHOLD))
-            .threads(t)
-            .pair_cap(Some(pair_cap as usize))
-            .build(&h)
-            .expect("fits u32 ids");
-        streaming_wall_ns.push(started.elapsed().as_nanos());
-        assert!(
-            ig.stats().peak_pair_buffer <= pair_cap,
-            "capped peak pair buffer {} exceeds the cap {pair_cap} at threads = {t}",
-            ig.stats().peak_pair_buffer
-        );
-        assert_eq!(
-            ig.graph(),
-            inmem.graph(),
-            "capped graph differs from the uncapped build at threads = {t}"
-        );
-        streaming = Some(ig.stats().clone());
-    }
-    let streaming = streaming.expect("THREADS is non-empty");
 
     // Algorithm 1 end to end: the fingerprint is thread-invariant.
     let mut alg1_wall_ns = Vec::new();
@@ -134,9 +80,10 @@ fn measure_tier(signals: usize) -> Tier {
     }
     let out = first.expect("THREADS is non-empty");
     println!(
-        "scaling/{signals}: pairs {pairs}, cap {pair_cap}, streaming passes {}, \
-         spilled {} bytes, cut {}",
-        streaming.passes, streaming.bytes_spilled, out.report.cut_size
+        "scaling/{signals}: pairs {}, edges {}, cut {}",
+        inmem.stats().pairs_generated,
+        inmem.stats().unique_edges,
+        out.report.cut_size
     );
 
     Tier {
@@ -146,9 +93,6 @@ fn measure_tier(signals: usize) -> Tier {
         gen_wall_ns,
         inmem: inmem.stats().clone(),
         inmem_wall_ns,
-        pair_cap,
-        streaming,
-        streaming_wall_ns,
         alg1_wall_ns,
         cut_size: out.report.cut_size,
         chosen_start: out.stats.chosen_start,
@@ -184,7 +128,6 @@ fn main() {
     let _ = writeln!(json, "  \"threshold\": {THRESHOLD},");
     let _ = writeln!(json, "  \"starts\": {STARTS},");
     let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"cap_ratio\": {CAP_RATIO},");
     let _ = writeln!(json, "  \"threads\": [1, 2, 8],");
     let _ = writeln!(json, "  \"tiers\": [");
     for (i, c) in cells.iter().enumerate() {
@@ -200,29 +143,7 @@ fn main() {
             c.inmem.pairs_generated
         );
         let _ = writeln!(json, "      \"unique_edges\": {},", c.inmem.unique_edges);
-        let _ = writeln!(json, "      \"pair_cap\": {},", c.pair_cap);
-        let _ = writeln!(
-            json,
-            "      \"inmem_peak_pair_buffer\": {},",
-            c.inmem.peak_pair_buffer
-        );
         let _ = writeln!(json, "      \"inmem_wall_ns\": {},", c.inmem_wall_ns);
-        let _ = writeln!(
-            json,
-            "      \"streaming_peak_pair_buffer\": {},",
-            c.streaming.peak_pair_buffer
-        );
-        let _ = writeln!(json, "      \"streaming_passes\": {},", c.streaming.passes);
-        let _ = writeln!(
-            json,
-            "      \"streaming_bytes_spilled\": {},",
-            c.streaming.bytes_spilled
-        );
-        let _ = writeln!(
-            json,
-            "      \"streaming_wall_ns\": {},",
-            json_list(&c.streaming_wall_ns)
-        );
         let _ = writeln!(
             json,
             "      \"alg1_wall_ns\": {},",

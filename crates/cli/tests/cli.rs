@@ -354,12 +354,7 @@ fn metrics_snapshot_is_byte_identical_across_thread_counts() {
     for line in one.lines() {
         fhp_obs::json::validate_trace_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
     }
-    for key in [
-        "progress.dualize_passes_done",
-        "progress.dualize_pairs_retired",
-        "progress.starts_done",
-        "progress.best_cut",
-    ] {
+    for key in ["progress.starts_done", "progress.best_cut"] {
         assert!(one.contains(key), "missing {key}:\n{one}");
     }
     // volatile gauges never reach the canonical form

@@ -194,23 +194,23 @@ impl PartitionConfig {
         self
     }
 
-    /// Admits a [`pair_cap`](Self::pair_cap) (default `false`). It no
-    /// longer affects [`Algorithm1::run`], which reads `G` off the
-    /// incidence lists and runs no dualizer; only the validation rule
-    /// below reads it. The benchmark driver still sets it, so it is
-    /// deleted together with `pair_cap` in the change to that driver
+    /// Admits a [`pair_cap`](Self::pair_cap) (default `false`). It
+    /// affects nothing: [`Algorithm1::run`] reads `G` off the incidence
+    /// lists, and no dualizer in the workspace has a pair cap or passes
+    /// any more. Only the validation rule below reads it.
+    /// `benchmark/src/workload.rs` still sets it, so it is deleted
+    /// together with `pair_cap` in the next change to `benchmark/`
     /// (ROADMAP items 6 and 7).
     pub fn streaming_dualize(mut self, streaming: bool) -> Self {
         self.streaming_dualize = streaming;
         self
     }
 
-    /// A pair-buffer cap for the dualizer
-    /// (`fhp_hypergraph::Dualizer::pair_cap`; default `None`). It no
-    /// longer affects [`Algorithm1::run`], which builds no pairs;
-    /// validation still rejects a cap of 0, and a cap without
-    /// [`streaming_dualize`](Self::streaming_dualize). Deleted with
-    /// `streaming_dualize` (ROADMAP items 6 and 7).
+    /// A pair-buffer cap that nothing reads (default `None`): the
+    /// dualizer it once bounded is gone, and `fhp_hypergraph::Dualizer`
+    /// holds no pair buffer at all. Validation still rejects a cap of 0,
+    /// and a cap without [`streaming_dualize`](Self::streaming_dualize).
+    /// Deleted with `streaming_dualize` (ROADMAP items 6 and 7).
     pub fn pair_cap(mut self, cap: Option<usize>) -> Self {
         self.pair_cap = cap;
         self

@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn boundary_membership_matches_definition() {
         let h = paper_example();
-        let ig = IntersectionGraph::build(&h);
+        let ig = IntersectionGraph::build_naive_with_threshold(&h, None);
         let g = ig.graph();
         let view = view(&h);
         let cut = two_front_bfs(&view, 0, 8);
@@ -370,7 +370,7 @@ mod tests {
     #[test]
     fn partial_assignment_covers_only_nonboundary_pins() {
         let h = paper_example();
-        let ig = IntersectionGraph::build(&h);
+        let ig = IntersectionGraph::build_naive_with_threshold(&h, None);
         let view = view(&h);
         let cut = two_front_bfs(&view, 0, 8);
         let dec = BoundaryDecomposition::new(&view, &cut);

@@ -670,7 +670,7 @@ mod tests {
         let mut scratch = EndpointScratch::with_capacity(20, 40);
         for (gi, h) in instances.iter().enumerate() {
             let view = view(h);
-            let g = IntersectionGraph::build(h);
+            let g = IntersectionGraph::build_naive_with_threshold(h, None);
             let mut rng_a = StdRng::seed_from_u64(99 + gi as u64);
             let mut rng_b = StdRng::seed_from_u64(99 + gi as u64);
             for round in 0..15 {
@@ -814,7 +814,7 @@ mod tests {
             ],
         );
         let view = view(&h);
-        let ig = IntersectionGraph::build(&h);
+        let ig = IntersectionGraph::build_naive_with_threshold(&h, None);
         let g = ig.graph();
         for policy in [FrontPolicy::SmallerFirst, FrontPolicy::Alternate] {
             for (u, v) in [(0, 3), (3, 0), (1, 2), (2, 5)] {
@@ -893,7 +893,7 @@ mod tests {
         let (bfs_reads, sweep_reads) = max_reads(&h, None, &[0, 63, 5, 17, 40]);
         assert_eq!(bfs_reads, 4 * u64::from(k));
         assert!(sweep_reads <= 6 * u64::from(k));
-        let ig = IntersectionGraph::build(&h);
+        let ig = IntersectionGraph::build_naive_with_threshold(&h, None);
         let neighbour_walk: usize = ig.graph().vertices().map(|g| ig.graph().degree(g)).sum();
         assert_eq!(neighbour_walk, (k * (k - 1)) as usize);
         assert!(neighbour_walk as u64 > 3 * 2 * u64::from(k));

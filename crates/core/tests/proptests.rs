@@ -72,7 +72,7 @@ proptest! {
         seed in 0u64..50,
     ) {
         for (h, threshold) in [(&h, None), (&segmented, Some(4))] {
-            let ig = IntersectionGraph::build_with_threshold(h, threshold);
+            let ig = IntersectionGraph::build_naive_with_threshold(h, threshold);
             let g = ig.graph();
             let view = DualIncidence::new(h, threshold).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);

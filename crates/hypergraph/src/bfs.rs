@@ -433,7 +433,7 @@ mod tests {
         let mut expanded = Vec::new();
         for h in [paper_example(), hub] {
             for threshold in [None, Some(3), Some(4)] {
-                let ig = IntersectionGraph::build_with_threshold(&h, threshold);
+                let ig = IntersectionGraph::build_naive_with_threshold(&h, threshold);
                 let view = DualIncidence::new(&h, threshold).unwrap();
                 for s in ig.graph().vertices() {
                     let reads = bfs_dual_into(&view, s, &mut levels, &mut expanded);

@@ -60,6 +60,23 @@ impl Graph {
         }
     }
 
+    /// The graph whose CSR is `offsets` and `neighbors`: vertex `v`'s
+    /// neighbours are `neighbors[offsets[v]..offsets[v + 1]]`. Every row
+    /// must be strictly ascending, must not hold `v`, and must agree with
+    /// the rows it names (`u` in `v`'s row iff `v` in `u`'s).
+    pub(crate) fn from_csr(offsets: Vec<usize>, neighbors: Vec<u32>) -> Self {
+        debug_assert_eq!(offsets.first(), Some(&0));
+        debug_assert_eq!(offsets.last(), Some(&neighbors.len()));
+        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1])); // fhp-audit: allow(panic-site) — windows(2) yields two-element slices
+        let g = Self { offsets, neighbors };
+        debug_assert!(g.vertices().all(|v| {
+            let row = g.neighbors(v);
+            row.windows(2).all(|w| w[0] < w[1]) // fhp-audit: allow(panic-site) — windows(2) yields two-element slices
+                && row.iter().all(|&u| u != v && g.has_edge(u, v))
+        }));
+        g
+    }
+
     /// Makes room for `n` vertices and `m` undirected edges, so a later
     /// [`rebuild_from_pairs`](Self::rebuild_from_pairs) at or below those
     /// sizes allocates nothing. A buffer short of room grows
@@ -177,7 +194,7 @@ impl Graph {
     ///
     /// `offsets` is sized to exactly `n + 1` entries, and neither buffer
     /// reallocates when it already has the room.
-    pub(crate) fn fill(&mut self, n: usize, pairs: &[(u32, u32)], cursor: &mut Vec<usize>) {
+    fn fill(&mut self, n: usize, pairs: &[(u32, u32)], cursor: &mut Vec<usize>) {
         debug_assert!(pairs.windows(2).all(|w| w[0] < w[1])); // fhp-audit: allow(panic-site) — windows(2) yields two-element slices
         debug_assert!(pairs.iter().all(|&(u, v)| u < v && (v as usize) < n));
         // Degree count into `cursor`, then prefix-sum it into `offsets`,

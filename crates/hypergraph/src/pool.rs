@@ -9,8 +9,7 @@
 //! of its index, the output is therefore bit-identical for every worker
 //! count.
 //!
-//! Both multi-threaded stages of the pipeline run on it: the dualization
-//! kernel's work units ([`crate::Dualizer::build`]) and the multi-start
+//! The pipeline's one multi-threaded stage runs on it: the multi-start
 //! engine in `fhp_core::runner`, which adds per-start panic containment
 //! and tracing on top.
 

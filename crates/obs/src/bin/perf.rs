@@ -24,12 +24,17 @@
 //!   warnings — the files describe different configurations, so their
 //!   cost deltas need a human eye.
 //!
+//! A baseline key of a compared class that the current file lacks fails
+//! as `missing`: a gate that skipped it would pass by omission.
+//!
 //! `--counts-only` skips the timing class entirely (for cross-machine
 //! comparisons where wall times are meaningless). `--normalize` emits one
 //! NDJSON line per input file (sorted flattened metrics) for appending to
-//! a history log. Exit status: 0 clean, 1 on any regression, 2 on usage
-//! or input errors (including "no comparable keys" — a silent pass over
-//! disjoint files would make the gate decorative).
+//! a history log. Exit status: 0 clean, 1 on any regression or missing
+//! key, 2 on usage or input errors (including "no comparable keys" — a
+//! silent pass over disjoint files would make the gate decorative — and
+//! an array whose items flatten to the same label, which would keep only
+//! the last of them).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -130,7 +135,7 @@ fn parse_ratio(s: &str, flag: &str) -> Result<f64, String> {
 fn ingest(path: &str, text: &str) -> Result<BTreeMap<String, f64>, String> {
     let mut out = BTreeMap::new();
     if let Ok(doc) = json::parse(text) {
-        flatten(&doc, "", &mut out);
+        flatten(&doc, "", &mut out).map_err(|e| format!("{path}: {e}"))?;
     } else {
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
@@ -163,7 +168,12 @@ fn ingest(path: &str, text: &str) -> Result<BTreeMap<String, f64>, String> {
 /// index) so tiers and instances stay aligned across files; numeric
 /// arrays (per-thread wall sweeps) collapse to their minimum — the same
 /// min-of-N statistic the benches gate on.
-fn flatten(value: &Json, prefix: &str, out: &mut BTreeMap<String, f64>) {
+///
+/// # Errors
+///
+/// Two items of one array that flatten to the same label: the later
+/// would overwrite the earlier, and the gate would compare only one.
+fn flatten(value: &Json, prefix: &str, out: &mut BTreeMap<String, f64>) -> Result<(), String> {
     let key = |leaf: &str| {
         if prefix.is_empty() {
             leaf.to_string()
@@ -184,7 +194,7 @@ fn flatten(value: &Json, prefix: &str, out: &mut BTreeMap<String, f64>) {
         }
         Json::Obj(pairs) => {
             for (k, v) in pairs {
-                flatten(v, &key(k), out);
+                flatten(v, &key(k), out)?;
             }
         }
         Json::Arr(items) => {
@@ -199,6 +209,7 @@ fn flatten(value: &Json, prefix: &str, out: &mut BTreeMap<String, f64>) {
                 let min = nums.iter().copied().fold(f64::INFINITY, f64::min);
                 out.insert(key("min"), min);
             } else {
+                let mut labels = Vec::with_capacity(items.len());
                 for (i, item) in items.iter().enumerate() {
                     let label = item
                         .get("name")
@@ -213,12 +224,18 @@ fn flatten(value: &Json, prefix: &str, out: &mut BTreeMap<String, f64>) {
                             })
                         })
                         .unwrap_or_else(|| i.to_string());
-                    flatten(item, &key(&label), out);
+                    let item_key = key(&label);
+                    if labels.contains(&label) {
+                        return Err(format!("two items of one array flatten to `{item_key}`"));
+                    }
+                    flatten(item, &item_key, out)?;
+                    labels.push(label);
                 }
             }
         }
         Json::Str(_) | Json::Null => {}
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------- classes
@@ -271,6 +288,8 @@ enum Status {
     Improved,
     Regression,
     Mismatch,
+    /// A baseline key of a compared class that the current file lacks.
+    Missing,
 }
 
 #[derive(Debug)]
@@ -278,7 +297,8 @@ struct Delta {
     key: String,
     class: KeyClass,
     base: f64,
-    cur: f64,
+    /// `None` when the current file lacks the key.
+    cur: Option<f64>,
     ratio: f64,
     status: Status,
 }
@@ -290,13 +310,21 @@ fn compare(
 ) -> Vec<Delta> {
     let mut deltas = Vec::new();
     for (key, &base) in baseline {
-        let Some(&cur) = current.get(key) else {
-            continue;
-        };
         let class = classify(key);
         if opts.counts_only && class == KeyClass::Timing {
             continue;
         }
+        let Some(&cur) = current.get(key) else {
+            deltas.push(Delta {
+                key: key.clone(),
+                class,
+                base,
+                cur: None,
+                ratio: f64::NAN,
+                status: Status::Missing,
+            });
+            continue;
+        };
         let ratio = if base == 0.0 {
             if cur == 0.0 {
                 1.0
@@ -339,7 +367,7 @@ fn compare(
             key: key.clone(),
             class,
             base,
-            cur,
+            cur: Some(cur),
             ratio,
             status,
         });
@@ -371,6 +399,7 @@ fn status_name(status: Status) -> &'static str {
         Status::Improved => "improved",
         Status::Regression => "REGRESSION",
         Status::Mismatch => "mismatch",
+        Status::Missing => "MISSING",
     }
 }
 
@@ -380,9 +409,10 @@ fn report_markdown(base_path: &str, cur_path: &str, deltas: &[Delta]) {
     let interesting: Vec<&Delta> = deltas.iter().filter(|d| d.status != Status::Ok).collect();
     let (regressions, improved, mismatches) = tally(deltas);
     println!(
-        "{} comparable keys · {} regressions · {} improvements · {} identity mismatches",
+        "{} comparable keys · {} regressions · {} missing · {} improvements · {} identity mismatches",
         deltas.len(),
         regressions,
+        count(deltas, Status::Missing),
         improved,
         mismatches
     );
@@ -395,13 +425,15 @@ fn report_markdown(base_path: &str, cur_path: &str, deltas: &[Delta]) {
     println!("| key | class | baseline | current | ratio | status |");
     println!("|-----|-------|----------|---------|-------|--------|");
     for d in interesting {
+        let (cur, ratio) = match d.cur {
+            Some(cur) => (fmt_num(cur), format!("{:.3}", d.ratio)),
+            None => ("—".to_string(), "—".to_string()),
+        };
         println!(
-            "| `{}` | {} | {} | {} | {:.3} | {} |",
+            "| `{}` | {} | {} | {cur} | {ratio} | {} |",
             d.key,
             class_name(d.class),
             fmt_num(d.base),
-            fmt_num(d.cur),
-            d.ratio,
             status_name(d.status)
         );
     }
@@ -409,26 +441,31 @@ fn report_markdown(base_path: &str, cur_path: &str, deltas: &[Delta]) {
 
 fn report_ndjson(base_path: &str, cur_path: &str, deltas: &[Delta]) {
     for d in deltas {
+        let (cur, ratio) = match d.cur {
+            Some(cur) => (fmt_num(cur), format!("{:.6}", d.ratio)),
+            None => ("null".to_string(), "null".to_string()),
+        };
         println!(
-            "{{\"baseline\":\"{}\",\"current\":\"{}\",\"key\":\"{}\",\"class\":\"{}\",\"base\":{},\"cur\":{},\"ratio\":{:.6},\"status\":\"{}\"}}",
+            "{{\"baseline\":\"{}\",\"current\":\"{}\",\"key\":\"{}\",\"class\":\"{}\",\"base\":{},\"cur\":{cur},\"ratio\":{ratio},\"status\":\"{}\"}}",
             json_escape(base_path),
             json_escape(cur_path),
             json_escape(&d.key),
             class_name(d.class),
             fmt_num(d.base),
-            fmt_num(d.cur),
-            d.ratio,
             status_name(d.status)
         );
     }
 }
 
+fn count(deltas: &[Delta], status: Status) -> usize {
+    deltas.iter().filter(|d| d.status == status).count()
+}
+
 fn tally(deltas: &[Delta]) -> (usize, usize, usize) {
-    let count = |s: Status| deltas.iter().filter(|d| d.status == s).count();
     (
-        count(Status::Regression),
-        count(Status::Improved),
-        count(Status::Mismatch),
+        count(deltas, Status::Regression),
+        count(deltas, Status::Improved),
+        count(deltas, Status::Mismatch),
     )
 }
 
@@ -473,7 +510,7 @@ fn run(opts: &Options) -> Result<bool, String> {
     let mut any_regression = false;
     for (cur_path, current) in rest {
         let deltas = compare(baseline, current, opts);
-        if deltas.is_empty() {
+        if deltas.iter().all(|d| d.status == Status::Missing) {
             return Err(format!(
                 "{base_path} and {cur_path} share no comparable keys — refusing to pass vacuously"
             ));
@@ -484,7 +521,7 @@ fn run(opts: &Options) -> Result<bool, String> {
             report_markdown(base_path, cur_path, &deltas);
         }
         let (regressions, _, _) = tally(&deltas);
-        any_regression |= regressions > 0;
+        any_regression |= regressions + count(&deltas, Status::Missing) > 0;
     }
     Ok(any_regression)
 }
@@ -662,6 +699,63 @@ mod tests {
         let base = ingest("base", BASE).unwrap();
         let other = ingest("other", r#"{"totally": {"different": 1}}"#).unwrap();
         let deltas = compare(&base, &other, &opts());
-        assert!(deltas.is_empty(), "run() turns this into a hard error");
+        assert!(
+            deltas.iter().all(|d| d.status == Status::Missing),
+            "run() turns this into a hard error"
+        );
+    }
+
+    /// A key the baseline gates and the current file lacks fails as
+    /// missing — count and identity keys always, timing keys unless
+    /// `--counts-only` mutes their class.
+    #[test]
+    fn a_key_missing_from_the_current_file_fails() {
+        let base = ingest("base", BASE).unwrap();
+        for (key, class) in [
+            ("tiers.1000.streaming_passes", KeyClass::Count),
+            ("seed", KeyClass::Identity),
+            ("tiers.1000.streaming_wall_ns.min", KeyClass::Timing),
+        ] {
+            let mut cur = base.clone();
+            cur.remove(key);
+            let deltas = compare(&base, &cur, &opts());
+            let gone: Vec<&Delta> = deltas
+                .iter()
+                .filter(|d| d.status == Status::Missing)
+                .collect();
+            assert_eq!(gone.len(), 1, "{key}");
+            assert_eq!((gone[0].key.as_str(), gone[0].class), (key, class));
+            assert_eq!(gone[0].cur, None);
+
+            let counts_only = Options {
+                counts_only: true,
+                ..opts()
+            };
+            let muted = compare(&base, &cur, &counts_only)
+                .iter()
+                .filter(|d| d.status == Status::Missing)
+                .count();
+            assert_eq!(muted, usize::from(class != KeyClass::Timing), "{key}");
+        }
+    }
+
+    /// Items of one array that flatten to the same label would overwrite
+    /// each other, so the gate would compare only the last: an input
+    /// error, not a silent merge.
+    #[test]
+    fn array_items_with_one_label_are_an_input_error() {
+        let rows = r#"{"circuit": [
+            {"signals": 500, "threads": 1, "pairs_generated": 3288},
+            {"signals": 500, "threads": 8, "pairs_generated": 3288}
+        ]}"#;
+        let err = ingest("dup", rows).unwrap_err();
+        assert!(err.contains("circuit.500"), "{err}");
+        let distinct = rows.replace(
+            "\"signals\": 500, \"threads\": 8",
+            "\"signals\": 1000, \"threads\": 8",
+        );
+        let m = ingest("distinct", &distinct).unwrap();
+        assert_eq!(m["circuit.1000.threads"], 8.0);
+        assert_eq!(m["circuit.500.threads"], 1.0);
     }
 }

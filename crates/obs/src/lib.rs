@@ -92,40 +92,33 @@ pub mod order {
 /// ad-hoc literals) keeps producer and consumer sides — recorders, stats
 /// facades, the CLI report, tests — agreeing on spelling.
 pub mod names {
-    /// Root span of one `Dualizer::build`.
+    /// Root span of one dualization: a `Dualizer::build`, or the
+    /// `DualIncidence` build an Algorithm I run reads `G` through.
     pub const DUALIZE: &str = "dualize";
-    /// Dualize phase: degree filter + pair-mass planning.
-    pub const DUALIZE_PLAN: &str = "dualize.plan";
-    /// Dualize phase: parallel shard generation (covers all shards).
+    /// Span nothing emits. `benchmark/src/batch.rs` still reads it, as
+    /// 0, until its `intersection.*` rows are deleted (ROADMAP item 7b).
     pub const DUALIZE_SHARDS: &str = "dualize.shards";
-    /// Dualize phase: deterministic k-way merge.
+    /// Span nothing emits; kept for `benchmark/`, as [`DUALIZE_SHARDS`].
     pub const DUALIZE_MERGE: &str = "dualize.merge";
-    /// Dualize phase: weighted CSR assembly.
+    /// Span nothing emits; kept for `benchmark/`, as [`DUALIZE_SHARDS`].
     pub const DUALIZE_CSR: &str = "dualize.csr";
-    /// Counter: candidate intersection pairs generated across shards.
+    /// Counter: candidate intersection pairs, `Σ_m C(d_m, 2)` over the
+    /// modules' kept nets.
     pub const DUALIZE_PAIRS: &str = "dualize.pairs_generated";
-    /// Counter: duplicate pairs merged away.
+    /// Counter: candidate pairs that repeat an adjacency already counted.
     pub const DUALIZE_DUPS: &str = "dualize.duplicates_merged";
-    /// Counter: unique intersection-graph edges before thresholding.
+    /// Counter: unique intersection-graph edges.
     pub const DUALIZE_UNIQUE: &str = "dualize.unique_edges";
-    /// Counter: edges kept after the weight threshold.
+    /// Counter: hyperedges kept below the size threshold.
     pub const DUALIZE_KEPT: &str = "dualize.kept_edges";
-    /// Counter: edges dropped by the weight threshold.
+    /// Counter: hyperedges dropped by the size threshold.
     pub const DUALIZE_FILTERED: &str = "dualize.filtered_edges";
-    /// Counter: generate→sort→dedup passes the dualizer ran (1 for the
-    /// in-memory kernel; `ceil(pairs / cap)` for the streaming kernel).
+    /// Counter nothing emits; kept for `benchmark/`, as
+    /// [`DUALIZE_SHARDS`].
     pub const DUALIZE_PASSES: &str = "dualize.passes";
-    /// Counter: largest raw pair buffer the dualizer held at any moment.
-    /// For the in-memory kernel this is the whole pair stream; for the
-    /// streaming kernel it never exceeds the configured pair cap. A pure
-    /// function of `(instance, threshold, cap)`, never of the thread
-    /// count.
+    /// Counter nothing emits; kept for `benchmark/`, as
+    /// [`DUALIZE_SHARDS`].
     pub const DUALIZE_PEAK_PAIR_BUFFER: &str = "dualize.peak_pair_buffer";
-    /// Counter: bytes of deduplicated per-pass runs the streaming kernel
-    /// retired out of the bounded pair buffer (its "spill" volume; 0 for
-    /// the in-memory kernel). Deterministic: 8 bytes per unique pair
-    /// across all passes.
-    pub const DUALIZE_BYTES_SPILLED: &str = "dualize.bytes_spilled";
     /// Root span of one pass of one multi-start attempt (child spans nest
     /// under it); a start records one per pass.
     pub const RUNNER_START: &str = "runner.start";
@@ -194,12 +187,6 @@ pub mod names {
     /// Counter: 1 if the flat guard's partition strictly beat the V-cycle's
     /// and was returned instead, else 0.
     pub const ML_USED_FLAT_GUARD: &str = "ml.used_flat_guard";
-    /// Gauge: dualize passes completed so far.
-    pub const PROGRESS_DUALIZE_PASSES_DONE: &str = "progress.dualize_passes_done";
-    /// Gauge: dualize passes planned.
-    pub const PROGRESS_DUALIZE_PASSES_TOTAL: &str = "progress.dualize_passes_total";
-    /// Gauge: intersection pairs retired through the dualizer.
-    pub const PROGRESS_DUALIZE_PAIRS_RETIRED: &str = "progress.dualize_pairs_retired";
     /// Gauge: multi-start attempts completed so far.
     pub const PROGRESS_STARTS_DONE: &str = "progress.starts_done";
     /// Gauge: multi-start attempts planned.

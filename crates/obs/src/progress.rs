@@ -34,14 +34,6 @@ use crate::{order, writer};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Gauge {
-    /// Dualize passes completed (in-memory kernel: 1 per build;
-    /// streaming kernel: one per retired chunk).
-    DualizePassesDone,
-    /// Dualize passes planned across all `Dualizer::build*` calls.
-    DualizePassesTotal,
-    /// Candidate intersection pairs generated ("retired" through the
-    /// bounded buffer for the streaming kernel).
-    DualizePairsRetired,
     /// Multi-start attempts fully evaluated.
     StartsDone,
     /// Multi-start attempts planned.
@@ -70,10 +62,7 @@ pub enum Gauge {
 
 impl Gauge {
     /// Every gauge, in canonical emission order.
-    pub const ALL: [Gauge; 14] = [
-        Gauge::DualizePassesDone,
-        Gauge::DualizePassesTotal,
-        Gauge::DualizePairsRetired,
+    pub const ALL: [Gauge; 11] = [
         Gauge::StartsDone,
         Gauge::StartsTotal,
         Gauge::BestCut,
@@ -90,9 +79,6 @@ impl Gauge {
     /// The gauge's event name in the shared vocabulary.
     pub const fn name(self) -> &'static str {
         match self {
-            Gauge::DualizePassesDone => crate::names::PROGRESS_DUALIZE_PASSES_DONE,
-            Gauge::DualizePassesTotal => crate::names::PROGRESS_DUALIZE_PASSES_TOTAL,
-            Gauge::DualizePairsRetired => crate::names::PROGRESS_DUALIZE_PAIRS_RETIRED,
             Gauge::StartsDone => crate::names::PROGRESS_STARTS_DONE,
             Gauge::StartsTotal => crate::names::PROGRESS_STARTS_TOTAL,
             Gauge::BestCut => crate::names::PROGRESS_BEST_CUT,
@@ -191,7 +177,7 @@ impl Progress {
 
 /// Renders the registry as one human-readable line (no trailing
 /// newline), e.g.
-/// `dualize 17/17 passes · 67108864 pairs · starts 12/16 · best cut 42`.
+/// `starts 12/16 · best cut 42 · ml 7 levels / 1 vcycles`.
 /// Segments with no signal yet (zero totals) are omitted.
 pub fn render_line(progress: &Progress) -> String {
     use crate::writer::put;
@@ -201,22 +187,6 @@ pub fn render_line(progress: &Progress) -> String {
             out.push_str(" · ");
         }
     };
-    let passes_total = progress.get(Gauge::DualizePassesTotal);
-    if passes_total > 0 {
-        put(
-            &mut out,
-            format_args!(
-                "dualize {}/{} passes",
-                progress.get(Gauge::DualizePassesDone),
-                passes_total
-            ),
-        );
-        sep(&mut out);
-        put(
-            &mut out,
-            format_args!("{} pairs", progress.get(Gauge::DualizePairsRetired)),
-        );
-    }
     let starts_total = progress.get(Gauge::StartsTotal);
     if starts_total > 0 {
         sep(&mut out);
@@ -534,7 +504,7 @@ mod tests {
                 thread::spawn(move || {
                     for i in 0..per_thread {
                         p.add(Gauge::StartsDone, 1);
-                        p.add(Gauge::DualizePairsRetired, 3);
+                        p.add(Gauge::EngineEdits, 3);
                         // Every thread offers a different interleaved
                         // stream of cuts; the global min is 7 (t=0, i=0).
                         p.record_min(Gauge::BestCut, 7 + t * 13 + i);
@@ -547,7 +517,7 @@ mod tests {
             h.join().expect("worker");
         }
         assert_eq!(p.get(Gauge::StartsDone), threads * per_thread);
-        assert_eq!(p.get(Gauge::DualizePairsRetired), 3 * threads * per_thread);
+        assert_eq!(p.get(Gauge::EngineEdits), 3 * threads * per_thread);
         assert_eq!(p.get(Gauge::BestCut), 7);
         assert_eq!(p.get(Gauge::MlLevels), threads);
     }
@@ -556,9 +526,7 @@ mod tests {
     fn canonical_snapshot_is_deterministic_and_trace_valid() {
         let build = |extra_noise: bool| {
             let p = Progress::new();
-            p.set(Gauge::DualizePassesTotal, 4);
-            p.add(Gauge::DualizePassesDone, 4);
-            p.add(Gauge::DualizePairsRetired, 1234);
+            p.add(Gauge::EngineEdits, 1234);
             p.set(Gauge::StartsTotal, 8);
             p.add(Gauge::StartsDone, 8);
             p.record_min(Gauge::BestCut, 42);
@@ -587,7 +555,7 @@ mod tests {
             assert!(line.contains("\"start_ns\":0,\"dur_ns\":0"));
             assert!(line.contains("\"thread\":0"));
         }
-        assert!(lines[0].contains("progress.dualize_passes_done"));
+        assert!(lines[0].contains("progress.starts_done"));
     }
 
     #[test]

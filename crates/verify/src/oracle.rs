@@ -101,14 +101,13 @@ pub fn check_instance(
     counts: &mut OracleCounts,
 ) -> CheckOutcome {
     let mut outcome = CheckOutcome::default();
-    let oracles: [(&'static str, OracleFn); 12] = [
+    let oracles: [(&'static str, OracleFn); 11] = [
         ("differential", oracle_differential),
         ("dual_incidence", oracle_dual_incidence),
         ("pipeline_stages", oracle_pipeline_stages),
         ("thread_invariance", oracle_thread_invariance),
         ("repeated_paths", oracle_repeated_paths),
         ("dualize_kernel", oracle_dualize_kernel),
-        ("streaming_dualize", oracle_streaming_dualize),
         ("move_state", oracle_move_state),
         ("multiway", oracle_multiway),
         ("multilevel", oracle_multilevel),
@@ -404,7 +403,8 @@ fn oracle_differential(ctx: &Ctx<'_>) -> Result<u64, Violation> {
 /// paper makes about the intermediate structures.
 fn oracle_pipeline_stages(ctx: &Ctx<'_>) -> Result<u64, Violation> {
     let h = ctx.h;
-    let ig = IntersectionGraph::build(h);
+    // The naive builder's CSR, independent of the view it is held to.
+    let ig = IntersectionGraph::build_naive_with_threshold(h, None);
     let g = ig.graph();
     let view = DualIncidence::new(h, None).map_err(|e| ctx.fail(format!("view failed: {e}")))?;
     let mut rng = SplitMix64::seed_from_u64(ctx.seed ^ 0x5157_4c50);
@@ -600,7 +600,8 @@ const DUAL_THRESHOLDS: [Option<usize>; 2] = [None, Some(3)];
 const DUAL_SOURCES: usize = 4;
 
 /// Algorithm I's `G` read off the incidence lists ([`DualIncidence`])
-/// against the explicit `G` ([`IntersectionGraph`]'s CSR), at each of
+/// against the explicit `G` (the CSR of
+/// [`IntersectionGraph::build_naive_with_threshold`]), at each of
 /// [`DUAL_THRESHOLDS`]: every G-vertex's neighbour set; the component
 /// table against [`csr_components`]; the BFS visit order and distances
 /// from sampled sources; both sweep policies' sides and boundary marks
@@ -615,10 +616,10 @@ fn oracle_dual_incidence(ctx: &Ctx<'_>) -> Result<u64, Violation> {
     let mut expanded = Vec::new();
     let mut row: Vec<u32> = Vec::new();
     for threshold in DUAL_THRESHOLDS {
-        let ig = Dualizer::new()
-            .threshold(threshold)
-            .build(h)
-            .map_err(|e| ctx.fail(format!("dualizer failed: {e}")))?;
+        // Dualizer::build writes its rows from the lists the view reads,
+        // so the view is held to the naive builder's CSR rather than to a
+        // copy of itself.
+        let ig = IntersectionGraph::build_naive_with_threshold(h, threshold);
         let view =
             DualIncidence::new(h, threshold).map_err(|e| ctx.fail(format!("view failed: {e}")))?;
         let g = ig.graph();
@@ -1025,102 +1026,39 @@ fn oracle_repeated_paths(ctx: &Ctx<'_>) -> Result<u64, Violation> {
     Ok(checks)
 }
 
-/// The sparse dualization kernel against the naive pair-spray builder,
-/// across thresholds and shard-parallelism degrees.
+/// [`Dualizer::build`] against the naive pair-spray builder at each
+/// threshold: the same CSR, the same kept/filtered mapping for every
+/// hyperedge, stats that balance (`pairs_generated = unique_edges +
+/// duplicates_merged`), and the naive builder's pair count.
 fn oracle_dualize_kernel(ctx: &Ctx<'_>) -> Result<u64, Violation> {
     let h = ctx.h;
     let mut checks = 0;
     for threshold in [None, Some(3), Some(8)] {
         let naive = IntersectionGraph::build_naive_with_threshold(h, threshold);
-        for threads in [1usize, 4] {
-            let kernel = fhp_hypergraph::Dualizer::new()
-                .threshold(threshold)
-                .threads(threads)
-                .build(h)
-                .map_err(|e| ctx.fail(format!("dualizer failed: {e}")))?;
-            checks += ctx.ensure(kernel.graph() == naive.graph(), || {
-                format!(
-                    "kernel graph (threshold {threshold:?}, {threads} threads) \
-                     differs from the naive builder"
-                )
-            })?;
-        }
-    }
-    Ok(checks)
-}
-
-/// Pair-cap values the streaming oracle sweeps: the degenerate cap=1,
-/// a mid-sized cap, and uncapped (single pass).
-pub const STREAMING_CAPS: [Option<usize>; 3] = [Some(1), Some(16), None];
-
-/// The kernel under each pair cap (uncapped included) against both the
-/// uncapped single-threaded kernel and the naive pair-spray builder: for every threshold, cap and
-/// thread count the three builds must agree on the CSR and the mapping,
-/// the stats must balance (`pairs_generated = unique_edges +
-/// duplicates_merged`), the raw pair
-/// buffer must respect the cap, and the pass count must follow
-/// `ceil(pairs / cap)` exactly.
-fn oracle_streaming_dualize(ctx: &Ctx<'_>) -> Result<u64, Violation> {
-    let h = ctx.h;
-    let mut checks = 0;
-    for threshold in [None, Some(3)] {
-        let naive = IntersectionGraph::build_naive_with_threshold(h, threshold);
-        let kernel = fhp_hypergraph::Dualizer::new()
+        let built = Dualizer::new()
             .threshold(threshold)
             .build(h)
-            .map_err(|e| ctx.fail(format!("uncapped dualizer failed: {e}")))?;
-        let total = kernel.stats().pairs_generated;
-        for cap in STREAMING_CAPS {
-            for threads in INVARIANCE_THREADS {
-                let st = fhp_hypergraph::Dualizer::new()
-                    .threshold(threshold)
-                    .threads(threads)
-                    .pair_cap(cap)
-                    .build(h)
-                    .map_err(|e| ctx.fail(format!("capped dualizer failed: {e}")))?;
-                let tag = || format!("(threshold {threshold:?}, cap {cap:?}, {threads} threads)");
-                checks += ctx.ensure(st.graph() == kernel.graph(), || {
-                    format!("capped graph {} differs from the uncapped kernel", tag())
-                })?;
-                checks += ctx.ensure(st.graph() == naive.graph(), || {
-                    format!("capped graph {} differs from the naive builder", tag())
-                })?;
-                for e in h.edges() {
-                    checks += ctx.ensure(st.g_vertex_of(e) == kernel.g_vertex_of(e), || {
-                        format!("kept/filtered mapping of {e} differs {}", tag())
-                    })?;
-                }
-                let s = st.stats();
-                checks += ctx.ensure(
-                    s.pairs_generated == s.unique_edges + s.duplicates_merged,
-                    || format!("stats do not balance {}: {s:?}", tag()),
-                )?;
-                checks += ctx.ensure(s.pairs_generated == total, || {
-                    format!(
-                        "capped build generated {} pairs, the uncapped {} {}",
-                        s.pairs_generated,
-                        total,
-                        tag()
-                    )
-                })?;
-                let effective = cap.map_or(total.max(1), |c| c.max(1) as u64);
-                checks += ctx.ensure(s.peak_pair_buffer <= effective, || {
-                    format!(
-                        "peak pair buffer {} exceeds the cap {}",
-                        s.peak_pair_buffer,
-                        tag()
-                    )
-                })?;
-                let expect_passes = if total == 0 {
-                    1
-                } else {
-                    total.div_ceil(effective)
-                };
-                checks += ctx.ensure(s.passes == expect_passes, || {
-                    format!("{} passes, expected {expect_passes} {}", s.passes, tag())
-                })?;
-            }
+            .map_err(|e| ctx.fail(format!("dualizer failed: {e}")))?;
+        checks += ctx.ensure(built.graph() == naive.graph(), || {
+            format!("graph (threshold {threshold:?}) differs from the naive builder")
+        })?;
+        for e in h.edges() {
+            checks += ctx.ensure(built.g_vertex_of(e) == naive.g_vertex_of(e), || {
+                format!("kept/filtered mapping of {e} (threshold {threshold:?}) differs")
+            })?;
         }
+        let s = built.stats();
+        checks += ctx.ensure(
+            s.pairs_generated == s.unique_edges + s.duplicates_merged,
+            || format!("stats (threshold {threshold:?}) do not balance: {s:?}"),
+        )?;
+        checks += ctx.ensure(s.pairs_generated == naive.stats().pairs_generated, || {
+            format!(
+                "{} pairs generated (threshold {threshold:?}), the naive builder {}",
+                s.pairs_generated,
+                naive.stats().pairs_generated
+            )
+        })?;
     }
     Ok(checks)
 }
@@ -1876,7 +1814,6 @@ mod tests {
             "thread_invariance",
             "repeated_paths",
             "dualize_kernel",
-            "streaming_dualize",
             "move_state",
             "multiway",
             "multilevel",

@@ -1,10 +1,10 @@
-//! The equivalence contract of the sparse dualization kernel: for every
-//! hypergraph, threshold, and thread count, [`Dualizer::build`] produces
-//! exactly what the retained naive pair-spray builder
+//! The equivalence contract of the dualizer: for every hypergraph and
+//! threshold, [`Dualizer::build`] produces exactly what the retained
+//! naive pair-spray builder
 //! ([`IntersectionGraph::build_naive_with_threshold`]) produces — the same
 //! adjacency and the same hyperedge ↔ G-vertex mapping — and the
-//! partitions computed on top are fingerprint-identical. The kernel is
-//! allowed to change *only* speed.
+//! partitions computed on top are fingerprint-identical at every thread
+//! count. The dualizer is allowed to change *only* speed and memory.
 
 use fhp::core::{Algorithm1, PartitionConfig};
 use fhp::gen::{CircuitNetlist, PlantedBisection, RandomHypergraph, Technology};
@@ -13,52 +13,44 @@ use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Asserts the kernel matches the naive oracle on `h` for one threshold,
-/// at every thread count.
+/// Asserts the dualizer matches the naive oracle on `h` for one
+/// threshold.
 fn assert_kernel_equivalent(label: &str, h: &Hypergraph, threshold: Option<usize>) {
     let naive = IntersectionGraph::build_naive_with_threshold(h, threshold);
-    for &threads in &THREAD_COUNTS {
-        let fast = Dualizer::new()
-            .threshold(threshold)
-            .threads(threads)
-            .build(h)
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let fast = Dualizer::new()
+        .threshold(threshold)
+        .build(h)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
 
+    assert_eq!(fast.graph(), naive.graph(), "{label}: adjacency diverged");
+    assert_eq!(
+        fast.num_g_vertices(),
+        naive.num_g_vertices(),
+        "{label}: kept count diverged"
+    );
+    for e in h.edges() {
         assert_eq!(
-            fast.graph(),
-            naive.graph(),
-            "{label}: adjacency diverged at {threads} threads"
+            fast.g_vertex_of(e),
+            naive.g_vertex_of(e),
+            "{label}: g_of({e}) diverged"
         );
-        assert_eq!(
-            fast.num_g_vertices(),
-            naive.num_g_vertices(),
-            "{label}: kept count diverged"
-        );
-        for e in h.edges() {
-            assert_eq!(
-                fast.g_vertex_of(e),
-                naive.g_vertex_of(e),
-                "{label}: g_of({e}) diverged at {threads} threads"
-            );
-        }
-        for g in 0..fast.num_g_vertices() as u32 {
-            assert_eq!(fast.edge_of(g), naive.edge_of(g), "{label}: kept[{g}]");
-        }
-        let (s, n) = (fast.stats(), naive.stats());
-        assert_eq!(s.pairs_generated, n.pairs_generated, "{label}: pair count");
-        assert_eq!(s.unique_edges, n.unique_edges, "{label}: unique edges");
-        assert_eq!(
-            s.pairs_generated,
-            s.unique_edges + s.duplicates_merged,
-            "{label}: counter balance"
-        );
-        assert_eq!(s.unique_edges, fast.graph().num_edges() as u64, "{label}");
     }
+    for g in 0..fast.num_g_vertices() as u32 {
+        assert_eq!(fast.edge_of(g), naive.edge_of(g), "{label}: kept[{g}]");
+    }
+    let (s, n) = (fast.stats(), naive.stats());
+    assert_eq!(s.pairs_generated, n.pairs_generated, "{label}: pair count");
+    assert_eq!(s.unique_edges, n.unique_edges, "{label}: unique edges");
+    assert_eq!(
+        s.pairs_generated,
+        s.unique_edges + s.duplicates_merged,
+        "{label}: counter balance"
+    );
+    assert_eq!(s.unique_edges, fast.graph().num_edges() as u64, "{label}");
 }
 
 /// Asserts `Algorithm1` fingerprints are bit-identical at every thread
-/// count (the dualization kernel AND the multi-start engine both take the
-/// thread knob, so this covers their composition).
+/// count of the multi-start engine.
 fn assert_partition_invariant(label: &str, h: &Hypergraph, config: PartitionConfig) {
     let baseline = Algorithm1::new(config.threads(THREAD_COUNTS[0]))
         .run(h)
@@ -132,7 +124,7 @@ fn random_instances_match_the_oracle() {
 fn hub_adversary_matches_the_oracle_and_collapses_duplicates() {
     let h = hub_instance(96, 6);
     assert_kernel_equivalent("hub", &h, None);
-    let ig = Dualizer::new().threads(8).build(&h).expect("fits u32");
+    let ig = Dualizer::new().build(&h).expect("fits u32");
     let s = ig.stats();
     // every G-edge is duplicated once per hub module
     assert_eq!(s.pairs_generated, 6 * s.unique_edges);
@@ -179,7 +171,6 @@ proptest! {
             1..14,
         ),
         threshold in proptest::option::of(2usize..6),
-        threads in 1usize..9,
     ) {
         let mut b = HypergraphBuilder::with_vertices(nv);
         for pins in &raw_edges {
@@ -193,7 +184,6 @@ proptest! {
         let naive = IntersectionGraph::build_naive_with_threshold(&h, threshold);
         let fast = Dualizer::new()
             .threshold(threshold)
-            .threads(threads)
             .build(&h)
             .expect("small instance fits u32");
         prop_assert_eq!(fast.graph(), naive.graph());

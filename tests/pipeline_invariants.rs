@@ -32,7 +32,7 @@ fn instances() -> Vec<fhp::hypergraph::Hypergraph> {
 #[test]
 fn boundary_graph_edges_all_cross_the_g_cut() {
     for h in instances() {
-        let ig = IntersectionGraph::build(&h);
+        let ig = IntersectionGraph::build_naive_with_threshold(&h, None);
         let view = DualIncidence::new(&h, None).unwrap();
         let sweep = bfs::double_sweep(ig.graph(), 0);
         if sweep.u == sweep.v {
@@ -60,7 +60,7 @@ fn boundary_graph_edges_all_cross_the_g_cut() {
 #[test]
 fn non_boundary_signals_never_cross_the_final_partition() {
     for h in instances() {
-        let ig = IntersectionGraph::build(&h);
+        let ig = IntersectionGraph::build_naive_with_threshold(&h, None);
         let view = DualIncidence::new(&h, None).unwrap();
         let sweep = bfs::double_sweep(ig.graph(), 0);
         let cut = two_front_bfs(&view, sweep.u, sweep.v);
