@@ -430,9 +430,7 @@ fn main() -> ExitCode {
 
     // fhp-audit: allow(wallclock-in-fingerprint) — times the human-facing summary line only
     let started = std::time::Instant::now();
-    let (bp, run_stats) = if opts.algorithm == "alg1"
-        && (opts.stats || tracing || opts.check || opts.multilevel || progress.is_some())
-    {
+    let (bp, run_stats) = if opts.algorithm == "alg1" {
         match Algorithm1::new(alg1_config)
             .collector(collector.clone())
             .progress(progress.clone())

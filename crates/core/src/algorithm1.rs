@@ -39,6 +39,7 @@
 //! returned cut has size 0, while move-based heuristics typically get stuck
 //! at a locally-minimum cut of size `Θ(|E|)` (§4).
 
+use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -48,7 +49,7 @@ use fhp_obs::{names, order, Collector, Gauge, Histogram, Progress, Scope};
 use crate::boundary::BoundaryDecomposition;
 use crate::complete_cut::{CompletionScratch, CompletionStrategy};
 use crate::dual_bfs::{EndpointScratch, FrontPolicy, TwoFrontScratch};
-use crate::metrics::{CutReport, Objective, PhaseStats};
+use crate::metrics::{self, CutReport, Objective, PhaseStats};
 use crate::multilevel::{MultilevelConfig, MultilevelStats};
 use crate::runner::{resolve_threads, run_starts_arena, SplitMix64};
 use crate::{Bipartition, PartitionError, Side};
@@ -150,9 +151,9 @@ impl PartitionConfig {
 
     /// Worker threads for the multi-start engine (default 1; `0` means
     /// one per available core). Every start draws from its own
-    /// counter-derived RNG stream and the reduction is by start index, so
-    /// the outcome is bit-identical for every thread count — this knob
-    /// only trades wall-clock time.
+    /// counter-derived RNG stream and ties between starts go to the lower
+    /// start index, so the outcome is bit-identical for every thread
+    /// count — this knob only trades wall-clock time.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -506,42 +507,93 @@ impl Algorithm1 {
         }
 
         // Pathological case (§4): a disconnected hypergraph has a cut of
-        // size 0 — pack whole components onto the lighter side.
+        // size 0 — pack whole components onto the lighter side, and skip
+        // the multi-start.
         let (comp, n_comps) = h.connected_components();
-        if n_comps >= 2 {
-            let bipartition = pack_components(h, &comp, n_comps);
-            let report = CutReport::new(h, &bipartition);
-            if self.collector.is_enabled() {
-                let summary = self.collector.scope(order::SUMMARY, None);
-                summary.counter(names::ALG1_COMPONENT_SHORTCUT, 1);
-                summary.counter(names::ALG1_BEST_CUT, report.cut_size as u64);
-                self.collector.adopt(summary.finish());
+        let shortcut = n_comps >= 2;
+        let ms = if shortcut {
+            MultiStart::default()
+        } else {
+            self.multi_start(h)?
+        };
+        let (bipartition, report, won) = match ms.winner {
+            // The winner's sweep already counted its cut and sides.
+            Some(((c, start), sides)) => {
+                let report =
+                    CutReport::from_totals(c.cut_size, c.weighted_cut, c.counts, c.weights);
+                (sides, report, Some((c, start)))
             }
-            return Ok(PartitionOutcome {
-                bipartition,
-                report,
-                stats: RunStats {
-                    starts: 0,
-                    num_g_vertices: 0,
-                    boundary_len: 0,
-                    bfs_path_length: 0,
-                    num_placed_by_partial: 0,
-                    used_component_shortcut: true,
-                    used_fallback_split: false,
-                    chosen_start: None,
-                    distinct_paths: 0,
-                    distinct_u: 0,
-                    threads: 0,
-                    g_components: 0,
-                    path_component: 0,
-                    arena_growths: 0,
-                    per_start: Vec::new(),
-                    phases: PhaseStats::default(),
-                    multilevel: None,
-                },
-            });
-        }
+            // No start won: pack the components, or, when `G` was too
+            // small to cut (fewer than two G-vertices, or no usable BFS
+            // endpoints), the single modules.
+            None => {
+                let bipartition = if shortcut {
+                    pack_components(h, &comp, n_comps)
+                } else {
+                    let singles: Vec<u32> = h.vertices().map(VertexId::raw).collect();
+                    pack_components(h, &singles, singles.len())
+                };
+                let report = CutReport::new(h, &bipartition);
+                (bipartition, report, None)
+            }
+        };
 
+        // Summary recording is gated on an enabled collector: a disabled
+        // collector drops adopted buffers anyway, and recording into a
+        // scope allocates — which would violate the run-level allocation
+        // accounting the alloc-regression battery pins down.
+        if self.collector.is_enabled() {
+            let summary = self.collector.scope(order::SUMMARY, None);
+            if !shortcut {
+                summary.counter(names::ALG1_STARTS, self.config.starts as u64);
+                let mut cut_hist = Histogram::new();
+                for c in ms.per_start.iter().filter_map(|s| s.cut_size) {
+                    cut_hist.record(c as u64);
+                }
+                summary.histogram(names::ALG1_CUT_HIST, &cut_hist);
+            }
+            match won {
+                Some((_, start)) => summary.counter(names::ALG1_CHOSEN_START, start as u64),
+                None if shortcut => summary.counter(names::ALG1_COMPONENT_SHORTCUT, 1),
+                None => summary.counter(names::ALG1_FALLBACK_SPLIT, 1),
+            }
+            summary.counter(names::ALG1_BEST_CUT, report.cut_size as u64);
+            self.collector.adopt(summary.finish());
+        }
+        let cand = won.map(|(c, _)| c);
+        Ok(PartitionOutcome {
+            bipartition,
+            report,
+            stats: RunStats {
+                starts: cand.map_or(0, |_| self.config.starts),
+                num_g_vertices: ms.num_g_vertices,
+                boundary_len: cand.map_or(0, |c| c.boundary_len),
+                bfs_path_length: cand.map_or(0, |c| c.path_length),
+                num_placed_by_partial: cand.map_or(0, |c| c.num_placed),
+                used_component_shortcut: shortcut,
+                used_fallback_split: !shortcut && cand.is_none(),
+                chosen_start: won.map(|(_, start)| start),
+                distinct_paths: ms.distinct_paths,
+                distinct_u: ms.distinct_u,
+                threads: ms.threads,
+                g_components: ms.g_components,
+                path_component: cand.map_or(0, |c| c.path_component),
+                arena_growths: ms.arena_growths,
+                per_start: ms.per_start,
+                phases: ms.phases,
+                multilevel: None,
+            },
+        })
+    }
+
+    /// The multi-start on `h`'s intersection graph, read off the incidence
+    /// lists: three passes over the start indices on one set of per-worker
+    /// arenas, then the per-start stats and the winner.
+    ///
+    /// # Errors
+    ///
+    /// [`PartitionError::AllStartsFailed`] when every start failed.
+    fn multi_start(&self, h: &Hypergraph) -> Result<MultiStart, PartitionError> {
         // Every start reads `G` off the incidence lists; the view's build
         // is the run's `dualize` scope.
         let view = DualIncidence::build(h, self.config.edge_size_threshold, &self.collector)?;
@@ -585,6 +637,8 @@ impl Algorithm1 {
                 return;
             };
             let _lp = scope.map(|s| s.span(names::ALG1_LONGEST_PATH));
+            #[cfg(test)]
+            fault::trip(&view, fault::Fault::Search(u));
             arena.endpoints.search(&view, u);
             for (j, end) in ends.iter().enumerate().skip(start) {
                 if let Some((_, rng)) = drawn(j).filter(|_| u_lead(j) == Some(start)) {
@@ -603,16 +657,17 @@ impl Algorithm1 {
         let path_leads = first_with_key(starts, path);
 
         // Pass 3: the first start with each ordered `(u, v)` sweeps it,
-        // completes and scores the cuts; a later start with the same
-        // pair takes that start's result.
+        // completes and scores the cuts, and folds its best into its
+        // worker's; a later start with the same pair takes that start's
+        // result.
         let pass3 = run_starts_arena(starts, &mut arenas, collector, |start, arena, scope| {
             let first = path_leads.get(start).copied().flatten();
             let outcome =
                 evaluate_start(&view, &config, start, path(start).zip(first), arena, scope);
             if let Some(p) = progress {
                 p.add(Gauge::StartsDone, 1);
-                if let Some(c) = outcome.candidate {
-                    p.record_min(Gauge::BestCut, c.cut_size as u64);
+                if let Some(cut) = outcome.cut_size {
+                    p.record_min(Gauge::BestCut, cut as u64);
                 }
             }
             outcome
@@ -621,22 +676,18 @@ impl Algorithm1 {
         let distinct_paths = count_leaders(&path_leads);
         let arena_growths = arenas.iter().map(StartArena::growths).sum();
 
-        // Deterministic reduction: scan in start order with a strictly-
-        // better rule, so the winner (and every tie-break) is the one the
-        // sequential loop would have kept, whatever the worker count.
-        // Pass 3 measured its sweep and Complete-Cut walls as plain
-        // scalars (span recording allocates — see [`run_starts_arena`]),
-        // and passes 1 and 2 are the longest-path draw; all three fold
-        // into the PhaseStats facade here.
+        // Per-start stats in start order. Pass 3 measured its sweep and
+        // Complete-Cut walls as plain scalars (span recording allocates —
+        // see [`run_starts_arena`]), and passes 1 and 2 are the
+        // longest-path draw; all three fold into the PhaseStats facade
+        // here.
         let mut per_start: Vec<StartStat> = Vec::with_capacity(starts);
-        let mut best: Option<(usize, StartCandidate)> = None;
         let mut num_failed = 0usize;
         let mut first_error = None;
-        for ((p1, p2), p3) in pass1.into_iter().zip(&pass2).zip(pass3) {
-            let index = p1.index;
+        for (start, ((p1, p2), p3)) in pass1.into_iter().zip(&pass2).zip(pass3).enumerate() {
             // A start fails with its own panic, or with the pass-2 panic of
             // the first start with its `u`.
-            let u_failed = u_lead(index).and_then(|l| pass2.get(l)?.outcome.clone().err());
+            let u_failed = u_lead(start).and_then(|l| pass2.get(l)?.outcome.clone().err());
             let outcome = p1.outcome.and(u_failed.map_or(p3.outcome, Err));
             let lp_wall = p1.wall + p2.wall;
             let (cut_size, error) = match outcome {
@@ -648,21 +699,12 @@ impl Algorithm1 {
                     );
                     match outcome.repeat_of {
                         // The skipped sweeps were the earlier start's, so
-                        // its cut or error is this start's too. With the
-                        // same score and imbalance a repeat never strictly
-                        // beats the earlier start, so it cannot win.
+                        // its cut or error is this start's too.
                         Some(earlier) => {
                             let earlier = &per_start[earlier]; // fhp-audit: allow(panic-site) — a repeat names an earlier start, whose stat is already pushed
                             (earlier.cut_size, earlier.error.clone())
                         }
-                        None => {
-                            if let Some(c) = outcome.candidate {
-                                if best.as_ref().is_none_or(|(_, b)| c.beats(b)) {
-                                    best = Some((index, c));
-                                }
-                            }
-                            (outcome.candidate.map(|c| c.cut_size), None)
-                        }
+                        None => (outcome.cut_size, None),
                     }
                 }
                 Err(e) => (None, Some(e)),
@@ -674,7 +716,7 @@ impl Algorithm1 {
                 }
             }
             per_start.push(StartStat {
-                start: index,
+                start,
                 cut_size,
                 wall: lp_wall + p3.wall,
                 error,
@@ -691,109 +733,50 @@ impl Algorithm1 {
             });
         }
 
-        // Summary recording is gated on an enabled collector: a disabled
-        // collector drops adopted buffers anyway, and recording into a
-        // scope allocates — which would violate the run-level allocation
-        // accounting the alloc-regression battery pins down.
-        let summary = self
-            .collector
-            .is_enabled()
-            .then(|| self.collector.scope(order::SUMMARY, None));
-        if let Some(summary) = &summary {
-            summary.counter(names::ALG1_STARTS, self.config.starts as u64);
-            let mut cut_hist = Histogram::new();
-            for s in &per_start {
-                if let Some(c) = s.cut_size {
-                    cut_hist.record(c as u64);
-                }
-            }
-            summary.histogram(names::ALG1_CUT_HIST, &cut_hist);
-        }
-
-        if let Some((chosen, cand)) = best {
-            // The winning sides live in the arena of whichever worker ran
-            // the chosen start: a worker keeps its subset-best under the
-            // same (score, imbalance, first-wins) order as the global
-            // reduction, and the subset containing the global winner has
-            // it as its subset winner.
-            let bipartition = arenas
-                .into_iter()
-                .find_map(|a| a.into_winner(chosen))
-                // fhp-audit: allow(panic-site) — the worker that executed `chosen` must hold it as its local best; a miss is an engine bug worth a loud stop
-                .expect("some worker arena holds the winning start's cut");
-            // The winner's sweep already counted its cut and sides.
-            let report =
-                CutReport::from_totals(cand.cut_size, cand.weighted_cut, cand.counts, cand.weights);
-            if let Some(summary) = summary {
-                summary.counter(names::ALG1_CHOSEN_START, chosen as u64);
-                summary.counter(names::ALG1_BEST_CUT, report.cut_size as u64);
-                self.collector.adopt(summary.finish());
-            }
-            return Ok(PartitionOutcome {
-                bipartition,
-                report,
-                stats: RunStats {
-                    starts: self.config.starts,
-                    num_g_vertices: view.num_g_vertices(),
-                    boundary_len: cand.boundary_len,
-                    bfs_path_length: cand.path_length,
-                    num_placed_by_partial: cand.num_placed,
-                    used_component_shortcut: false,
-                    used_fallback_split: false,
-                    chosen_start: Some(chosen),
-                    distinct_paths,
-                    distinct_u,
-                    threads: workers,
-                    g_components: view.num_components(),
-                    path_component: cand.path_component,
-                    arena_growths,
-                    per_start,
-                    phases,
-                    multilevel: None,
-                },
-            });
-        }
-
-        // G too small to cut (fewer than two G-vertices, or no usable BFS
-        // endpoints): fall back to a weight-balanced split.
-        let bipartition = balanced_fallback(h);
-        let report = CutReport::new(h, &bipartition);
-        if let Some(summary) = summary {
-            summary.counter(names::ALG1_FALLBACK_SPLIT, 1);
-            summary.counter(names::ALG1_BEST_CUT, report.cut_size as u64);
-            self.collector.adopt(summary.finish());
-        }
-        Ok(PartitionOutcome {
-            bipartition,
-            report,
-            stats: RunStats {
-                starts: 0,
-                num_g_vertices: view.num_g_vertices(),
-                boundary_len: 0,
-                bfs_path_length: 0,
-                num_placed_by_partial: 0,
-                used_component_shortcut: false,
-                used_fallback_split: true,
-                chosen_start: None,
-                distinct_paths,
-                distinct_u,
-                threads: workers,
-                g_components: view.num_components(),
-                path_component: 0,
-                arena_growths,
-                per_start,
-                phases,
-                multilevel: None,
-            },
+        // The winner is the least key over the workers' arenas. A start
+        // folds into its worker's arena only once all its sweeps
+        // succeeded, and only a start whose passes all succeeded sweeps,
+        // so every folded start ends `Ok`; a repeat folds nothing.
+        let winner = arenas
+            .into_iter()
+            .filter_map(|a| Some((a.best?, a.best_bp)))
+            .min_by(|(a, _), (b, _)| winner_order(a, b));
+        Ok(MultiStart {
+            winner,
+            num_g_vertices: view.num_g_vertices(),
+            g_components: view.num_components(),
+            distinct_paths,
+            distinct_u,
+            threads: workers,
+            arena_growths,
+            per_start,
+            phases,
         })
     }
 }
 
+/// What [`Algorithm1::multi_start`] hands the run's one exit: the winning
+/// start with its candidate and sides, and the run-level counts of
+/// [`RunStats`]. The component shortcut never runs the multi-start and
+/// reports the zero default.
+#[derive(Default)]
+struct MultiStart {
+    winner: Option<((StartCandidate, usize), Bipartition)>,
+    num_g_vertices: usize,
+    g_components: usize,
+    distinct_paths: usize,
+    distinct_u: usize,
+    threads: usize,
+    arena_growths: u64,
+    per_start: Vec<StartStat>,
+    phases: PhaseStats,
+}
+
 /// One start's best candidate cut — scalars only. The sides themselves
 /// stay in the worker's [`StartArena`] (cloning them per start would put
-/// an `O(n)` allocation in the hot loop); the reduction retrieves the
-/// winner's sides from the arenas afterwards, and builds its
-/// [`CutReport`] from the totals here.
+/// an `O(n)` allocation in the hot loop); the run takes the winner's
+/// sides from the arenas afterwards, and builds its [`CutReport`] from
+/// the totals here.
 #[derive(Clone, Copy, Debug)]
 struct StartCandidate {
     score: f64,
@@ -809,26 +792,27 @@ struct StartCandidate {
 }
 
 impl StartCandidate {
-    /// The multi-start preference order: lower objective score, then
-    /// lower weight imbalance, then whichever came first (strict `<` on
-    /// both keys — the caller keeps the incumbent on a full tie, which
-    /// is what makes earlier starts/sweeps win ties deterministically).
-    fn beats(&self, other: &Self) -> bool {
-        // fhp-audit: allow(float-in-ordering) — scores are sums accumulated in a fixed order; bitwise deterministic
-        match self.score.total_cmp(&other.score) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Equal => self.imbalance < other.imbalance,
-            std::cmp::Ordering::Greater => false,
-        }
+    /// Its rank in the preference order ([`metrics::rank_order`]).
+    fn rank(&self) -> (f64, u64) {
+        (self.score, self.imbalance)
     }
 }
 
-/// What one start reports back from pass 3: its best candidate (if any),
-/// the earlier start whose path it drew again (if it did, in which case
-/// it swept nothing and has no candidate of its own) and the directly
-/// measured phase walls, all plain scalars.
+/// The run's one winner order on `(candidate, start)` pairs: the least
+/// `(score by total_cmp, imbalance, start index)` key wins. Every worker
+/// folds its starts under it, whatever order it claimed them in, and the
+/// run takes the least over the workers' arenas — the first strictly
+/// best start in index order.
+fn winner_order(a: &(StartCandidate, usize), b: &(StartCandidate, usize)) -> Ordering {
+    metrics::rank_order(a.0.rank(), b.0.rank()).then(a.1.cmp(&b.1))
+}
+
+/// What one start reports back from pass 3: its best cut size (if it
+/// swept), the earlier start whose path it drew again (if it did, in
+/// which case it swept nothing and has no cut of its own) and the
+/// directly measured phase walls, all plain scalars.
 struct StartOutcome {
-    candidate: Option<StartCandidate>,
+    cut_size: Option<usize>,
     repeat_of: Option<usize>,
     dual_ns: u64,
     cc_ns: u64,
@@ -876,13 +860,10 @@ struct StartArena {
     work_bp: Bipartition,
     /// Best partition among the current start's sweeps.
     sweep_best_bp: Bipartition,
-    /// Best partition among every start this worker swept in pass 3, with
-    /// its reduction key `(score, imbalance, start index)`. Within a pass
-    /// the worker claims strictly increasing indices and keeps the
-    /// incumbent on full ties, mirroring the global reduction's order
-    /// exactly.
+    /// The least [`winner_order`] key among the starts this worker swept
+    /// in pass 3, with its partition in `best_bp`.
+    best: Option<(StartCandidate, usize)>,
     best_bp: Bipartition,
-    best_key: Option<(f64, u64, usize)>,
 }
 
 impl StartArena {
@@ -899,8 +880,8 @@ impl StartArena {
             completion: CompletionScratch::with_capacity(n),
             work_bp: Bipartition::all_left(n),
             sweep_best_bp: Bipartition::all_left(n),
+            best: None,
             best_bp: Bipartition::all_left(n),
-            best_key: None,
         }
     }
 
@@ -908,24 +889,20 @@ impl StartArena {
     fn growths(&self) -> u64 {
         self.dec.growths() + self.completion.growths()
     }
-
-    /// The worker-best partition, if it came from start `index`.
-    fn into_winner(self, index: usize) -> Option<Bipartition> {
-        (self.best_key.map(|(_, _, i)| i) == Some(index)).then_some(self.best_bp)
-    }
 }
 
 /// Pass 3 of one multi-start attempt: given the start's longest path
 /// `(u, v, path_length)` and the first start that drew the same ordered
-/// pair, sweep the configured front policies and keep the start's best
-/// candidate — or, when that first start is an earlier one, skip the
-/// sweeps and name it instead. A pure function of `(view, config, path)`
-/// — the foundation of the engine's thread-count invariance; the arena
-/// only lends buffers, never state. Phase walls are measured as plain
-/// scalars (recording spans allocates); when a `scope` is present —
-/// tracing runs only — the phase spans and counters are recorded too.
-/// Timing is never consulted by any decision, so it cannot perturb
-/// determinism.
+/// pair, sweep the configured front policies, keep the start's best
+/// candidate and fold it into the worker's best — or, when that first
+/// start is an earlier one, skip the sweeps and name it instead. A pure
+/// function of `(view, config, path)` — the foundation of the engine's
+/// thread-count invariance; the arena only lends buffers, and the fold
+/// is by [`winner_order`], which no claim order can change. Phase walls
+/// are measured as plain scalars (recording spans allocates); when a
+/// `scope` is present — tracing runs only — the phase spans and counters
+/// are recorded too. Timing is never consulted by any decision, so it
+/// cannot perturb determinism.
 fn evaluate_start(
     view: &DualIncidence<'_>,
     config: &PartitionConfig,
@@ -936,7 +913,7 @@ fn evaluate_start(
 ) -> StartOutcome {
     let h = view.hypergraph();
     let skipped = StartOutcome {
-        candidate: None,
+        cut_size: None,
         repeat_of: None,
         dual_ns: 0,
         cc_ns: 0,
@@ -960,6 +937,10 @@ fn evaluate_start(
     let path_component = view.component_len(view.component_of(u));
     let mut best: Option<StartCandidate> = None;
     for &sweep in config.front_policy.sweeps() {
+        #[cfg(test)]
+        if best.is_some() {
+            fault::trip(view, fault::Fault::LaterSweep(start));
+        }
         // fhp-audit: allow(wallclock-in-fingerprint) — phase walls are diagnostics (PhaseStats), never part of fingerprints
         let front_started = std::time::Instant::now();
         let front = scope.map(|s| s.span(names::ALG1_DUAL_FRONT));
@@ -990,7 +971,8 @@ fn evaluate_start(
             path_length,
             path_component,
         };
-        if best.is_none_or(|b| candidate.beats(&b)) {
+        // The start's sweeps share its index: a tie keeps the earlier.
+        if best.is_none_or(|b| metrics::rank_order(candidate.rank(), b.rank()).is_lt()) {
             best = Some(candidate);
             std::mem::swap(&mut arena.sweep_best_bp, &mut arena.work_bp);
         }
@@ -999,24 +981,17 @@ fn evaluate_start(
         if let Some(s) = scope {
             s.counter(names::ALG1_START_CUT, b.cut_size as u64);
         }
-        // Fold the start's best into the worker's best. Claimed indices
-        // are strictly increasing, so first-wins ties keep the lowest
-        // index, matching the global reduction.
-        let wins = match arena.best_key {
-            None => true,
-            Some((score, imbalance, _)) => b.beats(&StartCandidate {
-                score,
-                imbalance,
-                ..b
-            }),
-        };
-        if wins {
-            arena.best_key = Some((b.score, b.imbalance, start));
+        // Every sweep succeeded: fold the start's best into the worker's.
+        if arena
+            .best
+            .is_none_or(|held| winner_order(&(b, start), &held).is_lt())
+        {
+            arena.best = Some((b, start));
             std::mem::swap(&mut arena.best_bp, &mut arena.sweep_best_bp);
         }
     }
     StartOutcome {
-        candidate: best,
+        cut_size: best.map(|b| b.cut_size),
         repeat_of: None,
         dual_ns,
         cc_ns,
@@ -1033,8 +1008,10 @@ impl Bipartitioner for Algorithm1 {
     }
 }
 
-/// Packs whole connected components onto the lighter side (LPT), yielding a
-/// zero cut for disconnected hypergraphs.
+/// Packs whole connected components onto the lighter side (LPT,
+/// heaviest first, ties in component order), yielding a zero cut for
+/// disconnected hypergraphs; over single modules it is the weight-balanced
+/// split used when there is no intersection graph to cut.
 fn pack_components(h: &Hypergraph, comp: &[u32], n_comps: usize) -> Bipartition {
     let mut comp_weight = vec![0u64; n_comps];
     for v in h.vertices() {
@@ -1054,18 +1031,70 @@ fn pack_components(h: &Hypergraph, comp: &[u32], n_comps: usize) -> Bipartition 
     bp
 }
 
-/// Weight-balanced split used when there is no intersection graph to cut.
-fn balanced_fallback(h: &Hypergraph) -> Bipartition {
-    let mut order: Vec<VertexId> = h.vertices().collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(h.vertex_weight(v)));
-    let mut weights = [0u64; 2];
-    let mut bp = Bipartition::all_left(h.num_vertices());
-    for v in order {
-        let side = Side::lighter(weights);
-        bp.set(v, side);
-        weights[side.index()] += h.vertex_weight(v); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
+/// A fault planted in the multi-start for its own tests, modelled on
+/// fhp-verify's tamper hook. Passes 2 and 3 run on worker threads, so the
+/// armed fault is process-wide; it is keyed to the test's instance by its
+/// module, G-vertex and kept-pin counts, so the other unit tests running
+/// in the same process never meet it. An [`Armed`] guard holds it and
+/// disarms on drop, and tests that plant faults run one at a time behind
+/// it.
+#[cfg(test)]
+mod fault {
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    use fhp_hypergraph::DualIncidence;
+
+    /// Where a planted fault panics.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) enum Fault {
+        /// Pass 2's BFS(`u`) for this `u`.
+        Search(u32),
+        /// Every sweep after the first of this start, in pass 3.
+        LaterSweep(usize),
     }
-    bp
+
+    /// The `(modules, G-vertices, kept pins)` of an instance.
+    type Instance = (usize, usize, usize);
+
+    /// The armed fault with its instance.
+    static ARMED: Mutex<Option<(Instance, Fault)>> = Mutex::new(None);
+    /// Held by the one armed test.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    /// Keeps a fault armed until dropped.
+    pub(crate) struct Armed {
+        _serial: MutexGuard<'static, ()>,
+    }
+
+    impl Drop for Armed {
+        fn drop(&mut self) {
+            *ARMED.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        }
+    }
+
+    fn key(view: &DualIncidence<'_>) -> Instance {
+        (
+            view.num_modules(),
+            view.num_g_vertices(),
+            view.num_kept_pins(),
+        )
+    }
+
+    /// Arms `fault` for the instance `view` reads.
+    pub(crate) fn arm(view: &DualIncidence<'_>, fault: Fault) -> Armed {
+        let serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        *ARMED.lock().unwrap_or_else(PoisonError::into_inner) = Some((key(view), fault));
+        Armed { _serial: serial }
+    }
+
+    /// Panics if `fault` is armed for the instance `view` reads.
+    pub(crate) fn trip(view: &DualIncidence<'_>, fault: Fault) {
+        let armed = *ARMED.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(
+            armed != Some((key(view), fault)),
+            "planted fault at {fault:?}"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1366,6 +1395,188 @@ mod tests {
         assert_eq!((split.g_components, split.path_component), (2, 5));
         let whole = run(None);
         assert_eq!((whole.g_components, whole.path_component), (1, 11));
+    }
+
+    /// `m` 2-pin signals `{0, i}` through hub module 0, a clique in `G`,
+    /// and one signal `{1, m + 1}` hanging off the first: from every
+    /// other clique signal the pendant is the one deepest G-vertex, so
+    /// most starts draw it as `u`.
+    fn comet(m: usize) -> Hypergraph {
+        let mut b = HypergraphBuilder::with_vertices(m + 2);
+        for i in 1..=m {
+            b.add_edge([VertexId::new(0), VertexId::new(i)]).unwrap();
+        }
+        b.add_edge([VertexId::new(1), VertexId::new(m + 1)])
+            .unwrap();
+        b.build()
+    }
+
+    /// Every start's reference draw `(u, v, depth)`:
+    /// [`EndpointScratch::pick`] on the start's own stream.
+    fn reference_draws(h: &Hypergraph, seed: u64, starts: usize) -> Vec<Option<(u32, u32, u32)>> {
+        let view = DualIncidence::new(h, None).unwrap();
+        (0..starts)
+            .map(|i| EndpointScratch::new().pick(&view, &mut SplitMix64::for_start(seed, i)))
+            .collect()
+    }
+
+    /// `config`'s run of `h` at 1, 2, 3 and 8 threads, all with one
+    /// fingerprint; the 1-thread run.
+    fn thread_invariant_run(
+        h: &Hypergraph,
+        config: PartitionConfig,
+    ) -> Result<PartitionOutcome, PartitionError> {
+        let runs = [1, 2, 3, 8].map(|t| Algorithm1::new(config.threads(t)).run(h));
+        for (t, run) in [2, 3, 8].iter().zip(&runs[1..]) {
+            match (run, &runs[0]) {
+                (Ok(a), Ok(b)) => assert_eq!(a.fingerprint(), b.fingerprint(), "threads = {t}"),
+                (a, b) => assert_eq!(a.as_ref().err(), b.as_ref().err(), "threads = {t}"),
+            }
+        }
+        let [first, ..] = runs;
+        first
+    }
+
+    #[test]
+    fn a_failed_search_fails_every_start_with_its_u_and_none_wins() {
+        let h = comet(13);
+        let (seed, starts) = (3, 24);
+        let config = PartitionConfig::new().seed(seed).starts(starts);
+        let clean = Algorithm1::new(config).run(&h).unwrap();
+        let chosen = clean.stats.chosen_start.unwrap();
+        let draws = reference_draws(&h, seed, starts);
+        let u = draws[chosen].unwrap().0;
+        let with_u: Vec<usize> = (0..starts)
+            .filter(|&i| draws[i].is_some_and(|d| d.0 == u))
+            .collect();
+        assert!(with_u.len() >= 2 && with_u.len() < starts, "{with_u:?}");
+
+        let view = DualIncidence::new(&h, None).unwrap();
+        let _armed = fault::arm(&view, fault::Fault::Search(u));
+        let out = thread_invariant_run(&h, config).unwrap();
+        let leader_error = out.stats.per_start[with_u[0]].error.clone().unwrap();
+        assert!(leader_error.contains("planted fault"), "{leader_error}");
+        for (i, s) in out.stats.per_start.iter().enumerate() {
+            if with_u.contains(&i) {
+                assert_eq!((s.cut_size, s.error.as_ref()), (None, Some(&leader_error)));
+            } else {
+                assert_eq!(s.error, None, "start {i}");
+                assert_eq!(s.cut_size, clean.stats.per_start[i].cut_size, "start {i}");
+            }
+        }
+        assert!(!with_u.contains(&out.stats.chosen_start.unwrap()));
+    }
+
+    #[test]
+    fn a_failed_search_shared_by_every_start_fails_the_run() {
+        let h = comet(17);
+        let starts = 4;
+        // a seed whose starts all draw the same `u`
+        let (seed, u) = (0..)
+            .find_map(|seed| {
+                let draws = reference_draws(&h, seed, starts);
+                let u = draws[0]?.0;
+                draws
+                    .iter()
+                    .all(|d| d.is_some_and(|d| d.0 == u))
+                    .then_some((seed, u))
+            })
+            .unwrap();
+        let config = PartitionConfig::new().seed(seed).starts(starts);
+        assert!(Algorithm1::new(config).run(&h).is_ok());
+
+        let view = DualIncidence::new(&h, None).unwrap();
+        let _armed = fault::arm(&view, fault::Fault::Search(u));
+        match thread_invariant_run(&h, config) {
+            Err(PartitionError::AllStartsFailed { error }) => {
+                assert!(error.contains("planted fault"), "{error}");
+            }
+            other => panic!("expected AllStartsFailed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_start_whose_later_sweep_fails_never_wins_and_its_repeats_fail_with_it() {
+        let h = comet(11);
+        let (seed, starts) = (5, 24);
+        let config = PartitionConfig::new().seed(seed).starts(starts);
+        let clean = Algorithm1::new(config).run(&h).unwrap();
+        let chosen = clean.stats.chosen_start.unwrap();
+        // the winner's first sweep is its best: a first-sweep-only run
+        // picks the same start and the same sides
+        let first_only = Algorithm1::new(config.front_policy(FrontPolicy::SmallerFirst))
+            .run(&h)
+            .unwrap();
+        assert_eq!(first_only.stats.chosen_start, Some(chosen));
+        assert_eq!(first_only.bipartition, clean.bipartition);
+        let draws = reference_draws(&h, seed, starts);
+        let repeats: Vec<usize> = (chosen + 1..starts)
+            .filter(|&i| draws[i] == draws[chosen])
+            .collect();
+        assert!(!repeats.is_empty());
+
+        let view = DualIncidence::new(&h, None).unwrap();
+        let _armed = fault::arm(&view, fault::Fault::LaterSweep(chosen));
+        let out = thread_invariant_run(&h, config).unwrap();
+        let error = out.stats.per_start[chosen].error.clone().unwrap();
+        assert!(error.contains("planted fault"), "{error}");
+        assert_ne!(out.stats.chosen_start, Some(chosen));
+        for (i, s) in out.stats.per_start.iter().enumerate() {
+            if i == chosen || repeats.contains(&i) {
+                assert_eq!((s.cut_size, s.error.as_ref()), (None, Some(&error)));
+            } else {
+                assert_eq!(s.error, None, "start {i}");
+                assert_eq!(s.cut_size, clean.stats.per_start[i].cut_size, "start {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_ties_go_to_the_lowest_start_and_its_first_sweep() {
+        // a ring of 2-pin signals: every longest path is a pair of
+        // antipodes, and every sweep cuts two signals, one module off
+        // halves — but not the same halves for every start and sweep
+        let n = 16;
+        let mut b = HypergraphBuilder::with_vertices(n);
+        for i in 0..n {
+            b.add_edge([VertexId::new(i), VertexId::new((i + 1) % n)])
+                .unwrap();
+        }
+        let h = b.build();
+        let (seed, starts) = (2, 8);
+        // each start's own stream, one sweep at a time
+        let single = |policy, start: usize| {
+            Algorithm1::new(
+                PartitionConfig::new()
+                    .seed(seed ^ start as u64)
+                    .front_policy(policy),
+            )
+            .run(&h)
+            .unwrap()
+        };
+        let rank = |o: &PartitionOutcome| {
+            let (l, r) = o.report.weights;
+            (o.report.cut_size, l.abs_diff(r))
+        };
+        let first = single(FrontPolicy::SmallerFirst, 0);
+        let (mut starts_differ, mut sweeps_differ) = (false, false);
+        for start in 0..starts {
+            let [a, b] =
+                [FrontPolicy::SmallerFirst, FrontPolicy::Alternate].map(|p| single(p, start));
+            assert_eq!(
+                (rank(&a), rank(&b)),
+                (rank(&first), rank(&first)),
+                "start {start}"
+            );
+            starts_differ |= a.bipartition != first.bipartition;
+            sweeps_differ |= a.bipartition != b.bipartition;
+        }
+        assert!(starts_differ && sweeps_differ);
+
+        let out =
+            thread_invariant_run(&h, PartitionConfig::new().seed(seed).starts(starts)).unwrap();
+        assert_eq!(out.stats.chosen_start, Some(0));
+        assert_eq!(out.bipartition, first.bipartition);
     }
 
     #[test]

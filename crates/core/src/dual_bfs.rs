@@ -62,8 +62,6 @@ pub struct GraphCut {
     /// One byte per vertex: its side in [`SIDE`], plus [`BOUNDARY`] if it
     /// has a neighbour on the other side.
     labels: Vec<u8>,
-    left_seed: u32,
-    right_seed: u32,
 }
 
 /// Label bit holding a vertex's side (clear = left, set = right).
@@ -90,16 +88,6 @@ impl GraphCut {
     #[inline]
     pub fn is_boundary(&self, v: u32) -> bool {
         self.labels[v as usize] & BOUNDARY != 0 // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-    }
-
-    /// The left front's seed vertex.
-    pub fn left_seed(&self) -> u32 {
-        self.left_seed
-    }
-
-    /// The right front's seed vertex.
-    pub fn right_seed(&self) -> u32 {
-        self.right_seed
     }
 
     /// Number of vertices labelled.
@@ -219,8 +207,6 @@ impl TwoFrontScratch {
             reads: 0,
             cut: GraphCut {
                 labels: Vec::with_capacity(n),
-                left_seed: 0,
-                right_seed: 0,
             },
         }
     }
@@ -344,8 +330,6 @@ impl TwoFrontScratch {
             *reads <= 3 * view.num_kept_pins() as u64,
             "{reads} ids read"
         );
-        cut.left_seed = u;
-        cut.right_seed = v;
     }
 
     /// Ids the most recent [`run`](Self::run) read: the pins of the nets
@@ -589,8 +573,6 @@ mod tests {
         for i in 3..10 {
             assert_eq!(cut.side_of(i), Side::Right, "vertex {i}");
         }
-        assert_eq!(cut.left_seed(), 0);
-        assert_eq!(cut.right_seed(), 3);
     }
 
     #[test]

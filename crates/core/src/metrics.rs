@@ -28,7 +28,7 @@ use crate::Bipartition;
 /// the pipeline reads a clock.
 ///
 /// Each start measures its phase walls as plain scalars (span recording
-/// allocates), and the run's reduction folds them in via
+/// allocates), and the run's per-start stats fold them in via
 /// [`record_start_walls`](PhaseStats::record_start_walls).
 ///
 /// # Examples
@@ -222,6 +222,15 @@ impl CutReport {
             quotient: Objective::QuotientCut.score(cut_size, weighted_cut, counts),
         }
     }
+}
+
+/// The preference order every multi-start and V-cycle choice ranks cuts
+/// by, on `(objective score, weight imbalance)`: the lower score by
+/// [`f64::total_cmp`], then the lower imbalance. A choice between equal
+/// ranks keeps the incumbent, or, between two starts, the lower start.
+pub(crate) fn rank_order(a: (f64, u64), b: (f64, u64)) -> std::cmp::Ordering {
+    // fhp-audit: allow(float-in-ordering) — scores are sums accumulated in a fixed order; total_cmp gives the total order
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
 /// The objective a partitioner optimizes when comparing candidate cuts.

@@ -226,17 +226,11 @@ pub fn coarsen_sequence(
 }
 
 /// `a` strictly beats `b` under `obj`: lower score, or equal score and
-/// strictly lower weight imbalance — the same preference order the
-/// multi-start reduction uses, so ties keep the incumbent.
+/// strictly lower weight imbalance ([`metrics::rank_order`], the
+/// multi-start's order), so ties keep the incumbent.
 fn strictly_beats(obj: Objective, h: &Hypergraph, a: &Bipartition, b: &Bipartition) -> bool {
-    // fhp-audit: allow(float-in-ordering) — objective values are deterministic sums; total_cmp gives the total order
-    match obj.evaluate(h, a).total_cmp(&obj.evaluate(h, b)) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Equal => {
-            metrics::weight_imbalance(h, a) < metrics::weight_imbalance(h, b)
-        }
-        std::cmp::Ordering::Greater => false,
-    }
+    let rank = |bp| (obj.evaluate(h, bp), metrics::weight_imbalance(h, bp));
+    metrics::rank_order(rank(a), rank(b)).is_lt()
 }
 
 /// Runs the full multilevel mode for [`Algorithm1::run`], which has

@@ -17,11 +17,13 @@
 //!    threaded a single sequential RNG through the loop, which made start
 //!    `i`'s draws depend on all earlier starts and would have ordered the
 //!    whole loop.)
-//! 2. **Dynamic claiming, ordered reduction.** Workers claim the next
+//! 2. **Dynamic claiming, ordered records.** Workers claim the next
 //!    unclaimed start index from an atomic counter (cheap load balancing
-//!    — starts vary in cost), record results by index, and the reduction
-//!    scans indices `0..starts` with a strict lexicographic rule, so the
-//!    winner is independent of completion order.
+//!    — starts vary in cost) and store each record in the slot of its
+//!    index, so the records come back in index order whatever the worker
+//!    count or completion order. Algorithm I ranks its candidates by a
+//!    key that ends in the start index, so its winner does not depend on
+//!    the schedule either.
 //! 3. **Panic containment.** Each start runs under
 //!    [`std::panic::catch_unwind`]; a poisoned start becomes a recorded
 //!    error in its [`StartRecord`] instead of tearing down the run (or
@@ -37,15 +39,15 @@
 //!
 //! The engine is generic over the per-start work so the containment and
 //! determinism machinery can be tested in isolation from the partitioner.
-//! Point 2 is the workspace's one worker pool,
-//! [`fhp_hypergraph::pool::run_indexed`], which the dualization kernel
-//! runs on too; this module adds containment, tracing and timing.
+//! It is the workspace's one worker pool: it spawns, feeds and joins its
+//! own scoped threads.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 // fhp-audit: allow(wallclock-in-fingerprint) — wall time is diagnostic only (StartRecord.wall), never part of fingerprints or canonical traces
 use std::time::{Duration, Instant};
 
-use fhp_hypergraph::pool;
 use fhp_obs::{names, order, Collector, Scope, ScopeEvents};
 use rand::RngCore;
 
@@ -80,13 +82,12 @@ impl RngCore for SplitMix64 {
     }
 }
 
-/// What one start produced: its index, its wall-clock cost on whichever
-/// worker ran it, its value — or the panic message if it was contained —
-/// and everything the start recorded into its tracing scope.
+/// What one start produced: its wall-clock cost on whichever worker ran
+/// it, its value — or the panic message if it was contained — and
+/// everything the start recorded into its tracing scope. A record's
+/// start index is its position in the returned records.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StartRecord<T> {
-    /// The start index in `0..starts`.
-    pub index: usize,
     /// Wall-clock time this start took.
     pub wall: Duration,
     /// The start's value, or the contained panic's message.
@@ -97,14 +98,24 @@ pub struct StartRecord<T> {
     pub events: ScopeEvents,
 }
 
-/// The multi-start engine: runs `work` for every start in `0..starts` on
-/// the shared worker pool ([`pool::run_indexed`]) and returns the records
-/// in index order. The caller builds the arenas: one worker runs per
-/// arena, up to `starts` of them, and hands its arena by `&mut` to every
-/// start it claims, so index-pure per-start work can execute with **zero
-/// heap allocation once the arena is warm**. A caller that runs several
-/// passes over the starts passes the same arenas to each, and every
-/// worker keeps its warm arena across them.
+/// The multi-start engine: runs `work` for every start in `0..starts` and
+/// returns the records in index order. The caller builds the arenas: one
+/// worker runs per arena, up to `starts` of them, and hands its arena by
+/// `&mut` to every start it claims, so index-pure per-start work can
+/// execute with **zero heap allocation once the arena is warm**. A caller
+/// that runs several passes over the starts passes the same arenas to
+/// each; every pass starts the same `min(arenas.len(), starts)` workers,
+/// and each keeps its warm arena across them. With one worker (one
+/// arena, or at most one start) every start runs inline on the caller's
+/// thread, on the first arena.
+///
+/// Workers claim start indices from an atomic counter and store each
+/// record in the slot of its index. The engine joins every worker it
+/// spawned before it returns: the scope's own wait ends when the
+/// workers' closures return, while their threads may still be exiting,
+/// and a caller that runs passes back to back would then overlap one
+/// pass's exiting threads with the next pass's new ones — which makes the
+/// standard library's per-thread bookkeeping allocate by timing.
 ///
 /// Tracing is opt-in per run: a [`Scope`] keyed by `order::start(index)`
 /// is created (and the `runner.start` root span recorded) only when
@@ -125,6 +136,10 @@ pub struct StartRecord<T> {
 /// Each start runs under [`std::panic::catch_unwind`], so a panic becomes
 /// the record's error; the poisoned worker's arena is handed to its next
 /// start as-is, which the reset-at-entry rule makes safe.
+///
+/// # Panics
+///
+/// Panics if `starts > 0` and `arenas` is empty.
 ///
 /// # Examples
 ///
@@ -156,8 +171,9 @@ where
     A: Send,
     F: Fn(usize, &mut A, Option<&Scope>) -> T + Sync,
 {
+    assert!(starts == 0 || !arenas.is_empty(), "no arena to run on");
     let traced = collector.is_enabled();
-    pool::run_indexed(starts, arenas, |index, arena| {
+    let run = |index: usize, arena: &mut A| {
         let scope = traced.then(|| collector.scope(order::start(index), Some(index as u32))); // fhp-audit: allow(as-cast-truncation) — start index bounded by the start count, well below u32::MAX
                                                                                               // fhp-audit: allow(wallclock-in-fingerprint) — times the volatile wall field only
         let started = Instant::now();
@@ -169,12 +185,53 @@ where
                 .map_err(panic_message)
         };
         StartRecord {
-            index,
             wall: started.elapsed(),
             outcome,
             events: scope.map(|s| s.finish()).unwrap_or_default(),
         }
-    })
+    };
+    let workers = arenas.len().min(starts);
+    if workers <= 1 {
+        let Some(arena) = arenas.first_mut() else {
+            return Vec::new();
+        };
+        return (0..starts).map(|index| run(index, arena)).collect();
+    }
+
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<StartRecord<T>>>> = Mutex::new((0..starts).map(|_| None).collect());
+    let (next, slots_ref, run) = (&next, &slots, &run);
+    std::thread::scope(|threads| {
+        let handles: Vec<_> = arenas
+            .iter_mut()
+            .take(workers)
+            .map(|arena| {
+                threads.spawn(move || loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed); // fhp-audit: allow(atomic-ordering) — claim-by-counter: fetch_add is the only use; claim order never reaches the index-ordered records
+                    if index >= starts {
+                        break;
+                    }
+                    let record = run(index, arena);
+                    let mut slots = slots_ref.lock().unwrap_or_else(PoisonError::into_inner);
+                    if let Some(slot) = slots.get_mut(index) {
+                        *slot = Some(record);
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    slots
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        // fhp-audit: allow(panic-site) — the claim loop covers 0..starts exactly once; a hole is an engine bug worth a loud stop
+        .map(|slot| slot.expect("every start was claimed exactly once"))
+        .collect()
 }
 
 /// Renders a contained panic payload as the record's error string.
@@ -215,6 +272,22 @@ mod tests {
         })
     }
 
+    /// [`run_starts_arena`] untraced on `arenas` that log every start
+    /// they run, returning the outcomes.
+    fn run_logged<T: Send>(
+        starts: usize,
+        arenas: &mut [Vec<usize>],
+        work: impl Fn(usize) -> T + Sync,
+    ) -> Vec<Result<T, String>> {
+        run_starts_arena(starts, arenas, &Collector::disabled(), |i, seen, _| {
+            seen.push(i);
+            work(i)
+        })
+        .into_iter()
+        .map(|r| r.outcome)
+        .collect()
+    }
+
     #[test]
     fn splitmix_streams_are_seed_functions() {
         let mut a = SplitMix64::for_start(42, 3);
@@ -231,11 +304,9 @@ mod tests {
     fn records_arrive_in_index_order_for_any_worker_count() {
         for workers in [1, 2, 3, 8, 64] {
             let records = run_unit_arena(23, workers, |i| 100 - i);
-            assert_eq!(records.len(), 23);
-            for (i, r) in records.iter().enumerate() {
-                assert_eq!(r.index, i);
-                assert_eq!(r.outcome, Ok(100 - i));
-            }
+            let outcomes: Vec<_> = records.into_iter().map(|r| r.outcome).collect();
+            let expect: Vec<_> = (0..23).map(|i| Ok(100 - i)).collect();
+            assert_eq!(outcomes, expect, "workers={workers}");
         }
     }
 
@@ -264,24 +335,62 @@ mod tests {
             i
         });
         assert_eq!(records.len(), 6);
-        for r in &records {
-            match r.index {
+        for (i, r) in records.iter().enumerate() {
+            match i {
                 2 | 4 => {
                     let msg = r.outcome.as_ref().unwrap_err();
                     assert!(msg.contains("poisoned"), "message was {msg}");
                 }
-                i => assert_eq!(r.outcome, Ok(i)),
+                _ => assert_eq!(r.outcome, Ok(i)),
             }
         }
     }
 
     #[test]
-    fn zero_starts_and_excess_workers() {
-        let empty = run_unit_arena(0, 8, |i| i);
-        assert!(empty.is_empty());
-        let one = run_unit_arena(1, 8, |i| i + 1);
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0].outcome, Ok(1));
+    fn zero_starts_run_nothing() {
+        for workers in [0, 1, 8] {
+            let mut arenas = vec![Vec::new(); workers];
+            assert!(run_logged(0, &mut arenas, |i| i).is_empty());
+            assert!(arenas.iter().all(Vec::is_empty), "workers={workers}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no arena")]
+    fn starts_without_an_arena_panic() {
+        run_unit_arena(1, 0, |i| i);
+    }
+
+    #[test]
+    fn excess_arenas_stay_idle() {
+        let mut arenas = vec![Vec::new(); 8];
+        assert_eq!(run_logged(1, &mut arenas, |i| i + 1), [Ok(1)]);
+        assert_eq!(arenas[0], [0]);
+        assert!(arenas[1..].iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn every_start_runs_once_on_one_arena_and_arenas_stay_warm() {
+        for workers in [1, 2, 4] {
+            let mut arenas = vec![Vec::new(); workers];
+            for pass in 1..=2 {
+                let out = run_logged(16, &mut arenas, |i| i * 2);
+                assert_eq!(out, (0..16).map(|i| Ok(i * 2)).collect::<Vec<_>>());
+                // every start of every pass ran on exactly one arena, and
+                // the arenas kept what the earlier pass left in them
+                let mut all: Vec<usize> = arenas.concat();
+                all.sort_unstable();
+                let want: Vec<usize> = (0..16).flat_map(|i| vec![i; pass]).collect();
+                assert_eq!(all, want, "workers={workers} pass={pass}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_inline_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let same = run_unit_arena(4, 1, |_| std::thread::current().id() == caller);
+        assert!(same.iter().all(|r| r.outcome == Ok(true)));
     }
 
     #[test]
@@ -299,7 +408,6 @@ mod tests {
         );
         assert_eq!(records.len(), 16);
         for (i, r) in records.iter().enumerate() {
-            assert_eq!(r.index, i);
             assert_eq!(r.outcome, Ok(i * 2));
             assert_eq!(r.events, ScopeEvents::default());
         }
@@ -327,23 +435,17 @@ mod tests {
     #[test]
     fn arena_engine_contains_panics_and_keeps_the_worker_alive() {
         let mut arenas = vec![Vec::new(); 2];
-        let records = run_starts_arena(
-            8,
-            &mut arenas,
-            &Collector::disabled(),
-            |i, scratch: &mut Vec<usize>, _scope| {
-                scratch.push(i);
-                assert!(i != 3, "start {i} poisoned");
-                i
-            },
-        );
-        for r in &records {
-            match r.index {
-                3 => assert!(r.outcome.as_ref().unwrap_err().contains("poisoned")),
-                i => assert_eq!(r.outcome, Ok(i)),
+        let out = run_logged(8, &mut arenas, |i| {
+            assert!(i != 3, "start {i} poisoned");
+            i
+        });
+        for (i, outcome) in out.iter().enumerate() {
+            match i {
+                3 => assert!(outcome.as_ref().unwrap_err().contains("poisoned")),
+                _ => assert_eq!(*outcome, Ok(i)),
             }
         }
-        // the panicking start still ran on a pooled arena and the worker
+        // the panicking start still ran on a caller's arena and the worker
         // went on to claim more work afterwards
         let total: usize = arenas.iter().map(Vec::len).sum();
         assert_eq!(total, 8);

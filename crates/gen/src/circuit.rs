@@ -15,7 +15,7 @@
 //!    including the occasional large bus net whose crossing behaviour
 //!    Table 1 studies.
 
-use fhp_hypergraph::{Hypergraph, HypergraphBuilder, VertexId};
+use fhp_hypergraph::{connected_components, Hypergraph, HypergraphBuilder, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -270,7 +270,7 @@ impl CircuitNetlist {
         let mut reserve = 0usize;
         loop {
             let prefix = &edges[..edges.len() - reserve];
-            let (comp, n_comps) = components_of(self.modules, prefix);
+            let (comp, n_comps) = connected_components(self.modules, prefix);
             let need = n_comps - 1;
             if need <= reserve {
                 let mut reps: Vec<VertexId> = Vec::new();
@@ -315,42 +315,6 @@ impl CircuitNetlist {
         }
         Ok(b.build())
     }
-}
-
-/// Connected components over a pin list (without building the hypergraph).
-fn components_of(n: usize, edges: &[Vec<VertexId>]) -> (Vec<u32>, usize) {
-    // union-find
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    for pins in edges {
-        for w in pins.windows(2) {
-            let (a, b) = (
-                find(&mut parent, w[0].index() as u32),
-                find(&mut parent, w[1].index() as u32),
-            );
-            if a != b {
-                parent[a as usize] = b;
-            }
-        }
-    }
-    let mut label = vec![u32::MAX; n];
-    let mut count = 0u32;
-    let mut comp = vec![0u32; n];
-    for (v, slot) in comp.iter_mut().enumerate() {
-        let root = find(&mut parent, v as u32);
-        if label[root as usize] == u32::MAX {
-            label[root as usize] = count;
-            count += 1;
-        }
-        *slot = label[root as usize];
-    }
-    (comp, count as usize)
 }
 
 #[cfg(test)]

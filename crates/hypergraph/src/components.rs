@@ -1,12 +1,50 @@
 //! Connected components by union-find, numbered by their lowest member.
 //!
+//! [`connected_components`] labels modules joined by shared signals, for
 //! [`Hypergraph::connected_components`](crate::Hypergraph::connected_components)
-//! labels modules joined by shared signals, and [`DualIncidence`](crate::DualIncidence)
-//! labels kept nets joined by shared modules, both with this one helper.
+//! and for callers that hold pin lists without a hypergraph, and
+//! [`DualIncidence`](crate::DualIncidence) labels kept nets joined by
+//! shared modules, both with this one helper.
 //! A union links the larger root under the smaller, so every root is its
 //! set's lowest member; one scan in member order then numbers the sets in
 //! order of their lowest member — the order a DFS started from each
 //! unvisited member in turn discovers them.
+
+use crate::VertexId;
+
+/// The connected components of the vertices `0..num_vertices`, where two
+/// vertices are connected if some pin list holds both.
+///
+/// Returns `(component_of, count)` with `component_of[v] ∈ 0..count`.
+/// A vertex in no pin list forms a component of its own. Components are
+/// numbered in order of their lowest vertex id — the order a scan over
+/// vertex ids first discovers them — by one union-find pass over the
+/// pins.
+///
+/// # Panics
+///
+/// Panics if `num_vertices` exceeds the `u32` id space or a pin is not
+/// below it.
+///
+/// # Examples
+///
+/// ```
+/// use fhp_hypergraph::{connected_components, VertexId};
+///
+/// let pins = [vec![VertexId::new(3), VertexId::new(1)], vec![VertexId::new(2)]];
+/// assert_eq!(connected_components(4, &pins), (vec![0, 1, 2, 1], 3));
+/// ```
+pub fn connected_components<P>(num_vertices: usize, pin_lists: P) -> (Vec<u32>, usize)
+where
+    P: IntoIterator,
+    P::Item: AsRef<[VertexId]>,
+{
+    let mut sets = LowestRootSets::new(num_vertices);
+    for pins in pin_lists {
+        sets.union_all(pins.as_ref().iter().map(|p| p.raw()));
+    }
+    sets.into_labels()
+}
 
 /// A disjoint-set forest over `0..n` whose roots are their sets' lowest
 /// members.

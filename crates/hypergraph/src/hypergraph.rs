@@ -8,7 +8,6 @@
 //! (iterating pins of an edge, iterating edges of a vertex) touch contiguous
 //! memory.
 
-use crate::components::LowestRootSets;
 use crate::{BuildHypergraphError, EdgeId, VertexId};
 
 /// An immutable weighted hypergraph in dual CSR representation.
@@ -156,19 +155,12 @@ impl Hypergraph {
     }
 
     /// Connected components of the hypergraph, where two vertices are
-    /// connected if some hyperedge contains both.
+    /// connected if some hyperedge contains both: [`connected_components`]
+    /// over the pin lists.
     ///
-    /// Returns `(component_of, count)` with `component_of[v] ∈ 0..count`.
-    /// Isolated vertices each form their own component. Components are
-    /// numbered in order of their lowest vertex id — the order a scan
-    /// over vertex ids first discovers them — by one union-find pass over
-    /// the pins.
+    /// [`connected_components`]: crate::connected_components
     pub fn connected_components(&self) -> (Vec<u32>, usize) {
-        let mut sets = LowestRootSets::new(self.num_vertices());
-        for e in self.edges() {
-            sets.union_all(self.pins(e).iter().map(|p| p.raw()));
-        }
-        sets.into_labels()
+        crate::connected_components(self.num_vertices(), self.edges().map(|e| self.pins(e)))
     }
 }
 

@@ -14,7 +14,6 @@
 //! - [`DualIncidence`]: the same `G` read off the incidence lists (each
 //!   module's kept nets), which Algorithm I traverses without building
 //!   the adjacency.
-//! - [`pool`]: the index-ordered worker pool every parallel stage runs on.
 //! - [`bfs`]: breadth-first level structures, the double-sweep
 //!   pseudo-diameter, components and exact diameters for verification.
 //! - [`Netlist`]: a small line-oriented text format for netlists, matching
@@ -52,10 +51,10 @@ pub mod hgr;
 pub mod incremental;
 pub mod intersection;
 pub mod netlist;
-pub mod pool;
 pub mod stats;
 pub mod subhypergraph;
 
+pub use components::connected_components;
 pub use contract::ContractError;
 pub use error::{BuildGraphError, BuildHypergraphError, ParseHgrError, ParseNetlistError};
 pub use graph::{Graph, GraphBuilder};

@@ -18,7 +18,7 @@
 //! - [`Collector::snapshot`] merges the adopted buffers **in scope-order
 //!   key order**, not adoption order. Callers assign each scope a
 //!   deterministic key (see [`crate::order`]) — the same contract as
-//!   `fhp_core::runner`'s index-ordered reduction — so the merged event
+//!   `fhp_core::runner`'s index-ordered records — so the merged event
 //!   sequence is identical for every thread count, even though workers
 //!   adopt scopes in whatever order they finish.
 
