@@ -6,7 +6,7 @@
 //! `crossing-prob` experiment.
 
 use fhp_core::{metrics, Bipartition, Bipartitioner, PartitionError, Side};
-use fhp_hypergraph::{Graph, Hypergraph};
+use fhp_hypergraph::Hypergraph;
 
 /// Exact minimum-cut bipartitioner by enumeration.
 ///
@@ -62,54 +62,6 @@ impl Exhaustive {
         let bp = self.bipartition(h)?;
         Ok(metrics::cut_size(h, &bp))
     }
-}
-
-/// The exact minimum number of losers for a Complete-Cut completion of
-/// the boundary graph `g`, by enumeration.
-///
-/// Winners must form an independent set (a winner's neighbours all
-/// lose), so the minimum loser count is `n` minus the maximum
-/// independent set — equivalently, a minimum vertex cover. Exponential;
-/// this is the ground truth the paper's within-one claim for the greedy
-/// completion is tested against, shared by the unit tests here and the
-/// `fhp-verify` oracle harness.
-///
-/// # Status of the paper's within-one claim
-///
-/// Exhaustive comparison against this oracle over every connected
-/// bipartite boundary graph shows the min-degree greedy completion is
-/// within 1 of this optimum for all `n ≤ 9`. The claim is **refuted as
-/// stated** from `n = 10` up: connected counterexamples with a gap of 2
-/// exist (the smallest is pinned as `within_one_counterexample` in
-/// `fhp-core`'s `complete_cut` tests). Oracles must therefore only
-/// assert the within-1 bound on connected `G′` with at most 9 vertices;
-/// `greedy ≥ optimum` is the only inequality that holds unconditionally.
-///
-/// # Errors
-///
-/// [`PartitionError::TooLarge`] beyond [`EXHAUSTIVE_VERTEX_LIMIT`]
-/// vertices.
-pub fn exhaustive_min_losers(g: &Graph) -> Result<usize, PartitionError> {
-    let n = g.num_vertices();
-    if n > EXHAUSTIVE_VERTEX_LIMIT {
-        return Err(PartitionError::TooLarge {
-            found: n,
-            limit: EXHAUSTIVE_VERTEX_LIMIT,
-        });
-    }
-    let mut max_independent = 0usize;
-    for mask in 0u32..(1u32 << n) {
-        if (mask.count_ones() as usize) <= max_independent {
-            continue;
-        }
-        let independent = g
-            .edges()
-            .all(|(u, v)| mask & (1 << u) == 0 || mask & (1 << v) == 0);
-        if independent {
-            max_independent = mask.count_ones() as usize;
-        }
-    }
-    Ok(n - max_independent)
 }
 
 impl Bipartitioner for Exhaustive {

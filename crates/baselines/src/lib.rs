@@ -72,7 +72,7 @@ mod random;
 mod spectral;
 
 pub use annealing::SimulatedAnnealing;
-pub use exhaustive::{exhaustive_min_losers, Exhaustive, EXHAUSTIVE_VERTEX_LIMIT};
+pub use exhaustive::{Exhaustive, EXHAUSTIVE_VERTEX_LIMIT};
 pub use fhp_core::multilevel::Multilevel;
 pub use fm::FiducciaMattheyses;
 pub use hybrid::Refined;

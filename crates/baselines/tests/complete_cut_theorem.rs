@@ -9,8 +9,7 @@
 //! The exact König completion is also checked against the same
 //! exhaustive ground truth, as an equality.
 
-use fhp_baselines::exhaustive_min_losers;
-use fhp_core::complete_cut::{complete_exact, complete_min_degree};
+use fhp_core::complete_cut::{brute_force_min_losers, complete_exact, complete_min_degree};
 use fhp_core::Side;
 use fhp_hypergraph::Graph;
 use proptest::prelude::*;
@@ -57,7 +56,7 @@ proptest! {
 
     #[test]
     fn greedy_completion_is_within_one_of_optimal((g, _sides) in arb_boundary_graph()) {
-        let optimal = exhaustive_min_losers(&g).expect("within the exhaustive limit");
+        let optimal = brute_force_min_losers(&g);
         let greedy = complete_min_degree(&g).num_losers();
         prop_assert!(
             greedy >= optimal,
@@ -72,23 +71,8 @@ proptest! {
 
     #[test]
     fn konig_completion_is_exactly_optimal((g, sides) in arb_boundary_graph()) {
-        let optimal = exhaustive_min_losers(&g).expect("within the exhaustive limit");
+        let optimal = brute_force_min_losers(&g);
         let exact = complete_exact(&g, &sides).num_losers();
         prop_assert_eq!(exact, optimal);
     }
-}
-
-#[test]
-fn exhaustive_min_losers_on_known_graphs() {
-    // path of 4: cover {1, 2} → 2 losers
-    let path = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-    assert_eq!(exhaustive_min_losers(&path).unwrap(), 2);
-    // star: the center alone covers everything
-    let star = Graph::from_edges(5, (1..5).map(|i| (0, i)));
-    assert_eq!(exhaustive_min_losers(&star).unwrap(), 1);
-    // edgeless: everyone wins
-    let empty = Graph::empty(3);
-    assert_eq!(exhaustive_min_losers(&empty).unwrap(), 0);
-    // too large is rejected, not silently truncated
-    assert!(exhaustive_min_losers(&Graph::empty(25)).is_err());
 }

@@ -49,10 +49,7 @@
 //! `--profile` stderr output — quiet governs the report, not the
 //! diagnostics channels.
 
-use std::io::Write;
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::Duration;
 
 use fhp_baselines::{FiducciaMattheyses, KernighanLin, RandomCut, SimulatedAnnealing};
 use fhp_core::{
@@ -60,9 +57,7 @@ use fhp_core::{
     PartitionConfig, Side,
 };
 use fhp_hypergraph::Netlist;
-use fhp_obs::{
-    folded_stacks, names, order, Collector, Event, Gauge, Progress, Sampler, TraceWriter,
-};
+use fhp_obs::{folded_stacks, names, order, Collector, Event, Gauge, TraceWriter};
 
 // Every `fhp` process accounts its heap traffic so `--stats`, `--progress`
 // and the metrics stream report real `mem.*` numbers. The shim delegates
@@ -71,6 +66,9 @@ use fhp_obs::{
 fhp_obs::install_counting_allocator!();
 
 mod serve;
+mod telemetry;
+
+use telemetry::TelemetryArgs;
 
 struct Options {
     path: Option<String>,
@@ -88,9 +86,7 @@ struct Options {
     stats: bool,
     trace: Option<String>,
     profile: bool,
-    progress: bool,
-    metrics: Option<String>,
-    metrics_interval: Option<u64>,
+    telemetry: TelemetryArgs,
     check: bool,
     quiet: bool,
     blocks: usize,
@@ -114,9 +110,7 @@ fn parse_args() -> Result<Options, String> {
         stats: false,
         trace: None,
         profile: false,
-        progress: false,
-        metrics: None,
-        metrics_interval: None,
+        telemetry: TelemetryArgs::default(),
         check: false,
         quiet: false,
         blocks: 2,
@@ -180,17 +174,6 @@ fn parse_args() -> Result<Options, String> {
             "--stats" => opts.stats = true,
             "--trace" => opts.trace = Some(value("--trace")?),
             "--profile" => opts.profile = true,
-            "--progress" => opts.progress = true,
-            "--metrics" => opts.metrics = Some(value("--metrics")?),
-            "--metrics-interval" => {
-                let ms: u64 = value("--metrics-interval")?
-                    .parse()
-                    .map_err(|_| "metrics interval must be a positive integer (ms)".to_string())?;
-                if ms == 0 {
-                    return Err("metrics interval must be at least 1 ms".to_string());
-                }
-                opts.metrics_interval = Some(ms);
-            }
             "--check" => opts.check = true,
             "-q" | "--quiet" => opts.quiet = true,
             "--place" => {
@@ -218,7 +201,11 @@ fn parse_args() -> Result<Options, String> {
             other if !other.starts_with('-') && opts.path.is_none() => {
                 opts.path = Some(other.to_string())
             }
-            other => return Err(format!("unknown option `{other}`")),
+            other => {
+                if !opts.telemetry.take(other, || value(other))? {
+                    return Err(format!("unknown option `{other}`"));
+                }
+            }
         }
     }
     if opts.path.is_none() && !opts.demo {
@@ -232,9 +219,7 @@ fn parse_args() -> Result<Options, String> {
             return Err("--coarse-size requires --multilevel".to_string());
         }
     }
-    if opts.metrics_interval.is_some() && opts.metrics.is_none() {
-        return Err("--metrics-interval requires --metrics".to_string());
-    }
+    opts.telemetry.check()?;
     Ok(opts)
 }
 
@@ -366,7 +351,7 @@ fn main() -> ExitCode {
     }
     // Live telemetry follows the same boundary: the placement and
     // multiway drivers spawn their own engines and report nothing.
-    if (opts.progress || opts.metrics.is_some()) && (opts.place.is_some() || opts.blocks > 2) {
+    if opts.telemetry.enabled() && (opts.place.is_some() || opts.blocks > 2) {
         eprintln!("error: --progress/--metrics are only supported for two-way runs");
         return ExitCode::from(2);
     }
@@ -402,25 +387,14 @@ fn main() -> ExitCode {
 
     // Live telemetry: a lock-free gauge registry the hot paths update,
     // plus an optional sampler thread that renders it while the run is
-    // in flight. `--metrics` without an interval skips the sampler and
-    // only writes the deterministic end-of-run snapshot.
-    let progress = (opts.progress || opts.metrics.is_some()).then(|| Arc::new(Progress::new()));
-    let mut metrics_sink: Option<Box<dyn Write + Send>> = None;
-    if let (Some(_), Some(path)) = (opts.metrics_interval, opts.metrics.as_deref()) {
-        match std::fs::File::create(path) {
-            Ok(f) => metrics_sink = Some(Box::new(std::io::BufWriter::new(f))),
-            Err(e) => {
-                eprintln!("error: cannot create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    // in flight.
+    let mut telemetry = match opts.telemetry.start() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    let sampler = progress.as_ref().and_then(|p| {
-        (opts.progress || metrics_sink.is_some()).then(|| {
-            let interval = Duration::from_millis(opts.metrics_interval.unwrap_or(500));
-            Sampler::spawn(Arc::clone(p), interval, opts.progress, metrics_sink.take())
-        })
-    });
+    };
     let meta = collector.scope(order::META, None);
     meta.counter(names::RUN_MODULES, h.num_vertices() as u64);
     meta.counter(names::RUN_SIGNALS, h.num_edges() as u64);
@@ -433,7 +407,7 @@ fn main() -> ExitCode {
     let (bp, run_stats) = if opts.algorithm == "alg1" {
         match Algorithm1::new(alg1_config)
             .collector(collector.clone())
-            .progress(progress.clone())
+            .progress(telemetry.progress().cloned())
             .run(h)
         {
             Ok(out) => {
@@ -466,33 +440,14 @@ fn main() -> ExitCode {
     let report = metrics::CutReport::new(h, &bp);
 
     // Finalize the live gauges with the reported cut (the baselines only
-    // feed `BestCut` here) and the allocator accounting, stop the
-    // sampler, then write the deterministic end-of-run snapshot.
-    if let Some(p) = &progress {
+    // feed `BestCut` here), then stop the sampler and write the
+    // deterministic end-of-run snapshot.
+    if let Some(p) = telemetry.progress() {
         p.record_min(Gauge::BestCut, report.cut_size as u64);
-        p.sync_alloc_gauges();
     }
-    if let Some(s) = sampler {
-        s.finish();
-    }
-    if let (Some(path), Some(p)) = (&opts.metrics, &progress) {
-        // With a sampling interval the file already holds the live sample
-        // stream; append the canonical snapshot after it. Without one the
-        // snapshot is the whole file — and is byte-identical across
-        // thread counts.
-        let file = if opts.metrics_interval.is_some() {
-            std::fs::OpenOptions::new().append(true).open(path)
-        } else {
-            std::fs::File::create(path)
-        };
-        let write = file.and_then(|f| {
-            let mut out = std::io::BufWriter::new(f);
-            fhp_obs::progress::write_canonical_snapshot(p, &mut out)
-        });
-        if let Err(e) = write {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = telemetry.finish() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
 
     // Heap accounting goes into the trace as `mem.*` counters under the

@@ -22,12 +22,13 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use fhp_core::{Edit, EngineConfig, EngineError, PartitionConfig, PartitionEngine, MAX_STARTS};
 use fhp_hypergraph::HypergraphBuilder;
 use fhp_obs::json::{self, Json};
-use fhp_obs::{names, Gauge, Progress, Sampler};
+use fhp_obs::{names, Gauge, Progress};
+
+use crate::telemetry::{Telemetry, TelemetryArgs};
 
 /// Hard cap on one request line; longer input gets an `oversized` error.
 /// The reader never buffers more than this (plus one byte) per line, so a
@@ -47,9 +48,7 @@ struct ServeOptions {
     seed: u64,
     starts: usize,
     damage_permille: u32,
-    metrics: Option<String>,
-    metrics_interval: Option<u64>,
-    progress: bool,
+    telemetry: TelemetryArgs,
 }
 
 fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
@@ -59,9 +58,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
         seed: 0,
         starts: 8,
         damage_permille: 250,
-        metrics: None,
-        metrics_interval: None,
-        progress: false,
+        telemetry: TelemetryArgs::default(),
     };
     let mut i = 0;
     let value = |args: &[String], i: &mut usize, name: &str| -> Result<String, String> {
@@ -106,24 +103,15 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                     .parse()
                     .map_err(|_| "damage permille must be an integer 0..=1000".to_string())?
             }
-            "--metrics" => opts.metrics = Some(value(args, &mut i, "--metrics")?),
-            "--metrics-interval" => {
-                let ms: u64 = value(args, &mut i, "--metrics-interval")?
-                    .parse()
-                    .map_err(|_| "metrics interval must be a positive integer (ms)".to_string())?;
-                if ms == 0 {
-                    return Err("metrics interval must be at least 1 ms".to_string());
+            other => {
+                if !opts.telemetry.take(other, || value(args, &mut i, other))? {
+                    return Err(format!("unknown serve option `{other}`"));
                 }
-                opts.metrics_interval = Some(ms);
             }
-            "--progress" => opts.progress = true,
-            other => return Err(format!("unknown serve option `{other}`")),
         }
         i += 1;
     }
-    if opts.metrics_interval.is_some() && opts.metrics.is_none() {
-        return Err("--metrics-interval requires --metrics".to_string());
-    }
+    opts.telemetry.check()?;
     Ok(opts)
 }
 
@@ -691,18 +679,14 @@ fn serve_line(state: &mut ServerState, raw: &[u8]) -> Option<(String, bool)> {
     }
 }
 
-/// End-of-life metrics write: stop the sampler, print the engine's
-/// `[stats]` summary (stderr — stdout is protocol), then write (or
-/// append) the canonical gauge snapshot, mirroring the batch CLI.
-fn finalize_metrics(
-    opts: &ServeOptions,
-    progress: &Option<Arc<Progress>>,
-    sampler: Option<Sampler>,
-) {
-    if let Some(s) = sampler {
-        s.finish();
+/// End-of-life telemetry: stop the sampler and write (or append) the
+/// canonical gauge snapshot, as the batch CLI does, then print the
+/// engine's `[stats]` summary (stderr — stdout is protocol).
+fn finalize_metrics(telemetry: &mut Telemetry) {
+    if let Err(e) = telemetry.finish() {
+        eprintln!("[serve] error: {e}");
     }
-    if let Some(p) = progress {
+    if let Some(p) = telemetry.progress() {
         // The same `[stats] <key> <value>` shape the batch CLI prints,
         // with gauge dots mapped to underscores (`engine.edits` →
         // `engine_edits`).
@@ -718,21 +702,6 @@ fn finalize_metrics(
             );
         }
     }
-    if let (Some(path), Some(p)) = (&opts.metrics, progress) {
-        p.sync_alloc_gauges();
-        let file = if opts.metrics_interval.is_some() {
-            std::fs::OpenOptions::new().append(true).open(path)
-        } else {
-            std::fs::File::create(path)
-        };
-        let write = file.and_then(|f| {
-            let mut out = std::io::BufWriter::new(f);
-            fhp_obs::progress::write_canonical_snapshot(p, &mut out)
-        });
-        if let Err(e) = write {
-            eprintln!("[serve] error: cannot write metrics {path}: {e}");
-        }
-    }
 }
 
 /// Entry point for `fhp serve …` (argv after the subcommand name).
@@ -744,35 +713,21 @@ pub fn run(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let progress = (opts.progress || opts.metrics.is_some()).then(|| Arc::new(Progress::new()));
-    let mut metrics_sink: Option<Box<dyn Write + Send>> = None;
-    if let (Some(_), Some(path)) = (opts.metrics_interval, opts.metrics.as_deref()) {
-        match std::fs::File::create(path) {
-            Ok(f) => metrics_sink = Some(Box::new(std::io::BufWriter::new(f))),
-            Err(e) => {
-                eprintln!("error: cannot create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    let telemetry = match opts.telemetry.start() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    let sampler = progress.as_ref().and_then(|p| {
-        (opts.progress || metrics_sink.is_some()).then(|| {
-            let interval = Duration::from_millis(opts.metrics_interval.unwrap_or(500));
-            Sampler::spawn(Arc::clone(p), interval, opts.progress, metrics_sink.take())
-        })
-    });
+    };
     match opts.tcp.clone() {
-        Some(addr) => serve_tcp(addr, opts, progress, sampler),
-        None => serve_stdin(opts, progress, sampler),
+        Some(addr) => serve_tcp(addr, opts, telemetry),
+        None => serve_stdin(opts, telemetry),
     }
 }
 
-fn serve_stdin(
-    opts: ServeOptions,
-    progress: Option<Arc<Progress>>,
-    sampler: Option<Sampler>,
-) -> ExitCode {
-    let mut state = ServerState::new(&opts, progress.clone());
+fn serve_stdin(opts: ServeOptions, mut telemetry: Telemetry) -> ExitCode {
+    let mut state = ServerState::new(&opts, telemetry.progress().cloned());
     let stdin = std::io::stdin();
     let mut reader = stdin.lock();
     let stdout = std::io::stdout();
@@ -805,16 +760,11 @@ fn serve_stdin(
             break;
         }
     }
-    finalize_metrics(&opts, &progress, sampler);
+    finalize_metrics(&mut telemetry);
     ExitCode::SUCCESS
 }
 
-fn serve_tcp(
-    addr: String,
-    opts: ServeOptions,
-    progress: Option<Arc<Progress>>,
-    sampler: Option<Sampler>,
-) -> ExitCode {
+fn serve_tcp(addr: String, opts: ServeOptions, telemetry: Telemetry) -> ExitCode {
     let listener = match std::net::TcpListener::bind(&addr) {
         Ok(l) => l,
         Err(e) => {
@@ -834,11 +784,12 @@ fn serve_tcp(
     println!("[serve] listening on {local}");
     // fhp-audit: allow(ignored-result) — stdout flush failing means no one is watching; the server keeps serving
     let _ = std::io::stdout().flush();
-    let state = Arc::new(Mutex::new(ServerState::new(&opts, progress.clone())));
+    let state = Arc::new(Mutex::new(ServerState::new(
+        &opts,
+        telemetry.progress().cloned(),
+    )));
     let shutting_down = Arc::new(AtomicBool::new(false));
-    let sampler = Arc::new(Mutex::new(sampler));
-    let opts = Arc::new(opts);
-    let progress = Arc::new(progress);
+    let telemetry = Arc::new(Mutex::new(telemetry));
     let mut workers = Vec::new();
     for conn in listener.incoming() {
         // fhp-audit: allow(atomic-ordering) — shutdown flag is rare and cross-thread; SeqCst keeps it trivially correct
@@ -854,13 +805,11 @@ fn serve_tcp(
         };
         let state = Arc::clone(&state);
         let shutting_down = Arc::clone(&shutting_down);
-        let sampler = Arc::clone(&sampler);
-        let opts = Arc::clone(&opts);
-        let progress = Arc::clone(&progress);
+        let telemetry = Arc::clone(&telemetry);
         let handle = std::thread::Builder::new()
             .name("fhp-serve-conn".to_string())
             .spawn(move || {
-                serve_connection(stream, &state, &shutting_down, &sampler, &opts, &progress);
+                serve_connection(stream, &state, &shutting_down, &telemetry);
             });
         match handle {
             Ok(h) => workers.push(h),
@@ -878,9 +827,7 @@ fn serve_connection(
     stream: std::net::TcpStream,
     state: &Mutex<ServerState>,
     shutting_down: &AtomicBool,
-    sampler: &Mutex<Option<Sampler>>,
-    opts: &ServeOptions,
-    progress: &Option<Arc<Progress>>,
+    telemetry: &Mutex<Telemetry>,
 ) {
     let mut reader = match stream.try_clone() {
         Ok(s) => std::io::BufReader::new(s),
@@ -922,8 +869,7 @@ fn serve_connection(
         if shutdown {
             // fhp-audit: allow(atomic-ordering) — shutdown flag is rare and cross-thread; SeqCst keeps it trivially correct
             shutting_down.store(true, Ordering::SeqCst);
-            let taken = sampler.lock().unwrap_or_else(|e| e.into_inner()).take();
-            finalize_metrics(opts, progress, taken);
+            finalize_metrics(&mut telemetry.lock().unwrap_or_else(|e| e.into_inner()));
             // The accept loop is blocked in `accept`; a clean shutdown
             // reply has already been flushed, so end the process here.
             std::process::exit(0);

@@ -262,8 +262,6 @@ impl PartitionConfig {
 /// wall-clock cost, and its contained panic message (if it failed).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StartStat {
-    /// The start index in `0..starts`.
-    pub start: usize,
     /// Cut size of this start's best candidate; `None` if the start
     /// found no usable BFS endpoints or failed.
     pub cut_size: Option<usize>,
@@ -325,7 +323,7 @@ pub struct RunStats {
     /// [`threads`](Self::threads) this count varies with the worker count
     /// and stays out of [`OutcomeFingerprint`] and the trace.
     pub arena_growths: u64,
-    /// Per-start outcomes in start order (empty for the shortcut path).
+    /// Per-start outcomes, indexed by start (empty for the shortcut path).
     pub per_start: Vec<StartStat>,
     /// Per-phase wall time and the `G` view's kept and filtered counts
     /// (all zero for the component shortcut, which never reads `G`).
@@ -716,7 +714,6 @@ impl Algorithm1 {
                 }
             }
             per_start.push(StartStat {
-                start,
                 cut_size,
                 wall: lp_wall + p3.wall,
                 error,
@@ -1332,8 +1329,7 @@ mod tests {
             out.stats.per_start[chosen].cut_size,
             Some(out.report.cut_size)
         );
-        for (i, s) in out.stats.per_start.iter().enumerate() {
-            assert_eq!(s.start, i);
+        for s in &out.stats.per_start {
             assert!(s.error.is_none());
         }
         let hist = out.stats.cut_histogram();

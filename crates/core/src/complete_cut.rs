@@ -442,8 +442,26 @@ pub fn complete_exact(gprime: &Graph, sides: &[Side]) -> Completion {
     }
 }
 
-/// Brute-force minimum number of losers (maximum independent set
-/// complement) for verification.
+/// The exact minimum number of losers for a Complete-Cut completion of
+/// the boundary graph `gprime`, by enumeration.
+///
+/// Winners must form an independent set (a winner's neighbours all
+/// lose), so the minimum loser count is `n` minus the maximum
+/// independent set — equivalently, a minimum vertex cover. Exponential;
+/// this is the ground truth the paper's within-one claim for the greedy
+/// completion is tested against, shared by the unit tests here, the
+/// Complete-Cut property tests and the `fhp-verify` oracle harness.
+///
+/// # Status of the paper's within-one claim
+///
+/// Exhaustive comparison against this reference over every connected
+/// bipartite boundary graph shows the min-degree greedy completion is
+/// within 1 of this optimum for all `n ≤ 9`. The claim is **refuted as
+/// stated** from `n = 10` up: connected counterexamples with a gap of 2
+/// exist (the smallest is pinned as `within_one_counterexample` in this
+/// module's tests). Oracles must therefore only assert the within-1
+/// bound on connected `G′` with at most 9 vertices; `greedy ≥ optimum`
+/// is the only inequality that holds unconditionally.
 ///
 /// # Panics
 ///
@@ -683,6 +701,18 @@ mod tests {
         assert!(c.is_winner(3));
         assert!(c.is_winner(8));
         assert_eq!(c.num_losers(), brute_force_min_losers(&g));
+    }
+
+    #[test]
+    fn brute_force_min_losers_on_known_graphs() {
+        // path of 4: cover {1, 2} → 2 losers
+        let path = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(brute_force_min_losers(&path), 2);
+        // star: the center alone covers everything
+        let star = Graph::from_edges(5, (1..5).map(|i| (0, i)));
+        assert_eq!(brute_force_min_losers(&star), 1);
+        // edgeless: everyone wins
+        assert_eq!(brute_force_min_losers(&Graph::empty(3)), 0);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The long-lived partition engine: a netlist held warm under edits.
 //!
-//! [`PartitionEngine`] owns a [`DynamicNetlist`] (pin lists and a
-//! module → incident-net index, kept current under edits — see
-//! [`fhp_hypergraph::incremental`]) plus the current side assignment and
-//! weighted cut, and exposes [`apply`](PartitionEngine::apply) over a
-//! typed [`Edit`] set. Each edit is repaired at the cheapest tier that
-//! preserves quality:
+//! [`PartitionEngine`] holds one loaded value: a [`DynamicNetlist`] (pin
+//! lists and a module → incident-net index, kept current under edits —
+//! see [`fhp_hypergraph::incremental`]), the side of each module slot,
+//! the weighted cut, and the sums an edit would otherwise rescan the
+//! instance for. [`apply`](PartitionEngine::apply) takes a typed [`Edit`]
+//! and looks that value up once; the edit changes the netlist, the cut
+//! and the sums in one place, and is then repaired at the cheapest tier
+//! that preserves quality:
 //!
 //! - **Trivial** — fewer than two live modules, or no live nets: the cut
 //!   is forced (0) and no search runs.
@@ -19,20 +21,25 @@
 //!   counted ([`EngineStats::full_recomputes`], the
 //!   `engine.full_recomputes` gauge), never silent.
 //!
-//! Beside the netlist the engine maintains what an edit would otherwise
-//! rescan the instance for: the wrapping sum of per-item hashes behind
-//! the [`fingerprint`](PartitionEngine::fingerprint), the live weight of
-//! each side, and a count multiset of live module weights (the heaviest
-//! sets the balance slack). Each accepted edit and each side flip swaps
-//! the old hash of every item it changed for the new one. An incremental
-//! edit therefore costs the netlist edit (the touched net's pin list and
-//! the incidence lists of its pins), O(1) bookkeeping per changed
-//! module and O(pins) per changed net, and the localized pass's
-//! candidate loop — O(k²·deg) for k damaged modules of degree deg —
-//! never a pass over the instance. Load and the trivial and full tiers,
-//! which are O(instance) anyway, rebuild that state in one pass;
-//! [`verify_state`](PartitionEngine::verify_state) recomputes it from
+//! The sums are the wrapping sum of per-item hashes behind the
+//! [`fingerprint`](PartitionEngine::fingerprint), the live weight of each
+//! side, and a count multiset of live module weights (the heaviest sets
+//! the balance slack). Each accepted edit and each side flip swaps the
+//! old terms of every item it changed for the new ones; a net's terms
+//! are its hash and, when its pins span both sides, its weight in the
+//! cut. An incremental edit therefore costs the netlist edit (the touched
+//! net's pin list and the incidence lists of its pins), O(1) bookkeeping
+//! per changed module and O(pins) per changed net, and the localized
+//! pass's candidate loop — O(k²·deg) for k damaged modules of degree deg
+//! — never a pass over the instance. Load and the trivial and full tiers,
+//! which are O(instance) anyway, rescan the sums in one pass;
+//! [`verify_state`](PartitionEngine::verify_state) recomputes them from
 //! scratch for the oracles.
+//!
+//! When the full tier's Algorithm I run fails, `apply` returns
+//! [`EngineError::Partition`] with the edit applied and its cut exact for
+//! the unrepaired assignment; the edit counters do not advance. A unit
+//! test forces that path through a test-only switch.
 //!
 //! Determinism-under-edits contract: the same initial instance plus the
 //! same edit sequence yields the same
@@ -48,7 +55,7 @@ use fhp_hypergraph::{DynamicNetlist, Hypergraph, IncrementalError, VertexId};
 use fhp_obs::{Gauge, Progress};
 
 use crate::error::PartitionError;
-use crate::{Algorithm1, PartitionConfig, Side};
+use crate::{Algorithm1, PartitionConfig, PartitionOutcome, Side};
 
 /// One structural edit of the live netlist. Ids are the engine's stable
 /// ids (never reused; new ids come back in [`Delta::new_id`]).
@@ -122,8 +129,6 @@ impl RepairKind {
 pub struct Delta {
     /// 0-based index of this edit since load.
     pub edit_index: u64,
-    /// Weighted cut before the edit.
-    pub cut_before: u64,
     /// Weighted cut after repair.
     pub cut_after: u64,
     /// The repair tier that ran.
@@ -225,71 +230,51 @@ impl From<IncrementalError> for EngineError {
     }
 }
 
-/// What the structural half of an edit did: the damage extent, the cut
-/// delta under the unchanged assignment, and the seed set for localized
-/// repair.
+/// What the structural half of an accepted edit damaged: the extent that
+/// picks the repair tier, and the seed set for localized repair.
 struct StructuralOutcome {
     /// Modules in the damaged region (drives the repair-tier choice).
     damaged: usize,
     /// Stable id allocated by `AddNet` / `AddModule`.
     new_id: Option<u32>,
-    /// Weight newly entering the cut.
-    cut_add: u64,
-    /// Weight leaving the cut.
-    cut_sub: u64,
     /// Modules whose incidence changed — the localized repair's seeds.
     touched: Vec<u32>,
 }
 
-/// The state the edit path keeps current instead of rescanning the
+/// The sums the edit path keeps current instead of rescanning the
 /// instance: the fingerprint's hash sum and the live balance. Every
-/// update goes through the add/remove pairs below, so a change is always
-/// "take the item's old term out, put its new term in".
+/// update takes the changed item's old term out and puts its new term in
+/// (the add/remove pair below for a module,
+/// [`Loaded::swap_net_terms`] for a net).
 #[derive(Debug, Default)]
-struct LiveState {
+struct Sums {
     /// Wrapping sum of [`module_hash`] over live modules and [`net_hash`]
     /// over live nets.
     hash_sum: u64,
-    /// Live module weight on the left side.
-    left: u64,
-    /// Live module weight on the right side.
-    right: u64,
+    /// Live module weight per side, indexed by [`Side::index`].
+    side_weight: [u64; 2],
     /// Live module weight → number of live modules of that weight; the
     /// largest key is the heaviest live module.
     weights: BTreeMap<u64, usize>,
 }
 
-impl LiveState {
-    /// The state of a netlist and side assignment, in one pass.
-    fn scratch(nl: &DynamicNetlist, sides: &[Side]) -> Self {
-        let mut state = Self::default();
+impl Sums {
+    /// The sums of a netlist and side assignment, in one pass.
+    fn of(nl: &DynamicNetlist, sides: &[Side]) -> Self {
+        let mut sums = Self::default();
         for m in nl.live_modules() {
             let side = sides.get(m as usize).copied().unwrap_or(Side::Left);
-            state.add_module(m, nl.module_weight(m).unwrap_or(0), side);
+            sums.add_module(m, nl.module_weight(m).unwrap_or(0), side);
         }
         for e in nl.live_nets() {
-            state.add_net(
+            let term = net_hash(
                 e,
                 nl.net_weight(e).unwrap_or(0),
                 nl.net_pins(e).unwrap_or(&[]),
             );
+            sums.hash_sum = sums.hash_sum.wrapping_add(term);
         }
-        state
-    }
-
-    fn side_weight_mut(&mut self, side: Side) -> &mut u64 {
-        match side {
-            Side::Left => &mut self.left,
-            Side::Right => &mut self.right,
-        }
-    }
-
-    /// Live module weight on `side`.
-    fn side_weight(&self, side: Side) -> u64 {
-        match side {
-            Side::Left => self.left,
-            Side::Right => self.right,
-        }
+        sums
     }
 
     /// The heaviest live module's weight, 0 with no live modules.
@@ -299,39 +284,21 @@ impl LiveState {
 
     fn add_module(&mut self, m: u32, weight: u64, side: Side) {
         self.hash_sum = self.hash_sum.wrapping_add(module_hash(m, weight, side));
-        *self.side_weight_mut(side) += weight;
+        // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+        self.side_weight[side.index()] += weight;
         *self.weights.entry(weight).or_insert(0) += 1;
     }
 
     fn remove_module(&mut self, m: u32, weight: u64, side: Side) {
         self.hash_sum = self.hash_sum.wrapping_sub(module_hash(m, weight, side));
-        *self.side_weight_mut(side) -= weight;
+        // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+        self.side_weight[side.index()] -= weight;
         if let Entry::Occupied(mut count) = self.weights.entry(weight) {
             *count.get_mut() -= 1;
             if *count.get() == 0 {
                 count.remove();
             }
         }
-    }
-
-    /// Moves a live module from `from` to the other side; the weight
-    /// multiset is unchanged.
-    fn flip(&mut self, m: u32, weight: u64, from: Side) {
-        let to = from.opposite();
-        self.hash_sum = self
-            .hash_sum
-            .wrapping_sub(module_hash(m, weight, from))
-            .wrapping_add(module_hash(m, weight, to));
-        *self.side_weight_mut(from) -= weight;
-        *self.side_weight_mut(to) += weight;
-    }
-
-    fn add_net(&mut self, e: u32, weight: u64, pins: &[u32]) {
-        self.hash_sum = self.hash_sum.wrapping_add(net_hash(e, weight, pins));
-    }
-
-    fn remove_net(&mut self, e: u32, weight: u64, pins: &[u32]) {
-        self.hash_sum = self.hash_sum.wrapping_sub(net_hash(e, weight, pins));
     }
 }
 
@@ -343,15 +310,7 @@ impl LiveState {
 pub struct PartitionEngine {
     config: EngineConfig,
     /// `None` until [`load`](PartitionEngine::load).
-    nl: Option<DynamicNetlist>,
-    /// Side per module **slot** (tombstoned slots keep their last side;
-    /// only live slots are meaningful).
-    sides: Vec<Side>,
-    /// Current weighted cut of the live netlist.
-    cut: u64,
-    /// Fingerprint sum and balance of the live state, kept current by
-    /// every edit and flip.
-    state: LiveState,
+    loaded: Option<Loaded>,
     stats: EngineStats,
     progress: Option<Arc<Progress>>,
 }
@@ -361,10 +320,7 @@ impl PartitionEngine {
     pub fn new(config: EngineConfig) -> Self {
         Self {
             config,
-            nl: None,
-            sides: Vec::new(),
-            cut: 0,
-            state: LiveState::default(),
+            loaded: None,
             stats: EngineStats::default(),
             progress: None,
         }
@@ -379,7 +335,7 @@ impl PartitionEngine {
 
     /// Whether an instance is loaded.
     pub fn is_loaded(&self) -> bool {
-        self.nl.is_some()
+        self.loaded.is_some()
     }
 
     /// Loads an instance and computes the initial partition with the
@@ -388,35 +344,37 @@ impl PartitionEngine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Partition`] if the initial partition fails for a
-    /// non-benign reason (too-few-vertices degenerates to the trivial
-    /// partition instead).
+    /// [`EngineError::Partition`] if the configuration is invalid (checked
+    /// on every load, even where the instance is too small to run) or the
+    /// initial partition fails for a non-benign reason (too-few-vertices
+    /// degenerates to the trivial partition instead). The engine is then
+    /// unchanged.
     pub fn load(&mut self, h: &Hypergraph) -> Result<Delta, EngineError> {
+        self.config
+            .partition
+            .validate()
+            .map_err(EngineError::Partition)?;
         let Ok(nl) = DynamicNetlist::from_hypergraph(h);
         let mut sides = vec![Side::Left; h.num_vertices()];
         let mut cut = 0;
         if h.num_vertices() >= 2 && h.num_edges() > 0 {
-            match Algorithm1::new(self.config.partition)
-                .progress(self.progress.clone())
-                .run(h)
-            {
-                Ok(outcome) => {
-                    sides.copy_from_slice(outcome.bipartition.as_slice());
-                    cut = outcome.report.weighted_cut;
-                }
-                Err(PartitionError::TooFewVertices { .. }) => {}
-                Err(e) => return Err(EngineError::Partition(e)),
+            let run = run_algorithm1(self.config.partition, self.progress.clone(), h);
+            if let Some(outcome) = run.map_err(EngineError::Partition)? {
+                sides.copy_from_slice(outcome.bipartition.as_slice());
+                cut = outcome.report.weighted_cut;
             }
         }
-        self.state = LiveState::scratch(&nl, &sides);
-        self.nl = Some(nl);
-        self.sides = sides;
-        self.cut = cut;
+        let sums = Sums::of(&nl, &sides);
+        self.loaded = Some(Loaded {
+            nl,
+            sides,
+            cut,
+            sums,
+        });
         self.stats = EngineStats::default();
         self.sync_gauges();
         Ok(Delta {
             edit_index: 0,
-            cut_before: cut,
             cut_after: cut,
             repair: RepairKind::Full,
             damaged_modules: h.num_vertices(),
@@ -426,9 +384,10 @@ impl PartitionEngine {
     }
 
     /// Applies one edit and repairs the cut at the cheapest adequate
-    /// tier. The maintained fingerprint sum and balance change only after
-    /// the netlist accepts the edit, so an incremental edit never rescans
-    /// the instance (see the module docs for its cost).
+    /// tier. The edit's cut delta and its fingerprint and balance terms
+    /// land with it, only after the netlist accepts it, so an incremental
+    /// edit never rescans the instance (see the module docs for its
+    /// cost).
     ///
     /// # Errors
     ///
@@ -438,36 +397,26 @@ impl PartitionEngine {
     /// recompute fails: the edit stays applied, with the cut exact for
     /// the unrepaired assignment, and the edit counters do not advance.
     pub fn apply(&mut self, edit: &Edit) -> Result<Delta, EngineError> {
-        if self.nl.is_none() {
-            return Err(EngineError::NotLoaded);
-        }
-        let cut_before = self.cut;
-        let outcome = self.apply_structural(edit)?;
-        // The edit is in; everything from here is repair, which cannot
-        // fail structurally. The structural cut delta lands first so
-        // every repair tier starts from an exact cut.
-        self.cut = self
-            .cut
-            .saturating_sub(outcome.cut_sub)
-            .saturating_add(outcome.cut_add);
-        let nl = self.nl.as_ref().ok_or(EngineError::NotLoaded)?;
-        let live = nl.num_live_modules();
-        let repair = if live < 2 || nl.num_live_nets() == 0 {
-            for side in &mut self.sides {
-                *side = Side::Left;
-            }
-            self.state = LiveState::scratch(nl, &self.sides);
-            self.cut = 0;
+        let loaded = self.loaded.as_mut().ok_or(EngineError::NotLoaded)?;
+        let outcome = loaded.apply_structural(edit)?;
+        // The edit is in with its exact cut; everything from here is
+        // repair, which cannot fail structurally.
+        let live = loaded.nl.num_live_modules();
+        let repair = if live < 2 || loaded.nl.num_live_nets() == 0 {
+            loaded.reset();
             RepairKind::Trivial
         } else if outcome.damaged.saturating_mul(1000)
             > (self.config.damage_permille as usize).saturating_mul(live)
         {
-            self.repair_full()?;
+            loaded
+                .repair_full(self.config.partition, self.progress.clone())
+                .map_err(EngineError::Partition)?;
             RepairKind::Full
         } else {
-            self.repair_incremental(&outcome.touched);
+            loaded.repair_incremental(&outcome.touched);
             RepairKind::Incremental
         };
+        let (cut_after, fingerprint) = (loaded.cut, loaded.fingerprint());
         self.stats.edits += 1;
         match repair {
             RepairKind::Incremental => self.stats.incremental_hits += 1,
@@ -477,271 +426,12 @@ impl PartitionEngine {
         self.sync_gauges();
         Ok(Delta {
             edit_index: self.stats.edits - 1,
-            cut_before,
-            cut_after: self.cut,
+            cut_after,
             repair,
             damaged_modules: outcome.damaged,
-            fingerprint: self.fingerprint(),
+            fingerprint,
             new_id: outcome.new_id,
         })
-    }
-
-    /// Whether a pin set spans both sides under the current assignment.
-    fn spans(&self, pins: &[u32]) -> bool {
-        let Some((&first, rest)) = pins.split_first() else {
-            return false;
-        };
-        let side = self.side_at(first);
-        rest.iter().any(|&p| self.side_at(p) != side)
-    }
-
-    /// The recorded side of a module slot (`Left` for unknown slots).
-    fn side_at(&self, m: u32) -> Side {
-        self.sides.get(m as usize).copied().unwrap_or(Side::Left)
-    }
-
-    /// Applies the structural half of an edit, returning the damaged
-    /// module count, any freshly allocated id, the exact cut delta the
-    /// edit caused under the unchanged assignment, and the modules whose
-    /// incidence changed (the localized repair's seed set). Leaves
-    /// `sides` sized to the slot count (new slots join the lighter side).
-    fn apply_structural(&mut self, edit: &Edit) -> Result<StructuralOutcome, EngineError> {
-        if self.nl.is_none() {
-            return Err(EngineError::NotLoaded);
-        }
-        match edit {
-            Edit::AddNet { pins, weight } => {
-                let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
-                let id = nl.add_net(pins, *weight)?;
-                let cut_add = if self.spans(pins) { *weight } else { 0 };
-                let nl = self.nl.as_ref().ok_or(EngineError::NotLoaded)?;
-                self.state
-                    .add_net(id, *weight, nl.net_pins(id).unwrap_or(&[]));
-                Ok(StructuralOutcome {
-                    damaged: pins.len(),
-                    new_id: Some(id),
-                    cut_add,
-                    cut_sub: 0,
-                    touched: pins.clone(),
-                })
-            }
-            Edit::RemoveNet { net } => {
-                let nl = self.nl.as_ref().ok_or(EngineError::NotLoaded)?;
-                let touched = nl.net_pins(*net).map(<[u32]>::to_vec).unwrap_or_default();
-                let weight = nl.net_weight(*net).unwrap_or(0);
-                let cut_sub = if self.spans(&touched) { weight } else { 0 };
-                self.nl
-                    .as_mut()
-                    .ok_or(EngineError::NotLoaded)?
-                    .remove_net(*net)?;
-                self.state.remove_net(*net, weight, &touched);
-                Ok(StructuralOutcome {
-                    damaged: touched.len(),
-                    new_id: None,
-                    cut_add: 0,
-                    cut_sub,
-                    touched,
-                })
-            }
-            Edit::AddModule { weight } => {
-                let lighter = Side::lighter([self.state.left, self.state.right]);
-                let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
-                let id = nl.add_module(*weight)?;
-                self.sides.push(lighter);
-                self.state.add_module(id, *weight, lighter);
-                Ok(StructuralOutcome {
-                    damaged: 1,
-                    new_id: Some(id),
-                    cut_add: 0,
-                    cut_sub: 0,
-                    touched: Vec::new(),
-                })
-            }
-            Edit::RemoveModule { module } => {
-                // Only isolated modules are removable, so no net's
-                // spanning status can change.
-                let side = self.side_at(*module);
-                let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
-                let weight = nl.module_weight(*module).unwrap_or(0);
-                nl.remove_module(*module)?;
-                self.state.remove_module(*module, weight, side);
-                Ok(StructuralOutcome {
-                    damaged: 0,
-                    new_id: None,
-                    cut_add: 0,
-                    cut_sub: 0,
-                    touched: Vec::new(),
-                })
-            }
-            Edit::ReweightModule { module, weight } => {
-                // A weight change never moves a net across the cut.
-                let side = self.side_at(*module);
-                let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
-                let old = nl.module_weight(*module).unwrap_or(0);
-                nl.reweight_module(*module, *weight)?;
-                self.state.remove_module(*module, old, side);
-                self.state.add_module(*module, *weight, side);
-                Ok(StructuralOutcome {
-                    damaged: 1,
-                    new_id: None,
-                    cut_add: 0,
-                    cut_sub: 0,
-                    touched: Vec::new(),
-                })
-            }
-            Edit::PinChange { net, module, add } => {
-                let nl = self.nl.as_ref().ok_or(EngineError::NotLoaded)?;
-                let before = nl.net_pins(*net).map(<[u32]>::to_vec).unwrap_or_default();
-                let weight = nl.net_weight(*net).unwrap_or(0);
-                let spanned_before = self.spans(&before);
-                self.nl
-                    .as_mut()
-                    .ok_or(EngineError::NotLoaded)?
-                    .pin_change(*net, *module, *add)?;
-                let nl = self.nl.as_ref().ok_or(EngineError::NotLoaded)?;
-                let after = nl.net_pins(*net).unwrap_or(&[]);
-                self.state.remove_net(*net, weight, &before);
-                self.state.add_net(*net, weight, after);
-                // The pins after the edit plus the module, counted once:
-                // an add and a remove of one pin damage the same region.
-                let mut touched = after.to_vec();
-                if !touched.contains(module) {
-                    touched.push(*module);
-                }
-                let spans_after = self.spans(after);
-                Ok(StructuralOutcome {
-                    damaged: touched.len(),
-                    new_id: None,
-                    cut_add: if spans_after && !spanned_before {
-                        weight
-                    } else {
-                        0
-                    },
-                    cut_sub: if spanned_before && !spans_after {
-                        weight
-                    } else {
-                        0
-                    },
-                    touched,
-                })
-            }
-        }
-    }
-
-    /// Localized repair: one FM pass over the damaged modules only. The
-    /// cut arrives already exact (maintained by delta in
-    /// [`apply`](Self::apply)); this pass then greedily flips damaged
-    /// modules whose move strictly lowers the cut, under the same
-    /// adaptive balance slack as [`refine::refine`](crate::refine::refine)
-    /// (twice the heaviest live module, widened to the current
-    /// imbalance), each module at most once.
-    /// The side weights and the heaviest module come from the maintained
-    /// state; each round re-scores the k unmoved candidates, so the pass
-    /// is O(k²·deg) and never touches the rest of the instance.
-    fn repair_incremental(&mut self, touched: &[u32]) {
-        let Some(nl) = self.nl.as_ref() else { return };
-        let mut candidates: Vec<u32> = touched
-            .iter()
-            .copied()
-            .filter(|&m| nl.module_weight(m).is_some())
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        if candidates.is_empty() {
-            return;
-        }
-        // The balance slack mirrors refine::refine's adaptive floor.
-        let imbalance = self.state.left.abs_diff(self.state.right);
-        let tolerance = imbalance.max(self.state.heaviest().saturating_mul(2));
-        let mut moved = vec![false; candidates.len()];
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            for (i, &m) in candidates.iter().enumerate() {
-                // fhp-audit: allow(panic-site) — i comes from enumerate() over the same-length candidates
-                if moved[i] {
-                    continue;
-                }
-                let w = nl.module_weight(m).unwrap_or(0);
-                let from = self.side_at(m);
-                let new_imbalance = (self.state.side_weight(from) - w)
-                    .abs_diff(self.state.side_weight(from.opposite()) + w);
-                if new_imbalance > tolerance {
-                    continue;
-                }
-                let gain = self.flip_gain(nl, m);
-                if gain <= 0 {
-                    continue;
-                }
-                let gain = gain as u64; // fhp-audit: allow(as-cast-truncation) — checked positive above
-                if best.is_none_or(|(g, _)| gain > g) {
-                    best = Some((gain, i));
-                }
-            }
-            let Some((gain, i)) = best else { break };
-            let m = candidates[i]; // fhp-audit: allow(panic-site) — i was produced by enumerate() over candidates
-            let w = nl.module_weight(m).unwrap_or(0);
-            let from = self.side_at(m);
-            self.state.flip(m, w, from);
-            if let Some(slot) = self.sides.get_mut(m as usize) {
-                *slot = from.opposite();
-            }
-            self.cut = self.cut.saturating_sub(gain);
-            moved[i] = true; // fhp-audit: allow(panic-site) — i was produced by enumerate() over the same-length moved
-        }
-    }
-
-    /// The cut reduction from flipping module `m` to the other side
-    /// (negative when the flip would worsen the cut): for each incident
-    /// net, moving the last same-side pin away uncuts it, moving any pin
-    /// out of a one-sided net cuts it.
-    fn flip_gain(&self, nl: &DynamicNetlist, m: u32) -> i64 {
-        let mut gain = 0i64;
-        let my_side = self.side_at(m);
-        for &e in nl.incident_nets(m).unwrap_or(&[]) {
-            let Some(pins) = nl.net_pins(e) else { continue };
-            if pins.len() < 2 {
-                continue;
-            }
-            let same = pins.iter().filter(|&&p| self.side_at(p) == my_side).count();
-            let w = nl.net_weight(e).unwrap_or(0) as i64; // fhp-audit: allow(as-cast-truncation) — net weights are far below i64::MAX
-            if same == pins.len() {
-                gain -= w; // was uncut, the flip cuts it
-            } else if same == 1 {
-                gain += w; // m is the lone pin on its side: the flip uncuts it
-            }
-        }
-        gain
-    }
-
-    /// Fallback repair: re-partition the compacted live netlist from
-    /// scratch with the configured [`Algorithm1`] run.
-    fn repair_full(&mut self) -> Result<(), EngineError> {
-        let Some(nl) = self.nl.as_ref() else {
-            return Err(EngineError::NotLoaded);
-        };
-        let (h, module_ids, _nets) = nl.materialize();
-        match Algorithm1::new(self.config.partition)
-            .progress(self.progress.clone())
-            .run(&h)
-        {
-            Ok(outcome) => {
-                self.cut = outcome.report.weighted_cut;
-                for (compact, &stable) in module_ids.iter().enumerate() {
-                    if let Some(slot) = self.sides.get_mut(stable as usize) {
-                        *slot = outcome.bipartition.side(VertexId::new(compact));
-                    }
-                }
-            }
-            Err(PartitionError::TooFewVertices { .. }) => {
-                for side in &mut self.sides {
-                    *side = Side::Left;
-                }
-                self.cut = 0;
-            }
-            Err(e) => return Err(EngineError::Partition(e)),
-        }
-        self.state = LiveState::scratch(nl, &self.sides);
-        Ok(())
     }
 
     fn sync_gauges(&self) {
@@ -749,13 +439,13 @@ impl PartitionEngine {
             p.set(Gauge::EngineEdits, self.stats.edits);
             p.set(Gauge::EngineIncrementalHits, self.stats.incremental_hits);
             p.set(Gauge::EngineFullRecomputes, self.stats.full_recomputes);
-            p.record_min(Gauge::BestCut, self.cut);
+            p.record_min(Gauge::BestCut, self.cut());
         }
     }
 
-    /// Current weighted cut of the live netlist.
+    /// Current weighted cut of the live netlist (0 before load).
     pub fn cut(&self) -> u64 {
-        self.cut
+        self.loaded.as_ref().map_or(0, |l| l.cut)
     }
 
     /// The engine counters.
@@ -765,21 +455,21 @@ impl PartitionEngine {
 
     /// The side of a live module, `None` if unknown/dead or not loaded.
     pub fn side_of(&self, module: u32) -> Option<Side> {
-        let nl = self.nl.as_ref()?;
-        nl.module_weight(module)?;
-        self.sides.get(module as usize).copied()
+        let loaded = self.loaded.as_ref()?;
+        loaded.nl.module_weight(module)?;
+        loaded.sides.get(module as usize).copied()
     }
 
     /// The live netlist, `None` before load.
     pub fn netlist(&self) -> Option<&DynamicNetlist> {
-        self.nl.as_ref()
+        self.loaded.as_ref().map(|l| &l.nl)
     }
 
     /// Compacts the live state into an ordinary [`Hypergraph`] plus the
     /// compact → stable id maps, `None` before load. The same shape as
     /// [`DynamicNetlist::materialize`].
     pub fn materialize(&self) -> Option<(Hypergraph, Vec<u32>, Vec<u32>)> {
-        self.nl.as_ref().map(DynamicNetlist::materialize)
+        self.netlist().map(DynamicNetlist::materialize)
     }
 
     /// The state fingerprint, in O(1): `mix64(S ^ mix64(cut))`, where `S`
@@ -792,10 +482,7 @@ impl PartitionEngine {
     /// fingerprints after the same edit sequence at different thread
     /// counts is the determinism-under-edits contract. `0` before load.
     pub fn fingerprint(&self) -> u64 {
-        if self.nl.is_none() {
-            return 0;
-        }
-        mix64(self.state.hash_sum ^ mix64(self.cut))
+        self.loaded.as_ref().map_or(0, Loaded::fingerprint)
     }
 
     /// Recomputes the maintained fingerprint sum, side weights and weight
@@ -809,21 +496,282 @@ impl PartitionEngine {
     /// A description of the first maintained value that differs from its
     /// recomputation.
     pub fn verify_state(&self) -> Result<(), String> {
-        let Some(nl) = self.nl.as_ref() else {
+        self.loaded.as_ref().map_or(Ok(()), Loaded::verify_state)
+    }
+}
+
+/// The loaded instance: the live netlist, the side of each module slot,
+/// the weighted cut and the sums. An edit changes all four in place.
+#[derive(Debug)]
+struct Loaded {
+    nl: DynamicNetlist,
+    /// Side per module **slot** (tombstoned slots keep their last side;
+    /// only live slots are meaningful).
+    sides: Vec<Side>,
+    /// Current weighted cut of the live netlist.
+    cut: u64,
+    /// Fingerprint sum and balance of the live state.
+    sums: Sums,
+}
+
+impl Loaded {
+    /// The recorded side of a module slot (`Left` for unknown slots).
+    fn side_at(&self, m: u32) -> Side {
+        self.sides.get(m as usize).copied().unwrap_or(Side::Left)
+    }
+
+    /// Net `e`'s terms: its fingerprint hash, and its weight when its pins
+    /// span both sides (its share of the cut). `(0, 0)` for a dead net.
+    fn net_terms(&self, e: u32) -> (u64, u64) {
+        let (Some(pins), Some(weight)) = (self.nl.net_pins(e), self.nl.net_weight(e)) else {
+            return (0, 0);
+        };
+        let spans = pins.split_first().is_some_and(|(&first, rest)| {
+            let side = self.side_at(first);
+            rest.iter().any(|&p| self.side_at(p) != side)
+        });
+        (net_hash(e, weight, pins), if spans { weight } else { 0 })
+    }
+
+    /// Replaces one net's terms `before` with its terms `after`.
+    fn swap_net_terms(&mut self, before: (u64, u64), after: (u64, u64)) {
+        self.sums.hash_sum = self
+            .sums
+            .hash_sum
+            .wrapping_sub(before.0)
+            .wrapping_add(after.0);
+        self.cut = self.cut.saturating_sub(before.1).saturating_add(after.1);
+    }
+
+    /// Applies the structural half of an edit together with its exact cut
+    /// delta under the unchanged assignment and its fingerprint and
+    /// balance terms. A rejected edit changes nothing. New module slots
+    /// join the lighter side.
+    fn apply_structural(&mut self, edit: &Edit) -> Result<StructuralOutcome, IncrementalError> {
+        match edit {
+            Edit::AddNet { pins, weight } => {
+                let id = self.nl.add_net(pins, *weight)?;
+                self.swap_net_terms((0, 0), self.net_terms(id));
+                Ok(StructuralOutcome {
+                    damaged: pins.len(),
+                    new_id: Some(id),
+                    touched: pins.clone(),
+                })
+            }
+            Edit::RemoveNet { net } => {
+                let before = self.net_terms(*net);
+                let touched = self
+                    .nl
+                    .net_pins(*net)
+                    .map(<[u32]>::to_vec)
+                    .unwrap_or_default();
+                self.nl.remove_net(*net)?;
+                self.swap_net_terms(before, (0, 0));
+                Ok(StructuralOutcome {
+                    damaged: touched.len(),
+                    new_id: None,
+                    touched,
+                })
+            }
+            Edit::AddModule { weight } => {
+                let side = Side::lighter(self.sums.side_weight);
+                let id = self.nl.add_module(*weight)?;
+                self.sides.push(side);
+                self.sums.add_module(id, *weight, side);
+                Ok(StructuralOutcome {
+                    damaged: 1,
+                    new_id: Some(id),
+                    touched: Vec::new(),
+                })
+            }
+            Edit::RemoveModule { module } => {
+                // Only isolated modules are removable, so no net's
+                // spanning status can change.
+                let (side, weight) = (self.side_at(*module), self.nl.module_weight(*module));
+                self.nl.remove_module(*module)?;
+                self.sums.remove_module(*module, weight.unwrap_or(0), side);
+                Ok(StructuralOutcome {
+                    damaged: 0,
+                    new_id: None,
+                    touched: Vec::new(),
+                })
+            }
+            Edit::ReweightModule { module, weight } => {
+                // A weight change never moves a net across the cut.
+                let (side, old) = (self.side_at(*module), self.nl.module_weight(*module));
+                self.nl.reweight_module(*module, *weight)?;
+                self.sums.remove_module(*module, old.unwrap_or(0), side);
+                self.sums.add_module(*module, *weight, side);
+                Ok(StructuralOutcome {
+                    damaged: 1,
+                    new_id: None,
+                    touched: Vec::new(),
+                })
+            }
+            Edit::PinChange { net, module, add } => {
+                let before = self.net_terms(*net);
+                self.nl.pin_change(*net, *module, *add)?;
+                self.swap_net_terms(before, self.net_terms(*net));
+                // The pins after the edit plus the module, counted once:
+                // an add and a remove of one pin damage the same region.
+                let mut touched = self.nl.net_pins(*net).unwrap_or(&[]).to_vec();
+                if !touched.contains(module) {
+                    touched.push(*module);
+                }
+                Ok(StructuralOutcome {
+                    damaged: touched.len(),
+                    new_id: None,
+                    touched,
+                })
+            }
+        }
+    }
+
+    /// Every module slot on the left, the cut 0 and the sums rescanned:
+    /// the trivial tier, and a full tier with too few vertices to cut.
+    fn reset(&mut self) {
+        self.sides.fill(Side::Left);
+        self.cut = 0;
+        self.sums = Sums::of(&self.nl, &self.sides);
+    }
+
+    /// Localized repair: one FM pass over the damaged modules only. The
+    /// cut arrives already exact (maintained by delta in
+    /// [`apply_structural`](Self::apply_structural)); this pass then
+    /// greedily flips damaged modules whose move strictly lowers the cut,
+    /// under the same adaptive balance slack as
+    /// [`refine::refine`](crate::refine::refine) (twice the heaviest live
+    /// module, widened to the current imbalance), each module at most
+    /// once. The side weights and the heaviest module come from the sums;
+    /// each round re-scores the k unmoved candidates, so the pass is
+    /// O(k²·deg) and never touches the rest of the instance.
+    fn repair_incremental(&mut self, touched: &[u32]) {
+        let mut candidates: Vec<u32> = touched
+            .iter()
+            .copied()
+            .filter(|&m| self.nl.module_weight(m).is_some())
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        if candidates.is_empty() {
+            return;
+        }
+        // The balance slack mirrors refine::refine's adaptive floor.
+        let [left, right] = self.sums.side_weight;
+        let tolerance = left
+            .abs_diff(right)
+            .max(self.sums.heaviest().saturating_mul(2));
+        let mut moved = vec![false; candidates.len()];
+        loop {
+            let mut best: Option<(u64, usize)> = None;
+            for (i, (&m, &done)) in candidates.iter().zip(&moved).enumerate() {
+                if done {
+                    continue;
+                }
+                let w = self.nl.module_weight(m).unwrap_or(0);
+                let from = self.side_at(m);
+                // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+                let [mine, other] = [from, !from].map(|s| self.sums.side_weight[s.index()]);
+                let new_imbalance = (mine - w).abs_diff(other + w);
+                if new_imbalance > tolerance {
+                    continue;
+                }
+                let gain = self.flip_gain(m);
+                if gain <= 0 {
+                    continue;
+                }
+                let gain = gain as u64; // fhp-audit: allow(as-cast-truncation) — checked positive above
+                if best.is_none_or(|(g, _)| gain > g) {
+                    best = Some((gain, i));
+                }
+            }
+            let Some((gain, i)) = best else { break };
+            let m = candidates[i]; // fhp-audit: allow(panic-site) — i was produced by enumerate() over candidates
+            let w = self.nl.module_weight(m).unwrap_or(0);
+            let from = self.side_at(m);
+            self.sums.remove_module(m, w, from);
+            self.sums.add_module(m, w, from.opposite());
+            if let Some(slot) = self.sides.get_mut(m as usize) {
+                *slot = from.opposite();
+            }
+            self.cut = self.cut.saturating_sub(gain);
+            moved[i] = true; // fhp-audit: allow(panic-site) — i was produced by enumerate() over the same-length moved
+        }
+    }
+
+    /// The cut reduction from flipping module `m` to the other side
+    /// (negative when the flip would worsen the cut): for each incident
+    /// net, moving the last same-side pin away uncuts it, moving any pin
+    /// out of a one-sided net cuts it.
+    fn flip_gain(&self, m: u32) -> i64 {
+        let mut gain = 0i64;
+        let my_side = self.side_at(m);
+        for &e in self.nl.incident_nets(m).unwrap_or(&[]) {
+            let Some(pins) = self.nl.net_pins(e) else {
+                continue;
+            };
+            if pins.len() < 2 {
+                continue;
+            }
+            let same = pins.iter().filter(|&&p| self.side_at(p) == my_side).count();
+            let w = self.nl.net_weight(e).unwrap_or(0) as i64; // fhp-audit: allow(as-cast-truncation) — net weights are far below i64::MAX
+            if same == pins.len() {
+                gain -= w; // was uncut, the flip cuts it
+            } else if same == 1 {
+                gain += w; // m is the lone pin on its side: the flip uncuts it
+            }
+        }
+        gain
+    }
+
+    /// Fallback repair: re-partition the compacted live netlist from
+    /// scratch with the configured [`Algorithm1`] run.
+    fn repair_full(
+        &mut self,
+        config: PartitionConfig,
+        progress: Option<Arc<Progress>>,
+    ) -> Result<(), PartitionError> {
+        #[cfg(test)]
+        if tests::FAIL_FULL_TIER.with(std::cell::Cell::get) {
+            return Err(PartitionError::AllStartsFailed {
+                error: "the full tier was set to fail".to_string(),
+            });
+        }
+        let (h, module_ids, _nets) = self.nl.materialize();
+        let Some(outcome) = run_algorithm1(config, progress, &h)? else {
+            self.reset();
             return Ok(());
         };
-        let kept = &self.state;
-        let fresh = LiveState::scratch(nl, &self.sides);
+        for (compact, &stable) in module_ids.iter().enumerate() {
+            if let Some(slot) = self.sides.get_mut(stable as usize) {
+                *slot = outcome.bipartition.side(VertexId::new(compact));
+            }
+        }
+        self.cut = outcome.report.weighted_cut;
+        self.sums = Sums::of(&self.nl, &self.sides);
+        Ok(())
+    }
+
+    /// The state fingerprint: see [`PartitionEngine::fingerprint`].
+    fn fingerprint(&self) -> u64 {
+        mix64(self.sums.hash_sum ^ mix64(self.cut))
+    }
+
+    /// Rebuilds the sums from scratch and names the first maintained value
+    /// that differs: see [`PartitionEngine::verify_state`].
+    fn verify_state(&self) -> Result<(), String> {
+        let kept = &self.sums;
+        let fresh = Sums::of(&self.nl, &self.sides);
         if kept.hash_sum != fresh.hash_sum {
             return Err(format!(
                 "fingerprint sum diverged: maintained {:#018x}, recomputed {:#018x}",
                 kept.hash_sum, fresh.hash_sum
             ));
         }
-        if (kept.left, kept.right) != (fresh.left, fresh.right) {
+        if kept.side_weight != fresh.side_weight {
+            let ([kl, kr], [fl, fr]) = (kept.side_weight, fresh.side_weight);
             return Err(format!(
-                "side weights diverged: maintained {}/{}, recomputed {}/{}",
-                kept.left, kept.right, fresh.left, fresh.right
+                "side weights diverged: maintained {kl}/{kr}, recomputed {fl}/{fr}"
             ));
         }
         if kept.heaviest() != fresh.heaviest() {
@@ -837,6 +785,20 @@ impl PartitionEngine {
             return Err("module weight multiset diverged below the heaviest weight".to_string());
         }
         Ok(())
+    }
+}
+
+/// One configured [`Algorithm1`] run; `None` when `h` has too few vertices
+/// to cut, which the engine answers with the trivial partition.
+fn run_algorithm1(
+    config: PartitionConfig,
+    progress: Option<Arc<Progress>>,
+    h: &Hypergraph,
+) -> Result<Option<PartitionOutcome>, PartitionError> {
+    match Algorithm1::new(config).progress(progress).run(h) {
+        Ok(outcome) => Ok(Some(outcome)),
+        Err(PartitionError::TooFewVertices { .. }) => Ok(None),
+        Err(e) => Err(e),
     }
 }
 
@@ -869,6 +831,13 @@ mod tests {
     use fhp_hypergraph::intersection::paper_example;
     use rand::rngs::SplitMix64;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set by a test to make the full tier fail where it starts, as a
+        /// failed Algorithm I run would.
+        pub(super) static FAIL_FULL_TIER: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn loaded_engine() -> PartitionEngine {
         let mut engine = PartitionEngine::new(EngineConfig::new());
@@ -1228,6 +1197,66 @@ mod tests {
         assert_eq!(d.repair, RepairKind::Full);
         assert_eq!(engine.stats().full_recomputes, 1);
         assert_cut_consistent(&engine);
+    }
+
+    #[test]
+    fn a_failed_full_tier_keeps_the_edit_with_an_exact_cut() {
+        let mut engine = PartitionEngine::new(EngineConfig::new().damage_permille(0));
+        engine.load(&paper_example()).expect("loads");
+        let across = (1..12)
+            .find(|&m| engine.side_of(m) != engine.side_of(0))
+            .expect("the paper example's partition uses both sides");
+        let cut = engine.cut();
+        FAIL_FULL_TIER.with(|fail| fail.set(true));
+        let failed = engine.apply(&Edit::AddNet {
+            pins: vec![0, across],
+            weight: 2,
+        });
+        FAIL_FULL_TIER.with(|fail| fail.set(false));
+        assert!(
+            matches!(failed, Err(EngineError::Partition(_))),
+            "{failed:?}"
+        );
+        // The edit stays applied as net 9, unrepaired: the cut grew by the
+        // new net's weight and matches a recount under the engine's sides.
+        let nl = engine.netlist().expect("loaded");
+        assert_eq!(nl.net_pins(9), Some(&[0, across][..]));
+        assert_eq!(engine.cut(), cut + 2);
+        assert_cut_consistent(&engine);
+        engine
+            .verify_state()
+            .expect("maintained state after the failure");
+        assert_eq!(engine.stats().edits, 0);
+        // The next edit repairs normally.
+        let d = engine.apply(&Edit::RemoveNet { net: 9 }).expect("live net");
+        assert_eq!(d.repair, RepairKind::Full);
+        assert_eq!(d.edit_index, 0);
+        assert_eq!(engine.stats().full_recomputes, 1);
+        assert_cut_consistent(&engine);
+        engine
+            .verify_state()
+            .expect("maintained state after the repair");
+    }
+
+    #[test]
+    fn load_refuses_an_invalid_config_even_without_a_run() {
+        // One module, no nets, and the paper example: only the last needs
+        // an Algorithm I run, but every load checks the configuration.
+        let one = fhp_hypergraph::HypergraphBuilder::with_vertices(1).build();
+        let netless = fhp_hypergraph::HypergraphBuilder::with_vertices(3).build();
+        for h in [one, netless, paper_example()] {
+            let config = EngineConfig::new().partition(PartitionConfig::new().starts(0));
+            let mut engine = PartitionEngine::new(config);
+            assert!(
+                matches!(
+                    engine.load(&h),
+                    Err(EngineError::Partition(PartitionError::InvalidConfig { .. }))
+                ),
+                "{} modules",
+                h.num_vertices()
+            );
+            assert!(!engine.is_loaded());
+        }
     }
 
     #[test]

@@ -79,6 +79,7 @@ pub fn parse_hgr(text: &str) -> Result<Hypergraph, ParseHgrError> {
     }
 
     let mut b = HypergraphBuilder::with_vertices(num_vertices);
+    let mut pins = Vec::new();
     for _ in 0..num_edges {
         let (line_no, line) = lines.next().ok_or(ParseHgrError::TooFewLines {
             expected_edges: num_edges,
@@ -89,7 +90,7 @@ pub fn parse_hgr(text: &str) -> Result<Hypergraph, ParseHgrError> {
         } else {
             1
         };
-        let mut pins = Vec::new();
+        pins.clear();
         for tok in tokens {
             let v: usize = tok
                 .parse()
@@ -108,7 +109,7 @@ pub fn parse_hgr(text: &str) -> Result<Hypergraph, ParseHgrError> {
         if weight == 0 {
             return Err(ParseHgrError::ZeroWeight { line: line_no });
         }
-        b.add_weighted_edge(pins, weight)
+        b.add_weighted_edge(pins.iter().copied(), weight)
             .expect("pins validated in range"); // fhp-audit: allow(panic-site) — pins range-checked on the lines above; the builder cannot reject them
     }
     if has_vertex_weights {

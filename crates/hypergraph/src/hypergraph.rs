@@ -168,7 +168,9 @@ impl Hypergraph {
 ///
 /// Vertices are added first (optionally weighted), then edges referencing
 /// them. Pins passed to [`add_edge`](Self::add_edge) are deduplicated and
-/// sorted; edge insertion order is preserved as edge ids.
+/// sorted; edge insertion order is preserved as edge ids. Each edge's pins
+/// go straight into the pin CSR through one reused scratch buffer, so
+/// building allocates only when a buffer grows.
 ///
 /// # Examples
 ///
@@ -186,11 +188,22 @@ impl Hypergraph {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct HypergraphBuilder {
     vertex_weights: Vec<u64>,
-    edges: Vec<Vec<VertexId>>,
+    /// The pin CSR as [`Hypergraph`] stores it: edge `e`'s sorted pins are
+    /// `edge_pins[edge_offsets[e] .. edge_offsets[e + 1]]`.
+    edge_pins: Vec<VertexId>,
+    edge_offsets: Vec<usize>,
     edge_weights: Vec<u64>,
+    /// The edge being added, sorted and checked before it is appended.
+    scratch: Vec<VertexId>,
+}
+
+impl Default for HypergraphBuilder {
+    fn default() -> Self {
+        Self::with_vertices(0)
+    }
 }
 
 impl HypergraphBuilder {
@@ -203,8 +216,10 @@ impl HypergraphBuilder {
     pub fn with_vertices(n: usize) -> Self {
         Self {
             vertex_weights: vec![1; n],
-            edges: Vec::new(),
+            edge_pins: Vec::new(),
+            edge_offsets: vec![0],
             edge_weights: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -239,7 +254,7 @@ impl HypergraphBuilder {
 
     /// Number of edges added so far.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.edge_weights.len()
     }
 
     /// Adds a unit-weight hyperedge over the given pins and returns its id.
@@ -251,6 +266,7 @@ impl HypergraphBuilder {
     /// Returns [`BuildHypergraphError::EmptyEdge`] if no pins are given
     /// (or all duplicates of nothing), and
     /// [`BuildHypergraphError::UnknownVertex`] if a pin id was never added.
+    /// A rejected edge leaves the builder unchanged.
     pub fn add_edge<I>(&mut self, pins: I) -> Result<EdgeId, BuildHypergraphError>
     where
         I: IntoIterator<Item = VertexId>,
@@ -271,10 +287,12 @@ impl HypergraphBuilder {
     where
         I: IntoIterator<Item = VertexId>,
     {
-        let id = EdgeId::new(self.edges.len());
-        let mut pins: Vec<VertexId> = pins.into_iter().collect();
-        pins.sort_unstable();
-        pins.dedup();
+        let id = EdgeId::new(self.num_edges());
+        self.scratch.clear();
+        self.scratch.extend(pins);
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        let pins = &self.scratch;
         if pins.is_empty() {
             return Err(BuildHypergraphError::EmptyEdge { edge: id });
         }
@@ -284,12 +302,14 @@ impl HypergraphBuilder {
                 vertex: bad,
             });
         }
-        self.edges.push(pins);
+        self.edge_pins.extend_from_slice(pins);
+        self.edge_offsets.push(self.edge_pins.len());
         self.edge_weights.push(weight);
         Ok(id)
     }
 
-    /// Finalizes the hypergraph.
+    /// Finalizes the hypergraph: trims the pin CSR to its length and
+    /// transposes it into the vertex → edges CSR.
     ///
     /// # Errors
     ///
@@ -302,15 +322,11 @@ impl HypergraphBuilder {
             });
         }
         let num_vertices = self.vertex_weights.len();
-
-        let mut edge_offsets = Vec::with_capacity(self.edges.len() + 1);
-        edge_offsets.push(0usize);
-        let total_pins: usize = self.edges.iter().map(Vec::len).sum();
-        let mut edge_pins = Vec::with_capacity(total_pins);
-        for pins in &self.edges {
-            edge_pins.extend_from_slice(pins);
-            edge_offsets.push(edge_pins.len());
-        }
+        let mut edge_pins = self.edge_pins;
+        edge_pins.shrink_to_fit();
+        let mut edge_offsets = self.edge_offsets;
+        edge_offsets.shrink_to_fit();
+        let total_pins = edge_pins.len();
 
         // Counting sort the transposed incidence (vertex -> edges). Because
         // edges are visited in ascending id order, each vertex's edge list
@@ -328,11 +344,13 @@ impl HypergraphBuilder {
         }
         let mut cursor = vertex_offsets.clone();
         let mut vertex_edges = vec![EdgeId::default(); total_pins];
-        for (e, pins) in self.edges.iter().enumerate() {
-            for &p in pins {
+        let mut start = 0;
+        for (e, &end) in edge_offsets.iter().skip(1).enumerate() {
+            for &p in edge_pins.get(start..end).unwrap_or_default() {
                 vertex_edges[cursor[p.index()]] = EdgeId::new(e); // fhp-audit: allow(panic-site) — pin/vertex ids validated by HypergraphBuilder; documented `# Panics` contracts
                 cursor[p.index()] += 1; // fhp-audit: allow(panic-site) — pin/vertex ids validated by HypergraphBuilder; documented `# Panics` contracts
             }
+            start = end;
         }
 
         Ok(Hypergraph {

@@ -401,12 +401,11 @@ impl DynamicNetlist {
         }
         for &e in &net_ids {
             if let Some(slot) = self.net_slot(e) {
-                let pins: Vec<VertexId> = slot
+                let pins = slot
                     .pins
                     .iter()
                     // fhp-audit: allow(panic-site) — live pins index live modules by the incidence invariant
-                    .map(|&m| VertexId::new(compact_of[m as usize] as usize))
-                    .collect();
+                    .map(|&m| VertexId::new(compact_of[m as usize] as usize));
                 b.add_weighted_edge(pins, slot.weight)
                     // fhp-audit: allow(panic-site) — pins are live, distinct and in-range by the slot invariants
                     .expect("live pins are valid by construction");

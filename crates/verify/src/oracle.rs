@@ -4,7 +4,7 @@
 //! Each oracle recomputes its claim without reusing the code path under
 //! test — cut sizes are recounted pin by pin, bipartiteness is re-proved
 //! by an independent 2-coloring, the within-1 completion bound is checked
-//! against [`fhp_baselines::exhaustive_min_losers`], the dualization
+//! against [`fhp_core::complete_cut::brute_force_min_losers`], the dualization
 //! kernel against the naive pair-spray builder, Algorithm I's searches
 //! over the incidence lists against the same searches over `G`'s CSR, and
 //! thread invariance by literally running the engine at 1, 2 and 8
@@ -19,11 +19,11 @@
 
 use std::collections::BTreeMap;
 
-use fhp_baselines::{
-    exhaustive_min_losers, Exhaustive, FiducciaMattheyses, KernighanLin, SimulatedAnnealing,
-};
+use fhp_baselines::{Exhaustive, FiducciaMattheyses, KernighanLin, SimulatedAnnealing};
 use fhp_core::boundary::BoundaryDecomposition;
-use fhp_core::complete_cut::{complete, complete_min_degree, CompletionScratch};
+use fhp_core::complete_cut::{
+    brute_force_min_losers, complete, complete_min_degree, CompletionScratch,
+};
 use fhp_core::dual_bfs::{
     random_longest_path_endpoints, two_front_bfs, two_front_bfs_with_policy, FrontPolicy,
 };
@@ -78,7 +78,7 @@ pub const KONIG_CHECK_LIMIT: usize = 12;
 /// Largest connected boundary graph the paper's within-1 greedy bound is
 /// asserted on. The bound as stated is *refuted* from 10 vertices up
 /// (connected gap-2 counterexamples exist — see
-/// [`fhp_baselines::exhaustive_min_losers`]), so the oracle pins exactly
+/// [`fhp_core::complete_cut::brute_force_min_losers`]), so the oracle pins exactly
 /// the regime where property testing has established it: `n ≤ 9`.
 pub const WITHIN_ONE_LIMIT: usize = 9;
 
@@ -337,12 +337,7 @@ fn oracle_differential(ctx: &Ctx<'_>) -> Result<u64, Violation> {
             let out = fault::tamper(out);
             checks += check_outcome_consistency(h, &out).map_err(|v| ctx.fail(v.detail))?;
             if let Some(chosen) = out.stats.chosen_start {
-                let recorded = out
-                    .stats
-                    .per_start
-                    .iter()
-                    .find(|s| s.start == chosen)
-                    .and_then(|s| s.cut_size);
+                let recorded = out.stats.per_start.get(chosen).and_then(|s| s.cut_size);
                 checks += ctx.ensure(recorded == Some(out.report.cut_size), || {
                     format!(
                         "winning start {chosen} recorded cut {recorded:?} but the run returned {}",
@@ -569,8 +564,7 @@ fn oracle_pipeline_stages(ctx: &Ctx<'_>) -> Result<u64, Violation> {
     // stated bound has connected counterexamples from n = 10 up).
     let n = gprime.num_vertices();
     if n > 0 && n <= KONIG_CHECK_LIMIT {
-        let exact = exhaustive_min_losers(gprime)
-            .map_err(|e| ctx.fail(format!("exhaustive_min_losers failed: {e}")))?;
+        let exact = brute_force_min_losers(gprime);
         let konig = complete(CompletionStrategy::ExactKonig, &view, &dec).num_losers();
         checks += ctx.ensure(konig == exact, || {
             format!("König completion found {konig} losers, enumeration found {exact}")
