@@ -7,7 +7,8 @@
 //!
 //! One hard assertion runs on every tier, even in smoke mode (`--test`,
 //! or `FHP_BENCH_SMOKE=1`): Algorithm 1 produces equal
-//! [`OutcomeFingerprint`]s at 1, 2 and 8 threads.
+//! [`OutcomeFingerprint`]s, and reads as many ids in its BFSs and its
+//! sweeps (`bfs_ids_read`, `sweep_ids_read`), at 1, 2 and 8 threads.
 //!
 //! Smoke mode covers the 10^5 tier only so CI stays under its bench
 //! budget; the full run (`cargo bench -p fhp-bench --bench scaling`)
@@ -35,6 +36,8 @@ struct Tier {
     alg1_wall_ns: Vec<u128>,
     cut_size: usize,
     chosen_start: Option<usize>,
+    bfs_ids_read: u64,
+    sweep_ids_read: u64,
 }
 
 fn run_alg1(h: &Hypergraph, threads: usize) -> PartitionOutcome {
@@ -75,6 +78,12 @@ fn measure_tier(signals: usize) -> Tier {
                 "alg1 at threads = {t} diverged from threads = {}",
                 THREADS[0]
             );
+            assert_eq!(
+                (out.stats.bfs_ids_read, out.stats.sweep_ids_read),
+                (f.stats.bfs_ids_read, f.stats.sweep_ids_read),
+                "alg1 at threads = {t} read other ids than at threads = {}",
+                THREADS[0]
+            );
         }
         first.get_or_insert(out);
     }
@@ -96,6 +105,8 @@ fn measure_tier(signals: usize) -> Tier {
         alg1_wall_ns,
         cut_size: out.report.cut_size,
         chosen_start: out.stats.chosen_start,
+        bfs_ids_read: out.stats.bfs_ids_read,
+        sweep_ids_read: out.stats.sweep_ids_read,
     }
 }
 
@@ -150,6 +161,8 @@ fn main() {
             json_list(&c.alg1_wall_ns)
         );
         let _ = writeln!(json, "      \"cut_size\": {},", c.cut_size);
+        let _ = writeln!(json, "      \"bfs_ids_read\": {},", c.bfs_ids_read);
+        let _ = writeln!(json, "      \"sweep_ids_read\": {},", c.sweep_ids_read);
         let _ = writeln!(
             json,
             "      \"chosen_start\": {}",

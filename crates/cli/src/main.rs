@@ -623,6 +623,8 @@ fn print_stats(stats: &fhp_core::RunStats) {
     line("path_component", stats.path_component.to_string());
     line("boundary_len", stats.boundary_len.to_string());
     line("arena_growths", stats.arena_growths.to_string());
+    line("bfs_ids_read", stats.bfs_ids_read.to_string());
+    line("sweep_ids_read", stats.sweep_ids_read.to_string());
     if let Some(ml) = &stats.multilevel {
         let join = |xs: &[usize]| {
             xs.iter()

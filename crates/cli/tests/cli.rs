@@ -87,6 +87,8 @@ fn stats_flag_prints_phase_lines() {
         "path_component",
         "boundary_len",
         "arena_growths",
+        "bfs_ids_read",
+        "sweep_ids_read",
         "mem_live_bytes",
         "mem_peak_bytes",
         "mem_allocs",
@@ -122,7 +124,12 @@ fn stats_flag_prints_phase_lines() {
             threads.parse::<u64>().unwrap()
         );
         assert_eq!(stat(&out, "distinct_u"), distinct_u, "--threads {threads}");
-        for key in ["g_components", "path_component"] {
+        for key in [
+            "g_components",
+            "path_component",
+            "bfs_ids_read",
+            "sweep_ids_read",
+        ] {
             assert_eq!(stat(&out, key), field(key), "{key} at --threads {threads}");
         }
         assert_eq!(

@@ -16,13 +16,18 @@
 //!    modules to their side;
 //! 6. place any remaining modules on the lighter side.
 //!
-//! Steps 5–6 are one call, [`CompletionScratch::complete_into`], for every
-//! [`CompletionStrategy`].
+//! Steps 5–6 are one call, [`CompletionScratch::finish`], for every
+//! [`CompletionStrategy`]; it also scores the sweep from what the sweep
+//! touched, and a sweep's bipartition is written
+//! ([`CompletionScratch::write`]) only when it beats its worker's best.
 //!
 //! Total cost is `O(n²)` in the number of signals `n`, dominated by the
-//! BFS sweeps; the view costs `O(pins)` to build, and each BFS or sweep
-//! over it reads at most two or three ids per kept pin (see
-//! [`crate::dual_bfs`]).
+//! BFS sweeps; the view costs `O(pins)` to build, each BFS over it reads
+//! at most two ids per kept pin, and a whole sweep — fronts and scoring —
+//! reads the seeds' components, the boundary, the filtered nets and one
+//! entry per component of `G` (see [`crate::dual_bfs`];
+//! [`RunStats::bfs_ids_read`] and [`RunStats::sweep_ids_read`] count
+//! them).
 //!
 //! The multi-start runs as three passes over the start indices, each on
 //! the same per-worker arenas: every start draws its random vertex, runs
@@ -323,6 +328,17 @@ pub struct RunStats {
     /// [`threads`](Self::threads) this count varies with the worker count
     /// and stays out of [`OutcomeFingerprint`] and the trace.
     pub arena_growths: u64,
+    /// Ids the run's longest-path BFSs read, summed over every search
+    /// that finished (each at most `2·Σ|e|` over the kept nets; see
+    /// [`crate::dual_bfs`]). Like [`distinct_u`](Self::distinct_u), the
+    /// same at every worker count (0 for the component shortcut).
+    pub bfs_ids_read: u64,
+    /// Ids the run's sweeps read, summed over the starts whose sweeps all
+    /// finished: the fronts' reads plus the boundary decomposition's, the
+    /// completion's and the scoring's — what each sweep touched, not the
+    /// bipartition written for a sweep that beats its worker's best. The
+    /// same at every worker count (0 for the component shortcut).
+    pub sweep_ids_read: u64,
     /// Per-start outcomes, indexed by start (empty for the shortcut path).
     pub per_start: Vec<StartStat>,
     /// Per-phase wall time and the `G` view's kept and filtered counts
@@ -577,6 +593,8 @@ impl Algorithm1 {
                 g_components: ms.g_components,
                 path_component: cand.map_or(0, |c| c.path_component),
                 arena_growths: ms.arena_growths,
+                bfs_ids_read: ms.bfs_ids_read,
+                sweep_ids_read: ms.sweep_ids_read,
                 per_start: ms.per_start,
                 phases: ms.phases,
                 multilevel: None,
@@ -616,10 +634,11 @@ impl Algorithm1 {
         let pass1 = run_starts_arena(starts, &mut arenas, collector, |start, arena, scope| {
             let _lp = scope.map(|s| s.span(names::ALG1_LONGEST_PATH));
             let mut rng = SplitMix64::for_start(config.seed, start);
-            arena.endpoints.draw_u(&view, &mut rng).map(|u| (u, rng))
+            let drawn = arena.endpoints.draw_u(&view, &mut rng).map(|u| (u, rng));
+            (drawn, arena.endpoints.draw_reads())
         });
         let drawn = |i: usize| match pass1.get(i).map(|r| &r.outcome) {
-            Some(Ok(Some(drawn))) => Some(drawn),
+            Some(Ok((Some(drawn), _))) => Some(drawn),
             _ => None,
         };
         let u_leads = first_with_key(starts, |i| drawn(i).map(|&(u, _)| u));
@@ -632,18 +651,19 @@ impl Algorithm1 {
             (0..starts).map(|_| OnceLock::new()).collect();
         let pass2 = run_starts_arena(starts, &mut arenas, collector, |start, arena, scope| {
             let Some(&(u, _)) = drawn(start).filter(|_| u_lead(start) == Some(start)) else {
-                return;
+                return 0;
             };
             let _lp = scope.map(|s| s.span(names::ALG1_LONGEST_PATH));
             #[cfg(test)]
             fault::trip(&view, fault::Fault::Search(u));
-            arena.endpoints.search(&view, u);
+            let reads = arena.endpoints.search(&view, u);
             for (j, end) in ends.iter().enumerate().skip(start) {
                 if let Some((_, rng)) = drawn(j).filter(|_| u_lead(j) == Some(start)) {
                     let mut rng = rng.clone();
                     end.get_or_init(|| arena.endpoints.draw_v(u, &mut rng));
                 }
             }
+            reads
         });
         // A start's path `(u, v, depth)`, unless the first start with its
         // `u` failed in pass 2.
@@ -682,7 +702,12 @@ impl Algorithm1 {
         let mut per_start: Vec<StartStat> = Vec::with_capacity(starts);
         let mut num_failed = 0usize;
         let mut first_error = None;
+        let (mut bfs_ids_read, mut sweep_ids_read) = (0u64, 0u64);
         for (start, ((p1, p2), p3)) in pass1.into_iter().zip(&pass2).zip(pass3).enumerate() {
+            // Each pass that finished counts the ids it read.
+            bfs_ids_read += p1.outcome.as_ref().map_or(0, |(_, reads)| *reads);
+            bfs_ids_read += p2.outcome.as_ref().map_or(0, |reads| *reads);
+            sweep_ids_read += p3.outcome.as_ref().map_or(0, |o| o.reads);
             // A start fails with its own panic, or with the pass-2 panic of
             // the first start with its `u`.
             let u_failed = u_lead(start).and_then(|l| pass2.get(l)?.outcome.clone().err());
@@ -746,6 +771,8 @@ impl Algorithm1 {
             distinct_u,
             threads: workers,
             arena_growths,
+            bfs_ids_read,
+            sweep_ids_read,
             per_start,
             phases,
         })
@@ -765,6 +792,8 @@ struct MultiStart {
     distinct_u: usize,
     threads: usize,
     arena_growths: u64,
+    bfs_ids_read: u64,
+    sweep_ids_read: u64,
     per_start: Vec<StartStat>,
     phases: PhaseStats,
 }
@@ -813,6 +842,8 @@ struct StartOutcome {
     repeat_of: Option<usize>,
     dual_ns: u64,
     cc_ns: u64,
+    /// Ids its sweeps read, fronts and scoring.
+    reads: u64,
 }
 
 /// For every index `i < n` that has a key, the first index with the same
@@ -844,28 +875,28 @@ fn count_leaders(leads: &[Option<usize>]) -> usize {
 /// to the largest `G′` the worker meets, so a start allocates only to
 /// grow one. Every stage resets the scratch state it reads at entry, so a
 /// start that panicked mid-pipeline cannot poison the next one.
-struct StartArena {
+struct StartArena<'v> {
     /// Longest-BFS-path endpoint picker (one BFS leveling).
     endpoints: EndpointScratch,
     /// Dual-front BFS workspace and its resulting graph cut.
     fronts: TwoFrontScratch,
     /// Boundary set / boundary graph / partial-assignment workspace.
-    dec: BoundaryDecomposition,
-    /// Complete-Cut workspace: the winner set and the assembly buffers.
+    dec: BoundaryDecomposition<'v>,
+    /// Complete-Cut workspace: the winner set, the placement of the
+    /// sweep's open modules and the score.
     completion: CompletionScratch,
-    /// The current sweep's assembled partition.
-    work_bp: Bipartition,
-    /// Best partition among the current start's sweeps.
-    sweep_best_bp: Bipartition,
+    /// The partition of the current start's best sweep, written only when
+    /// that sweep beats the worker's best.
+    start_bp: Bipartition,
     /// The least [`winner_order`] key among the starts this worker swept
     /// in pass 3, with its partition in `best_bp`.
     best: Option<(StartCandidate, usize)>,
     best_bp: Bipartition,
 }
 
-impl StartArena {
+impl<'v> StartArena<'v> {
     /// An arena for the instance `view` reads: the BFS levels, fronts,
-    /// labels, `gprime_of`, partial bipartition, placement and the three
+    /// labels, `gprime_of`, partial bipartition, placement and the two
     /// bipartitions reserved at `G`'s and the module count's sizes; the
     /// `G′`-sized buffers empty.
     fn for_instance(view: &DualIncidence<'_>) -> Self {
@@ -875,8 +906,7 @@ impl StartArena {
             fronts: TwoFrontScratch::with_capacity(g_n, n),
             dec: BoundaryDecomposition::with_capacity(n, g_n),
             completion: CompletionScratch::with_capacity(n),
-            work_bp: Bipartition::all_left(n),
-            sweep_best_bp: Bipartition::all_left(n),
+            start_bp: Bipartition::all_left(n),
             best: None,
             best_bp: Bipartition::all_left(n),
         }
@@ -885,6 +915,12 @@ impl StartArena {
     /// How many times this worker grew a `G′`-sized buffer.
     fn growths(&self) -> u64 {
         self.dec.growths() + self.completion.growths()
+    }
+
+    /// Ids the most recent sweep read: the fronts', the boundary
+    /// decomposition's and the completion's with its scoring.
+    fn sweep_reads(&self) -> u64 {
+        self.fronts.ids_read() + self.dec.ids_read() + self.completion.ids_read()
     }
 }
 
@@ -900,20 +936,20 @@ impl StartArena {
 /// `scope` is present — tracing runs only — the phase spans and counters
 /// are recorded too. Timing is never consulted by any decision, so it
 /// cannot perturb determinism.
-fn evaluate_start(
-    view: &DualIncidence<'_>,
+fn evaluate_start<'v>(
+    view: &'v DualIncidence<'v>,
     config: &PartitionConfig,
     start: usize,
     path: Option<((u32, u32, u32), usize)>,
-    arena: &mut StartArena,
+    arena: &mut StartArena<'v>,
     scope: Option<&Scope>,
 ) -> StartOutcome {
-    let h = view.hypergraph();
     let skipped = StartOutcome {
         cut_size: None,
         repeat_of: None,
         dual_ns: 0,
         cc_ns: 0,
+        reads: 0,
     };
     let Some(((u, v, path_length), first)) = path else {
         return skipped;
@@ -930,7 +966,7 @@ fn evaluate_start(
             ..skipped
         };
     }
-    let (mut dual_ns, mut cc_ns) = (0u64, 0u64);
+    let (mut dual_ns, mut cc_ns, mut reads) = (0u64, 0u64, 0u64);
     let path_component = view.component_len(view.component_of(u));
     let mut best: Option<StartCandidate> = None;
     for &sweep in config.front_policy.sweeps() {
@@ -948,43 +984,51 @@ fn evaluate_start(
         // fhp-audit: allow(wallclock-in-fingerprint) — phase walls are diagnostics (PhaseStats), never part of fingerprints
         let cc_started = std::time::Instant::now();
         let cc = scope.map(|s| s.span(names::ALG1_COMPLETE_CUT));
-        arena
-            .completion
-            .complete_into(config.completion, view, &arena.dec, &mut arena.work_bp);
-        drop(cc);
-        cc_ns += cc_started.elapsed().as_nanos() as u64;
-        let (cut_size, weighted_cut) = crate::metrics::cut_totals(h, &arena.work_bp);
-        let counts = arena.work_bp.counts();
-        let weights = arena.work_bp.weights(h);
+        let score = arena.completion.finish(config.completion, view, &arena.dec);
+        reads += arena.sweep_reads();
+        let (left_w, right_w) = score.weights;
         let candidate = StartCandidate {
-            score: config.objective.score(cut_size, weighted_cut, counts),
-            imbalance: weights.0.abs_diff(weights.1),
-            cut_size,
-            weighted_cut,
-            counts,
-            weights,
+            score: config
+                .objective
+                .score(score.cut_size, score.weighted_cut, score.counts),
+            imbalance: left_w.abs_diff(right_w),
+            cut_size: score.cut_size,
+            weighted_cut: score.weighted_cut,
+            counts: score.counts,
+            weights: score.weights,
             boundary_len: arena.dec.boundary_len(),
-            num_placed: arena.dec.num_placed(),
+            num_placed: score.num_placed,
             path_length,
             path_component,
         };
-        // The start's sweeps share its index: a tie keeps the earlier.
+        // The start's sweeps share its index: a tie keeps the earlier. Its
+        // sides are written only when they could win the worker's fold.
         if best.is_none_or(|b| metrics::rank_order(candidate.rank(), b.rank()).is_lt()) {
             best = Some(candidate);
-            std::mem::swap(&mut arena.sweep_best_bp, &mut arena.work_bp);
+            if arena
+                .best
+                .is_none_or(|held| winner_order(&(candidate, start), &held).is_lt())
+            {
+                arena
+                    .completion
+                    .write(view, &arena.dec, &mut arena.start_bp);
+            }
         }
+        drop(cc);
+        cc_ns += cc_started.elapsed().as_nanos() as u64;
     }
     if let Some(b) = best {
         if let Some(s) = scope {
             s.counter(names::ALG1_START_CUT, b.cut_size as u64);
         }
         // Every sweep succeeded: fold the start's best into the worker's.
+        // It beats the worker's best only if its sides were written.
         if arena
             .best
             .is_none_or(|held| winner_order(&(b, start), &held).is_lt())
         {
             arena.best = Some((b, start));
-            std::mem::swap(&mut arena.best_bp, &mut arena.sweep_best_bp);
+            std::mem::swap(&mut arena.best_bp, &mut arena.start_bp);
         }
     }
     StartOutcome {
@@ -992,6 +1036,7 @@ fn evaluate_start(
         repeat_of: None,
         dual_ns,
         cc_ns,
+        reads,
     }
 }
 
@@ -1311,6 +1356,89 @@ mod tests {
             assert_eq!(
                 sequential.fingerprint(),
                 parallel.fingerprint(),
+                "threads = {threads}"
+            );
+        }
+    }
+
+    /// A 4-net chain (modules 0..=4, G ids 0..4) beside a `big`-net
+    /// chain, three 5-pin nets a threshold of 4 filters — two of them
+    /// across both chains — and two modules on filtered nets only.
+    fn small_beside_big(big: usize) -> Hypergraph {
+        let n = 5 + big + 1 + 2;
+        let (free_a, free_b) = (n - 2, n - 1);
+        let mut b = HypergraphBuilder::with_vertices(n);
+        for i in (0..4).chain(5..5 + big) {
+            b.add_edge([VertexId::new(i), VertexId::new(i + 1)])
+                .unwrap();
+        }
+        for pins in [
+            [0, 2, 5, 6, free_a],
+            [4, 7, 8, 9, free_b],
+            [1, 3, 10, 11, 12],
+        ] {
+            b.add_edge(pins.map(VertexId::new)).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn a_sweep_pays_for_what_it_touched() {
+        for policy in [
+            FrontPolicy::SmallerFirst,
+            FrontPolicy::Alternate,
+            FrontPolicy::Both,
+        ] {
+            for strategy in [
+                CompletionStrategy::MinDegree,
+                CompletionStrategy::EngineerWeighted,
+                CompletionStrategy::ExactKonig,
+            ] {
+                let config = PartitionConfig::new()
+                    .edge_size_threshold(Some(4))
+                    .front_policy(policy)
+                    .completion(strategy);
+                let reads = [1_000, 10_000].map(|big| {
+                    let h = small_beside_big(big);
+                    let view = DualIncidence::new(&h, Some(4)).unwrap();
+                    assert_eq!((view.num_components(), view.filtered_nets().len()), (2, 3));
+                    let mut arena = StartArena::for_instance(&view);
+                    // seeded at the small chain's ends, G ids 0 and 3
+                    let out =
+                        evaluate_start(&view, &config, 0, Some(((0, 3, 3), 0)), &mut arena, None);
+                    let (best, _) = arena.best.unwrap();
+                    assert_eq!(out.cut_size, Some(best.cut_size));
+                    // the score is the written bipartition's
+                    let bp = &arena.best_bp;
+                    assert_eq!(
+                        metrics::cut_totals(&h, bp),
+                        (best.cut_size, best.weighted_cut)
+                    );
+                    assert_eq!((bp.counts(), bp.weights(&h)), (best.counts, best.weights));
+                    out.reads
+                });
+                assert!(reads[0] > 0);
+                assert_eq!(reads[0], reads[1], "{policy:?} {strategy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn read_counts_are_the_same_at_every_thread_count() {
+        let h = comet(13);
+        let run = |threads| {
+            Algorithm1::new(PartitionConfig::new().starts(24).seed(3).threads(threads))
+                .run(&h)
+                .unwrap()
+                .stats
+        };
+        let one = run(1);
+        assert!(one.bfs_ids_read > 0 && one.sweep_ids_read > 0);
+        for threads in [2, 8] {
+            let many = run(threads);
+            assert_eq!(
+                (many.bfs_ids_read, many.sweep_ids_read),
+                (one.bfs_ids_read, one.sweep_ids_read),
                 "threads = {threads}"
             );
         }

@@ -10,12 +10,19 @@
 //! *winners* (signals pulled entirely to one side) and *losers* (signals
 //! conceded to the cut) on `G′` — see [`crate::complete_cut`].
 
-use fhp_hypergraph::{DualIncidence, Graph};
+use fhp_hypergraph::{DualIncidence, Graph, VertexId};
 
 use crate::dual_bfs::GraphCut;
 use crate::Side;
 
 /// The boundary structure induced by a graph cut in the intersection graph.
+///
+/// It is read off what the sweep touched: the boundary from the vertices
+/// its fronts claimed, and the partial bipartition from the modules they
+/// expanded plus one side per other component of `G`, which places every
+/// module of that component. A module's partial side is then a lookup
+/// ([`partial_side`](Self::partial_side)) through the view the
+/// decomposition borrows.
 ///
 /// # Examples
 ///
@@ -35,30 +42,43 @@ use crate::Side;
 /// # }
 /// ```
 #[derive(Clone, Debug)]
-pub struct BoundaryDecomposition {
+pub struct BoundaryDecomposition<'v> {
+    /// The view of the most recent cut.
+    view: Option<&'v DualIncidence<'v>>,
     /// G-vertex represented by each G′ index.
     boundary: Vec<u32>,
-    /// G′ index of each G-vertex, or `u32::MAX` if not boundary.
+    /// G′ index of each G-vertex, or `u32::MAX` if not boundary. Only the
+    /// entries of `boundary` are set.
     gprime_of: Vec<u32>,
     /// The bipartite boundary graph over G′ indices (cross edges only).
     gprime: Graph,
     /// Side (from the G-cut) of each G′ vertex.
     side: Vec<Side>,
-    /// Partial assignment of hypergraph vertices implied by non-boundary
-    /// G-vertices.
+    /// Partial side of each module the sweep expanded: the side of its
+    /// first non-boundary kept net, `None` when all its kept nets are
+    /// boundary. The other entries are stale and never read.
     partial: Vec<Option<Side>>,
+    /// Per component of `G`: the side it went to whole, `None` for a
+    /// seed's component.
+    component_side: Vec<Option<Side>>,
+    /// Modules the partial bipartition places on each side, `[left, right]`.
+    placed: [usize; 2],
+    /// Their module weight, `[left, right]`.
+    placed_weight: [u64; 2],
     /// Cross-pair workspace for [`recompute`](Self::recompute); kept so a
     /// reused decomposition rebuilds `gprime` without allocating.
     pairs: Vec<(u32, u32)>,
     /// CSR cursor workspace for [`recompute`](Self::recompute).
     cursor: Vec<usize>,
+    /// Ids the most recent [`recompute`](Self::recompute) read.
+    reads: u64,
     /// Buffer growths over every [`recompute`](Self::recompute) so far.
     growths: u64,
 }
 
 const NOT_BOUNDARY: u32 = u32::MAX;
 
-impl BoundaryDecomposition {
+impl<'v> BoundaryDecomposition<'v> {
     /// Computes the boundary set, boundary graph and implied partial
     /// bipartition for the cut `cut` of the `G` that `view` reads.
     ///
@@ -66,7 +86,7 @@ impl BoundaryDecomposition {
     ///
     /// Panics if `cut` does not label exactly `view.num_g_vertices()`
     /// vertices.
-    pub fn new(view: &DualIncidence<'_>, cut: &GraphCut) -> Self {
+    pub fn new(view: &'v DualIncidence<'v>, cut: &GraphCut) -> Self {
         let mut dec = Self::empty();
         dec.recompute(view, cut);
         dec
@@ -76,13 +96,18 @@ impl BoundaryDecomposition {
     /// Holds no allocations until first use.
     pub fn empty() -> Self {
         Self {
+            view: None,
             boundary: Vec::new(),
             gprime_of: Vec::new(),
             gprime: Graph::empty(0),
             side: Vec::new(),
             partial: Vec::new(),
+            component_side: Vec::new(),
+            placed: [0; 2],
+            placed_weight: [0; 2],
             pairs: Vec::new(),
             cursor: Vec::new(),
+            reads: 0,
             growths: 0,
         }
     }
@@ -97,6 +122,7 @@ impl BoundaryDecomposition {
         Self {
             gprime_of: Vec::with_capacity(num_g_vertices),
             partial: Vec::with_capacity(num_modules),
+            component_side: Vec::with_capacity(num_g_vertices),
             ..Self::empty()
         }
     }
@@ -106,27 +132,43 @@ impl BoundaryDecomposition {
     /// A `G′`-sized buffer short of room grows geometrically, by one
     /// counted allocation (a run reports the total as
     /// [`RunStats::arena_growths`](crate::RunStats::arena_growths)); the
-    /// G- and module-sized ones allocate nothing once warm. All state is
-    /// overwritten on entry, so a decomposition abandoned mid-build
-    /// self-heals on reuse.
+    /// G- and module-sized ones allocate nothing once warm.
+    ///
+    /// It reads what the sweep touched and one entry per component: the
+    /// claimed vertices for the boundary marks, the boundary's modules
+    /// for `G′`, the expanded modules' kept nets for their partial sides,
+    /// and each component's side and totals. Only the previous cut's
+    /// boundary entries are cleared, so a decomposition abandoned
+    /// mid-build self-heals on reuse.
     ///
     /// # Panics
     ///
     /// Panics if `cut` does not label exactly `view.num_g_vertices()`
     /// vertices.
-    pub fn recompute(&mut self, view: &DualIncidence<'_>, cut: &GraphCut) {
+    pub fn recompute(&mut self, view: &'v DualIncidence<'v>, cut: &GraphCut) {
         let n = view.num_g_vertices();
         assert_eq!(cut.len(), n, "cut does not match intersection graph");
+        self.view = Some(view);
 
-        // 1. Boundary set: any G-vertex with a cross neighbor, which the
-        //    sweep that made `cut` has already marked.
-        self.gprime_of.clear();
-        self.gprime_of.resize(n, NOT_BOUNDARY);
+        // 1. Boundary set: the claimed G-vertices the sweep marked, in G
+        //    id order (every G-vertex outside the seeds' components has
+        //    all its neighbours on its own side).
+        if self.gprime_of.len() == n {
+            for &v in &self.boundary {
+                self.gprime_of[v as usize] = NOT_BOUNDARY; // fhp-audit: allow(panic-site) — the previous boundary holds ids below n
+            }
+        } else {
+            self.gprime_of.clear();
+            self.gprime_of.resize(n, NOT_BOUNDARY);
+        }
         self.boundary.clear();
-        // fhp-audit: allow(as-cast-truncation) — G ids fit u32 by the view's construction
-        for v in (0..n as u32).filter(|&v| cut.is_boundary(v)) {
-            self.gprime_of[v as usize] = u32::try_from(self.boundary.len()).expect("overflow"); // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
+        for v in cut.claimed().filter(|&v| cut.is_boundary(v)) {
             self.growths += push_counted(&mut self.boundary, v);
+        }
+        self.reads = cut.num_claimed() as u64;
+        self.boundary.sort_unstable();
+        for (b, &v) in (0u32..).zip(&self.boundary) {
+            self.gprime_of[v as usize] = b; // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
         }
         let b = self.boundary.len();
 
@@ -138,9 +180,12 @@ impl BoundaryDecomposition {
         //    outer loop over its smaller side.
         self.pairs.clear();
         for &first in &self.boundary {
-            for &m in view.pins(first) {
+            let pins = view.pins(first);
+            self.reads += pins.len() as u64;
+            for &m in pins {
                 let nets = view.nets_of(m);
                 if nets.first() == Some(&first) {
+                    self.reads += nets.len() as u64;
                     self.growths += list_cross_pairs(nets, cut, &self.gprime_of, &mut self.pairs);
                 }
             }
@@ -159,21 +204,46 @@ impl BoundaryDecomposition {
         //    committed to that hyperedge's side. Two non-boundary hyperedges
         //    sharing a module are adjacent in G, hence on the same side (or
         //    they would both be boundary), so the assignment is consistent.
-        self.partial.clear();
-        self.partial.resize(view.num_modules(), None);
-        for (v, _) in (0u32..)
-            .zip(&self.gprime_of)
-            .filter(|&(_, &b)| b == NOT_BOUNDARY)
-        {
-            let s = cut.side_of(v);
-            for &p in view.pins(v) {
-                debug_assert!(
-                    self.partial[p.index()].is_none() || self.partial[p.index()] == Some(s), // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
-                    "inconsistent partial assignment at {p}"
-                );
-                self.partial[p.index()] = Some(s); // fhp-audit: allow(panic-site) — boundary lists hold ids from the owning graph; in-range by construction
+        //    The sweep's modules take the side of their first non-boundary
+        //    net; every other component lies on one side, modules and all.
+        let h = view.hypergraph();
+        if self.partial.len() != view.num_modules() {
+            self.partial.clear();
+            self.partial.resize(view.num_modules(), None);
+        }
+        self.placed = [0; 2];
+        self.placed_weight = [0; 2];
+        for &m in cut.modules() {
+            let nets = view.nets_of(m);
+            let open = nets.iter().position(|&x| !cut.is_boundary(x));
+            self.reads += open.map_or(nets.len(), |i| i + 1) as u64;
+            let side = open.and_then(|i| nets.get(i)).map(|&x| cut.side_of(x));
+            debug_assert!(
+                nets.iter()
+                    .all(|&x| cut.is_boundary(x) || Some(cut.side_of(x)) == side),
+                "inconsistent partial assignment at {m}"
+            );
+            self.partial[m.index()] = side; // fhp-audit: allow(panic-site) — partial is sized to the module count above, and m is a module of the view
+            if let Some(s) = side {
+                // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+                self.placed[s.index()] += 1;
+                // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+                self.placed_weight[s.index()] += h.vertex_weight(m);
             }
         }
+        self.component_side.clear();
+        // fhp-audit: allow(as-cast-truncation) — components are numbered below the G-vertex count, which fits u32
+        for c in 0..view.num_components() as u32 {
+            let side = cut.component_side(c);
+            if let Some(s) = side {
+                // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+                self.placed[s.index()] += view.component_modules(c);
+                // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+                self.placed_weight[s.index()] += view.component_weight(c);
+            }
+            self.component_side.push(side);
+        }
+        self.reads += view.num_components() as u64;
     }
 
     /// Number of boundary G-vertices, `|B|`.
@@ -220,17 +290,60 @@ impl BoundaryDecomposition {
         &self.side
     }
 
-    /// The partial hypergraph bipartition implied by non-boundary signals:
-    /// `Some(side)` for committed modules, `None` for modules whose fate is
-    /// decided by Complete-Cut (or final balancing).
-    pub fn partial(&self) -> &[Option<Side>] {
-        &self.partial
+    /// Module `m`'s side in the partial bipartition implied by the
+    /// non-boundary signals: the sweep's own side for a module it
+    /// expanded, else its component's side; `None` for a module whose fate
+    /// Complete-Cut (or final balancing) decides — one whose kept nets are
+    /// all boundary, or one on no kept net.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is out of range, or before the first
+    /// [`recompute`](Self::recompute).
+    pub fn partial_side(&self, m: VertexId) -> Option<Side> {
+        // fhp-audit: allow(panic-site) — documented `# Panics`: read only after a recompute
+        let view = self.view.expect("a recomputed decomposition");
+        // fhp-audit: allow(panic-site) — module_component numbers components below the side table's length
+        self.component_side[view.module_component(m)? as usize].or_else(|| self.expanded_side(m))
+    }
+
+    /// The partial side of a module the sweep expanded — every module on
+    /// a kept net of the seeds' components, boundary nets included.
+    pub(crate) fn expanded_side(&self, m: VertexId) -> Option<Side> {
+        self.partial.get(m.index()).copied().flatten()
+    }
+
+    /// The partial hypergraph bipartition implied by non-boundary signals,
+    /// one entry per module ([`partial_side`](Self::partial_side) of
+    /// each): `Some(side)` for committed modules, `None` for modules whose
+    /// fate is decided by Complete-Cut (or final balancing). Written on
+    /// each call; empty before the first [`recompute`](Self::recompute).
+    pub fn partial(&self) -> Vec<Option<Side>> {
+        let modules = self.view.map_or(0, DualIncidence::num_modules);
+        (0..modules)
+            .map(|m| self.partial_side(VertexId::new(m)))
+            .collect()
     }
 
     /// Number of hypergraph vertices already committed by the partial
     /// bipartition.
     pub fn num_placed(&self) -> usize {
-        self.partial.iter().filter(|p| p.is_some()).count()
+        let [left, right] = self.placed;
+        left + right
+    }
+
+    /// Modules and module weight the partial bipartition places on each
+    /// side, `[left, right]`.
+    pub(crate) fn placed_totals(&self) -> ([usize; 2], [u64; 2]) {
+        (self.placed, self.placed_weight)
+    }
+
+    /// Ids the most recent [`recompute`](Self::recompute) read: the
+    /// claimed vertices, the boundary vertices' modules and the split
+    /// modules' kept nets, the expanded modules' kept nets up to the
+    /// first non-boundary one, and one entry per component.
+    pub(crate) fn ids_read(&self) -> u64 {
+        self.reads
     }
 
     /// How many times [`recompute`](Self::recompute) grew a buffer, over

@@ -28,10 +28,12 @@
 //!   the reference implementation and as an upgrade option.
 //!
 //! The two paper rules are one lazy-heap greedy that differs only in which
-//! heap the next winner comes from. [`CompletionScratch::complete_into`]
-//! finishes a sweep in one call (steps 5–6 of Algorithm I): it picks the
-//! winners, commits their modules on top of the partial bipartition, puts
-//! the leftover modules on the lighter side and writes the bipartition.
+//! heap the next winner comes from. [`CompletionScratch::finish`] finishes
+//! a sweep in one call (steps 5–6 of Algorithm I): it picks the winners,
+//! commits their modules on top of the partial bipartition, puts the
+//! leftover modules on the lighter side and scores the result from what
+//! the sweep touched; [`CompletionScratch::write`] writes the bipartition
+//! when one is wanted, and [`CompletionScratch::complete_into`] does both.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -124,7 +126,7 @@ impl Completion {
 pub fn complete(
     strategy: CompletionStrategy,
     view: &DualIncidence<'_>,
-    dec: &BoundaryDecomposition,
+    dec: &BoundaryDecomposition<'_>,
 ) -> Completion {
     let mut scratch = CompletionScratch::new();
     scratch.pick_winners(strategy, view, dec);
@@ -135,14 +137,36 @@ pub fn complete(
 /// whenever its degree falls, and its older entries go stale.
 type DegreeHeap = BinaryHeap<Reverse<(u32, u32)>>;
 
+/// What a completed sweep scores: the totals of the bipartition it
+/// assembles, counted from what the sweep touched.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SweepScore {
+    /// Unweighted cut size.
+    pub cut_size: usize,
+    /// Weighted cut size.
+    pub weighted_cut: u64,
+    /// Modules per side, `(left, right)`.
+    pub counts: (usize, usize),
+    /// Module weight per side, `(left, right)`.
+    pub weights: (u64, u64),
+    /// Modules the partial bipartition committed
+    /// ([`BoundaryDecomposition::num_placed`]).
+    pub num_placed: usize,
+}
+
 /// The one place where a sweep's partial bipartition becomes a full one:
 /// the Complete-Cut greedy's buffers plus the assembly's. Under
 /// [`CompletionStrategy::MinDegree`] and
 /// [`CompletionStrategy::EngineerWeighted`],
-/// [`complete_into`](Self::complete_into) allocates only to grow a
-/// buffer sized by the boundary graph `G′` to a larger `G′` than it has
-/// met, by one geometric growth each; `ExactKonig` still allocates its
-/// matching and cover.
+/// [`finish`](Self::finish) allocates only to grow a buffer sized by the
+/// boundary graph `G′` to a larger `G′` than it has met, by one geometric
+/// growth each; `ExactKonig` still allocates its matching and cover.
+///
+/// A finished sweep places only the modules the partial bipartition left
+/// open and the modules on no kept net; every other module's side is its
+/// partial side. [`side_of`](Self::side_of) looks a module up, and
+/// [`write`](Self::write) writes the whole bipartition from those
+/// lookups.
 #[derive(Clone, Debug, Default)]
 pub struct CompletionScratch {
     alive: Vec<bool>,
@@ -151,12 +175,21 @@ pub struct CompletionScratch {
     /// `MinDegree` keeps every vertex in the left one.
     heaps: [DegreeHeap; 2],
     completion: Completion,
-    /// Each module's side for the current sweep, `None` while unplaced.
+    /// Each module's side as this sweep's completion placed it: set for
+    /// the open modules of the sweep and the modules on no kept net,
+    /// stale elsewhere and never read there.
     placed: Vec<Option<Side>>,
+    /// Modules placed on each side so far, `[left, right]`.
+    counts: [usize; 2],
     /// Module weight placed on each side so far, `[left, right]`.
     weights: [u64; 2],
-    /// Modules left unplaced after the winners commit, for the LPT pass.
+    /// The sweep's modules left open after the winners commit, for the
+    /// LPT pass.
     leftovers: Vec<VertexId>,
+    /// The module moved across because a side was empty.
+    flipped: Option<VertexId>,
+    /// Ids the most recent sweep's completion and scoring read.
+    reads: u64,
     /// `G′`-sized buffer growths over every greedy run so far.
     growths: u64,
 }
@@ -189,82 +222,240 @@ impl CompletionScratch {
     }
 
     /// The winners picked by the most recent
-    /// [`complete_into`](Self::complete_into).
+    /// [`finish`](Self::finish).
     pub fn completion(&self) -> &Completion {
         &self.completion
     }
 
+    /// Ids the most recent [`finish`](Self::finish) read: the boundary
+    /// vertices' modules (a few passes), the modules on no kept net, the
+    /// losers' and filtered nets' modules, and the moved module's nets.
+    pub(crate) fn ids_read(&self) -> u64 {
+        self.reads
+    }
+
     /// Completes the sweep behind `dec` under `strategy` and writes the
-    /// bipartition to `out`: picks the winners (read them back with
-    /// [`completion`](Self::completion)), commits each winner's modules to
-    /// its side on top of the partial bipartition, places every module
-    /// still unplaced on the lighter side, heaviest first (the LPT rule),
-    /// and moves the lightest module across if a side would otherwise be
-    /// empty. Every buffer is overwritten on entry; once warm, none grows.
+    /// bipartition to `out`: [`finish`](Self::finish), then
+    /// [`write`](Self::write).
     pub fn complete_into(
         &mut self,
         strategy: CompletionStrategy,
         view: &DualIncidence<'_>,
-        dec: &BoundaryDecomposition,
+        dec: &BoundaryDecomposition<'_>,
         out: &mut Bipartition,
     ) {
+        self.finish(strategy, view, dec);
+        self.write(view, dec, out);
+    }
+
+    /// Completes the sweep behind `dec` under `strategy` and scores it,
+    /// without writing a bipartition: picks the winners (read them back
+    /// with [`completion`](Self::completion)), commits each winner's
+    /// modules to its side on top of the partial bipartition, places every
+    /// module still unplaced on the lighter side, heaviest first (the LPT
+    /// rule), and moves the lightest module across if a side would
+    /// otherwise be empty.
+    ///
+    /// The score is counted from what the sweep touched: the side totals
+    /// start from the partial bipartition's, and only the losers and the
+    /// filtered nets can cross — a winner's and a non-boundary kept net's
+    /// modules all lie on its side, and a component no seed reached lies
+    /// on one side whole. When a side was empty every module but the
+    /// moved one lies on one side, so exactly the moved module's nets of
+    /// two or more pins cross. Every buffer the sweep reads is overwritten
+    /// on entry; once warm, none grows.
+    pub fn finish(
+        &mut self,
+        strategy: CompletionStrategy,
+        view: &DualIncidence<'_>,
+        dec: &BoundaryDecomposition<'_>,
+    ) -> SweepScore {
         let h = view.hypergraph();
         self.pick_winners(strategy, view, dec);
         // The engineer's method placed its winners' modules as they won.
         if strategy != CompletionStrategy::EngineerWeighted {
-            for (b, _) in (0u32..).zip(&self.completion.winner).filter(|&(_, &w)| w) {
-                let side = dec.side_of(b);
-                for &p in view.pins(dec.g_vertex(b)) {
-                    place(&mut self.placed, &mut self.weights, h, p, side);
+            for b in (0u32..).take(self.completion.winner.len()) {
+                if !self.completion.is_winner(b) {
+                    continue;
+                }
+                let pins = view.pins(dec.g_vertex(b));
+                self.reads += pins.len() as u64;
+                for &p in pins {
+                    self.place(h, dec, p, dec.side_of(b));
                 }
             }
         }
 
-        // Leftovers: modules touched only by losers or filtered-out large
-        // signals (or isolated). (Reverse(weight), index) is the stable
-        // biggest-first order without a stable sort's merge buffer.
+        // Leftovers: the sweep's modules touched only by losers, all on
+        // boundary nets, and the modules on no kept net, which the view
+        // lists in this order already. (Reverse(weight), index) is the
+        // stable biggest-first order without a stable sort's merge buffer.
         self.leftovers.clear();
-        self.leftovers.extend(
-            self.placed
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.is_none())
-                .map(|(i, _)| VertexId::new(i)),
-        );
-        self.leftovers
-            .sort_unstable_by_key(|&v| (Reverse(h.vertex_weight(v)), v.index()));
-        for &v in &self.leftovers {
+        for &g in dec.boundary_g_vertices() {
+            let pins = view.pins(g);
+            self.reads += pins.len() as u64;
+            for &p in pins {
+                if self.open_side(dec, p).is_none() {
+                    self.leftovers.push(p);
+                }
+            }
+        }
+        let lpt = |v: &VertexId| (Reverse(h.vertex_weight(*v)), *v);
+        self.leftovers.sort_unstable_by_key(lpt);
+        self.leftovers.dedup();
+        let free = view.free_modules();
+        self.reads += free.len() as u64;
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let next = match (self.leftovers.get(i), free.get(j)) {
+                (Some(a), Some(b)) if lpt(a) < lpt(b) => a,
+                (_, Some(b)) => b,
+                (Some(a), None) => a,
+                (None, None) => break,
+            };
+            let v = *next;
+            if free.get(j) == Some(&v) {
+                j += 1;
+            } else {
+                i += 1;
+            }
             let side = Side::lighter(self.weights);
-            place(&mut self.placed, &mut self.weights, h, v, side);
+            self.assign(h, v, side);
         }
 
-        out.reset(self.placed.len());
-        for (i, p) in self.placed.iter().enumerate() {
-            // the leftovers pass above fills every remaining None, so the
-            // fallback side is unreachable; it exists so this path cannot
-            // panic even if that invariant is ever broken
-            out.set(VertexId::new(i), p.unwrap_or(Side::Left));
+        // A side left empty takes the lightest module across.
+        self.flipped = None;
+        if view.num_modules() >= 2 && self.counts.contains(&0) {
+            if let Some(x) = view.lightest_module() {
+                let [left, _] = self.counts;
+                let from = if left == 0 { Side::Right } else { Side::Left };
+                let w = h.vertex_weight(x);
+                // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+                self.counts[from.index()] -= 1;
+                // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+                self.counts[(!from).index()] += 1;
+                // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+                self.weights[from.index()] -= w;
+                // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+                self.weights[(!from).index()] += w;
+                self.flipped = Some(x);
+            }
         }
-        out.ensure_valid_cut(h);
+
+        let (cut_size, weighted_cut) = match self.flipped {
+            Some(x) => {
+                let nets = h.edges_of(x);
+                self.reads += nets.len() as u64;
+                nets.iter()
+                    .filter(|&&e| h.edge_size(e) >= 2)
+                    .fold((0, 0), |(cut, weighted), &e| {
+                        (cut + 1, weighted + h.edge_weight(e))
+                    })
+            }
+            None => {
+                let mut totals = (0usize, 0u64);
+                for (b, _) in (0u32..).zip(&self.completion.winner).filter(|&(_, &w)| !w) {
+                    let g = dec.g_vertex(b);
+                    let pins = view.pins(g);
+                    self.reads += pins.len() as u64;
+                    if crosses(pins, |p| self.open_side(dec, p)) {
+                        totals.0 += 1;
+                        totals.1 += h.edge_weight(view.edge_of(g));
+                    }
+                }
+                for &e in view.filtered_nets() {
+                    let pins = h.pins(e);
+                    self.reads += pins.len() as u64;
+                    if crosses(pins, |p| Some(self.side_of(dec, p))) {
+                        totals.0 += 1;
+                        totals.1 += h.edge_weight(e);
+                    }
+                }
+                totals
+            }
+        };
+        let [left, right] = self.counts;
+        let [left_w, right_w] = self.weights;
+        SweepScore {
+            cut_size,
+            weighted_cut,
+            counts: (left, right),
+            weights: (left_w, right_w),
+            num_placed: dec.num_placed(),
+        }
     }
 
-    /// Starts the sweep's assembly from the partial bipartition and picks
-    /// the winners under `strategy`; the engineer's method also places its
-    /// winners' modules.
+    /// Module `m`'s side in the bipartition the most recent
+    /// [`finish`](Self::finish) on `dec` assembled: its partial side, else
+    /// the side this completion placed it on, and the other side for the
+    /// module moved across.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is out of range.
+    pub fn side_of(&self, dec: &BoundaryDecomposition<'_>, m: VertexId) -> Side {
+        let side = dec
+            .partial_side(m)
+            .or_else(|| self.placed.get(m.index()).copied().flatten())
+            .unwrap_or(Side::Left);
+        if self.flipped == Some(m) {
+            !side
+        } else {
+            side
+        }
+    }
+
+    /// Writes the bipartition the most recent [`finish`](Self::finish) on
+    /// `dec` assembled to `out`, one [`side_of`](Self::side_of) per
+    /// module.
+    pub fn write(
+        &self,
+        view: &DualIncidence<'_>,
+        dec: &BoundaryDecomposition<'_>,
+        out: &mut Bipartition,
+    ) {
+        out.reset(view.num_modules());
+        for m in view.hypergraph().vertices() {
+            if self.side_of(dec, m) == Side::Right {
+                out.set(m, Side::Right);
+            }
+        }
+    }
+
+    /// The side of a module the sweep expanded, once committed: its
+    /// partial side, else the side this completion placed it on.
+    fn open_side(&self, dec: &BoundaryDecomposition<'_>, p: VertexId) -> Option<Side> {
+        dec.expanded_side(p)
+            .or_else(|| self.placed.get(p.index()).copied().flatten())
+    }
+
+    /// Starts the sweep's completion from the partial bipartition's
+    /// totals, opens the sweep's modules it left unplaced — each lies on
+    /// a boundary net — and picks the winners under `strategy`; the
+    /// engineer's method also places its winners' modules.
     fn pick_winners(
         &mut self,
         strategy: CompletionStrategy,
         view: &DualIncidence<'_>,
-        dec: &BoundaryDecomposition,
+        dec: &BoundaryDecomposition<'_>,
     ) {
-        let h = view.hypergraph();
-        self.placed.clear();
-        self.placed.extend_from_slice(dec.partial());
-        self.weights = [0; 2];
-        for (i, p) in self.placed.iter().enumerate() {
-            if let Some(side) = p {
-                // fhp-audit: allow(panic-site) — a two-element array indexed by a side
-                self.weights[side.index()] += h.vertex_weight(VertexId::new(i));
+        if self.placed.len() != view.num_modules() {
+            self.placed.clear();
+            self.placed.resize(view.num_modules(), None);
+        }
+        let (counts, weights) = dec.placed_totals();
+        self.counts = counts;
+        self.weights = weights;
+        self.reads = 0;
+        for &g in dec.boundary_g_vertices() {
+            let pins = view.pins(g);
+            self.reads += pins.len() as u64;
+            for &p in pins {
+                if dec.expanded_side(p).is_none() {
+                    if let Some(slot) = self.placed.get_mut(p.index()) {
+                        *slot = None;
+                    }
+                }
             }
         }
         match strategy {
@@ -275,6 +466,34 @@ impl CompletionScratch {
             }
         }
         self.completion.assert_independent(dec.gprime());
+    }
+
+    /// Commits module `p` to `side` unless it is already placed, by the
+    /// partial bipartition or an earlier winner. Commitments never
+    /// conflict: two winners sharing a module are adjacent in `G`, so on
+    /// opposite sides of the G-cut they would be adjacent in `G′`, which
+    /// winners never are; the same argument covers a winner and a
+    /// non-boundary signal.
+    fn place(&mut self, h: &Hypergraph, dec: &BoundaryDecomposition<'_>, p: VertexId, side: Side) {
+        let committed = self.open_side(dec, p);
+        debug_assert!(
+            committed.is_none_or(|s| s == side),
+            "module {p} is committed to both sides"
+        );
+        if committed.is_none() {
+            self.assign(h, p, side);
+        }
+    }
+
+    /// Places module `p` on `side`, counting it there.
+    fn assign(&mut self, h: &Hypergraph, p: VertexId, side: Side) {
+        if let Some(slot) = self.placed.get_mut(p.index()) {
+            *slot = Some(side);
+            // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+            self.counts[side.index()] += 1;
+            // fhp-audit: allow(panic-site) — a two-element array indexed by a side
+            self.weights[side.index()] += h.vertex_weight(p);
+        }
     }
 
     /// The paper's Complete-Cut greedy on `gprime`:
@@ -292,30 +511,21 @@ impl CompletionScratch {
     fn greedy(
         &mut self,
         gprime: &Graph,
-        engineer: Option<(&DualIncidence<'_>, &BoundaryDecomposition)>,
+        engineer: Option<(&DualIncidence<'_>, &BoundaryDecomposition<'_>)>,
     ) {
-        let Self {
-            alive,
-            deg,
-            heaps: [left, right],
-            completion,
-            placed,
-            weights,
-            growths,
-            ..
-        } = self;
         let n = gprime.num_vertices();
-        alive.clear();
-        *growths += grow(alive, n);
-        alive.resize(n, true);
-        let winner = &mut completion.winner;
-        winner.clear();
-        *growths += grow(winner, n);
-        winner.resize(n, false);
-        deg.clear();
-        *growths += grow(deg, n);
-        deg.extend(gprime.vertices().map(|v| degree_u32(gprime, v)));
+        self.alive.clear();
+        self.growths += grow(&mut self.alive, n);
+        self.alive.resize(n, true);
+        self.completion.winner.clear();
+        self.growths += grow(&mut self.completion.winner, n);
+        self.completion.winner.resize(n, false);
+        self.deg.clear();
+        self.growths += grow(&mut self.deg, n);
+        self.deg
+            .extend(gprime.vertices().map(|v| degree_u32(gprime, v)));
         let heap_side = |v: u32| engineer.map_or(Side::Left, |(_, dec)| dec.side_of(v));
+        let [left, right] = &mut self.heaps;
         for (heap, side) in [(&mut *left, Side::Left), (&mut *right, Side::Right)] {
             heap.clear();
             // a used heap holds at most the vertices plus one push per edge
@@ -323,57 +533,71 @@ impl CompletionScratch {
             let need = if used { n + gprime.num_edges() } else { 0 };
             if heap.capacity() < need {
                 heap.reserve(need);
-                *growths += 1;
+                self.growths += 1;
             }
             heap.extend(
                 gprime
                     .vertices()
-                    .zip(deg.iter())
+                    .zip(self.deg.iter())
                     .filter(|&(v, _)| heap_side(v) == side)
                     .map(|(v, &d)| Reverse((d, v))),
             );
         }
         loop {
-            let near = engineer.map_or(Side::Left, |_| Side::lighter(*weights));
+            let near = engineer.map_or(Side::Left, |_| Side::lighter(self.weights));
+            let [left, right] = &mut self.heaps;
             let (first, second) = match near {
-                Side::Left => (&mut *left, &mut *right),
-                Side::Right => (&mut *right, &mut *left),
+                Side::Left => (left, right),
+                Side::Right => (right, left),
             };
-            let Some(v) = pop_live(first, alive, deg).or_else(|| pop_live(second, alive, deg))
+            let Some(v) = pop_live(first, &self.alive, &self.deg)
+                .or_else(|| pop_live(second, &self.alive, &self.deg))
             else {
                 break;
             };
-            winner[v as usize] = true; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-            alive[v as usize] = false; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
+            self.completion.winner[v as usize] = true; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
+            self.alive[v as usize] = false; // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
             if let Some((view, dec)) = engineer {
                 let side = dec.side_of(v);
-                for &p in view.pins(dec.g_vertex(v)) {
-                    place(placed, weights, view.hypergraph(), p, side);
+                let pins = view.pins(dec.g_vertex(v));
+                self.reads += pins.len() as u64;
+                for &p in pins {
+                    self.place(view.hypergraph(), dec, p, side);
                 }
             }
             for &u in gprime.neighbors(v) {
                 // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                if !alive[u as usize] {
+                if !self.alive[u as usize] {
                     continue;
                 }
                 // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                alive[u as usize] = false; // loser
+                self.alive[u as usize] = false; // loser
                 for &w in gprime.neighbors(u) {
                     // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                    if alive[w as usize] {
+                    if self.alive[w as usize] {
                         // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
-                        let d = &mut deg[w as usize];
+                        let d = &mut self.deg[w as usize];
                         *d -= 1;
+                        let d = *d;
+                        let [left, right] = &mut self.heaps;
                         let heap = match heap_side(w) {
-                            Side::Left => &mut *left,
-                            Side::Right => &mut *right,
+                            Side::Left => left,
+                            Side::Right => right,
                         };
-                        heap.push(Reverse((*d, w)));
+                        heap.push(Reverse((d, w)));
                     }
                 }
             }
         }
     }
+}
+
+/// True if the modules `pins` do not all lie on one side, each side read
+/// by `side_of`.
+fn crosses(pins: &[VertexId], side_of: impl Fn(VertexId) -> Option<Side>) -> bool {
+    let mut sides = pins.iter().map(|&p| side_of(p));
+    let first = sides.next().flatten();
+    sides.any(|s| s != first)
 }
 
 /// Pops `heap` down to its first live entry — a live vertex at its
@@ -386,31 +610,6 @@ fn pop_live(heap: &mut DegreeHeap, alive: &[bool], deg: &[u32]) -> Option<u32> {
         }
     }
     None
-}
-
-/// Commits module `p` to `side` unless it is already placed. Commitments
-/// never conflict: two winners sharing a module are adjacent in `G`, so
-/// on opposite sides of the G-cut they would be adjacent in `G′`, which
-/// winners never are; the same argument covers a winner and a
-/// non-boundary signal.
-fn place(
-    placed: &mut [Option<Side>],
-    weights: &mut [u64; 2],
-    h: &Hypergraph,
-    p: VertexId,
-    side: Side,
-) {
-    if let Some(slot) = placed.get_mut(p.index()) {
-        debug_assert!(
-            slot.is_none_or(|s| s == side),
-            "module {p} is committed to both sides"
-        );
-        if slot.is_none() {
-            *slot = Some(side);
-            // fhp-audit: allow(panic-site) — a two-element array indexed by a side
-            weights[side.index()] += h.vertex_weight(p);
-        }
-    }
 }
 
 /// The paper's Complete-Cut greedy on an arbitrary graph (see

@@ -18,12 +18,26 @@
 //! however dense `G` is; walking `G`'s adjacency instead reads
 //! `k(k − 1)` ids around a single module of `k` kept nets. A sweep's
 //! fronts stay inside the seeds' components: it hands out the other
-//! components whole from the view's component table, in one pass over
-//! the G ids, so it reads at most `3·Σ|e|` over the seeds' components'
-//! kept nets only.
+//! components whole from the view's component table, one side per
+//! component and no label, so the fronts read at most `3·Σ|e|` over the
+//! seeds' components' kept nets only.
+//!
+//! The rest of a sweep reads what the fronts touched, too. The boundary
+//! decomposition ([`crate::boundary`]) reads the claimed vertices, the
+//! expanded modules' kept nets and the boundary nets' modules; Complete-Cut
+//! and the score ([`crate::complete_cut`]) read the boundary nets' pins,
+//! the losers' and the filtered nets' pins and the modules on no kept
+//! net; and both read one entry per component of `G`. So a whole sweep
+//! reads nothing of a component no seed reached beyond its table entry,
+//! and a sweep seeded in a small component costs the same however large
+//! the rest of `G` is. [`RunStats::sweep_ids_read`](crate::RunStats::sweep_ids_read)
+//! sums a run's sweeps' reads, and
+//! [`RunStats::bfs_ids_read`](crate::RunStats::bfs_ids_read) its BFSs'.
+
+use std::sync::Arc;
 
 use fhp_hypergraph::bfs;
-use fhp_hypergraph::DualIncidence;
+use fhp_hypergraph::{DualIncidence, VertexId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -32,6 +46,11 @@ use crate::Side;
 /// A two-sided labelling of every vertex of a graph, produced by growing
 /// BFS fronts from two seed vertices, with the cut's boundary marked: the
 /// vertices that have a neighbour on the other side.
+///
+/// The fronts label only the seeds' components. Every other component of
+/// `G` goes whole to one side, which the cut records once per component,
+/// so a vertex there is answered from the view's component table, which
+/// the cut shares.
 ///
 /// # Examples
 ///
@@ -47,7 +66,8 @@ use crate::Side;
 ///     b.add_edge([VertexId::new(i), VertexId::new(i + 1)])?;
 /// }
 /// let h = b.build();
-/// let cut = two_front_bfs(&DualIncidence::new(&h, None)?, 0, 4);
+/// let view = DualIncidence::new(&h, None)?;
+/// let cut = two_front_bfs(&view, 0, 4);
 /// assert_eq!(cut.side_of(0), Side::Left);
 /// assert_eq!(cut.side_of(4), Side::Right);
 /// assert_eq!(cut.side_of(1), Side::Left);
@@ -57,37 +77,93 @@ use crate::Side;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct GraphCut {
     /// One byte per vertex: its side in [`SIDE`], plus [`BOUNDARY`] if it
-    /// has a neighbour on the other side.
+    /// has a neighbour on the other side; [`UNCLAIMED`] for a vertex no
+    /// front claimed, whose component holds its side.
     labels: Vec<u8>,
+    /// The vertices each front claimed, left then right, in claim order:
+    /// the seeds' components.
+    claimed: [Vec<u32>; 2],
+    /// The modules the fronts expanded, in expansion order: every module
+    /// on a kept net of the seeds' components.
+    modules: Vec<VertexId>,
+    /// Per component of `G`: the side it went to whole, [`UNCLAIMED`] for
+    /// a seed's component.
+    component_side: Vec<u8>,
+    /// Each vertex's component: the view's table, shared.
+    components: Arc<Vec<u32>>,
 }
 
 /// Label bit holding a vertex's side (clear = left, set = right).
 const SIDE: u8 = 0b01;
 /// Label bit marking a vertex with a neighbour on the other side.
 const BOUNDARY: u8 = 0b10;
-/// Label of a vertex no front has claimed yet (sweep-internal).
+/// Label of a vertex no front has claimed, and of a seed's component in
+/// the component table.
 const UNCLAIMED: u8 = u8::MAX;
+
+/// The side a label holds.
+fn side_of_label(label: u8) -> Side {
+    if label & SIDE == 0 {
+        Side::Left
+    } else {
+        Side::Right
+    }
+}
 
 impl GraphCut {
     /// The side each graph vertex landed on.
     #[inline]
     pub fn side_of(&self, v: u32) -> Side {
         // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-        if self.labels[v as usize] & SIDE == 0 {
-            Side::Left
-        } else {
-            Side::Right
-        }
+        let label = match self.labels[v as usize] {
+            // fhp-audit: allow(panic-site) — the component table has a slot per vertex and numbers components below the side table's length
+            UNCLAIMED => self.component_side[self.components[v as usize] as usize],
+            label => label,
+        };
+        side_of_label(label)
     }
 
     /// True if `v` has a neighbour on the other side — `v` is in the
     /// cut's boundary set.
     #[inline]
     pub fn is_boundary(&self, v: u32) -> bool {
-        self.labels[v as usize] & BOUNDARY != 0 // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+        // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
+        let label = self.labels[v as usize];
+        label != UNCLAIMED && label & BOUNDARY != 0
+    }
+
+    /// The side component `c` of `G` went to whole, or `None` for a
+    /// component that holds a seed, which the fronts split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not a component of the view the cut was made on.
+    pub fn component_side(&self, c: u32) -> Option<Side> {
+        // fhp-audit: allow(panic-site) — documented `# Panics`: c must be a component number
+        match self.component_side[c as usize] {
+            UNCLAIMED => None,
+            label => Some(side_of_label(label)),
+        }
+    }
+
+    /// The vertices the fronts claimed: every vertex of the seeds'
+    /// components.
+    pub(crate) fn claimed(&self) -> impl Iterator<Item = u32> + '_ {
+        self.claimed.iter().flatten().copied()
+    }
+
+    /// Number of vertices the fronts claimed.
+    pub(crate) fn num_claimed(&self) -> usize {
+        self.claimed.iter().map(Vec::len).sum()
+    }
+
+    /// The modules the fronts expanded: every module on a kept net of
+    /// the seeds' components, each once.
+    pub(crate) fn modules(&self) -> &[VertexId] {
+        &self.modules
     }
 
     /// Number of vertices labelled.
@@ -100,6 +176,19 @@ impl GraphCut {
         self.labels.is_empty()
     }
 }
+
+/// Two cuts are equal when they label every vertex alike: the same side
+/// and the same boundary mark.
+impl PartialEq for GraphCut {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && (0u32..).take(self.len()).all(|v| {
+                self.side_of(v) == other.side_of(v) && self.is_boundary(v) == other.is_boundary(v)
+            })
+    }
+}
+
+impl Eq for GraphCut {}
 
 /// How the two BFS fronts take turns expanding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -173,18 +262,17 @@ pub fn two_front_bfs_with_policy(
 /// Reusable buffers for [`two_front_bfs_with_policy`]. Once warmed to an
 /// instance's G-vertex and module counts, repeated [`run`](Self::run)
 /// calls allocate nothing — the multi-start engine keeps one of these per
-/// worker. Every buffer is fully reset at the start of `run`, so a scratch
-/// that was abandoned mid-sweep (e.g. by a contained panic) self-heals on
-/// reuse.
+/// worker. A run clears only the marks the previous run set, which the
+/// previous cut lists; a run abandoned mid-sweep (e.g. by a contained
+/// panic) leaves the next one to clear every mark, so the scratch
+/// self-heals on reuse.
 #[derive(Clone, Debug, Default)]
 pub struct TwoFrontScratch {
-    fronts: [Vec<u32>; 2],
-    next: Vec<u32>,
-    /// Per component of `G`: the side the sweep gives it when no front
-    /// reaches it.
-    component_side: Vec<u8>,
-    /// Per module: some claimed net has expanded it.
+    /// Per module: some claimed net has expanded it. Set for the modules
+    /// of the current cut only.
     expanded: Vec<bool>,
+    /// A run has started and not finished.
+    running: bool,
     /// Ids the most recent sweep read.
     reads: u64,
     cut: GraphCut,
@@ -200,13 +288,15 @@ impl TwoFrontScratch {
     /// at most `n` components) and `modules` modules.
     pub fn with_capacity(n: usize, modules: usize) -> Self {
         Self {
-            fronts: [Vec::with_capacity(n), Vec::with_capacity(n)],
-            next: Vec::with_capacity(n),
-            component_side: Vec::with_capacity(n),
             expanded: Vec::with_capacity(modules),
+            running: false,
             reads: 0,
             cut: GraphCut {
                 labels: Vec::with_capacity(n),
+                claimed: [Vec::with_capacity(n), Vec::with_capacity(n)],
+                modules: Vec::with_capacity(modules),
+                component_side: Vec::with_capacity(n),
+                components: Arc::default(),
             },
         }
     }
@@ -232,7 +322,8 @@ impl TwoFrontScratch {
     /// Every other component goes whole to the side holding fewer
     /// G-vertices at its turn, left on ties, in order of its lowest G id
     /// — read off the view's component table, not walked — and holds no
-    /// boundary vertex.
+    /// boundary vertex. The run writes one side per component and no
+    /// label outside the seeds' components.
     ///
     /// # Panics
     ///
@@ -243,28 +334,55 @@ impl TwoFrontScratch {
         assert!((u as usize) < n && (v as usize) < n, "seed out of range");
 
         let Self {
-            fronts,
-            next,
-            component_side,
             expanded,
+            running,
             reads,
             cut,
         } = self;
-        let owner = &mut cut.labels;
-        owner.clear();
-        owner.resize(n, UNCLAIMED);
+        let GraphCut {
+            labels: owner,
+            claimed,
+            modules,
+            component_side,
+            components,
+        } = cut;
+        // Clear what the previous run marked: the vertices it claimed and
+        // the modules it expanded. A run that never finished, or a buffer
+        // sized for another instance, clears every mark instead.
+        let stale = std::mem::replace(running, true);
+        if stale || owner.len() != n {
+            owner.clear();
+            owner.resize(n, UNCLAIMED);
+        } else {
+            for &x in claimed.iter().flatten() {
+                owner[x as usize] = UNCLAIMED; // fhp-audit: allow(panic-site) — the previous run claimed x in a graph of this size
+            }
+        }
+        if stale || expanded.len() != view.num_modules() {
+            expanded.clear();
+            expanded.resize(view.num_modules(), false);
+        } else {
+            for m in modules.iter() {
+                expanded[m.index()] = false; // fhp-audit: allow(panic-site) — the previous run expanded m with this module count
+            }
+        }
+        *components = view.shared_components();
+        modules.clear();
         owner[u as usize] = 0; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
         owner[v as usize] = 1; // fhp-audit: allow(panic-site) — frontier/owner arrays sized to the graph at entry; ids minted by the same graph
-        expanded.clear();
-        expanded.resize(view.num_modules(), false);
         *reads = 0;
-        for (front, seed) in fronts.iter_mut().zip([u, v]) {
+        for (front, seed) in claimed.iter_mut().zip([u, v]) {
             front.clear();
             front.push(seed);
         }
-        let mut claimed = [1usize, 1usize];
+        // Each side's front is the tail of its claimed list from its head.
+        let mut heads = [0usize; 2];
         let mut round = 0usize;
-        while fronts.iter().any(|f| !f.is_empty()) {
+        let live = |claimed: &[Vec<u32>; 2], heads: [usize; 2], side: usize| {
+            // fhp-audit: allow(panic-site) — a side index is 0 or 1
+            heads[side] < claimed[side].len()
+        };
+        while live(claimed, heads, 0) || live(claimed, heads, 1) {
             let order = match policy {
                 // Alternate which side expands first each round to keep the
                 // boundary tie-breaking symmetric.
@@ -278,7 +396,7 @@ impl TwoFrontScratch {
                 // The smaller side expands; if it stalls (empty front), the
                 // other side finishes the sweep.
                 FrontPolicy::SmallerFirst | FrontPolicy::Both => {
-                    let [left_n, right_n] = claimed;
+                    let [left_n, right_n] = claimed.each_ref().map(Vec::len);
                     let smaller =
                         usize::from(right_n < left_n || (right_n == left_n && round % 2 == 1));
                     [smaller, 1 - smaller]
@@ -287,19 +405,20 @@ impl TwoFrontScratch {
             let single_step = policy != FrontPolicy::Alternate;
             for side in order {
                 // fhp-audit: allow(panic-site) — a side index is 0 or 1
-                let front = &mut fronts[side];
-                if front.is_empty() {
+                let (head, end) = (heads[side], claimed[side].len());
+                if head == end {
                     continue;
                 }
                 // fhp-audit: allow(as-cast-truncation) — a side index is 0 or 1
                 let mine = side as u8;
-                next.clear();
-                for &w in front.iter() {
-                    *reads += expand(view, w, mine, owner, expanded, next);
+                // fhp-audit: allow(panic-site) — a side index is 0 or 1
+                let front = &mut claimed[side];
+                for i in head..end {
+                    let w = front[i]; // fhp-audit: allow(panic-site) — i < end, the front's length before this level's claims
+                    *reads += expand(view, w, mine, owner, expanded, front, modules);
                 }
-                claimed[side] += next.len(); // fhp-audit: allow(panic-site) — a side index is 0 or 1
-                std::mem::swap(front, next);
-                if single_step && fronts.iter().all(|f| !f.is_empty()) {
+                heads[side] = end; // fhp-audit: allow(panic-site) — a side index is 0 or 1
+                if single_step && live(claimed, heads, 0) && live(claimed, heads, 1) {
                     break; // re-evaluate which side is smaller
                 }
             }
@@ -307,46 +426,44 @@ impl TwoFrontScratch {
         }
 
         // Components reached by neither seed, in order of their lowest G
-        // id: each goes whole to the currently smaller side, and one pass
-        // over the G ids fills in their labels.
+        // id: each goes whole to the currently smaller side.
         let seeded = [view.component_of(u), view.component_of(v)];
+        let mut sizes = claimed.each_ref().map(Vec::len);
         component_side.clear();
         // fhp-audit: allow(as-cast-truncation) — components are numbered below the G-vertex count, which fits u32
         component_side.extend((0..view.num_components() as u32).map(|c| {
             if seeded.contains(&c) {
                 return UNCLAIMED;
             }
-            let [left_n, right_n] = claimed;
+            let [left_n, right_n] = sizes;
             let side = u8::from(left_n > right_n);
-            claimed[usize::from(side)] += view.component_len(c); // fhp-audit: allow(panic-site) — a side index is 0 or 1
+            sizes[usize::from(side)] += view.component_len(c); // fhp-audit: allow(panic-site) — a side index is 0 or 1
             side
         }));
-        for (o, &c) in owner.iter_mut().zip(view.components()) {
-            if *o == UNCLAIMED {
-                *o = component_side[c as usize]; // fhp-audit: allow(panic-site) — the table numbers components below num_components
-            }
-        }
         debug_assert!(
             *reads <= 3 * view.num_kept_pins() as u64,
             "{reads} ids read"
         );
+        *running = false;
     }
 
     /// Ids the most recent [`run`](Self::run) read: the pins of the nets
     /// it expanded, the kept nets of the modules they expanded, and the
     /// kept nets of the split modules again to mark them boundary — each
     /// kept pin of the seeds' components at most three times. The pass
-    /// over the component table is not counted.
-    #[cfg(test)]
+    /// over the component table, and clearing the previous run's marks
+    /// (at most one write per vertex and module that run claimed), are
+    /// not counted.
     pub(crate) fn ids_read(&self) -> u64 {
         self.reads
     }
 }
 
 /// Expands net `w` for the front labelled `mine`: each module of `w`
-/// that is not yet expanded claims its unclaimed kept nets for `mine`
-/// (pushing them onto `claimed`), and a module that also holds a net of
-/// the other side marks all its kept nets boundary. Returns the ids read.
+/// that is not yet expanded is listed in `modules` and claims its
+/// unclaimed kept nets for `mine` (pushing them onto `claimed`), and a
+/// module that also holds a net of the other side marks all its kept nets
+/// boundary. Returns the ids read.
 fn expand(
     view: &DualIncidence<'_>,
     w: u32,
@@ -354,6 +471,7 @@ fn expand(
     owner: &mut [u8],
     expanded: &mut [bool],
     claimed: &mut Vec<u32>,
+    modules: &mut Vec<VertexId>,
 ) -> u64 {
     let pins = view.pins(w);
     let mut reads = pins.len() as u64;
@@ -362,6 +480,7 @@ fn expand(
         if std::mem::replace(&mut expanded[m.index()], true) {
             continue;
         }
+        modules.push(m);
         let nets = view.nets_of(m);
         reads += nets.len() as u64;
         let mut split = false;
@@ -415,6 +534,8 @@ pub fn random_longest_path_endpoints<R: Rng + ?Sized>(
 pub struct EndpointScratch {
     levels: bfs::BfsLevels,
     expanded: Vec<bool>,
+    /// Ids the most recent [`draw_u`](Self::draw_u)'s searches read.
+    reads: u64,
 }
 
 impl Default for EndpointScratch {
@@ -429,6 +550,7 @@ impl EndpointScratch {
         Self {
             levels: bfs::BfsLevels::empty(),
             expanded: Vec::new(),
+            reads: 0,
         }
     }
 
@@ -438,6 +560,7 @@ impl EndpointScratch {
         Self {
             levels: bfs::BfsLevels::with_capacity(n),
             expanded: Vec::with_capacity(modules),
+            reads: 0,
         }
     }
 
@@ -469,23 +592,29 @@ impl EndpointScratch {
         view: &DualIncidence<'_>,
         rng: &mut R,
     ) -> Option<u32> {
+        self.reads = 0;
         let n = view.num_g_vertices();
         if n < 2 {
             return None;
         }
         let start = rng.gen_range(0..n as u32); // fhp-audit: allow(as-cast-truncation) — G ids fit u32 by the view's construction
-        self.search(view, start);
+        self.reads = self.search(view, start);
         if self.levels.num_reached() < 2 {
             // isolated start: fall back to the lowest vertex with an edge
-            self.search(view, view.first_linked()?);
+            self.reads += self.search(view, view.first_linked()?);
         }
         self.levels.deepest_level().choose(rng).copied()
     }
 
+    /// Ids the searches of the most recent [`draw_u`](Self::draw_u) read.
+    pub(crate) fn draw_reads(&self) -> u64 {
+        self.reads
+    }
+
     /// BFS from `source` into the scratch's leveling: the search between
-    /// the two halves, once per distinct `u`.
-    pub(crate) fn search(&mut self, view: &DualIncidence<'_>, source: u32) {
-        bfs::bfs_dual_into(view, source, &mut self.levels, &mut self.expanded);
+    /// the two halves, once per distinct `u`. Returns the ids it read.
+    pub(crate) fn search(&mut self, view: &DualIncidence<'_>, source: u32) -> u64 {
+        bfs::bfs_dual_into(view, source, &mut self.levels, &mut self.expanded)
     }
 
     /// The second half, after [`search`](Self::search) from `u`: a random

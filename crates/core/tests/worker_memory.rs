@@ -1,8 +1,10 @@
 //! Per-worker memory of the multi-start engine: an extra worker costs
-//! scratch sized by `G` and the module count — BFS levels, fronts, sweep
-//! labels, the boundary index, the partial bipartition, placement and
-//! three bipartitions — plus buffers grown to the boundary graphs `G′`
-//! it meets, never a reservation for the worst cut.
+//! scratch sized by `G` and the module count — BFS levels, the fronts'
+//! claimed lists, sweep labels and expanded modules, the per-component
+//! sides, the boundary index, the partial bipartition, placement and
+//! two bipartitions (the start's best and the worker's best) — plus
+//! buffers grown to the boundary graphs `G′` it meets, never a
+//! reservation for the worst cut.
 //!
 //! Method: the global allocator is wrapped in a shim that tracks live
 //! bytes and their high-water mark, reset before each run. The paper
@@ -10,8 +12,8 @@
 //! scaling instance at 1 and 8 workers; the difference in peak heap,
 //! per extra worker, must stay under a budget linear in `g_n + n` (G's
 //! vertices plus the modules). The budget is 48 bytes per G-vertex or
-//! module: what the arena reserves is about 25 bytes per G-vertex and
-//! 11 per module. A reservation for the cross-pair worst case `Σ_m
+//! module: what the arena reserves is about 23 bytes per G-vertex and
+//! 14 per module. A reservation for the cross-pair worst case `Σ_m
 //! ⌊d_m²/4⌋` — 16 bytes per pair for `G′` and its pair list, 16 more for
 //! the Complete-Cut heap — costs several times that on these netlists.
 //!

@@ -10,8 +10,7 @@
 //! [`heavy_pair_clustering`] provides a simple deterministic clustering
 //! (greedy matching on co-signal affinity) to drive it.
 
-use std::collections::BTreeMap;
-
+use crate::incremental::mix64;
 use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// A contracted hypergraph plus the fine↔coarse correspondence.
@@ -96,28 +95,19 @@ impl Contraction {
             b.add_weighted_vertex(w);
         }
 
-        // Re-pin edges; merge identical coarse pin sets. Each pin set is
-        // stored once, as a key mapping to (first position, summed weight).
-        let mut merged: BTreeMap<Vec<VertexId>, (usize, u64)> = BTreeMap::new();
+        // Re-pin edges and merge identical coarse pin sets; coarse edges
+        // come out in the order their pin sets first appeared.
+        let mut sets = PinSets::with_capacity(h.num_edges(), h.num_pins());
         for e in h.edges() {
-            let mut pins: Vec<VertexId> = h
-                .pins(e)
-                .iter()
-                .map(|p| VertexId::new(cluster_of[p.index()] as usize)) // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
-                .collect();
-            pins.sort_unstable();
-            pins.dedup();
-            if pins.len() < 2 {
-                continue; // swallowed by a cluster
-            }
-            let first = merged.len();
-            merged.entry(pins).or_insert((first, 0)).1 += h.edge_weight(e);
+            sets.add(
+                h.pins(e)
+                    .iter()
+                    .map(|p| VertexId::new(cluster_of[p.index()] as usize)), // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
+                h.edge_weight(e),
+            );
         }
-        // Coarse edges come out in the order their pin sets first appeared.
-        let mut coarse_edges: Vec<_> = merged.into_iter().collect();
-        coarse_edges.sort_unstable_by_key(|&(_, (first, _))| first);
-        for (pins, (_, weight)) in coarse_edges {
-            b.add_weighted_edge(pins, weight)
+        for (pins, weight) in sets.iter() {
+            b.add_weighted_edge(pins.iter().copied(), weight)
                 .map_err(|error| ContractError::Build { error })?;
         }
 
@@ -172,6 +162,101 @@ impl Contraction {
             .iter()
             .map(|&c| coarse_labels[c as usize]) // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
             .collect()
+    }
+}
+
+/// The distinct coarse pin sets of a contraction in the order they first
+/// appeared, each with its summed weight: the sets back to back in one
+/// buffer, found again through an open-addressing index on their hashes
+/// and a slice compare.
+struct PinSets {
+    /// Set `i` is `pins[offsets[i]..offsets[i + 1]]`, sorted and
+    /// deduplicated.
+    pins: Vec<VertexId>,
+    offsets: Vec<usize>,
+    weights: Vec<u64>,
+    hashes: Vec<u64>,
+    /// Per slot, the index of a set whose hash probes there, or
+    /// [`NO_SET`]; a power of two at least twice the sets it can hold.
+    slots: Vec<u32>,
+    /// The set being added, mapped, sorted and deduplicated.
+    scratch: Vec<VertexId>,
+}
+
+/// A [`PinSets`] slot holding no set.
+const NO_SET: u32 = u32::MAX;
+
+impl PinSets {
+    /// Room for up to `sets` sets of `pins` pins in all.
+    fn with_capacity(sets: usize, pins: usize) -> Self {
+        let mut offsets = Vec::with_capacity(sets + 1);
+        offsets.push(0);
+        Self {
+            pins: Vec::with_capacity(pins),
+            offsets,
+            weights: Vec::with_capacity(sets),
+            hashes: Vec::with_capacity(sets),
+            slots: vec![NO_SET; (2 * sets).next_power_of_two()],
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Adds `weight` to the set of `pins`, appending the set if no earlier
+    /// one equals it. A set of fewer than two pins is dropped: its net
+    /// lies inside one cluster.
+    fn add(&mut self, pins: impl IntoIterator<Item = VertexId>, weight: u64) {
+        self.scratch.clear();
+        self.scratch.extend(pins);
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        if self.scratch.len() < 2 {
+            return;
+        }
+        let hash = self
+            .scratch
+            .iter()
+            .fold(0, |acc, p| mix64(acc ^ u64::from(p.raw())));
+        let mask = self.slots.len() - 1;
+        // fhp-audit: allow(as-cast-truncation) — only the hash's low bits pick a slot
+        let mut slot = hash as usize & mask;
+        loop {
+            let Some(entry) = self.slots.get_mut(slot) else {
+                return; // unreachable: the mask keeps every slot in range
+            };
+            if *entry == NO_SET {
+                // fhp-audit: allow(as-cast-truncation) — the sets are at most the fine edges, which EdgeId numbers in u32
+                *entry = self.weights.len() as u32;
+                self.pins.extend_from_slice(&self.scratch);
+                self.offsets.push(self.pins.len());
+                self.weights.push(weight);
+                self.hashes.push(hash);
+                return;
+            }
+            let i = *entry as usize;
+            if self.hashes.get(i) == Some(&hash) && self.set(i) == self.scratch.as_slice() {
+                if let Some(w) = self.weights.get_mut(i) {
+                    *w += weight;
+                }
+                return;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Set `i`'s pins.
+    fn set(&self, i: usize) -> &[VertexId] {
+        match (self.offsets.get(i), self.offsets.get(i + 1)) {
+            (Some(&start), Some(&end)) => self.pins.get(start..end).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
+    /// Every set with its summed weight, in order of first appearance.
+    fn iter(&self) -> impl Iterator<Item = (&[VertexId], u64)> + '_ {
+        self.weights
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| (self.set(i), w))
     }
 }
 

@@ -93,6 +93,12 @@ pub enum BuildGraphError {
         /// Declared vertex count.
         found: usize,
     },
+    /// The kept hyperedges hold more pins than the `u32` offsets of the
+    /// incidence lists can address.
+    TooManyKeptPins {
+        /// Number of kept pins.
+        found: usize,
+    },
 }
 
 impl fmt::Display for BuildGraphError {
@@ -106,6 +112,9 @@ impl fmt::Display for BuildGraphError {
             }
             Self::TooManyVertices { found } => {
                 write!(f, "{found} vertices overflow the u32 vertex id space")
+            }
+            Self::TooManyKeptPins { found } => {
+                write!(f, "{found} kept pins overflow the u32 incidence offsets")
             }
         }
     }

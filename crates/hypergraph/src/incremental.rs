@@ -440,8 +440,9 @@ impl DynamicNetlist {
     }
 }
 
-/// SplitMix64's finalizer: the avalanche mix used by the fingerprints.
-fn mix64(mut x: u64) -> u64 {
+/// SplitMix64's finalizer: the avalanche mix used by the fingerprints
+/// and the contraction's pin-set index.
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x ^= x >> 27;

@@ -37,6 +37,8 @@
 //! generate, the duplicates among them, the unique edges written, and
 //! the wall time.
 
+use std::cmp::Reverse;
+use std::sync::Arc;
 use std::time::Duration;
 
 use fhp_obs::{counter_total, names, order, span_total_ns, Collector, Event, Scope};
@@ -146,7 +148,9 @@ impl Dualizer {
     /// # Errors
     ///
     /// [`BuildGraphError::TooManyGVertices`] if the kept hyperedges
-    /// overflow the `u32` G-vertex id space.
+    /// overflow the `u32` G-vertex id space, and
+    /// [`BuildGraphError::TooManyKeptPins`] if their pins overflow the
+    /// incidence lists' `u32` offsets.
     pub fn build(&self, h: &Hypergraph) -> Result<IntersectionGraph, BuildGraphError> {
         let scope = self.collector.scope(order::DUALIZE, None);
         let root = scope.span(names::DUALIZE);
@@ -155,7 +159,7 @@ impl Dualizer {
         let lists = Incidence::new(h, &kept, &g_of, |nets| {
             let d = nets.len() as u64;
             pairs_generated += d * d.saturating_sub(1) / 2;
-        });
+        })?;
         let graph = write_rows(&lists);
         drop(lists);
         let unique_edges = graph.num_edges() as u64;
@@ -411,7 +415,13 @@ impl IntersectionGraph {
 /// numbers them in order of their lowest G id and
 /// [`component_len`](Self::component_len) counts their G-vertices, so a
 /// sweep can hand out the components neither of its seeds reaches without
-/// walking them.
+/// walking them. One pass over the modules then builds the tables a
+/// sweep scores from: each component's modules and their weight
+/// ([`component_modules`](Self::component_modules),
+/// [`component_weight`](Self::component_weight)), the modules on no kept
+/// net in placement order ([`free_modules`](Self::free_modules)), the
+/// filtered nets ([`filtered_nets`](Self::filtered_nets)) and the
+/// lightest module.
 ///
 /// G ids are [`IntersectionGraph`]'s: the hyperedges below the
 /// threshold, numbered in edge order. Each module's kept nets are listed
@@ -445,12 +455,31 @@ pub struct DualIncidence<'h> {
     h: &'h Hypergraph,
     lists: Incidence,
     /// Each G-vertex's connected component in `G`, the components
-    /// numbered in order of their lowest G id.
-    component_of: Vec<u32>,
-    /// G-vertices per component.
-    component_lens: Vec<u32>,
+    /// numbered in order of their lowest G id; shared with the cuts made
+    /// on the view.
+    component_of: Arc<Vec<u32>>,
+    /// Per component: its G-vertices, modules and module weight.
+    totals: Vec<ComponentTotals>,
+    /// `kept[g]` = hyperedge represented by G-vertex `g`.
+    kept: Vec<EdgeId>,
+    /// The modules on no kept net, heaviest first, ties by index.
+    free_modules: Vec<VertexId>,
+    /// The hyperedges the threshold dropped, ascending.
+    filtered: Vec<EdgeId>,
+    /// The first module of least weight.
+    lightest: Option<VertexId>,
     first_linked: Option<u32>,
     stats: DualizeStats,
+}
+
+/// One component of `G` as the sweeps count it: its G-vertices, and the
+/// modules whose kept nets lie in it with their summed weight. Every kept
+/// net of a module lies in one component, as the nets share the module.
+#[derive(Clone, Copy, Debug, Default)]
+struct ComponentTotals {
+    g_vertices: u32,
+    modules: u32,
+    weight: u64,
 }
 
 impl<'h> DualIncidence<'h> {
@@ -460,7 +489,9 @@ impl<'h> DualIncidence<'h> {
     /// # Errors
     ///
     /// [`BuildGraphError::TooManyGVertices`] if the kept hyperedges
-    /// overflow the `u32` G-vertex id space.
+    /// overflow the `u32` G-vertex id space, and
+    /// [`BuildGraphError::TooManyKeptPins`] if their pins overflow the
+    /// incidence lists' `u32` offsets.
     pub fn new(h: &'h Hypergraph, threshold: Option<usize>) -> Result<Self, BuildGraphError> {
         Self::build(h, threshold, &Collector::disabled())
     }
@@ -488,12 +519,36 @@ impl<'h> DualIncidence<'h> {
             if let [lowest, _, ..] = *mine {
                 first_linked = Some(first_linked.map_or(lowest, |f| f.min(lowest)));
             }
-        });
+        })?;
         let (component_of, components) = sets.into_labels();
-        let mut component_lens = vec![0u32; components];
+        let mut totals = vec![ComponentTotals::default(); components];
         for &c in &component_of {
-            component_lens[c as usize] += 1; // fhp-audit: allow(panic-site) — into_labels numbers components below its count
+            totals[c as usize].g_vertices += 1; // fhp-audit: allow(panic-site) — into_labels numbers components below its count
         }
+        // The per-run tables a sweep scores from: each module counts
+        // towards the component of its kept nets, or is free.
+        let mut free_modules = Vec::new();
+        let mut lightest: Option<VertexId> = None;
+        for m in h.vertices() {
+            let w = h.vertex_weight(m);
+            if lightest.is_none_or(|l| w < h.vertex_weight(l)) {
+                lightest = Some(m);
+            }
+            match lists.nets_of(m).first() {
+                Some(&g) => {
+                    // fhp-audit: allow(panic-site) — g is a G id, and into_labels numbers its component below the count
+                    let t = &mut totals[component_of[g as usize] as usize];
+                    t.modules += 1;
+                    t.weight += w;
+                }
+                None => free_modules.push(m),
+            }
+        }
+        free_modules.sort_unstable_by_key(|&m| (Reverse(h.vertex_weight(m)), m));
+        let filtered = h
+            .edges()
+            .filter(|e| g_of[e.index()] == FILTERED) // fhp-audit: allow(panic-site) — g_of is sized to h.num_edges() by keep_map
+            .collect();
         drop(root);
         scope.counter(names::DUALIZE_KEPT, kept.len() as u64);
         scope.counter(names::DUALIZE_FILTERED, (h.num_edges() - kept.len()) as u64);
@@ -503,8 +558,12 @@ impl<'h> DualIncidence<'h> {
         Ok(Self {
             h,
             lists,
-            component_of,
-            component_lens,
+            component_of: Arc::new(component_of),
+            totals,
+            kept,
+            free_modules,
+            filtered,
+            lightest,
             first_linked,
             stats,
         })
@@ -540,6 +599,15 @@ impl<'h> DualIncidence<'h> {
         self.lists.pins(g)
     }
 
+    /// The hyperedge represented by G-vertex `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    pub fn edge_of(&self, g: u32) -> EdgeId {
+        self.kept[g as usize] // fhp-audit: allow(panic-site) — documented `# Panics`: g must be a G-vertex id
+    }
+
     /// Module `m`'s kept nets as G ids, ascending.
     ///
     /// # Panics
@@ -552,7 +620,7 @@ impl<'h> DualIncidence<'h> {
     /// Number of connected components of `G`; an isolated G-vertex is
     /// one of its own.
     pub fn num_components(&self) -> usize {
-        self.component_lens.len()
+        self.totals.len()
     }
 
     /// The connected component of G-vertex `g`. Components are numbered
@@ -572,13 +640,65 @@ impl<'h> DualIncidence<'h> {
         &self.component_of
     }
 
+    /// A shared handle on [`components`](Self::components), for a result
+    /// that answers component lookups after the borrow of the view ends:
+    /// cloning it copies no entry.
+    pub fn shared_components(&self) -> Arc<Vec<u32>> {
+        Arc::clone(&self.component_of)
+    }
+
     /// Number of G-vertices in component `c`.
     ///
     /// # Panics
     ///
     /// Panics if `c` is not below [`num_components`](Self::num_components).
     pub fn component_len(&self, c: u32) -> usize {
-        self.component_lens[c as usize] as usize // fhp-audit: allow(panic-site) — documented `# Panics`: c must be a component number
+        self.totals[c as usize].g_vertices as usize // fhp-audit: allow(panic-site) — documented `# Panics`: c must be a component number
+    }
+
+    /// Number of modules whose kept nets lie in component `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not below [`num_components`](Self::num_components).
+    pub fn component_modules(&self, c: u32) -> usize {
+        self.totals[c as usize].modules as usize // fhp-audit: allow(panic-site) — documented `# Panics`: c must be a component number
+    }
+
+    /// Summed weight of the modules of component `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not below [`num_components`](Self::num_components).
+    pub fn component_weight(&self, c: u32) -> u64 {
+        self.totals[c as usize].weight // fhp-audit: allow(panic-site) — documented `# Panics`: c must be a component number
+    }
+
+    /// The component of module `m`'s kept nets, or `None` for a module
+    /// on no kept net.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is out of range.
+    pub fn module_component(&self, m: VertexId) -> Option<u32> {
+        let &g = self.nets_of(m).first()?;
+        Some(self.component_of(g))
+    }
+
+    /// The modules on no kept net, heaviest first and ties by index: the
+    /// order a sweep places its leftovers in.
+    pub fn free_modules(&self) -> &[VertexId] {
+        &self.free_modules
+    }
+
+    /// The hyperedges the size threshold dropped, ascending.
+    pub fn filtered_nets(&self) -> &[EdgeId] {
+        &self.filtered
+    }
+
+    /// The first module of least weight, `None` without modules.
+    pub fn lightest_module(&self) -> Option<VertexId> {
+        self.lightest
     }
 
     /// The lowest G-vertex with a neighbour in `G`, or `None` when `G`
@@ -596,36 +716,55 @@ impl<'h> DualIncidence<'h> {
 /// `G`'s incidence lists over the kept nets, both as CSR lists: the
 /// modules of each G-vertex, and the kept nets of each module in
 /// ascending G id. [`DualIncidence`] reads `G` through them, and the row
-/// writer writes `G`'s CSR from them.
+/// writer writes `G`'s CSR from them. The offsets are `u32`: a build
+/// whose kept pins overflow them is refused.
 #[derive(Clone, Debug)]
 struct Incidence {
     /// G-vertex `g`'s modules are `pins[pin_offsets[g]..pin_offsets[g + 1]]`.
-    pin_offsets: Vec<usize>,
+    pin_offsets: Vec<u32>,
     pins: Vec<VertexId>,
     /// Module `m`'s kept nets are `nets[offsets[m]..offsets[m + 1]]`.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     nets: Vec<u32>,
+}
+
+/// `kept_pins` as a `u32` incidence offset.
+///
+/// # Errors
+///
+/// [`BuildGraphError::TooManyKeptPins`] if the count does not fit `u32`.
+fn kept_pin_offset(kept_pins: usize) -> Result<u32, BuildGraphError> {
+    u32::try_from(kept_pins).map_err(|_| BuildGraphError::TooManyKeptPins { found: kept_pins })
 }
 
 impl Incidence {
     /// Lists the nets `kept` of `h` under their G ids `g_of` (both from
     /// [`keep_map`]), handing each module's kept nets to `each_module`
     /// as soon as they are listed.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildGraphError::TooManyKeptPins`] if the kept nets hold more
+    /// pins than a `u32` offset addresses.
     fn new(
         h: &Hypergraph,
         kept: &[EdgeId],
         g_of: &[u32],
         mut each_module: impl FnMut(&[u32]),
-    ) -> Self {
+    ) -> Result<Self, BuildGraphError> {
+        let kept_pins = kept.iter().map(|&e| h.edge_size(e)).sum();
+        kept_pin_offset(kept_pins)?;
+        // Every offset below is at most the kept pins, which fit u32.
+        // fhp-audit: allow(as-cast-truncation) — at most the kept pins, checked to fit u32 above
+        let offset = |len: usize| len as u32;
         let mut offsets = Vec::with_capacity(h.num_vertices() + 1);
         offsets.push(0);
-        let kept_pins = kept.iter().map(|&e| h.edge_size(e)).sum();
         let mut pin_offsets = Vec::with_capacity(kept.len() + 1);
         pin_offsets.push(0);
         let mut pins = Vec::with_capacity(kept_pins);
         for &e in kept {
             pins.extend_from_slice(h.pins(e));
-            pin_offsets.push(pins.len());
+            pin_offsets.push(offset(pins.len()));
         }
         let mut nets = Vec::with_capacity(kept_pins);
         for v in h.vertices() {
@@ -640,14 +779,14 @@ impl Incidence {
             );
             // fhp-audit: allow(panic-site) — first <= nets.len() by construction
             each_module(&nets[first..]);
-            offsets.push(nets.len());
+            offsets.push(offset(nets.len()));
         }
-        Self {
+        Ok(Self {
             pin_offsets,
             pins,
             offsets,
             nets,
-        }
+        })
     }
 
     fn num_g_vertices(&self) -> usize {
@@ -658,13 +797,14 @@ impl Incidence {
     fn pins(&self, g: u32) -> &[VertexId] {
         let g = g as usize;
         // fhp-audit: allow(panic-site) — documented `# Panics` of DualIncidence::pins: g must be a G-vertex id; pin_offsets has num_g_vertices + 1 ascending entries within pins
-        &self.pins[self.pin_offsets[g]..self.pin_offsets[g + 1]]
+        &self.pins[self.pin_offsets[g] as usize..self.pin_offsets[g + 1] as usize]
     }
 
     /// Module `m`'s kept nets; panics if `m` is out of range.
     fn nets_of(&self, m: VertexId) -> &[u32] {
+        let m = m.index();
         // fhp-audit: allow(panic-site) — documented `# Panics` of DualIncidence::nets_of: m must be a module of h; offsets has num_modules + 1 ascending entries within nets
-        &self.nets[self.offsets[m.index()]..self.offsets[m.index() + 1]]
+        &self.nets[self.offsets[m] as usize..self.offsets[m + 1] as usize]
     }
 }
 
@@ -860,6 +1000,51 @@ mod tests {
         assert_eq!(h.num_vertices(), 12);
         assert_eq!(h.num_edges(), 9);
         assert_eq!(h.max_edge_size(), 4);
+    }
+
+    #[test]
+    fn kept_pins_past_u32_are_refused() {
+        assert_eq!(kept_pin_offset(u32::MAX as usize), Ok(u32::MAX));
+        let over = u32::MAX as usize + 1;
+        assert_eq!(
+            kept_pin_offset(over),
+            Err(BuildGraphError::TooManyKeptPins { found: over })
+        );
+        assert!(BuildGraphError::TooManyKeptPins { found: over }
+            .to_string()
+            .contains("4294967296"));
+    }
+
+    #[test]
+    fn the_view_counts_each_components_modules_and_the_free_ones() {
+        let h = paper_example();
+        // keeping the 2-pin signals d {3,5} and g {6,8} only: two
+        // components, and every other module is free
+        let view = DualIncidence::new(&h, Some(3)).unwrap();
+        assert_eq!(view.num_components(), 2);
+        for c in 0..2 {
+            assert_eq!(view.component_modules(c), 2);
+            assert_eq!(view.component_weight(c), 2);
+        }
+        assert_eq!(view.module_component(VertexId::new(2)), Some(0));
+        assert_eq!(view.module_component(VertexId::new(7)), Some(1));
+        assert_eq!(view.module_component(VertexId::new(0)), None);
+        let free: Vec<usize> = view.free_modules().iter().map(|m| m.index()).collect();
+        assert_eq!(free, [0, 1, 3, 6, 8, 9, 10, 11]);
+        let filtered: Vec<usize> = view.filtered_nets().iter().map(|e| e.index()).collect();
+        assert_eq!(filtered, [0, 1, 2, 4, 5, 7, 8]);
+        assert_eq!(view.lightest_module(), Some(VertexId::new(0)));
+
+        // free modules are listed heaviest first
+        let mut b = HypergraphBuilder::new();
+        let w: Vec<VertexId> = [1, 3, 2, 3].map(|w| b.add_weighted_vertex(w)).to_vec();
+        b.add_edge([w[0], w[1], w[2], w[3]]).unwrap();
+        b.add_edge([w[0], w[2]]).unwrap();
+        let h = b.build();
+        let view = DualIncidence::new(&h, Some(3)).unwrap();
+        assert_eq!(view.free_modules(), [w[1], w[3]]);
+        assert_eq!(view.component_weight(0), 3);
+        assert_eq!(view.lightest_module(), Some(w[0]));
     }
 
     #[test]

@@ -22,10 +22,12 @@ use std::collections::BTreeMap;
 use fhp_baselines::{Exhaustive, FiducciaMattheyses, KernighanLin, SimulatedAnnealing};
 use fhp_core::boundary::BoundaryDecomposition;
 use fhp_core::complete_cut::{
-    brute_force_min_losers, complete, complete_min_degree, CompletionScratch,
+    brute_force_min_losers, complete, complete_min_degree, Completion, CompletionScratch,
+    SweepScore,
 };
 use fhp_core::dual_bfs::{
     random_longest_path_endpoints, two_front_bfs, two_front_bfs_with_policy, FrontPolicy,
+    TwoFrontScratch,
 };
 use fhp_core::moves::{random_balanced_start, MoveState};
 use fhp_core::multilevel::{coarsen_cap, coarsen_sequence};
@@ -36,6 +38,7 @@ use fhp_core::{
 };
 use fhp_hypergraph::{
     bfs, hgr, DualIncidence, Dualizer, DynamicNetlist, Graph, Hypergraph, IntersectionGraph,
+    VertexId,
 };
 use rand::rngs::SplitMix64;
 use rand::{Rng, SeedableRng};
@@ -101,10 +104,11 @@ pub fn check_instance(
     counts: &mut OracleCounts,
 ) -> CheckOutcome {
     let mut outcome = CheckOutcome::default();
-    let oracles: [(&'static str, OracleFn); 11] = [
+    let oracles: [(&'static str, OracleFn); 12] = [
         ("differential", oracle_differential),
         ("dual_incidence", oracle_dual_incidence),
         ("pipeline_stages", oracle_pipeline_stages),
+        ("sweep_scores", oracle_sweep_scores),
         ("thread_invariance", oracle_thread_invariance),
         ("repeated_paths", oracle_repeated_paths),
         ("dualize_kernel", oracle_dualize_kernel),
@@ -725,6 +729,171 @@ fn oracle_dual_incidence(ctx: &Ctx<'_>) -> Result<u64, Violation> {
         }
     }
     Ok(checks)
+}
+
+/// What a sweep reports against an independent recount of what it
+/// assembles, at each of [`DUAL_THRESHOLDS`], for a random longest path
+/// and a random pair of seeds, under both front policies and all three
+/// completion strategies. The boundary list is held to
+/// [`csr_decomposition`]'s; the bipartition [`CompletionScratch::write`]
+/// writes and every module's [`CompletionScratch::side_of`] to
+/// [`reference_assembly`]'s; each module's
+/// [`BoundaryDecomposition::partial_side`] to the CSR partial bipartition;
+/// and the [`SweepScore`] — cut, weighted cut, side counts and weights,
+/// `num_placed` — to a pin-by-pin recount of the reference. One set of
+/// scratches serves every sweep, as one arena serves every start.
+fn oracle_sweep_scores(ctx: &Ctx<'_>) -> Result<u64, Violation> {
+    let h = ctx.h;
+    let mut checks = 0;
+    let mut rng = SplitMix64::seed_from_u64(ctx.seed ^ 0x5357_5053);
+    let mut fronts = TwoFrontScratch::new();
+    let mut completion = CompletionScratch::new();
+    let mut written = Bipartition::all_left(0);
+    for threshold in DUAL_THRESHOLDS {
+        let ig = IntersectionGraph::build_naive_with_threshold(h, threshold);
+        let view =
+            DualIncidence::new(h, threshold).map_err(|e| ctx.fail(format!("view failed: {e}")))?;
+        let Ok(n) = u32::try_from(view.num_g_vertices()) else {
+            return Err(ctx.fail("G-vertices overflow u32 ids".to_string()));
+        };
+        if n < 2 {
+            continue;
+        }
+        let mut seeds: Vec<(u32, u32)> = random_longest_path_endpoints(&view, &mut rng)
+            .into_iter()
+            .collect();
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if a != b {
+            seeds.push((a, b));
+        }
+        let mut dec = BoundaryDecomposition::empty();
+        for (u, v) in seeds {
+            for policy in [FrontPolicy::SmallerFirst, FrontPolicy::Alternate] {
+                fronts.run(&view, u, v, policy);
+                dec.recompute(&view, fronts.cut());
+                let reference = csr_sweep(ig.graph(), u, v, policy);
+                let (boundary, _, partial) = csr_decomposition(h, &ig, &reference);
+                let tag = || format!("threshold {threshold:?}, {policy:?} sweep ({u}, {v})");
+                checks += ctx.ensure(dec.boundary_g_vertices() == boundary, || {
+                    format!(
+                        "{}: boundary {:?}, from the CSR {boundary:?}",
+                        tag(),
+                        dec.boundary_g_vertices()
+                    )
+                })?;
+                for m in h.vertices() {
+                    let want = partial.get(m.index()).copied().flatten();
+                    checks += ctx.ensure(dec.partial_side(m) == want, || {
+                        format!(
+                            "{}: module {m}'s partial side {:?}, from the CSR {want:?}",
+                            tag(),
+                            dec.partial_side(m)
+                        )
+                    })?;
+                }
+                for strategy in [
+                    CompletionStrategy::MinDegree,
+                    CompletionStrategy::EngineerWeighted,
+                    CompletionStrategy::ExactKonig,
+                ] {
+                    let score = completion.finish(strategy, &view, &dec);
+                    completion.write(&view, &dec, &mut written);
+                    let bp = reference_assembly(h, &ig, &dec, &partial, completion.completion());
+                    checks += ctx.ensure(written == bp, || {
+                        format!("{}, {strategy:?}: wrote {written}, reference {bp}", tag())
+                    })?;
+                    for m in h.vertices() {
+                        let side = completion.side_of(&dec, m);
+                        checks += ctx.ensure(side == bp.side(m), || {
+                            format!(
+                                "{}, {strategy:?}: module {m} looked up on {side:?}, \
+                                 assembled on {:?}",
+                                tag(),
+                                bp.side(m)
+                            )
+                        })?;
+                    }
+                    let recount = SweepScore {
+                        cut_size: recompute_cut(h, &bp),
+                        weighted_cut: recompute_weighted_cut(h, &bp),
+                        counts: (bp.count(Side::Left), bp.count(Side::Right)),
+                        weights: (bp.weight_on(h, Side::Left), bp.weight_on(h, Side::Right)),
+                        num_placed: partial.iter().filter(|p| p.is_some()).count(),
+                    };
+                    checks += ctx.ensure(score == recount, || {
+                        format!(
+                            "{}, {strategy:?}: scored {score:?}, recounted {recount:?}",
+                            tag()
+                        )
+                    })?;
+                }
+            }
+        }
+    }
+    Ok(checks)
+}
+
+/// The bipartition a sweep assembles, rebuilt from its parts: the
+/// `partial` sides, each winner's modules on its side, every module still
+/// open on the lighter side (left on ties), heaviest first and ties by
+/// index, and the lightest module (the first of least weight) across when
+/// a side would otherwise be empty.
+fn reference_assembly(
+    h: &Hypergraph,
+    ig: &IntersectionGraph,
+    dec: &BoundaryDecomposition<'_>,
+    partial: &[Option<Side>],
+    done: &Completion,
+) -> Bipartition {
+    let mut placed = partial.to_vec();
+    for b in (0..dec.boundary_len()).filter_map(|b| u32::try_from(b).ok()) {
+        if done.is_winner(b) {
+            for &p in h.pins(ig.edge_of(dec.g_vertex(b))) {
+                if let Some(slot @ None) = placed.get_mut(p.index()) {
+                    *slot = Some(dec.side_of(b));
+                }
+            }
+        }
+    }
+    let (mut left, mut right) = (0u64, 0u64);
+    for (m, p) in h.vertices().zip(&placed) {
+        match p {
+            Some(Side::Left) => left += h.vertex_weight(m),
+            Some(Side::Right) => right += h.vertex_weight(m),
+            None => {}
+        }
+    }
+    let mut open: Vec<VertexId> = h
+        .vertices()
+        .filter(|m| placed.get(m.index()).is_some_and(Option::is_none))
+        .collect();
+    open.sort_by_key(|&m| (std::cmp::Reverse(h.vertex_weight(m)), m.index()));
+    for m in open {
+        let side = if right < left {
+            right += h.vertex_weight(m);
+            Side::Right
+        } else {
+            left += h.vertex_weight(m);
+            Side::Left
+        };
+        if let Some(slot) = placed.get_mut(m.index()) {
+            *slot = Some(side);
+        }
+    }
+    let mut bp = Bipartition::from_fn(h.num_vertices(), |m| {
+        placed
+            .get(m.index())
+            .copied()
+            .flatten()
+            .unwrap_or(Side::Left)
+    });
+    let one_sided = bp.count(Side::Left) == 0 || bp.count(Side::Right) == 0;
+    if h.num_vertices() >= 2 && one_sided {
+        if let Some(lightest) = h.vertices().min_by_key(|&m| h.vertex_weight(m)) {
+            bp.flip(lightest);
+        }
+    }
+    bp
 }
 
 /// `G`'s connected components by repeated BFS over its CSR, the
